@@ -35,14 +35,13 @@ from .protocol import (
     QubitAccounting,
     RunReport,
     SecurityVerdict,
-    SynthesisBranch,
     TrialRecord,
     Verdict,
     VerdictKind,
     binomial_sigma,
     choose_axes,
     decider_step,
-    is_security_event,
+    is_event,
     iter_trials,
     key_accounting,
     partial_inference,
@@ -50,14 +49,14 @@ from .protocol import (
     reconstruct_dealer_bit,
     run_protocol,
     run_trial,
+    sample_security_frequency,
     security_check,
-    synthesis_dispatch,
+    security_verdict,
     trial_rng,
 )
 from .qcore import (
     Axis,
     DensityMatrix,
-    EigensolverConvergenceError,
     InvalidStateError,
     Outcome,
     Party,

@@ -3,7 +3,10 @@
 The eavesdropper prepares one fresh ancilla per trial in ``|z+>``, couples
 it to a single transmitted qubit with the unitary of
 :func:`wqsc.states.coupling_unitary`, and later measures the ancilla in the
-z basis.  There is no quantum memory across trials.
+z basis.  There is no quantum memory across trials.  The trial engine does
+not sample that measurement: it comes after the parties' measurements and
+cannot change their outcomes.  Its statistics are exact here, in
+:func:`eve_ancilla_statistics`.
 """
 
 from __future__ import annotations

@@ -5,36 +5,36 @@ Every flag is mirrored by an environment variable with the ``WQSC_`` prefix
 environment.  All randomness flows from ``--seed``, which is required, so a
 repeated invocation with identical flags produces byte-identical output.
 
-Exit codes: 0 success / channel secure, 1 usage error, 2 verification
-failure / channel compromised, 3 inconclusive security check.
+Exit codes: 0 success / channel secure, 1 usage error (bad flags or an
+unopenable output, caught before any simulation), 2 verification failure /
+channel compromised, 3 inconclusive security check.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from typing import Sequence
-
-import numpy as np
+from typing import ContextManager, Sequence, TextIO
 
 from .adversary import UnitaryCouplingAttack
-from .bell import QKD_AXIS_SETS, averaged_security_probability
+from .bell import averaged_security_probability
 from .golden import run_verification
 from .protocol import (
     DEFAULT_ANNOUNCE_RATE,
     DEFAULT_EPSILON,
-    Outcome,
     ProtocolConfig,
     ProtocolMode,
     SecurityVerdict,
     binomial_sigma,
     run_protocol,
+    sample_security_frequency,
+    security_verdict,
 )
-from .qcore import Party, measure_qubit
-from .reporting import SweepRow, render_report, render_sweep_csv
-from .states import attacked_w_state
+from .qcore import Party
+from .reporting import REPORT_FORMATS, SweepRow, render_report, render_sweep_csv
 
 ENV_PREFIX = "WQSC_"
 
@@ -48,9 +48,6 @@ _VERDICT_EXIT = {
     SecurityVerdict.COMPROMISED: EXIT_COMPROMISED,
     SecurityVerdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
-
-_PARTIES = (Party.ALICE, Party.BOB, Party.CHARLIE)
-
 
 class _UsageError(Exception):
     pass
@@ -94,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flag(run, "--epsilon", "EPSILON", type=float, default=DEFAULT_EPSILON,
               help="permitted security-event frequency")
     _add_flag(run, "--dealer", "DEALER", default="A", help="secret-sharing dealer")
-    _add_flag(run, "--format", "FORMAT", choices=["json", "csv"], default="json",
+    _add_flag(run, "--format", "FORMAT", choices=REPORT_FORMATS, default="json",
               help="report format")
     _add_flag(run, "--output", "OUTPUT", default="-", help="report path, '-' for stdout")
 
@@ -112,15 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> None:
+def _open_output(path: str) -> ContextManager[TextIO]:
+    """The output stream; a file is opened (and truncated) right away."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # argparse checks choices only for values given as flags, not for
+    # defaults taken from the environment.
+    if args.format not in REPORT_FORMATS:
+        raise _UsageError(f"unknown report format {args.format!r}")
     attack = None
     if args.phi is not None:
         attack = UnitaryCouplingAttack(args.phi, Party.from_letter(args.target))
@@ -133,8 +133,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         dealer=Party.from_letter(args.dealer),
     )
-    report = run_protocol(config)
-    _write(args.output, render_report(report, args.format))
+    with _open_output(args.output) as out:
+        report = run_protocol(config)
+        out.write(render_report(report, args.format))
     return _VERDICT_EXIT[report.security_verdict]
 
 
@@ -145,34 +146,6 @@ def _cmd_verify() -> int:
         print(f"{status} {check.item}: value={check.value!r} expected={check.expected!r}")
     print(f"{sum(c.passed for c in checks)}/{len(checks)} golden values verified")
     return EXIT_OK if passed else EXIT_COMPROMISED
-
-
-def sample_security_frequency(
-    phi: float, samples: int, seed: int, point_index: int = 0
-) -> float:
-    """Empirical security-event frequency over announced-equivalent trials.
-
-    Each sample plays one announced QKD-set trial against the attacked
-    channel (target Charlie): a uniformly chosen QKD axis set, then
-    measurement draws for Alice, Bob, Charlie on a fresh state.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    source = attacked_w_state(phi)
-    rng = np.random.default_rng([seed, point_index])
-    events = 0
-    for _ in range(samples):
-        axes = QKD_AXIS_SETS[rng.integers(3)]
-        state = source
-        outcomes = {}
-        for party in _PARTIES:
-            outcome, state, _ = measure_qubit(state, party, axes.axis_of(party), rng.random())
-            outcomes[party] = outcome
-        decider = axes.decider
-        x1, x2 = axes.x_parties  # type: ignore[misc]
-        if outcomes[decider] is Outcome.PLUS and outcomes[x1] is not outcomes[x2]:
-            events += 1
-    return events / samples
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -191,23 +164,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not 0.0 < args.epsilon < 1.0:
         raise _UsageError("epsilon must lie in (0, 1)")
 
-    rows = []
-    for point_index, phi in enumerate(grid):
-        p_bar = averaged_security_probability(phi)
-        empirical = sample_security_frequency(phi, args.trials, args.seed, point_index)
-        verdict = (
-            SecurityVerdict.COMPROMISED if empirical > args.epsilon else SecurityVerdict.SECURE
-        )
-        rows.append(
-            SweepRow(
-                phi=phi,
-                p_bar=p_bar,
-                empirical=empirical,
-                sigma=binomial_sigma(p_bar, args.trials),
-                verdict=verdict,
+    with _open_output(args.output) as out:
+        rows = []
+        for point_index, phi in enumerate(grid):
+            p_bar = averaged_security_probability(phi)
+            empirical = sample_security_frequency(phi, args.trials, args.seed, point_index)
+            rows.append(
+                SweepRow(
+                    phi=phi,
+                    p_bar=p_bar,
+                    empirical=empirical,
+                    sigma=binomial_sigma(p_bar, args.trials),
+                    verdict=security_verdict(empirical, args.epsilon),
+                )
             )
-        )
-    _write(args.output, render_sweep_csv(rows))
+        out.write(render_sweep_csv(rows))
     return EXIT_OK
 
 
@@ -220,10 +191,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify()
         return _cmd_sweep(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

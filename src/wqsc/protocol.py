@@ -12,11 +12,18 @@ sets produce key material:
   secret bit and the other two outcomes are the shares;
 * synthesis (SYNTH): both at once, routed by the axis set.
 
-Randomness: one root seed, split into independent per-trial substreams keyed
-by the trial index, so any trial can be replayed in isolation and aggregation
-order is irrelevant.  Within a trial the draw order is fixed: axis choices
-for A, B, C; measurement draws for A, B, C (and the ancilla when present);
-then the announcement draw.
+Randomness and its draw order are part of the output contract: a change to
+either changes report bytes for a given seed.
+
+* ``run``: one root seed, split into independent per-trial substreams
+  ``default_rng([seed, index])``, so any trial can be replayed in isolation
+  and aggregation order is irrelevant.  Each trial takes exactly 7 uniform
+  draws: 3 axis choices (A, B, C), 3 measurement draws (A, B, C), then 1
+  announcement draw.  The eavesdropper's ancilla is never sampled: it is
+  measured after the parties, so its outcome cannot change theirs.
+* ``sweep-phi``: one stream ``default_rng([seed, point_index])`` per grid
+  point.  Each sample takes 1 ``integers(3)`` draw choosing the QKD axis set,
+  then 3 measurement draws (A, B, C).
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .adversary import AttackConfig, apply_attack
-from .bell import AxisSet, AxisSetKind
+from .bell import QKD_AXIS_SETS, AxisSet, AxisSetKind
 from .qcore import Axis, Outcome, Party, StateVector, measure_qubit
-from .states import w_state
+from .states import attacked_w_state, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
 DEFAULT_EPSILON = 1e-9
@@ -103,12 +110,6 @@ class Verdict:
 
 
 DISCARD = Verdict(VerdictKind.DISCARD)
-
-
-class SynthesisBranch(Enum):
-    QKD = "qkd"
-    PQSS = "pqss"
-    DISCARD = "discard"
 
 
 class Inference(Enum):
@@ -246,7 +247,7 @@ def decider_step(
 
 
 def pqss_step(
-    axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome], dealer: Party
+    axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]
 ) -> tuple[Verdict, dict[Party, Outcome] | None]:
     """Secret-sharing decision: the all-z set succeeds, everything else restarts.
 
@@ -256,15 +257,6 @@ def pqss_step(
     if axes.kind is not AxisSetKind.PQSS:
         return DISCARD, None
     return Verdict(VerdictKind.KEY_PQSS), {p: outcomes[p] for p in _PARTIES}
-
-
-def synthesis_dispatch(axes: AxisSet) -> SynthesisBranch:
-    """Route one trial of the combined protocol by its axis set."""
-    if axes.kind is AxisSetKind.PQSS:
-        return SynthesisBranch.PQSS
-    if axes.kind is AxisSetKind.QKD:
-        return SynthesisBranch.QKD
-    return SynthesisBranch.DISCARD
 
 
 def reconstruct_dealer_bit(share_b: Outcome, share_c: Outcome) -> Outcome:
@@ -293,39 +285,64 @@ def partial_inference(own_share: Outcome) -> Inference:
     return Inference.UNKNOWN
 
 
-def is_security_event(record: TrialRecord) -> bool:
+def is_event(axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]) -> bool:
     """Security-check event: the z measurer saw plus, the x measurers disagree.
 
     Defined only on QKD axis sets; its probability is exactly zero without
     an attack, so any occurrence indicates tampering.
     """
-    if record.axes.kind is not AxisSetKind.QKD:
+    if axes.kind is not AxisSetKind.QKD:
         return False
-    decider = record.axes.decider
-    assert decider is not None
-    x1, x2 = record.axes.x_parties  # type: ignore[misc]
-    return (
-        record.outcomes[decider] is Outcome.PLUS
-        and record.outcomes[x1] is not record.outcomes[x2]
-    )
+    x1, x2 = axes.x_parties  # type: ignore[misc]
+    return outcomes[axes.decider] is Outcome.PLUS and outcomes[x1] is not outcomes[x2]
+
+
+def security_verdict(frequency: float | None, epsilon: float) -> SecurityVerdict:
+    """Verdict from the security-event frequency over the checked trials.
+
+    ``frequency`` is ``events / checked``, or None when no trial was checked:
+    there is then no evidence either way and the result is inconclusive
+    rather than secure.  The event frequency is exactly zero on the
+    unattacked channel, so the run is compromised as soon as it exceeds
+    ``epsilon``; with the default epsilon a single event suffices.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if frequency is None:
+        return SecurityVerdict.INCONCLUSIVE
+    return SecurityVerdict.COMPROMISED if frequency > epsilon else SecurityVerdict.SECURE
+
+
+# The axis-set kinds that yield key material in each mode; every other kind
+# is discarded.
+_MODE_KINDS: dict[ProtocolMode, frozenset[AxisSetKind]] = {
+    ProtocolMode.QKD: frozenset({AxisSetKind.QKD}),
+    ProtocolMode.PQSS: frozenset({AxisSetKind.PQSS}),
+    ProtocolMode.SYNTH: frozenset({AxisSetKind.QKD, AxisSetKind.PQSS}),
+}
 
 
 def _resolve_verdict(
-    mode: ProtocolMode,
-    axes: AxisSet,
-    outcomes: tuple[Outcome, Outcome, Outcome],
-    dealer: Party,
+    mode: ProtocolMode, axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]
 ) -> tuple[Verdict, dict[Party, Outcome] | None]:
-    if mode is ProtocolMode.QKD:
-        return decider_step(axes, outcomes)
-    if mode is ProtocolMode.PQSS:
-        return pqss_step(axes, outcomes, dealer)
-    branch = synthesis_dispatch(axes)
-    if branch is SynthesisBranch.PQSS:
-        return pqss_step(axes, outcomes, dealer)
-    if branch is SynthesisBranch.QKD:
-        return decider_step(axes, outcomes)
-    return DISCARD, None
+    kind = axes.kind
+    if kind not in _MODE_KINDS[mode]:
+        return DISCARD, None
+    step = pqss_step if kind is AxisSetKind.PQSS else decider_step
+    return step(axes, outcomes)
+
+
+def _measure_parties(
+    source: StateVector, axes: AxisSet, rng: np.random.Generator
+) -> tuple[Outcome, Outcome, Outcome]:
+    """Measure A, B, C in that order along ``axes``, one uniform draw each.
+
+    The ancilla of an attacked source is left unmeasured.
+    """
+    a, state, _ = measure_qubit(source, Party.ALICE, axes.alice, rng.random())
+    b, state, _ = measure_qubit(state, Party.BOB, axes.bob, rng.random())
+    c, _, _ = measure_qubit(state, Party.CHARLIE, axes.charlie, rng.random())
+    return a, b, c
 
 
 def run_trial(
@@ -334,28 +351,18 @@ def run_trial(
     """Execute one trial; deterministic in (config.seed, index).
 
     A fresh source state is prepared (with the attack applied when one is
-    configured), each party measures its qubit along its chosen axis, the
-    ancilla is measured in z when present, and the announcement flag is
-    drawn.  Announced trials keep their verdict but carry no key bits.
+    configured), each party measures its qubit along its chosen axis, and
+    the announcement flag is drawn.  Announced trials keep their verdict but
+    carry no key bits.
     """
     if index < 0:
         raise ValueError("trial index must be non-negative")
     rng = trial_rng(config.seed, index)
     axes = choose_axes(rng)
-    state = _source if _source is not None else apply_attack(w_state(), config.attack)
-
-    outcome_list = []
-    for party in _PARTIES:
-        outcome, state, _ = measure_qubit(state, party, axes.axis_of(party), rng.random())
-        outcome_list.append(outcome)
-    if state.num_qubits == 4:
-        # The eavesdropper's own z measurement; her outcome stays private
-        # and does not enter the record.
-        measure_qubit(state, 3, Axis.Z, rng.random())
-    outcomes = (outcome_list[0], outcome_list[1], outcome_list[2])
-
+    source = _source if _source is not None else apply_attack(w_state(), config.attack)
+    outcomes = _measure_parties(source, axes, rng)
     announced = bool(rng.random() < config.announce_rate)
-    verdict, key_bits = _resolve_verdict(config.mode, axes, outcomes, config.dealer)
+    verdict, key_bits = _resolve_verdict(config.mode, axes, outcomes)
     if announced:
         key_bits = None
     return TrialRecord(index, axes, outcomes, announced, verdict, key_bits)
@@ -368,29 +375,31 @@ def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
         yield run_trial(config, index, _source=source)
 
 
-def security_check(records: Iterable[TrialRecord], epsilon: float) -> SecurityVerdict:
-    """Verdict from the announced QKD-set trials.
+def sample_security_frequency(
+    phi: float, samples: int, seed: int, point_index: int = 0
+) -> float:
+    """Empirical security-event frequency over announced-equivalent trials.
 
-    The event frequency is exactly zero on the unattacked channel, so the
-    run is flagged compromised as soon as the observed frequency exceeds
-    ``epsilon``; with the default epsilon a single event suffices.  With no
-    announced QKD-set trial there is no evidence either way and the result
-    is inconclusive rather than secure.
+    Each sample plays one announced QKD-set trial against the attacked
+    channel (target Charlie): a uniformly chosen QKD axis set, then
+    measurement draws for Alice, Bob, Charlie on a fresh state.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    relevant = 0
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    source = attacked_w_state(phi)
+    rng = np.random.default_rng([seed, point_index])
     events = 0
-    for record in records:
-        if not record.announced or record.axes.kind is not AxisSetKind.QKD:
-            continue
-        relevant += 1
-        if is_security_event(record):
-            events += 1
-    if relevant == 0:
-        return SecurityVerdict.INCONCLUSIVE
-    frequency = events / relevant
-    return SecurityVerdict.COMPROMISED if frequency > epsilon else SecurityVerdict.SECURE
+    for _ in range(samples):
+        axes = QKD_AXIS_SETS[rng.integers(3)]
+        events += is_event(axes, _measure_parties(source, axes, rng))
+    return events / samples
+
+
+def security_check(records: Iterable[TrialRecord], epsilon: float) -> SecurityVerdict:
+    """Verdict from the announced QKD-set trials; see :func:`security_verdict`."""
+    checked = [r for r in records if r.announced and r.axes.kind is AxisSetKind.QKD]
+    events = sum(is_event(r.axes, r.outcomes) for r in checked)
+    return security_verdict(events / len(checked) if checked else None, epsilon)
 
 
 def key_accounting(
@@ -452,8 +461,7 @@ class _Aggregator:
             self.announced += 1
             if record.axes.kind is AxisSetKind.QKD:
                 self.announced_qkd += 1
-                if is_security_event(record):
-                    self.security_events += 1
+                self.security_events += is_event(record.axes, record.outcomes)
             return
 
         if record.verdict.kind is VerdictKind.KEY_QKD:
@@ -486,15 +494,6 @@ class _Aggregator:
         accounting = key_accounting(total_key_bits, p_s, trials, self.announced)
         frequency = (
             self.security_events / self.announced_qkd if self.announced_qkd else None
-        )
-        verdict = (
-            SecurityVerdict.INCONCLUSIVE
-            if self.announced_qkd == 0
-            else (
-                SecurityVerdict.COMPROMISED
-                if frequency is not None and frequency > config.epsilon
-                else SecurityVerdict.SECURE
-            )
         )
         return RunReport(
             mode=config.mode,
@@ -529,7 +528,7 @@ class _Aggregator:
             qubits_per_key_bit=(
                 QUBITS_PER_TRIAL * trials / total_key_bits if total_key_bits else None
             ),
-            security_verdict=verdict,
+            security_verdict=security_verdict(frequency, config.epsilon),
         )
 
 

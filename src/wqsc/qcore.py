@@ -2,8 +2,8 @@
 
 Everything in this module is a pure function over immutable values: basis
 states, projective measurement with collapse, joint outcome probabilities,
-partial traces, partial transposition, a small dense Hermitian eigensolver,
-and the three-qubit residual tangle.
+partial traces, partial transposition, eigenvalues of the small Hermitian
+matrices that arise here (by LAPACK), and the three-qubit residual tangle.
 
 Index convention (fixed for the whole package): qubit 0 (Alice) is the most
 significant bit of the basis index, bit value 0 maps to ``|z+>`` and bit
@@ -25,8 +25,6 @@ import numpy as np
 NORM_ATOL = 1e-6
 HERMITICITY_ATOL = 1e-9
 PSD_ATOL = 1e-9
-JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -36,10 +34,6 @@ MAX_QUBITS = 5
 
 class InvalidStateError(ValueError):
     """Raised when a state vector fails its normalization contract."""
-
-
-class EigensolverConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweeps fail to reach the convergence tolerance."""
 
 
 class Axis(Enum):
@@ -180,6 +174,21 @@ def _mass(component: np.ndarray) -> float:
     return float(np.vdot(component, component).real)
 
 
+def _project(dest: np.ndarray, axis: Axis, outcome: Outcome, component: np.ndarray) -> None:
+    """Write the qubit's projection onto ``outcome`` into the split view ``dest``.
+
+    ``component`` is the outcome's amplitude component from
+    :func:`_axis_components`; both halves of ``dest`` are overwritten.
+    """
+    if axis is Axis.Z:
+        dest[:, outcome, :] = component
+        dest[:, 1 - outcome, :] = 0.0
+    else:
+        half = component * _SQRT1_2
+        dest[:, 0, :] = half
+        dest[:, 1, :] = half if outcome is Outcome.PLUS else -half
+
+
 def measure_qubit(
     state: StateVector, qubit: int, axis: Axis, u: float
 ) -> tuple[Outcome, StateVector, float]:
@@ -207,25 +216,13 @@ def measure_qubit(
     total = mass_plus + mass_minus
     p_plus = mass_plus / total
 
-    outcome = Outcome.PLUS if u < p_plus else Outcome.MINUS
-    post = np.zeros_like(view)
-    if axis is Axis.Z:
-        if outcome is Outcome.PLUS:
-            post[:, 0, :] = plus
-        else:
-            post[:, 1, :] = minus
+    if u < p_plus:
+        outcome, component, mass, probability = Outcome.PLUS, plus, mass_plus, p_plus
     else:
-        if outcome is Outcome.PLUS:
-            half = plus * _SQRT1_2
-            post[:, 0, :] = half
-            post[:, 1, :] = half
-        else:
-            half = minus * _SQRT1_2
-            post[:, 0, :] = half
-            post[:, 1, :] = -half
-    mass = mass_plus if outcome is Outcome.PLUS else mass_minus
+        outcome, component, mass, probability = Outcome.MINUS, minus, mass_minus, 1.0 - p_plus
+    post = np.empty_like(view)
+    _project(post, axis, outcome, component)
     post /= math.sqrt(mass)
-    probability = p_plus if outcome is Outcome.PLUS else 1.0 - p_plus
     return outcome, StateVector(post.reshape(-1)), probability
 
 
@@ -251,21 +248,7 @@ def joint_probability(
     total = float(np.vdot(work, work).real)
     for qubit, axis, outcome in constraints:
         view = _split_on_qubit(work, qubit)
-        plus, minus = _axis_components(view, axis)
-        if axis is Axis.Z:
-            if outcome is Outcome.PLUS:
-                view[:, 1, :] = 0.0
-            else:
-                view[:, 0, :] = 0.0
-        else:
-            if outcome is Outcome.PLUS:
-                half = plus * _SQRT1_2
-                view[:, 0, :] = half
-                view[:, 1, :] = half
-            else:
-                half = minus * _SQRT1_2
-                view[:, 0, :] = half
-                view[:, 1, :] = -half
+        _project(view, axis, outcome, _axis_components(view, axis)[outcome])
     return float(np.vdot(work, work).real) / total
 
 
@@ -307,13 +290,12 @@ def partial_transpose(dm: DensityMatrix, subsystem: str) -> np.ndarray:
     return np.ascontiguousarray(swapped.reshape(4, 4))
 
 
-def eigenvalues_hermitian(matrix: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> list[float]:
+def eigenvalues_hermitian(matrix: np.ndarray) -> list[float]:
     """All eigenvalues of a small Hermitian matrix, ascending.
 
-    Cyclic Jacobi diagonalization with complex rotations; sweeps continue
-    until the off-diagonal Frobenius norm falls below ``JACOBI_TOL`` (scaled
-    by the matrix norm).  Supports dim 2 and 4 only, which covers every
-    reduced state and partial transpose in this package.
+    Supports dim 2 and 4 only, which covers every reduced state and partial
+    transpose in this package.  The Hermitian part is diagonalized by
+    LAPACK (``numpy.linalg.eigvalsh``).
     """
     a = np.array(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -323,36 +305,7 @@ def eigenvalues_hermitian(matrix: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEE
         raise ValueError(f"supported dimensions are 2 and 4, got {dim}")
     if np.max(np.abs(a - a.conj().T)) > HERMITICITY_ATOL:
         raise ValueError("input matrix is not Hermitian within tolerance")
-    a = (a + a.conj().T) / 2.0
-
-    scale = max(1.0, float(np.linalg.norm(a)))
-    threshold = JACOBI_TOL * scale
-    off_mask = ~np.eye(dim, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= threshold:
-            return sorted(float(x) for x in np.diag(a).real)
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                r = abs(a[p, q])
-                if r <= 1e-15 * scale:
-                    continue
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                theta = (gamma - alpha) / (2.0 * r)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = (t * c) * (a[p, q] / r)
-                rot = np.eye(dim, dtype=np.complex128)
-                rot[p, p] = c
-                rot[p, q] = s
-                rot[q, p] = -np.conj(s)
-                rot[q, q] = c
-                a = rot.conj().T @ a @ rot
-    raise EigensolverConvergenceError(
-        f"Jacobi sweeps did not reach tolerance {JACOBI_TOL} after {max_sweeps} sweeps"
-    )
+    return [float(x) for x in np.linalg.eigvalsh((a + a.conj().T) / 2.0)]
 
 
 def three_tangle(state: StateVector) -> float:

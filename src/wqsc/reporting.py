@@ -171,6 +171,9 @@ def parse_report_csv(text: str) -> RunReport:
     return report_from_dict(data)
 
 
+REPORT_FORMATS = ("json", "csv")
+
+
 def render_report(report: RunReport, fmt: str) -> str:
     if fmt == "json":
         return render_report_json(report)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import wqsc.cli
 from wqsc import binomial_sigma
 from wqsc.cli import main, sample_security_frequency
 from wqsc.reporting import parse_report_csv, parse_report_json, parse_sweep_csv
@@ -70,6 +71,41 @@ class TestRunCommand:
         assert code in (0, 3)
         payload = capsys.readouterr().out
         assert payload.startswith("{")
+
+
+class TestFailFast:
+    """Bad output settings fail with exit 1 and one line, before any simulation."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulation ran before the output was checked")
+
+        monkeypatch.setattr(wqsc.cli, "run_protocol", forbidden)
+        monkeypatch.setattr(wqsc.cli, "sample_security_frequency", forbidden)
+
+    @staticmethod
+    def assert_one_line_error(capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-dir" / "out")
+        assert run_cli("run", "--mode", "qkd", "--trials", "20000", "--seed", "1",
+                       "--output", missing) == 1
+        self.assert_one_line_error(capsys, "no-such-dir")
+        assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "1", "--output", missing) == 1
+        self.assert_one_line_error(capsys, "no-such-dir")
+
+    def test_bad_format_from_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("WQSC_FORMAT", "xml")
+        out = tmp_path / "report"
+        assert run_cli("run", "--mode", "qkd", "--trials", "20000", "--seed", "1",
+                       "--output", str(out)) == 1
+        self.assert_one_line_error(capsys, "xml")
+        assert not out.exists()
 
 
 class TestEnvironmentMirroring:

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from wqsc import (
+    ALL_AXIS_SETS,
     AxisSet,
     AxisSetKind,
     Inference,
@@ -14,7 +16,6 @@ from wqsc import (
     ProtocolConfig,
     ProtocolMode,
     SecurityVerdict,
-    SynthesisBranch,
     TrialRecord,
     UnitaryCouplingAttack,
     Verdict,
@@ -23,7 +24,7 @@ from wqsc import (
     binomial_sigma,
     choose_axes,
     decider_step,
-    is_security_event,
+    is_event,
     iter_trials,
     key_accounting,
     partial_inference,
@@ -32,9 +33,10 @@ from wqsc import (
     run_protocol,
     run_trial,
     security_check,
-    synthesis_dispatch,
+    security_verdict,
     trial_rng,
 )
+from wqsc.protocol import _resolve_verdict
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
@@ -98,24 +100,38 @@ class TestDeciderStep:
 
 class TestPqssStep:
     def test_all_z_set_shares_the_dealer_bit(self):
-        verdict, bits = pqss_step(AxisSet.from_label("zzz"), (PLUS, MINUS, PLUS), A)
+        verdict, bits = pqss_step(AxisSet.from_label("zzz"), (PLUS, MINUS, PLUS))
         assert verdict.kind is VerdictKind.KEY_PQSS
         assert bits == {A: PLUS, B: MINUS, C: PLUS}
-        verdict, bits = pqss_step(AxisSet.from_label("zzz"), (MINUS, PLUS, PLUS), A)
+        verdict, bits = pqss_step(AxisSet.from_label("zzz"), (MINUS, PLUS, PLUS))
         assert bits[A] is MINUS
         assert (bits[B], bits[C]) == (PLUS, PLUS)
 
     def test_other_sets_discard(self):
-        verdict, bits = pqss_step(AxisSet.from_label("zzx"), (PLUS, PLUS, PLUS), A)
+        verdict, bits = pqss_step(AxisSet.from_label("zzx"), (PLUS, PLUS, PLUS))
         assert verdict.kind is VerdictKind.DISCARD
         assert bits is None
 
 
-class TestSynthesisDispatch:
-    def test_routing(self):
-        assert synthesis_dispatch(AxisSet.from_label("zzz")) is SynthesisBranch.PQSS
-        assert synthesis_dispatch(AxisSet.from_label("xzx")) is SynthesisBranch.QKD
-        assert synthesis_dispatch(AxisSet.from_label("xxx")) is SynthesisBranch.DISCARD
+class TestModeRouting:
+    KEPT = {
+        ProtocolMode.QKD: {"xxz", "xzx", "zxx"},
+        ProtocolMode.PQSS: {"zzz"},
+        ProtocolMode.SYNTH: {"xxz", "xzx", "zxx", "zzz"},
+    }
+
+    def test_each_mode_keeps_only_its_axis_sets(self):
+        assert len(ALL_AXIS_SETS) == 8
+        for mode, axes in itertools.product(ProtocolMode, ALL_AXIS_SETS):
+            for outcomes in itertools.product((PLUS, MINUS), repeat=3):
+                verdict, bits = _resolve_verdict(mode, axes, outcomes)
+                if axes.label not in self.KEPT[mode]:
+                    assert verdict.kind is VerdictKind.DISCARD and bits is None
+                elif axes.label == "zzz":
+                    assert verdict.kind is VerdictKind.KEY_PQSS
+                    assert bits == {A: outcomes[A], B: outcomes[B], C: outcomes[C]}
+                else:
+                    assert (verdict, bits) == decider_step(axes, outcomes)
 
 
 class TestSecretReconstruction:
@@ -169,7 +185,7 @@ class TestRunTrial:
 
     def test_no_attack_never_produces_security_events(self):
         config = ProtocolConfig(ProtocolMode.QKD, trials=5000, seed=13, announce_rate=0.5)
-        assert sum(is_security_event(r) for r in iter_trials(config)) == 0
+        assert sum(is_event(r.axes, r.outcomes) for r in iter_trials(config)) == 0
 
 
 class TestRunProtocol:
@@ -302,6 +318,13 @@ class TestSecurityCheck:
         assert security_check(records, 0.05) is SecurityVerdict.COMPROMISED
         with pytest.raises(ValueError):
             security_check(records, 0.0)
+
+    def test_verdict_is_strict_at_epsilon(self):
+        assert security_verdict(0.1, 0.1) is SecurityVerdict.SECURE
+        assert security_verdict(0.1, 0.05) is SecurityVerdict.COMPROMISED
+        assert security_verdict(None, 0.1) is SecurityVerdict.INCONCLUSIVE
+        with pytest.raises(ValueError):
+            security_verdict(None, 1.0)
 
 
 class TestKeyAccounting:
