@@ -39,7 +39,6 @@ from .protocol import (
     Verdict,
     VerdictKind,
     binomial_sigma,
-    choose_axes,
     decider_step,
     is_event,
     iter_trials,
@@ -52,7 +51,6 @@ from .protocol import (
     sample_security_frequency,
     security_check,
     security_verdict,
-    trial_rng,
 )
 from .qcore import (
     Axis,

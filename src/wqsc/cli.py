@@ -25,6 +25,7 @@ from .golden import run_verification
 from .protocol import (
     DEFAULT_ANNOUNCE_RATE,
     DEFAULT_EPSILON,
+    MAX_SEED,
     ProtocolConfig,
     ProtocolMode,
     SecurityVerdict,
@@ -121,9 +122,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # defaults taken from the environment.
     if args.format not in REPORT_FORMATS:
         raise _UsageError(f"unknown report format {args.format!r}")
-    attack = None
-    if args.phi is not None:
-        attack = UnitaryCouplingAttack(args.phi, Party.from_letter(args.target))
+    # --target is checked even without --phi, so a typo never passes silently.
+    target = Party.from_letter(args.target)
+    attack = None if args.phi is None else UnitaryCouplingAttack(args.phi, target)
     config = ProtocolConfig(
         mode=ProtocolMode(args.mode),
         trials=args.trials,
@@ -161,6 +162,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"grid value {phi!r} lies outside [0, pi/2]")
     if args.trials < 1:
         raise _UsageError("trials per grid point must be at least 1")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise _UsageError("seed must be a 64-bit unsigned integer")
     if not 0.0 < args.epsilon < 1.0:
         raise _UsageError("epsilon must lie in (0, 1)")
 

@@ -15,19 +15,36 @@ sets produce key material:
 Randomness and its draw order are part of the output contract: a change to
 either changes report bytes for a given seed.
 
-* ``run``: one root seed, split into independent per-trial substreams
-  ``default_rng([seed, index])``, so any trial can be replayed in isolation
-  and aggregation order is irrelevant.  Each trial takes exactly 7 uniform
-  draws: 3 axis choices (A, B, C), 3 measurement draws (A, B, C), then 1
-  announcement draw.  The eavesdropper's ancilla is never sampled: it is
+Draws come from a counter-based Philox stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 slots.  A
+slot ``x`` becomes the uniform ``(x >> 11) * 2**-53``, exactly what
+``Generator.random()`` computes.
+
+* ``run``: key ``seed``.  Trial ``i`` reads the 8 slots of
+  ``Philox(key=seed, counter=2*i)``, in order: the axis choices of A, B and
+  C (below 1/2 selects z), the measurements of A, B and C, the announcement
+  (below the announce rate announces), and 1 spare slot.  Any trial replays
+  in isolation from its counter alone, and contiguous trials are one
+  contiguous read.  The eavesdropper's ancilla is never sampled: it is
   measured after the parties, so its outcome cannot change theirs.
-* ``sweep-phi``: one stream ``default_rng([seed, point_index])`` per grid
-  point.  Each sample takes 1 ``integers(3)`` draw choosing the QKD axis set,
-  then 3 measurement draws (A, B, C).
+* ``sweep-phi``: grid point ``k`` has key ``seed + (k + 1) * 2**64`` (key
+  words ``(seed, k + 1)``, disjoint from every ``run`` key).  Sample ``j``
+  reads the 4 slots of ``Philox(key, counter=j)``: the QKD axis set
+  (``floor(3u)`` indexes ``QKD_AXIS_SETS``), then the measurements of A, B
+  and C.
+
+A measurement draw ``u`` yields plus iff ``u`` lies below the exact
+chain-rule probability of plus given the earlier outcomes.  Those
+probabilities come from an outcome table built once per run (and once per
+sweep point) by :func:`wqsc.qcore.measure_qubit` itself, so sampling from
+the table gives the outcome the sequential statevector measurement gives
+for the same uniforms.  Trials are sampled in chunks of whole arrays and
+folded into counts over (axis set, outcome string, announced) cells.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,8 +53,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .adversary import AttackConfig, apply_attack
-from .bell import QKD_AXIS_SETS, AxisSet, AxisSetKind
-from .qcore import Axis, Outcome, Party, StateVector, measure_qubit
+from .bell import ALL_AXIS_SETS, QKD_AXIS_SETS, AxisSet, AxisSetKind
+from .qcore import Axis, InvalidStateError, Outcome, Party, StateVector, measure_qubit
 from .states import attacked_w_state, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
@@ -54,6 +71,12 @@ PQSS_SUCCESS_PROBABILITY = 0.125
 SYNTH_SUCCESS_PROBABILITY = 0.375
 
 _PARTIES = (Party.ALICE, Party.BOB, Party.CHARLIE)
+
+# Outcome strings of (A, B, C); index 4a + 2b + c with PLUS as bit 0, the
+# same bit order as ALL_AXIS_SETS uses for (z, x).
+_OUTCOME_STRINGS: tuple[tuple[Outcome, Outcome, Outcome], ...] = tuple(
+    itertools.product(Outcome, repeat=3)
+)
 
 
 class InconsistentSharesError(ValueError):
@@ -209,21 +232,6 @@ class QubitAccounting(NamedTuple):
     exact: float
 
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one trial, keyed by (root seed, index)."""
-    return np.random.default_rng([seed, index])
-
-
-def choose_axes(rng: np.random.Generator) -> AxisSet:
-    """Each party independently picks z or x with probability 1/2.
-
-    Draw order is Alice, Bob, Charlie; a draw below 1/2 selects z.
-    """
-    draws = rng.random(3)
-    a, b, c = (Axis.Z if u < 0.5 else Axis.X for u in draws)
-    return AxisSet(a, b, c)
-
-
 def decider_step(
     axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]
 ) -> tuple[Verdict, dict[Party, Outcome] | None]:
@@ -332,47 +340,181 @@ def _resolve_verdict(
     return step(axes, outcomes)
 
 
-def _measure_parties(
-    source: StateVector, axes: AxisSet, rng: np.random.Generator
-) -> tuple[Outcome, Outcome, Outcome]:
-    """Measure A, B, C in that order along ``axes``, one uniform draw each.
+# Trials per chunk: one random_raw call and one pass of array sampling.  It
+# bounds memory; counts add across chunks, so it never changes a report.
+_CHUNK_TRIALS = 4096
 
-    The ancilla of an attacked source is left unmeasured.
+_BLOCK_SLOTS = 4  # uint64 slots per Philox block; the counter counts blocks
+_TRIAL_SLOTS = 8  # run: axes A, B, C; measurements A, B, C; announcement; spare
+_SAMPLE_SLOTS = 4  # sweep-phi: QKD axis set; measurements A, B, C
+_UNIT = 2.0**-53
+# The largest uniform below 1: it selects minus unless P(plus) is exactly 1.
+_LAST_UNIFORM = 1.0 - _UNIT
+
+_AXES = (Axis.Z, Axis.X)  # the bit order of ALL_AXIS_SETS
+_QKD_SET_INDEX = np.array([ALL_AXIS_SETS.index(axes) for axes in QKD_AXIS_SETS])
+
+
+def _collapse(
+    state: StateVector, qubit: int, axis: Axis, u: float
+) -> tuple[Outcome, StateVector, float] | None:
+    """:func:`measure_qubit`, or None where it cannot collapse onto its outcome.
+
+    A branch of subnormal mass (probability below about 1e-308) cannot be
+    renormalized to a valid state, so the measurement raises, as a
+    sequential statevector measurement does on a draw selecting it.  The
+    outcome table treats such a branch as unreachable.
     """
-    a, state, _ = measure_qubit(source, Party.ALICE, axes.alice, rng.random())
-    b, state, _ = measure_qubit(state, Party.BOB, axes.bob, rng.random())
-    c, _, _ = measure_qubit(state, Party.CHARLIE, axes.charlie, rng.random())
-    return a, b, c
+    try:
+        return measure_qubit(state, qubit, axis, u)
+    except InvalidStateError:
+        return None
 
 
-def run_trial(
-    config: ProtocolConfig, index: int, _source: StateVector | None = None
+def _p_plus(state: StateVector, qubit: int, axis: Axis) -> float:
+    """P(plus) exactly as :func:`measure_qubit` compares it against a draw."""
+    measured = _collapse(state, qubit, axis, 0.0)
+    return measured[2] if measured is not None and measured[0] is Outcome.PLUS else 0.0
+
+
+def _measure_both(
+    state: StateVector, qubit: int, axis: Axis
+) -> tuple[float, tuple[StateVector | None, StateVector | None]]:
+    """P(plus) and the collapsed state of each outcome, None if unreachable.
+
+    A draw of 0 selects plus unless P(plus) is 0, and ``_LAST_UNIFORM``
+    selects minus unless P(plus) is 1.  An outcome of probability exactly 0
+    is never sampled, so it is skipped rather than collapsed onto; so is a
+    plus branch that :func:`_collapse` cannot collapse onto.  (A minus
+    branch always can: with P(plus) below 1 it has probability at least
+    2**-53.)
+    """
+    measured = _collapse(state, qubit, axis, 0.0)
+    if measured is None:
+        return 0.0, (None, measure_qubit(state, qubit, axis, _LAST_UNIFORM)[1])
+    outcome, first, probability = measured
+    if outcome is Outcome.MINUS:
+        return 0.0, (None, first)
+    minus = None
+    if probability < 1.0:
+        minus = measure_qubit(state, qubit, axis, _LAST_UNIFORM)[1]
+    return probability, (first, minus)
+
+
+def _outcome_table(source: StateVector) -> np.ndarray:
+    """Chain-rule probabilities of plus for every axis set, shape (8, 7).
+
+    Row ``s`` is ``ALL_AXIS_SETS[s]``.  With outcome bits ``a`` and ``b``
+    (plus is 0), node 0 is P(A=+), node ``1 + a`` is P(B=+|a) and node
+    ``3 + 2a + b`` is P(C=+|a,b).  Every value comes from
+    :func:`measure_qubit`, and each distinct collapsed state is measured
+    once.  Nodes behind an unreachable outcome are never read and stay 0.
+    """
+    table = np.zeros((len(ALL_AXIS_SETS), 7))
+    for i, axis_a in enumerate(_AXES):
+        p_a, states_a = _measure_both(source, Party.ALICE, axis_a)
+        table[4 * i : 4 * i + 4, 0] = p_a
+        for a, state_a in enumerate(states_a):
+            if state_a is None:
+                continue
+            for j, axis_b in enumerate(_AXES):
+                p_b, states_b = _measure_both(state_a, Party.BOB, axis_b)
+                rows = 4 * i + 2 * j
+                table[rows : rows + 2, 1 + a] = p_b
+                for b, state_b in enumerate(states_b):
+                    if state_b is None:
+                        continue
+                    for k, axis_c in enumerate(_AXES):
+                        table[rows + k, 3 + 2 * a + b] = _p_plus(state_b, Party.CHARLIE, axis_c)
+    return table
+
+
+def _sample_outcomes(
+    table: np.ndarray, sets: np.ndarray, u_a: np.ndarray, u_b: np.ndarray, u_c: np.ndarray
+) -> np.ndarray:
+    """Outcome-string index ``4a + 2b + c`` per trial.
+
+    A measurement gives plus iff its draw lies below its node's P(plus),
+    so a bit is 1 (minus) iff the draw is at least that probability.
+    """
+    a = (u_a >= table[sets, 0]).astype(np.intp)
+    b = (u_b >= table[sets, 1 + a]).astype(np.intp)
+    c = (u_c >= table[sets, 3 + 2 * a + b]).astype(np.intp)
+    return 4 * a + 2 * b + c
+
+
+def _trial_cells(
+    table: np.ndarray, u: np.ndarray, announce_rate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axis-set index, outcome-string index and announcement of each trial.
+
+    ``u`` holds the trials' uniforms, one row of ``_TRIAL_SLOTS`` each; an
+    axis draw below 1/2 selects z.
+    """
+    sets = 4 * (u[:, 0] >= 0.5) + 2 * (u[:, 1] >= 0.5) + (u[:, 2] >= 0.5)
+    outcomes = _sample_outcomes(table, sets, u[:, 3], u[:, 4], u[:, 5])
+    return sets, outcomes, u[:, 6] < announce_rate
+
+
+def _stream(key: int, first: int, slots: int) -> np.random.Philox:
+    """Philox stream positioned at item ``first`` of ``slots`` slots each."""
+    return np.random.Philox(key=key, counter=first * slots // _BLOCK_SLOTS)
+
+
+def _uniforms(bits: np.random.Philox, count: int, slots: int) -> np.ndarray:
+    """The next ``count`` items' uniforms, one row of ``slots`` per item."""
+    raw = bits.random_raw(count * slots).reshape(count, slots)
+    raw >>= np.uint64(11)  # in place: one chunk-sized buffer fewer
+    return raw * _UNIT
+
+
+def _chunks(bits: np.random.Philox, count: int, slots: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first item, uniforms)`` for ``count`` items in chunks of at most ``_CHUNK_TRIALS``."""
+    for start in range(0, count, _CHUNK_TRIALS):
+        yield start, _uniforms(bits, min(_CHUNK_TRIALS, count - start), slots)
+
+
+def _record(
+    mode: ProtocolMode, index: int, set_index: int, outcome_index: int, announced: bool
 ) -> TrialRecord:
-    """Execute one trial; deterministic in (config.seed, index).
+    axes = ALL_AXIS_SETS[set_index]
+    outcomes = _OUTCOME_STRINGS[outcome_index]
+    verdict, key_bits = _resolve_verdict(mode, axes, outcomes)
+    return TrialRecord(index, axes, outcomes, announced, verdict, None if announced else key_bits)
 
-    A fresh source state is prepared (with the attack applied when one is
+
+def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
+    """Replay one trial from its counter alone; deterministic in (config.seed, index).
+
+    The source state is prepared (with the attack applied when one is
     configured), each party measures its qubit along its chosen axis, and
     the announcement flag is drawn.  Announced trials keep their verdict but
     carry no key bits.
     """
     if index < 0:
         raise ValueError("trial index must be non-negative")
-    rng = trial_rng(config.seed, index)
-    axes = choose_axes(rng)
-    source = _source if _source is not None else apply_attack(w_state(), config.attack)
-    outcomes = _measure_parties(source, axes, rng)
-    announced = bool(rng.random() < config.announce_rate)
-    verdict, key_bits = _resolve_verdict(config.mode, axes, outcomes)
-    if announced:
-        key_bits = None
-    return TrialRecord(index, axes, outcomes, announced, verdict, key_bits)
+    table = _outcome_table(apply_attack(w_state(), config.attack))
+    u = _uniforms(_stream(config.seed, index, _TRIAL_SLOTS), 1, _TRIAL_SLOTS)
+    sets, outcomes, announced = _trial_cells(table, u, config.announce_rate)
+    return _record(config.mode, index, int(sets[0]), int(outcomes[0]), bool(announced[0]))
+
+
+def _run_chunks(
+    config: ProtocolConfig,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(first index, *_trial_cells)`` per chunk of the run; one outcome table."""
+    table = _outcome_table(apply_attack(w_state(), config.attack))
+    bits = _stream(config.seed, 0, _TRIAL_SLOTS)
+    for start, u in _chunks(bits, config.trials, _TRIAL_SLOTS):
+        yield (start, *_trial_cells(table, u, config.announce_rate))
 
 
 def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
-    """Yield the run's trials in index order, preparing the source once."""
-    source = apply_attack(w_state(), config.attack)
-    for index in range(config.trials):
-        yield run_trial(config, index, _source=source)
+    """Yield the run's trials in index order, building the outcome table once."""
+    for start, *columns in _run_chunks(config):
+        cells = zip(*(column.tolist() for column in columns))
+        for index, (set_index, outcome_index, announced) in enumerate(cells, start):
+            yield _record(config.mode, index, set_index, outcome_index, announced)
 
 
 def sample_security_frequency(
@@ -382,16 +524,27 @@ def sample_security_frequency(
 
     Each sample plays one announced QKD-set trial against the attacked
     channel (target Charlie): a uniformly chosen QKD axis set, then
-    measurement draws for Alice, Bob, Charlie on a fresh state.
+    measurements of Alice, Bob, Charlie.  Grid point ``point_index`` has
+    its own Philox key, ``seed + (point_index + 1) * 2**64``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    source = attacked_w_state(phi)
-    rng = np.random.default_rng([seed, point_index])
-    events = 0
-    for _ in range(samples):
-        axes = QKD_AXIS_SETS[rng.integers(3)]
-        events += is_event(axes, _measure_parties(source, axes, rng))
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    if not 0 <= point_index < MAX_SEED:
+        raise ValueError("point index must lie in [0, 2**64 - 1)")
+    table = _outcome_table(attacked_w_state(phi))
+    bits = _stream(seed + ((point_index + 1) << 64), 0, _SAMPLE_SLOTS)
+    counts = np.zeros(len(ALL_AXIS_SETS) * len(_OUTCOME_STRINGS), dtype=np.int64)
+    for _, u in _chunks(bits, samples, _SAMPLE_SLOTS):
+        sets = _QKD_SET_INDEX[(u[:, 0] * 3.0).astype(np.intp)]
+        outcomes = _sample_outcomes(table, sets, u[:, 1], u[:, 2], u[:, 3])
+        counts += np.bincount(8 * sets + outcomes, minlength=counts.size)
+    events = sum(
+        int(n)
+        for (s, o), n in np.ndenumerate(counts.reshape(len(ALL_AXIS_SETS), -1))
+        if n and is_event(ALL_AXIS_SETS[s], _OUTCOME_STRINGS[o])
+    )
     return events / samples
 
 
@@ -434,7 +587,7 @@ def key_accounting(
 
 
 class _Aggregator:
-    """Deterministic fold of trial records into a RunReport."""
+    """Deterministic fold of weighted trial cells into a RunReport."""
 
     def __init__(self, config: ProtocolConfig) -> None:
         self.config = config
@@ -450,40 +603,47 @@ class _Aggregator:
         self.announced_qkd = 0
         self.security_events = 0
 
-    def add(self, record: TrialRecord) -> None:
-        self.axis_counts[record.axes.kind] += 1
-        if record.verdict.kind is VerdictKind.KEY_QKD:
-            self.qkd_successes += 1
-        elif record.verdict.kind is VerdictKind.KEY_PQSS:
-            self.pqss_successes += 1
+    def add(
+        self,
+        axes: AxisSet,
+        outcomes: tuple[Outcome, Outcome, Outcome],
+        announced: bool,
+        count: int,
+    ) -> None:
+        """Fold ``count`` trials that share axes, outcomes and announcement."""
+        verdict, _ = _resolve_verdict(self.config.mode, axes, outcomes)
+        self.axis_counts[axes.kind] += count
+        if verdict.kind is VerdictKind.KEY_QKD:
+            self.qkd_successes += count
+        elif verdict.kind is VerdictKind.KEY_PQSS:
+            self.pqss_successes += count
 
-        if record.announced:
-            self.announced += 1
-            if record.axes.kind is AxisSetKind.QKD:
-                self.announced_qkd += 1
-                self.security_events += is_event(record.axes, record.outcomes)
+        if announced:
+            self.announced += count
+            if axes.kind is AxisSetKind.QKD:
+                self.announced_qkd += count
+                self.security_events += count * is_event(axes, outcomes)
             return
 
-        if record.verdict.kind is VerdictKind.KEY_QKD:
-            pair = record.verdict.pair
-            assert pair is not None and record.key_bits is not None
-            self.pair_bits[pair] += 1
+        if verdict.kind is VerdictKind.KEY_QKD:
+            pair = verdict.pair
+            assert pair is not None
+            self.pair_bits[pair] += count
             first, second = pair.members
-            if record.key_bits[first] is not record.key_bits[second]:
-                self.qkd_disagreements += 1
-        elif record.verdict.kind is VerdictKind.KEY_PQSS:
-            assert record.key_bits is not None
-            self.pqss_bits += 1
+            if outcomes[first] is not outcomes[second]:
+                self.qkd_disagreements += count
+        elif verdict.kind is VerdictKind.KEY_PQSS:
+            self.pqss_bits += count
             dealer = self.config.dealer
-            shares = [record.key_bits[p] for p in _PARTIES if p != dealer]
+            shares = [outcomes[p] for p in _PARTIES if p != dealer]
             try:
                 recovered = reconstruct_dealer_bit(shares[0], shares[1])
             except InconsistentSharesError:
                 recovered = None
-            if recovered is not record.key_bits[dealer]:
-                self.pqss_failures += 1
+            if recovered is not outcomes[dealer]:
+                self.pqss_failures += count
         else:
-            self.discarded += 1
+            self.discarded += count
 
     def report(self) -> RunReport:
         config = self.config
@@ -533,10 +693,19 @@ class _Aggregator:
 
 
 def run_protocol(config: ProtocolConfig) -> RunReport:
-    """Execute all trials and aggregate; identical configs give identical reports."""
+    """Execute all trials and aggregate; identical configs give identical reports.
+
+    Trials are sampled chunk by chunk and counted per (axis set, outcome
+    string, announced) cell; no per-trial record is built.
+    """
+    counts = np.zeros(len(ALL_AXIS_SETS) * len(_OUTCOME_STRINGS) * 2, dtype=np.int64)
+    for _, sets, outcomes, announced in _run_chunks(config):
+        counts += np.bincount(16 * sets + 2 * outcomes + announced, minlength=counts.size)
     agg = _Aggregator(config)
-    for record in iter_trials(config):
-        agg.add(record)
+    cells = counts.reshape(len(ALL_AXIS_SETS), len(_OUTCOME_STRINGS), 2)
+    for set_index, outcome_index, announced in np.argwhere(cells):
+        count = int(cells[set_index, outcome_index, announced])
+        agg.add(ALL_AXIS_SETS[set_index], _OUTCOME_STRINGS[outcome_index], bool(announced), count)
     return agg.report()
 
 

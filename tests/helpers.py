@@ -2,9 +2,10 @@
 
 The oracles deliberately take different routes than the production code:
 probabilities by exhaustive enumeration over outcome strings, eigenvalues
-through numpy's LAPACK bindings, and the three-way tangle through the
+through numpy's LAPACK bindings, the three-way tangle through the
 residual construction (pair concurrences subtracted from the one-vs-rest
-tangle) instead of the hyperdeterminant.
+tangle) instead of the hyperdeterminant, and a protocol trial by sequential
+statevector measurement instead of the engine's outcome table.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from wqsc import Axis, Outcome, StateVector, joint_probability
+from wqsc import Axis, AxisSet, Outcome, Party, StateVector, joint_probability, measure_qubit
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -50,6 +51,20 @@ def enumerate_event_probability(state, qubit_axes, predicate) -> float:
             constraints = [(q, axis, assignment[q]) for q, axis in qubit_axes]
             total += joint_probability(state, constraints)
     return total
+
+
+def oracle_trial(source: StateVector, uniforms, announce_rate: float):
+    """One trial played on the statevector, from the 8 slot uniforms of a trial.
+
+    Slots 0-2 choose the axes of A, B, C (below 1/2 selects z), slots 3-5
+    drive a sequential ``measure_qubit`` on A, B, then C, slot 6 decides the
+    announcement, slot 7 is unused.  Returns (axes, outcomes, announced).
+    """
+    axes = AxisSet(*(Axis.Z if u < 0.5 else Axis.X for u in uniforms[:3]))
+    a, state, _ = measure_qubit(source, Party.ALICE, axes.alice, uniforms[3])
+    b, state, _ = measure_qubit(state, Party.BOB, axes.bob, uniforms[4])
+    c, _, _ = measure_qubit(state, Party.CHARLIE, axes.charlie, uniforms[5])
+    return axes, (a, b, c), bool(uniforms[6] < announce_rate)
 
 
 def z_axes(*qubits: int) -> list[tuple[int, Axis]]:

@@ -74,7 +74,7 @@ class TestRunCommand:
 
 
 class TestFailFast:
-    """Bad output settings fail with exit 1 and one line, before any simulation."""
+    """Bad flags and output settings fail with exit 1 and one line, before any simulation."""
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
@@ -106,6 +106,16 @@ class TestFailFast:
                        "--output", str(out)) == 1
         self.assert_one_line_error(capsys, "xml")
         assert not out.exists()
+
+
+    def test_bad_target_without_attack(self, capsys):
+        assert run_cli("run", "--mode", "qkd", "--trials", "20000", "--seed", "1",
+                       "--target", "Z") == 1
+        self.assert_one_line_error(capsys, "'Z'")
+
+    def test_out_of_range_sweep_seed(self, capsys):
+        assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "-1") == 1
+        self.assert_one_line_error(capsys, "seed")
 
 
 class TestEnvironmentMirroring:

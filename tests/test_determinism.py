@@ -20,22 +20,22 @@ ATTACK_FLAGS = ("--phi", HALF_PI_TEXT, "--target", "C")
 
 # (mode, format, attacked) -> (exit code, SHA-256 of the report bytes)
 RUN_DIGESTS = {
-    ("qkd", "json", False): (0, "535614827d5050b0782727c7504e5b11a7f49114391c6777683f69ff71c2cd9a"),
-    ("qkd", "csv", False): (0, "5011808db3419eae8953045b204384144159137fca87900ccca35d7d6274edd7"),
-    ("pqss", "json", False): (0, "dfff713ffdd04a195c6e895918e49eb0a8e925aea700a821275a76de34bc0165"),
-    ("pqss", "csv", False): (0, "faf88e0ec5ffa8ada9ad813c767aa0d61315054f7f2670d1c31dacb438c574ad"),
-    ("synth", "json", False): (0, "7a2b13507cab582580e67ee33517194ae4372faadd9331e98f1b4e0af02246a5"),
-    ("synth", "csv", False): (0, "2ee6a7b43c006c9fffd497e207517927c40a443c2643a5e49456af65ad98fd8c"),
-    ("qkd", "json", True): (2, "636a543a0935e3b75edd1fe31b19b48fa0ce43598ff0b85cd20044daac1a7f64"),
-    ("qkd", "csv", True): (2, "a6b44d099908e465fd830719afd8e288c7b153b3ac587abf5cb9989a12a8984c"),
-    ("pqss", "json", True): (2, "34b15273746f15372888174186a32f5dec97ae5fb75f1d3fe4eebd6352f3ae86"),
-    ("pqss", "csv", True): (2, "832b9746b13fcf2271b8158f3c348e1cca3cde5c3dbb3db08bbf741a5c06039c"),
-    ("synth", "json", True): (2, "39a08238ad720516dc4cbce88eb864645ab6f5cafcc87b6be75b2bcfa65abd29"),
-    ("synth", "csv", True): (2, "968d670acffa5d0fb1d5c214c239fa676ee82875eefd5278dba66e4b2132df1b"),
+    ("qkd", "json", False): (0, "b9a6740452e4044492c99e5d1a70b0a77bffda5fbee8c3af2dc09900a0c471ad"),
+    ("qkd", "csv", False): (0, "2171436e4315d956dcf765fa568653379db62021df39632aa6e59c952e7a4a35"),
+    ("pqss", "json", False): (0, "bc5db74fb67df12d14980d9226b736c0648ae4cb2c2b16eb23667e09f44cca2a"),
+    ("pqss", "csv", False): (0, "bbd227cc9d89e0f48b10782f2565218717deb2da88ceabc59d461b914b1e4783"),
+    ("synth", "json", False): (0, "f37894fe745160fea4bab02c833c6a2e2ce891e926b6a3f6272f0fef194d6aed"),
+    ("synth", "csv", False): (0, "e1e7b920047dc4b92dcb33168ea8873464e930b91a370910e63efa353ba4b385"),
+    ("qkd", "json", True): (2, "7802d048a4de8155d9896f65d01f560061a64fc70a4db5491d1ff4fb3308d7af"),
+    ("qkd", "csv", True): (2, "163817a4fa8bbe6dfdb69caafbc9640afc55416b5b9195854fb2204b7ac685c0"),
+    ("pqss", "json", True): (2, "46f5892ae2ef880ffea67a9883a80d4f96fd4d3575f2df42acce5a0f4af9e62e"),
+    ("pqss", "csv", True): (2, "a9d2cf70989f1d2ba141c460ba2587bc9b5921489b19e6c881c34653a2238d0b"),
+    ("synth", "json", True): (2, "1821de1ece06c8b765c81241749b87bd30c4608a1569124ca2af57270d44d0ca"),
+    ("synth", "csv", True): (2, "4879f03a1ff6a03539b7b308d0d80456fbf1233cd3cdea0ba3bf236576fecc19"),
 }
 
 SWEEP_FLAGS = ("--grid", f"0,0.7853981633974483,{HALF_PI_TEXT}", "--trials", "300", "--seed", "11")
-SWEEP_DIGEST = "5f2c496ca368756426c1a51f283a4b724fa11a10b7efb5bbd40f7845a999ca2a"
+SWEEP_DIGEST = "282783e456d87530ae144b64fdbd9af8277668fb7633ffc9157660aae8cbbac3"
 
 
 def digest(tmp_path, *argv):

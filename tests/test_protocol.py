@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from wqsc import (
@@ -22,7 +21,6 @@ from wqsc import (
     VerdictKind,
     averaged_security_probability,
     binomial_sigma,
-    choose_axes,
     decider_step,
     is_event,
     iter_trials,
@@ -34,7 +32,6 @@ from wqsc import (
     run_trial,
     security_check,
     security_verdict,
-    trial_rng,
 )
 from wqsc.protocol import _resolve_verdict
 
@@ -47,26 +44,25 @@ def within_3_sigma(empirical: float, p: float, n: int) -> bool:
     return abs(empirical - p) <= 3.0 * binomial_sigma(p, n)
 
 
-class TestChooseAxes:
+class TestAxisDraws:
     def test_set_frequencies(self):
-        rng = np.random.default_rng(2024)
         n = 100_000
-        counts = {"qkd": 0, "zzz": 0}
-        for _ in range(n):
-            axes = choose_axes(rng)
-            if axes.kind is AxisSetKind.QKD:
-                counts["qkd"] += 1
-            if axes.label == "zzz":
-                counts["zzz"] += 1
-        assert within_3_sigma(counts["qkd"] / n, 3.0 / 8.0, n)
+        config = ProtocolConfig(ProtocolMode.QKD, trials=n, seed=2024)
+        counts = {axes.label: 0 for axes in ALL_AXIS_SETS}
+        for record in iter_trials(config):
+            counts[record.axes.label] += 1
+        for label, count in counts.items():
+            assert within_3_sigma(count / n, 1.0 / 8.0, n), label
+        qkd = sum(counts[axes.label] for axes in ALL_AXIS_SETS if axes.kind is AxisSetKind.QKD)
+        assert within_3_sigma(qkd / n, 3.0 / 8.0, n)
         assert within_3_sigma(counts["zzz"] / n, 1.0 / 8.0, n)
 
     def test_fixed_seed_replays_identically(self):
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
-        seq_a = [choose_axes(rng_a) for _ in range(200)]
-        seq_b = [choose_axes(rng_b) for _ in range(200)]
+        config = ProtocolConfig(ProtocolMode.QKD, trials=200, seed=99)
+        seq_a = [record.axes for record in iter_trials(config)]
+        seq_b = [record.axes for record in iter_trials(config)]
         assert seq_a == seq_b
+        assert len(set(seq_a)) == 8
 
 
 class TestDeciderStep:
@@ -168,6 +164,14 @@ class TestRunTrial:
             record = run_trial(config, i)
             expected, _ = decider_step(record.axes, record.outcomes)
             assert record.verdict == expected
+
+    def test_replay_is_order_independent(self):
+        config = ProtocolConfig(ProtocolMode.SYNTH, trials=10, seed=5, announce_rate=0.5)
+        forward = [run_trial(config, i) for i in range(100, 116)]
+        backward = [run_trial(config, i) for i in reversed(range(100, 116))]
+        assert forward == backward[::-1]
+        assert run_trial(config, 100) == forward[0]
+        assert len({(r.axes, r.outcomes, r.announced) for r in forward}) > 1
 
     def test_negative_index_rejected(self):
         config = ProtocolConfig(ProtocolMode.QKD, trials=10, seed=7)
@@ -373,9 +377,3 @@ class TestConfigValidation:
             Verdict(VerdictKind.KEY_QKD, None)
         with pytest.raises(ValueError):
             Verdict(VerdictKind.DISCARD, Pair.AB)
-
-    def test_trial_rng_is_order_independent(self):
-        a = trial_rng(5, 100).random(3)
-        b = trial_rng(5, 100).random(3)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(trial_rng(5, 100).random(3), trial_rng(5, 101).random(3))
