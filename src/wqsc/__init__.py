@@ -59,11 +59,13 @@ from .qcore import (
     Outcome,
     Party,
     StateVector,
+    collapse,
     eigenvalues_hermitian,
     joint_probability,
     make_basis_state,
     measure_qubit,
     partial_transpose,
+    plus_probability,
     reduced_density,
     three_tangle,
 )

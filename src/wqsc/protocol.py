@@ -36,10 +36,12 @@ slot ``x`` becomes the uniform ``(x >> 11) * 2**-53``, exactly what
 A measurement draw ``u`` yields plus iff ``u`` lies below the exact
 chain-rule probability of plus given the earlier outcomes.  Those
 probabilities come from an outcome table built once per run (and once per
-sweep point) by :func:`wqsc.qcore.measure_qubit` itself, so sampling from
-the table gives the outcome the sequential statevector measurement gives
-for the same uniforms.  Trials are sampled in chunks of whole arrays and
-folded into counts over (axis set, outcome string, announced) cells.
+sweep point) from the two steps of :func:`wqsc.qcore.measure_qubit`,
+:func:`~wqsc.qcore.plus_probability` and :func:`~wqsc.qcore.collapse`, so
+sampling from the table gives the outcome the sequential statevector
+measurement gives for the same uniforms.  Trials are sampled in chunks of
+whole arrays and folded into counts over (axis set, outcome string,
+announced) cells.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 
 from .adversary import AttackConfig, apply_attack
 from .bell import ALL_AXIS_SETS, QKD_AXIS_SETS, AxisSet, AxisSetKind
-from .qcore import Axis, InvalidStateError, Outcome, Party, StateVector, measure_qubit
+from .qcore import Axis, Outcome, Party, StateVector, collapse, plus_probability
 from .states import attacked_w_state, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
@@ -348,84 +350,37 @@ _BLOCK_SLOTS = 4  # uint64 slots per Philox block; the counter counts blocks
 _TRIAL_SLOTS = 8  # run: axes A, B, C; measurements A, B, C; announcement; spare
 _SAMPLE_SLOTS = 4  # sweep-phi: QKD axis set; measurements A, B, C
 _UNIT = 2.0**-53
-# The largest uniform below 1: it selects minus unless P(plus) is exactly 1.
-_LAST_UNIFORM = 1.0 - _UNIT
 
 _AXES = (Axis.Z, Axis.X)  # the bit order of ALL_AXIS_SETS
 _QKD_SET_INDEX = np.array([ALL_AXIS_SETS.index(axes) for axes in QKD_AXIS_SETS])
 
 
-def _collapse(
-    state: StateVector, qubit: int, axis: Axis, u: float
-) -> tuple[Outcome, StateVector, float] | None:
-    """:func:`measure_qubit`, or None where it cannot collapse onto its outcome.
-
-    A branch of subnormal mass (probability below about 1e-308) cannot be
-    renormalized to a valid state, so the measurement raises, as a
-    sequential statevector measurement does on a draw selecting it.  The
-    outcome table treats such a branch as unreachable.
-    """
-    try:
-        return measure_qubit(state, qubit, axis, u)
-    except InvalidStateError:
-        return None
-
-
-def _p_plus(state: StateVector, qubit: int, axis: Axis) -> float:
-    """P(plus) exactly as :func:`measure_qubit` compares it against a draw."""
-    measured = _collapse(state, qubit, axis, 0.0)
-    return measured[2] if measured is not None and measured[0] is Outcome.PLUS else 0.0
-
-
-def _measure_both(
-    state: StateVector, qubit: int, axis: Axis
-) -> tuple[float, tuple[StateVector | None, StateVector | None]]:
-    """P(plus) and the collapsed state of each outcome, None if unreachable.
-
-    A draw of 0 selects plus unless P(plus) is 0, and ``_LAST_UNIFORM``
-    selects minus unless P(plus) is 1.  An outcome of probability exactly 0
-    is never sampled, so it is skipped rather than collapsed onto; so is a
-    plus branch that :func:`_collapse` cannot collapse onto.  (A minus
-    branch always can: with P(plus) below 1 it has probability at least
-    2**-53.)
-    """
-    measured = _collapse(state, qubit, axis, 0.0)
-    if measured is None:
-        return 0.0, (None, measure_qubit(state, qubit, axis, _LAST_UNIFORM)[1])
-    outcome, first, probability = measured
-    if outcome is Outcome.MINUS:
-        return 0.0, (None, first)
-    minus = None
-    if probability < 1.0:
-        minus = measure_qubit(state, qubit, axis, _LAST_UNIFORM)[1]
-    return probability, (first, minus)
-
-
 def _outcome_table(source: StateVector) -> np.ndarray:
     """Chain-rule probabilities of plus for every axis set, shape (8, 7).
 
-    Row ``s`` is ``ALL_AXIS_SETS[s]``.  With outcome bits ``a`` and ``b``
-    (plus is 0), node 0 is P(A=+), node ``1 + a`` is P(B=+|a) and node
-    ``3 + 2a + b`` is P(C=+|a,b).  Every value comes from
-    :func:`measure_qubit`, and each distinct collapsed state is measured
-    once.  Nodes behind an unreachable outcome are never read and stay 0.
+    Row ``s`` is ``ALL_AXIS_SETS[s]``.  Node 0 is P(A=+); the child of node
+    ``n`` on outcome bit ``x`` (plus is 0) is node ``2n + 1 + x``, so node
+    ``1 + a`` is P(B=+|a) and node ``3 + 2a + b`` is P(C=+|a,b).  The walk
+    reads :func:`plus_probability` at every node and collapses only onto
+    outcomes of nonzero probability, never at C.  Nodes behind an outcome
+    of probability 0 are never read and stay 0.
     """
     table = np.zeros((len(ALL_AXIS_SETS), 7))
-    for i, axis_a in enumerate(_AXES):
-        p_a, states_a = _measure_both(source, Party.ALICE, axis_a)
-        table[4 * i : 4 * i + 4, 0] = p_a
-        for a, state_a in enumerate(states_a):
-            if state_a is None:
+
+    def walk(state: StateVector, party: int, first_row: int, node: int) -> None:
+        width = 4 >> party  # rows that share this party's axis
+        for i, axis in enumerate(_AXES):
+            row = first_row + i * width
+            p_plus = plus_probability(state, party, axis)
+            table[row : row + width, node] = p_plus
+            if party == Party.CHARLIE:
                 continue
-            for j, axis_b in enumerate(_AXES):
-                p_b, states_b = _measure_both(state_a, Party.BOB, axis_b)
-                rows = 4 * i + 2 * j
-                table[rows : rows + 2, 1 + a] = p_b
-                for b, state_b in enumerate(states_b):
-                    if state_b is None:
-                        continue
-                    for k, axis_c in enumerate(_AXES):
-                        table[rows + k, 3 + 2 * a + b] = _p_plus(state_b, Party.CHARLIE, axis_c)
+            for outcome, probability in zip(Outcome, (p_plus, 1.0 - p_plus)):
+                if probability > 0.0:
+                    post = collapse(state, party, axis, outcome)
+                    walk(post, party + 1, row, 2 * node + 1 + outcome)
+
+    walk(source, Party.ALICE, 0, 0)
     return table
 
 

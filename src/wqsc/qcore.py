@@ -1,9 +1,15 @@
 """Deterministic few-qubit statevector and density-matrix mathematics.
 
 Everything in this module is a pure function over immutable values: basis
-states, projective measurement with collapse, joint outcome probabilities,
-partial traces, partial transposition, eigenvalues of the small Hermitian
-matrices that arise here (by LAPACK), and the three-qubit residual tangle.
+states, projective measurement, joint outcome probabilities, partial
+traces, partial transposition, eigenvalues of the small Hermitian matrices
+that arise here (by LAPACK), and the three-qubit residual tangle.
+
+A measurement is two steps, each public: :func:`plus_probability` is the
+threshold a uniform draw is compared against, and :func:`collapse` is the
+renormalized post-state of a chosen outcome.  :func:`measure_qubit` is
+their composition; the outcome table of :mod:`wqsc.protocol` is built from
+the two steps directly.
 
 Index convention (fixed for the whole package): qubit 0 (Alice) is the most
 significant bit of the basis index, bit value 0 maps to ``|z+>`` and bit
@@ -13,6 +19,7 @@ value 1 to ``|z->``.  The x eigenbasis is ``|x±> = (|z+> ± |z->)/sqrt(2)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Sequence
@@ -186,7 +193,54 @@ def _project(dest: np.ndarray, axis: Axis, outcome: Outcome, component: np.ndarr
     else:
         half = component * _SQRT1_2
         dest[:, 0, :] = half
-        dest[:, 1, :] = half if outcome is Outcome.PLUS else -half
+        dest[:, 1, :] = half if outcome == Outcome.PLUS else -half
+
+
+def _components(
+    state: StateVector, qubit: int, axis: Axis
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The split view of a normalized state and its ``(plus, minus)`` components."""
+    n = state.num_qubits
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
+    if abs(state.squared_norm() - 1.0) > NORM_ATOL:
+        raise InvalidStateError("cannot measure an unnormalized state")
+    view = _split_on_qubit(state.amplitudes, qubit)
+    return view, _axis_components(view, axis)
+
+
+def plus_probability(state: StateVector, qubit: int, axis: Axis) -> float:
+    """Probability that measuring the qubit along the axis gives PLUS.
+
+    Normalizing by the total mass keeps zero-amplitude branches exactly
+    unreachable: a branch of mass 0.0 has probability 0.0, never sampled.
+    """
+    _, (plus, minus) = _components(state, qubit, axis)
+    mass_plus = _mass(plus)
+    return mass_plus / (mass_plus + _mass(minus))
+
+
+def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> StateVector:
+    """Renormalized post-measurement state for the given outcome.
+
+    A branch of subnormal mass is first scaled to unit peak amplitude, so
+    that renormalizing it yields a valid state; every other branch is
+    divided by the square root of its mass alone.  An outcome of
+    probability 0 has no post-state and raises ``ValueError``.
+    """
+    view, components = _components(state, qubit, axis)
+    component = components[outcome]
+    mass = _mass(component)
+    if mass < sys.float_info.min:
+        peak = float(np.max(np.abs(component)))
+        if peak == 0.0:
+            raise ValueError("cannot collapse onto an outcome of probability 0")
+        component = component / peak
+        mass = _mass(component)
+    post = np.empty_like(view)
+    _project(post, axis, outcome, component)
+    post /= math.sqrt(mass)
+    return StateVector(post.reshape(-1))
 
 
 def measure_qubit(
@@ -194,36 +248,19 @@ def measure_qubit(
 ) -> tuple[Outcome, StateVector, float]:
     """Projective single-qubit measurement with collapse.
 
-    The outcome is PLUS iff ``u < P(PLUS)``, so the caller supplies all
-    randomness and a replay with the same ``u`` is bit-identical.  Returns
-    the outcome, the renormalized post-measurement state, and the
-    probability of the observed outcome.
+    The outcome is PLUS iff ``u < plus_probability(...)``, so the caller
+    supplies all randomness and a replay with the same ``u`` is
+    bit-identical.  Returns the outcome, its :func:`collapse` post-state,
+    and the probability of the observed outcome.
     """
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
-    if abs(state.squared_norm() - 1.0) > NORM_ATOL:
-        raise InvalidStateError("cannot measure an unnormalized state")
-
-    view = _split_on_qubit(state.amplitudes, qubit)
-    plus, minus = _axis_components(view, axis)
-    mass_plus = _mass(plus)
-    mass_minus = _mass(minus)
-    # Normalizing by the total mass keeps zero-amplitude branches exactly
-    # unreachable: a branch of mass 0.0 has probability 0.0, never sampled.
-    total = mass_plus + mass_minus
-    p_plus = mass_plus / total
-
+    p_plus = plus_probability(state, qubit, axis)
     if u < p_plus:
-        outcome, component, mass, probability = Outcome.PLUS, plus, mass_plus, p_plus
+        outcome, probability = Outcome.PLUS, p_plus
     else:
-        outcome, component, mass, probability = Outcome.MINUS, minus, mass_minus, 1.0 - p_plus
-    post = np.empty_like(view)
-    _project(post, axis, outcome, component)
-    post /= math.sqrt(mass)
-    return outcome, StateVector(post.reshape(-1)), probability
+        outcome, probability = Outcome.MINUS, 1.0 - p_plus
+    return outcome, collapse(state, qubit, axis, outcome), probability
 
 
 def joint_probability(

@@ -1,11 +1,12 @@
 """Machine-readable run reports: JSON and CSV renderers plus parsers.
 
-The schema is fixed: ``REPORT_COLUMNS`` is the authoritative key list and
-column order.  JSON object keys and CSV headers never change without a
-schema version bump.  CSV is UTF-8, comma delimited, '.' decimal point,
-header row mandatory; missing values are empty cells in CSV and null in
-JSON.  Rendering is deterministic: the same report always yields the same
-bytes.
+The schema is fixed: the fields of ``RunReport``, in declaration order,
+are the key list and column order, named by ``REPORT_COLUMNS``.  JSON
+object keys and CSV headers never change without a schema version bump.
+CSV is UTF-8, comma delimited, '.' decimal point, header row mandatory,
+and every row exactly as wide as the header; missing values are empty
+cells in CSV and null in JSON.  Rendering is deterministic: the same
+report always yields the same bytes.
 """
 
 from __future__ import annotations
@@ -13,76 +14,28 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .protocol import ProtocolMode, RunReport, SecurityVerdict
 from .qcore import Party
 
-REPORT_COLUMNS: tuple[str, ...] = (
-    "mode",
-    "trials",
-    "seed",
-    "announce_rate",
-    "attack_phi",
-    "attack_target",
-    "epsilon",
-    "dealer",
-    "announced_trials",
-    "qkd_axis_trials",
-    "pqss_axis_trials",
-    "qkd_success_trials",
-    "pqss_success_trials",
-    "success_trials",
-    "empirical_success_rate",
-    "analytic_success_probability",
-    "key_bits_ab",
-    "key_bits_ac",
-    "key_bits_bc",
-    "pqss_secret_bits",
-    "total_key_bits",
-    "discarded_trials",
-    "qkd_disagreements",
-    "pqss_reconstruction_failures",
-    "announced_qkd_trials",
-    "security_events",
-    "security_event_frequency",
-    "qubits_consumed",
-    "formula_qubits",
-    "qubits_per_key_bit",
-    "security_verdict",
-)
+_REPORT_FIELDS = fields(RunReport)
+REPORT_COLUMNS: tuple[str, ...] = tuple(field.name for field in _REPORT_FIELDS)
 
 SWEEP_COLUMNS: tuple[str, ...] = ("phi", "p_bar", "empirical", "sigma", "verdict")
 
-_INT_FIELDS = {
-    "trials",
-    "seed",
-    "announced_trials",
-    "qkd_axis_trials",
-    "pqss_axis_trials",
-    "qkd_success_trials",
-    "pqss_success_trials",
-    "success_trials",
-    "key_bits_ab",
-    "key_bits_ac",
-    "key_bits_bc",
-    "pqss_secret_bits",
-    "total_key_bits",
-    "discarded_trials",
-    "qkd_disagreements",
-    "pqss_reconstruction_failures",
-    "announced_qkd_trials",
-    "security_events",
-    "qubits_consumed",
+# CSV cell parsers by field annotation, which ``protocol`` keeps as text
+# (postponed annotations); any other field is text, None when empty, and
+# report_from_dict converts it.
+_CELL_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": lambda cell: float(cell) if cell else None,
 }
-_FLOAT_FIELDS = {
-    "announce_rate",
-    "epsilon",
-    "empirical_success_rate",
-    "analytic_success_probability",
-    "formula_qubits",
-}
-_OPTIONAL_FLOAT_FIELDS = {"attack_phi", "security_event_frequency", "qubits_per_key_bit"}
+
+
+def _text(cell: str) -> str | None:
+    return cell if cell else None
 
 
 @dataclass(frozen=True)
@@ -145,6 +98,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _check_width(cells: list[str], columns: tuple[str, ...]) -> None:
+    if len(cells) != len(columns):
+        raise ValueError(f"CSV row has {len(cells)} cells, expected {len(columns)}: {cells!r}")
+
+
 def render_report_csv(report: RunReport) -> str:
     data = report_to_dict(report)
     buffer = io.StringIO()
@@ -158,16 +116,11 @@ def parse_report_csv(text: str) -> RunReport:
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) != 2 or tuple(rows[0]) != REPORT_COLUMNS:
         raise ValueError("report CSV must have the fixed header row and one data row")
-    data: dict = {}
-    for name, cell in zip(REPORT_COLUMNS, rows[1]):
-        if name in _INT_FIELDS:
-            data[name] = int(cell)
-        elif name in _FLOAT_FIELDS:
-            data[name] = float(cell)
-        elif name in _OPTIONAL_FLOAT_FIELDS:
-            data[name] = float(cell) if cell else None
-        else:
-            data[name] = cell if cell else None
+    _check_width(rows[1], REPORT_COLUMNS)
+    data = {
+        field.name: _CELL_PARSERS.get(field.type, _text)(cell)
+        for field, cell in zip(_REPORT_FIELDS, rows[1])
+    }
     return report_from_dict(data)
 
 
@@ -199,6 +152,7 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
         raise ValueError("sweep CSV must start with the fixed header row")
     parsed = []
     for cells in rows[1:]:
+        _check_width(cells, SWEEP_COLUMNS)
         parsed.append(
             SweepRow(
                 phi=float(cells[0]),

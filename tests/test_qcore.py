@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,12 +19,16 @@ from wqsc import (
     Outcome,
     Party,
     StateVector,
+    UnitaryCouplingAttack,
+    apply_attack,
+    collapse,
     eigenvalues_hermitian,
     ghz_state,
     joint_probability,
     make_basis_state,
     measure_qubit,
     partial_transpose,
+    plus_probability,
     reduced_density,
     three_tangle,
     w_state,
@@ -128,6 +133,31 @@ class TestMeasureQubit:
                 joint_probability(state, [(qubit, axis, outcome)]), abs=1e-12
             )
             assert post.squared_norm() == pytest.approx(1.0, abs=1e-9)
+            # measure_qubit is exactly the composition of its two steps.
+            p_plus = plus_probability(state, qubit, axis)
+            assert prob == (p_plus if outcome is PLUS else 1.0 - p_plus)
+            collapsed = collapse(state, qubit, axis, outcome)
+            assert post.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
+
+    def test_collapses_onto_branch_of_subnormal_mass(self):
+        # A weak coupling leaves amplitudes near 1e-161 whose squares are
+        # subnormal; a draw of 0 selects that branch on C and must still
+        # yield a normalized post-state.
+        state = apply_attack(w_state(), UnitaryCouplingAttack(8.4e-161, Party.ALICE))
+        for qubit in (A, B, C):
+            outcome, state, prob = measure_qubit(state, qubit, Axis.Z, 0.0)
+            assert outcome is PLUS
+            assert prob > 0.0
+            assert state.squared_norm() == pytest.approx(1.0, abs=1e-12)
+        assert prob < sys.float_info.min
+
+    def test_collapse_outcome_argument(self):
+        # A plain bit selects the same branch as its Outcome.
+        for bit, outcome in enumerate(Outcome):
+            expected = collapse(w_state(), A, Axis.X, outcome).amplitudes
+            assert np.array_equal(collapse(w_state(), A, Axis.X, bit).amplitudes, expected)
+        with pytest.raises(ValueError):
+            collapse(make_basis_state(3, [PLUS, PLUS, PLUS]), A, Axis.Z, MINUS)
 
 
 class TestJointProbability:

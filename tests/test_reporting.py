@@ -109,6 +109,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             report_from_dict(data)
 
+    def test_csv_row_width_must_match_header(self, plain_report):
+        header, row = render_report_csv(plain_report).splitlines()
+        for bad_row in (row + ",7", row.rsplit(",", 1)[0]):
+            with pytest.raises(ValueError):
+                parse_report_csv(f"{header}\n{bad_row}\n")
+
     def test_rendering_is_deterministic(self, attacked_report):
         assert render_report_json(attacked_report) == render_report_json(attacked_report)
         assert render_report_csv(attacked_report) == render_report_csv(attacked_report)
@@ -153,3 +159,8 @@ class TestSweepSerialization:
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_sweep_csv("nope\n0,0,0,0,secure\n")
+
+    @pytest.mark.parametrize("row", ["0.1,0.2,0.3", "0,0,0,0,secure,extra", ""])
+    def test_row_width_must_match_header(self, row):
+        with pytest.raises(ValueError):
+            parse_sweep_csv(f"phi,p_bar,empirical,sigma,verdict\n{row}\n")
