@@ -36,12 +36,13 @@ slot ``x`` becomes the uniform ``(x >> 11) * 2**-53``, exactly what
 A measurement draw ``u`` yields plus iff ``u`` lies below the exact
 chain-rule probability of plus given the earlier outcomes.  Those
 probabilities come from an outcome table built once per run (and once per
-sweep point) from the two steps of :func:`wqsc.qcore.measure_qubit`,
-:func:`~wqsc.qcore.plus_probability` and :func:`~wqsc.qcore.collapse`, so
-sampling from the table gives the outcome the sequential statevector
-measurement gives for the same uniforms.  Trials are sampled in chunks of
-whole arrays and folded into counts over (axis set, outcome string,
-announced) cells.
+sweep point) in one batched pass per party over every state reached so far.
+The passes share their arithmetic with :func:`~wqsc.qcore.plus_probability`
+and :func:`~wqsc.qcore.collapse`, the two steps of
+:func:`wqsc.qcore.measure_qubit`, so sampling from the table gives the
+outcome the sequential statevector measurement gives for the same uniforms.
+Trials are sampled in chunks of whole arrays and folded into counts over
+(axis set, outcome string, announced) cells.
 """
 
 from __future__ import annotations
@@ -56,7 +57,15 @@ import numpy as np
 
 from .adversary import AttackConfig, apply_attack
 from .bell import ALL_AXIS_SETS, QKD_AXIS_SETS, AxisSet, AxisSetKind
-from .qcore import Axis, Outcome, Party, StateVector, collapse, plus_probability
+from .qcore import (
+    Axis,
+    Outcome,
+    Party,
+    StateVector,
+    _axis_components,
+    _masses,
+    _post_states,
+)
 from .states import attacked_w_state, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
@@ -352,6 +361,7 @@ _SAMPLE_SLOTS = 4  # sweep-phi: QKD axis set; measurements A, B, C
 _UNIT = 2.0**-53
 
 _AXES = (Axis.Z, Axis.X)  # the bit order of ALL_AXIS_SETS
+_AXIS_BITS = np.arange(len(_AXES))
 _QKD_SET_INDEX = np.array([ALL_AXIS_SETS.index(axes) for axes in QKD_AXIS_SETS])
 
 
@@ -360,27 +370,57 @@ def _outcome_table(source: StateVector) -> np.ndarray:
 
     Row ``s`` is ``ALL_AXIS_SETS[s]``.  Node 0 is P(A=+); the child of node
     ``n`` on outcome bit ``x`` (plus is 0) is node ``2n + 1 + x``, so node
-    ``1 + a`` is P(B=+|a) and node ``3 + 2a + b`` is P(C=+|a,b).  The walk
-    reads :func:`plus_probability` at every node and collapses only onto
-    outcomes of nonzero probability, never at C.  Nodes behind an outcome
-    of probability 0 are never read and stay 0.
+    ``1 + a`` is P(B=+|a) and node ``3 + 2a + b`` is P(C=+|a,b).
+
+    One batched pass per party (A, then B, then C) measures every state
+    reached so far along both axes at once: 1 state, then at most 4, then
+    at most 16, one per (axes, outcomes) prefix.  A pass collapses only onto
+    outcomes of nonzero probability, never at C; nodes behind an outcome of
+    probability 0 are never reached and stay 0.  The passes run
+    :mod:`wqsc.qcore`'s own component, mass and post-state arithmetic on
+    stacked states, so each reached node holds, bit for bit, the
+    :func:`~wqsc.qcore.plus_probability` that a sequential
+    :func:`~wqsc.qcore.measure_qubit` reads there.
     """
     table = np.zeros((len(ALL_AXIS_SETS), 7))
-
-    def walk(state: StateVector, party: int, first_row: int, node: int) -> None:
-        width = 4 >> party  # rows that share this party's axis
+    states = source.amplitudes[np.newaxis]  # one row per reached prefix
+    axis_bits = outcome_bits = np.zeros(1, dtype=np.intp)  # each row's prefix
+    for party in _PARTIES:
+        view = states.reshape(len(states), 1 << party, 2, -1)  # split on this party's qubit
+        leading, _, trailing = view.shape[1:]
+        # components[r, i, x]: row r's component along _AXES[i] for outcome bit x
+        components = np.empty((len(states), 2, 2, leading, trailing), dtype=np.complex128)
         for i, axis in enumerate(_AXES):
-            row = first_row + i * width
-            p_plus = plus_probability(state, party, axis)
-            table[row : row + width, node] = p_plus
-            if party == Party.CHARLIE:
-                continue
-            for outcome, probability in zip(Outcome, (p_plus, 1.0 - p_plus)):
-                if probability > 0.0:
-                    post = collapse(state, party, axis, outcome)
-                    walk(post, party + 1, row, 2 * node + 1 + outcome)
-
-    walk(source, Party.ALICE, 0, 0)
+            components[:, i, Outcome.PLUS], components[:, i, Outcome.MINUS] = _axis_components(
+                view, axis
+            )
+        masses = _masses(components)
+        mass_plus, mass_minus = masses[..., Outcome.PLUS], masses[..., Outcome.MINUS]
+        p_plus = mass_plus / (mass_plus + mass_minus)
+        # Table rows grouped by the axes of the parties so far, this one included.
+        groups = table.reshape(2 << party, -1, 7)
+        nodes = (1 << party) - 1 + outcome_bits
+        groups[2 * axis_bits[:, np.newaxis] + _AXIS_BITS, :, nodes[:, np.newaxis]] = (
+            p_plus[..., np.newaxis]
+        )
+        if party == Party.CHARLIE:
+            break
+        reached = np.empty(masses.shape, dtype=bool)
+        reached[..., Outcome.PLUS] = p_plus > 0.0
+        reached[..., Outcome.MINUS] = 1.0 - p_plus > 0.0
+        # Unreached branches' post-states are discarded; a unit mass keeps
+        # their renormalization finite.
+        masses = np.where(reached, masses, 1.0)
+        posts = np.empty((*masses.shape, leading, 2, trailing), dtype=np.complex128)
+        for i, axis in enumerate(_AXES):
+            for outcome in Outcome:
+                posts[:, i, outcome] = _post_states(
+                    axis, outcome, components[:, i, outcome], masses[:, i, outcome]
+                )
+        rows, axis_index, outcome_index = np.nonzero(reached)
+        states = posts[reached].reshape(len(rows), -1)
+        axis_bits = 2 * axis_bits[rows] + axis_index
+        outcome_bits = 2 * outcome_bits[rows] + outcome_index
     return table
 
 
@@ -472,6 +512,13 @@ def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
             yield _record(config.mode, index, set_index, outcome_index, announced)
 
 
+# Whether each (axis set, outcome string) cell, index 8s + o, is a security
+# event; the sweep counts its samples per cell.
+_EVENT_CELLS = np.array(
+    [is_event(axes, outcomes) for axes in ALL_AXIS_SETS for outcomes in _OUTCOME_STRINGS]
+)
+
+
 def sample_security_frequency(
     phi: float, samples: int, seed: int, point_index: int = 0
 ) -> float:
@@ -495,12 +542,7 @@ def sample_security_frequency(
         sets = _QKD_SET_INDEX[(u[:, 0] * 3.0).astype(np.intp)]
         outcomes = _sample_outcomes(table, sets, u[:, 1], u[:, 2], u[:, 3])
         counts += np.bincount(8 * sets + outcomes, minlength=counts.size)
-    events = sum(
-        int(n)
-        for (s, o), n in np.ndenumerate(counts.reshape(len(ALL_AXIS_SETS), -1))
-        if n and is_event(ALL_AXIS_SETS[s], _OUTCOME_STRINGS[o])
-    )
-    return events / samples
+    return int(counts[_EVENT_CELLS].sum()) / samples
 
 
 def security_check(records: Iterable[TrialRecord], epsilon: float) -> SecurityVerdict:

@@ -8,8 +8,11 @@ that arise here (by LAPACK), and the three-qubit residual tangle.
 A measurement is two steps, each public: :func:`plus_probability` is the
 threshold a uniform draw is compared against, and :func:`collapse` is the
 renormalized post-state of a chosen outcome.  :func:`measure_qubit` is
-their composition; the outcome table of :mod:`wqsc.protocol` is built from
-the two steps directly.
+their composition.  Both steps run on private helpers that also take a
+stack of states: the outcome table of :mod:`wqsc.protocol` measures up to
+16 states per pass with them.  One mass reduction, ``re**2 + im**2``
+summed along one contiguous axis, serves a single state and a stacked row
+alike, so the table matches the single-state steps bit for bit.
 
 Index convention (fixed for the whole package): qubit 0 (Alice) is the most
 significant bit of the basis index, bit value 0 maps to ``|z+>`` and bit
@@ -134,8 +137,7 @@ class DensityMatrix:
         dim = m.shape[0]
         if dim not in (2, 4):
             raise ValueError(f"density matrix dimension must be 2 or 4, got {dim}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        _check_hermitian(m, "density matrix")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > HERMITICITY_ATOL:
             raise ValueError(f"density matrix trace {trace!r} deviates from 1")
@@ -147,6 +149,15 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_hermitian(m: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless ``m`` is finite and Hermitian within tolerance."""
+    # Checked first: every tolerance comparison with NaN is False.
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} entries must be finite")
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+        raise ValueError(f"{name} is not Hermitian within tolerance")
 
 
 def make_basis_state(num_qubits: int, bits: Sequence[Outcome]) -> StateVector:
@@ -169,44 +180,79 @@ def _split_on_qubit(amps: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def _axis_components(view: np.ndarray, axis: Axis) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude components along the PLUS/MINUS eigenvectors of the axis."""
-    a0 = view[:, 0, :]
-    a1 = view[:, 1, :]
+    """Amplitude components along the PLUS/MINUS eigenvectors of the axis.
+
+    ``view`` is a split view, or a stack of them ``(..., leading, 2, trailing)``.
+    """
+    a0 = view[..., 0, :]
+    a1 = view[..., 1, :]
     if axis is Axis.Z:
         return a0, a1
     return (a0 + a1) * _SQRT1_2, (a0 - a1) * _SQRT1_2
 
 
-def _mass(component: np.ndarray) -> float:
-    return float(np.vdot(component, component).real)
+def _masses(components: np.ndarray) -> np.ndarray:
+    """Squared norm of each component in a stack ``(..., leading, trailing)``.
+
+    ``re**2 + im**2`` is summed along one contiguous axis, so a stacked
+    row's mass is bit-identical to the same component's mass on its own
+    (``np.vdot``'s BLAS summation order is matched by no batched sum).  The
+    outcome table's batched passes rely on this to match
+    :func:`plus_probability` and :func:`collapse`.
+    """
+    squares = components.real**2 + components.imag**2
+    return squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def _project(dest: np.ndarray, axis: Axis, outcome: Outcome, component: np.ndarray) -> None:
-    """Write the qubit's projection onto ``outcome`` into the split view ``dest``.
+    """Write the qubit's projection onto ``outcome`` into the split view(s) ``dest``.
 
     ``component`` is the outcome's amplitude component from
     :func:`_axis_components`; both halves of ``dest`` are overwritten.
     """
     if axis is Axis.Z:
-        dest[:, outcome, :] = component
-        dest[:, 1 - outcome, :] = 0.0
+        dest[..., outcome, :] = component
+        dest[..., 1 - outcome, :] = 0.0
     else:
         half = component * _SQRT1_2
-        dest[:, 0, :] = half
-        dest[:, 1, :] = half if outcome == Outcome.PLUS else -half
+        dest[..., 0, :] = half
+        dest[..., 1, :] = half if outcome == Outcome.PLUS else -half
+
+
+def _post_states(
+    axis: Axis, outcome: Outcome, component: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """Renormalized projections of a stack of components, as split views.
+
+    ``component`` has shape ``(..., leading, trailing)`` and ``mass`` is its
+    :func:`_masses`; the result has shape ``(..., leading, 2, trailing)``.
+    A component of subnormal mass is first scaled to unit peak amplitude,
+    so that renormalizing it yields a valid state; every other component is
+    divided by the square root of its mass alone.
+    """
+    tiny = mass < sys.float_info.min
+    if tiny.any():
+        peak = np.max(np.abs(component), axis=(-2, -1))
+        if not peak[tiny].all():
+            raise ValueError("cannot collapse onto an outcome of probability 0")
+        component = component / np.where(tiny, peak, 1.0)[..., np.newaxis, np.newaxis]
+        mass = _masses(component)
+    post = np.empty(component.shape[:-1] + (2, component.shape[-1]), dtype=np.complex128)
+    _project(post, axis, outcome, component)
+    post /= np.sqrt(mass)[..., np.newaxis, np.newaxis, np.newaxis]
+    return post
 
 
 def _components(
     state: StateVector, qubit: int, axis: Axis
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The split view of a normalized state and its ``(plus, minus)`` components."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(plus, minus)`` components of a normalized state."""
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     if abs(state.squared_norm() - 1.0) > NORM_ATOL:
         raise InvalidStateError("cannot measure an unnormalized state")
-    view = _split_on_qubit(state.amplitudes, qubit)
-    return view, _axis_components(view, axis)
+    return _axis_components(_split_on_qubit(state.amplitudes, qubit), axis)
 
 
 def plus_probability(state: StateVector, qubit: int, axis: Axis) -> float:
@@ -215,9 +261,9 @@ def plus_probability(state: StateVector, qubit: int, axis: Axis) -> float:
     Normalizing by the total mass keeps zero-amplitude branches exactly
     unreachable: a branch of mass 0.0 has probability 0.0, never sampled.
     """
-    _, (plus, minus) = _components(state, qubit, axis)
-    mass_plus = _mass(plus)
-    return mass_plus / (mass_plus + _mass(minus))
+    plus, minus = _components(state, qubit, axis)
+    mass_plus = float(_masses(plus))
+    return mass_plus / (mass_plus + float(_masses(minus)))
 
 
 def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> StateVector:
@@ -228,19 +274,8 @@ def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> St
     divided by the square root of its mass alone.  An outcome of
     probability 0 has no post-state and raises ``ValueError``.
     """
-    view, components = _components(state, qubit, axis)
-    component = components[outcome]
-    mass = _mass(component)
-    if mass < sys.float_info.min:
-        peak = float(np.max(np.abs(component)))
-        if peak == 0.0:
-            raise ValueError("cannot collapse onto an outcome of probability 0")
-        component = component / peak
-        mass = _mass(component)
-    post = np.empty_like(view)
-    _project(post, axis, outcome, component)
-    post /= math.sqrt(mass)
-    return StateVector(post.reshape(-1))
+    component = _components(state, qubit, axis)[outcome]
+    return StateVector(_post_states(axis, outcome, component, _masses(component)).reshape(-1))
 
 
 def measure_qubit(
@@ -340,8 +375,7 @@ def eigenvalues_hermitian(matrix: np.ndarray) -> list[float]:
     dim = a.shape[0]
     if dim not in (2, 4):
         raise ValueError(f"supported dimensions are 2 and 4, got {dim}")
-    if np.max(np.abs(a - a.conj().T)) > HERMITICITY_ATOL:
-        raise ValueError("input matrix is not Hermitian within tolerance")
+    _check_hermitian(a, "input matrix")
     return [float(x) for x in np.linalg.eigvalsh((a + a.conj().T) / 2.0)]
 
 

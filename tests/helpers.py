@@ -4,8 +4,9 @@ The oracles deliberately take different routes than the production code:
 probabilities by exhaustive enumeration over outcome strings, eigenvalues
 through numpy's LAPACK bindings, the three-way tangle through the
 residual construction (pair concurrences subtracted from the one-vs-rest
-tangle) instead of the hyperdeterminant, and a protocol trial by sequential
-statevector measurement instead of the engine's outcome table.
+tangle) instead of the hyperdeterminant, a protocol trial by sequential
+statevector measurement instead of the engine's outcome table, and that
+table by a recursive walk over single states instead of batched passes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ import itertools
 
 import numpy as np
 
-from wqsc import Axis, AxisSet, Outcome, Party, StateVector, joint_probability, measure_qubit
+from wqsc import (
+    Axis,
+    AxisSet,
+    Outcome,
+    Party,
+    StateVector,
+    collapse,
+    joint_probability,
+    measure_qubit,
+    plus_probability,
+)
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -65,6 +76,34 @@ def oracle_trial(source: StateVector, uniforms, announce_rate: float):
     b, state, _ = measure_qubit(state, Party.BOB, axes.bob, uniforms[4])
     c, _, _ = measure_qubit(state, Party.CHARLIE, axes.charlie, uniforms[5])
     return axes, (a, b, c), bool(uniforms[6] < announce_rate)
+
+
+def oracle_table(source: StateVector) -> np.ndarray:
+    """The (8, 7) outcome table by a recursive walk over A -> B -> C.
+
+    Row ``s`` is the axis set with bits (A, B, C), z as 0; the child of
+    node ``n`` on outcome bit ``x`` is node ``2n + 1 + x``.  The walk reads
+    :func:`plus_probability` at every node and collapses only onto outcomes
+    of nonzero probability, never at C, so nodes behind an outcome of
+    probability 0 stay 0.
+    """
+    table = np.zeros((8, 7))
+
+    def walk(state: StateVector, party: int, first_row: int, node: int) -> None:
+        width = 4 >> party  # rows that share this party's axis
+        for i, axis in enumerate((Axis.Z, Axis.X)):
+            row = first_row + i * width
+            p_plus = plus_probability(state, party, axis)
+            table[row : row + width, node] = p_plus
+            if party == Party.CHARLIE:
+                continue
+            for outcome, probability in zip(Outcome, (p_plus, 1.0 - p_plus)):
+                if probability > 0.0:
+                    post = collapse(state, party, axis, outcome)
+                    walk(post, party + 1, row, 2 * node + 1 + outcome)
+
+    walk(source, Party.ALICE, 0, 0)
+    return table
 
 
 def z_axes(*qubits: int) -> list[tuple[int, Axis]]:

@@ -33,6 +33,7 @@ from wqsc import (
     three_tangle,
     w_state,
 )
+from wqsc.qcore import _axis_components, _masses, _split_on_qubit
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
@@ -63,6 +64,18 @@ class TestStateVector:
         state = w_state()
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+
+class TestDensityMatrix:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        # Tolerance checks compare False against NaN, so they cannot catch it.
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.full((2, 2), value, dtype=complex))
+        entries = np.eye(4, dtype=complex) / 4.0
+        entries[1, 2] = entries[2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(entries)
 
 
 class TestMakeBasisState:
@@ -158,6 +171,28 @@ class TestMeasureQubit:
             assert np.array_equal(collapse(w_state(), A, Axis.X, bit).amplitudes, expected)
         with pytest.raises(ValueError):
             collapse(make_basis_state(3, [PLUS, PLUS, PLUS]), A, Axis.Z, MINUS)
+
+
+class TestStackedMass:
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5])
+    def test_stacked_rows_match_single_states(self, num_qubits):
+        # The outcome table's batched passes match plus_probability bit for
+        # bit only if a stacked row's mass equals the single state's mass.
+        # Middle qubits give strided components; x components are computed.
+        rng = np.random.default_rng(50 + num_qubits)
+        states = [random_state(rng, num_qubits) for _ in range(21)]
+        stack = np.stack([state.amplitudes for state in states]).reshape(3, 7, -1)
+        for qubit, axis in itertools.product(range(num_qubits), Axis):
+            view = stack.reshape(3, 7, 1 << qubit, 2, -1)  # split on the qubit
+            batched = [_masses(c) for c in _axis_components(view, axis)]
+            assert batched[0].shape == (3, 7)
+            for index, state in enumerate(states):
+                row = np.unravel_index(index, (3, 7))
+                single = _axis_components(_split_on_qubit(state.amplitudes, qubit), axis)
+                for outcome, component in enumerate(single):
+                    assert _masses(component).tobytes() == batched[outcome][row].tobytes()
+                p_plus = batched[0][row] / (batched[0][row] + batched[1][row])
+                assert p_plus == plus_probability(state, qubit, axis)
 
 
 class TestJointProbability:
@@ -297,6 +332,11 @@ class TestEigenvaluesHermitian:
             eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             eigenvalues_hermitian(np.eye(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_hermitian(np.full((2, 2), value))
 
 
 class TestThreeTangle:
