@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Union
 
@@ -47,8 +48,10 @@ class AxisSet:
     def axis_of(self, party: Party) -> Axis:
         return self.axes[party]
 
-    @property
+    @cached_property
     def kind(self) -> AxisSetKind:
+        # Stored in the instance on first access; equality and hashing read
+        # only the three axes.
         z_count = sum(1 for axis in self.axes if axis is Axis.Z)
         if z_count == 1:
             return AxisSetKind.QKD

@@ -5,6 +5,9 @@ Every flag is mirrored by an environment variable with the ``WQSC_`` prefix
 environment.  All randomness flows from ``--seed``, which is required, so a
 repeated invocation with identical flags produces byte-identical output.
 
+The parser is built once per distinct set of ``WQSC_*`` values and shared
+by later calls under the same values; parsing only reads it.
+
 Exit codes: 0 success / channel secure, 1 usage error (bad flags or an
 unopenable output, caught before any simulation), 2 verification failure /
 channel compromised, 3 inconclusive security check.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -60,13 +64,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
+# Every WQSC_<name> the parser reads, one per flag name; the parser cache is
+# keyed on their values.
+_ENV_NAMES = (
+    "MODE", "TRIALS", "SEED", "ANNOUNCE_RATE", "PHI", "TARGET", "EPSILON", "DEALER", "FORMAT",
+    "OUTPUT", "GRID",
+)
 
 
-def _add_flag(parser: argparse.ArgumentParser, flag: str, env: str, **kwargs) -> None:
-    """Register a flag whose default is mirrored by WQSC_<env>."""
-    env_value = _env(env)
+def _add_flag(
+    parser: argparse.ArgumentParser, env: dict[str, str | None], flag: str, **kwargs
+) -> None:
+    """Register a flag whose default is mirrored by WQSC_<FLAG>.
+
+    ``--announce-rate`` reads ``env["ANNOUNCE_RATE"]``; a name missing from
+    ``_ENV_NAMES`` raises KeyError when the parser is built.
+    """
+    env_value = env[flag[2:].upper().replace("-", "_")]
     if env_value is not None:
         kwargs["default"] = env_value  # argparse applies type= to string defaults
         kwargs.pop("required", None)
@@ -74,39 +88,48 @@ def _add_flag(parser: argparse.ArgumentParser, flag: str, env: str, **kwargs) ->
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for the current ``WQSC_*`` environment.
+
+    It is shared by every call made under the same ``WQSC_*`` values, so it
+    must not be modified.
+    """
+    return _parser(tuple(os.environ.get(ENV_PREFIX + name) for name in _ENV_NAMES))
+
+
+@functools.lru_cache(maxsize=16)
+def _parser(env_values: tuple[str | None, ...]) -> argparse.ArgumentParser:
+    env = dict(zip(_ENV_NAMES, env_values))
     parser = _Parser(prog="wqsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one protocol and write its report")
-    _add_flag(run, "--mode", "MODE", required=True, choices=[m.value for m in ProtocolMode],
+    _add_flag(run, env, "--mode", required=True, choices=[m.value for m in ProtocolMode],
               help="protocol to run")
-    _add_flag(run, "--trials", "TRIALS", required=True, type=int, help="number of trials N")
-    _add_flag(run, "--seed", "SEED", required=True, type=int, help="root RNG seed")
-    _add_flag(run, "--announce-rate", "ANNOUNCE_RATE", type=float,
-              default=DEFAULT_ANNOUNCE_RATE,
+    _add_flag(run, env, "--trials", required=True, type=int, help="number of trials N")
+    _add_flag(run, env, "--seed", required=True, type=int, help="root RNG seed")
+    _add_flag(run, env, "--announce-rate", type=float, default=DEFAULT_ANNOUNCE_RATE,
               help="per-trial probability of a public outcome announcement")
-    _add_flag(run, "--phi", "PHI", type=float, default=None,
+    _add_flag(run, env, "--phi", type=float, default=None,
               help="attack coupling strength in radians, [0, pi/2]; omit for no attack")
-    _add_flag(run, "--target", "TARGET", default="C",
+    _add_flag(run, env, "--target", default="C",
               help="attacked party (A, B, or C); meaningful only with --phi")
-    _add_flag(run, "--epsilon", "EPSILON", type=float, default=DEFAULT_EPSILON,
+    _add_flag(run, env, "--epsilon", type=float, default=DEFAULT_EPSILON,
               help="permitted security-event frequency")
-    _add_flag(run, "--dealer", "DEALER", default="A", help="secret-sharing dealer")
-    _add_flag(run, "--format", "FORMAT", choices=REPORT_FORMATS, default="json",
-              help="report format")
-    _add_flag(run, "--output", "OUTPUT", default="-", help="report path, '-' for stdout")
+    _add_flag(run, env, "--dealer", default="A", help="secret-sharing dealer")
+    _add_flag(run, env, "--format", choices=REPORT_FORMATS, default="json", help="report format")
+    _add_flag(run, env, "--output", default="-", help="report path, '-' for stdout")
 
     sub.add_parser("verify", help="check every analytic golden value")
 
     sweep = sub.add_parser("sweep-phi", help="empirical vs analytic detection sweep")
-    _add_flag(sweep, "--grid", "GRID", required=True,
+    _add_flag(sweep, env, "--grid", required=True,
               help="comma-separated attack strengths in radians")
-    _add_flag(sweep, "--trials", "TRIALS", type=int, default=10000,
+    _add_flag(sweep, env, "--trials", type=int, default=10000,
               help="announced-equivalent samples per grid point")
-    _add_flag(sweep, "--seed", "SEED", required=True, type=int, help="root RNG seed")
-    _add_flag(sweep, "--epsilon", "EPSILON", type=float, default=DEFAULT_EPSILON,
+    _add_flag(sweep, env, "--seed", required=True, type=int, help="root RNG seed")
+    _add_flag(sweep, env, "--epsilon", type=float, default=DEFAULT_EPSILON,
               help="permitted security-event frequency")
-    _add_flag(sweep, "--output", "OUTPUT", default="-", help="CSV path, '-' for stdout")
+    _add_flag(sweep, env, "--output", default="-", help="CSV path, '-' for stdout")
     return parser
 
 
@@ -186,9 +209,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "verify":

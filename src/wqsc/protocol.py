@@ -42,11 +42,16 @@ and :func:`~wqsc.qcore.collapse`, the two steps of
 :func:`wqsc.qcore.measure_qubit`, so sampling from the table gives the
 outcome the sequential statevector measurement gives for the same uniforms.
 Trials are sampled in chunks of whole arrays and folded into counts over
-(axis set, outcome string, announced) cells.
+the 128 (axis set, outcome string, announced) cells.  A report's count
+columns are a 0/1 weight matrix, one per (mode, dealer), times those
+counts.  The matrix is filled from the per-trial rules (the mode's verdict,
+:func:`is_event`, :func:`reconstruct_dealer_bit`), so a report equals the
+fold of its trial records one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -583,127 +588,123 @@ def key_accounting(
     return QubitAccounting(nominal=nominal, exact=float(qubits_per_trial * trials))
 
 
-class _Aggregator:
-    """Deterministic fold of weighted trial cells into a RunReport."""
+# The RunReport columns that count trials: each is a sum over the run's
+# (axis set, outcome string, announced) cells of count x weight, with the
+# weight a function of the mode and the dealer alone.
+_COUNT_FIELDS = (
+    "announced_trials", "qkd_axis_trials", "pqss_axis_trials", "qkd_success_trials",
+    "pqss_success_trials", "success_trials", "key_bits_ab", "key_bits_ac", "key_bits_bc",
+    "pqss_secret_bits", "total_key_bits", "discarded_trials", "qkd_disagreements",
+    "pqss_reconstruction_failures", "announced_qkd_trials", "security_events",
+)
 
-    def __init__(self, config: ProtocolConfig) -> None:
-        self.config = config
-        self.announced = 0
-        self.axis_counts = {AxisSetKind.QKD: 0, AxisSetKind.PQSS: 0, AxisSetKind.USELESS: 0}
-        self.qkd_successes = 0
-        self.pqss_successes = 0
-        self.pair_bits = {Pair.AB: 0, Pair.AC: 0, Pair.BC: 0}
-        self.pqss_bits = 0
-        self.discarded = 0
-        self.qkd_disagreements = 0
-        self.pqss_failures = 0
-        self.announced_qkd = 0
-        self.security_events = 0
+_CELLS = len(ALL_AXIS_SETS) * len(_OUTCOME_STRINGS) * 2  # index 16s + 2o + announced
 
-    def add(
-        self,
-        axes: AxisSet,
-        outcomes: tuple[Outcome, Outcome, Outcome],
-        announced: bool,
-        count: int,
-    ) -> None:
-        """Fold ``count`` trials that share axes, outcomes and announcement."""
-        verdict, _ = _resolve_verdict(self.config.mode, axes, outcomes)
-        self.axis_counts[axes.kind] += count
-        if verdict.kind is VerdictKind.KEY_QKD:
-            self.qkd_successes += count
-        elif verdict.kind is VerdictKind.KEY_PQSS:
-            self.pqss_successes += count
 
-        if announced:
-            self.announced += count
-            if axes.kind is AxisSetKind.QKD:
-                self.announced_qkd += count
-                self.security_events += count * is_event(axes, outcomes)
-            return
+def _cell_fields(
+    mode: ProtocolMode,
+    dealer: Party,
+    axes: AxisSet,
+    outcomes: tuple[Outcome, Outcome, Outcome],
+    announced: bool,
+) -> Iterator[str]:
+    """The count fields to which one trial in this cell adds 1."""
+    verdict, _ = _resolve_verdict(mode, axes, outcomes)
+    if axes.kind is AxisSetKind.QKD:
+        yield "qkd_axis_trials"
+    elif axes.kind is AxisSetKind.PQSS:
+        yield "pqss_axis_trials"
+    if verdict.kind is not VerdictKind.DISCARD:
+        yield "qkd_success_trials" if verdict.kind is VerdictKind.KEY_QKD else "pqss_success_trials"
+        yield "success_trials"
 
-        if verdict.kind is VerdictKind.KEY_QKD:
-            pair = verdict.pair
-            assert pair is not None
-            self.pair_bits[pair] += count
-            first, second = pair.members
-            if outcomes[first] is not outcomes[second]:
-                self.qkd_disagreements += count
-        elif verdict.kind is VerdictKind.KEY_PQSS:
-            self.pqss_bits += count
-            dealer = self.config.dealer
-            shares = [outcomes[p] for p in _PARTIES if p != dealer]
-            try:
-                recovered = reconstruct_dealer_bit(shares[0], shares[1])
-            except InconsistentSharesError:
-                recovered = None
-            if recovered is not outcomes[dealer]:
-                self.pqss_failures += count
-        else:
-            self.discarded += count
+    if announced:
+        yield "announced_trials"
+        if axes.kind is AxisSetKind.QKD:
+            yield "announced_qkd_trials"
+            if is_event(axes, outcomes):
+                yield "security_events"
+        return
 
-    def report(self) -> RunReport:
-        config = self.config
-        trials = config.trials
-        total_key_bits = sum(self.pair_bits.values()) + self.pqss_bits
-        success_trials = self.qkd_successes + self.pqss_successes
-        p_s = MODE_SUCCESS_PROBABILITY[config.mode]
-        accounting = key_accounting(total_key_bits, p_s, trials, self.announced)
-        frequency = (
-            self.security_events / self.announced_qkd if self.announced_qkd else None
-        )
-        return RunReport(
-            mode=config.mode,
-            trials=trials,
-            seed=config.seed,
-            announce_rate=config.announce_rate,
-            attack_phi=config.attack.phi if config.attack is not None else None,
-            attack_target=config.attack.target if config.attack is not None else None,
-            epsilon=config.epsilon,
-            dealer=config.dealer,
-            announced_trials=self.announced,
-            qkd_axis_trials=self.axis_counts[AxisSetKind.QKD],
-            pqss_axis_trials=self.axis_counts[AxisSetKind.PQSS],
-            qkd_success_trials=self.qkd_successes,
-            pqss_success_trials=self.pqss_successes,
-            success_trials=success_trials,
-            empirical_success_rate=success_trials / trials,
-            analytic_success_probability=p_s,
-            key_bits_ab=self.pair_bits[Pair.AB],
-            key_bits_ac=self.pair_bits[Pair.AC],
-            key_bits_bc=self.pair_bits[Pair.BC],
-            pqss_secret_bits=self.pqss_bits,
-            total_key_bits=total_key_bits,
-            discarded_trials=self.discarded,
-            qkd_disagreements=self.qkd_disagreements,
-            pqss_reconstruction_failures=self.pqss_failures,
-            announced_qkd_trials=self.announced_qkd,
-            security_events=self.security_events,
-            security_event_frequency=frequency,
-            qubits_consumed=QUBITS_PER_TRIAL * trials,
-            formula_qubits=accounting.nominal,
-            qubits_per_key_bit=(
-                QUBITS_PER_TRIAL * trials / total_key_bits if total_key_bits else None
-            ),
-            security_verdict=security_verdict(frequency, config.epsilon),
-        )
+    if verdict.kind is VerdictKind.KEY_QKD:
+        pair = verdict.pair
+        assert pair is not None
+        yield f"key_bits_{pair.name.lower()}"
+        yield "total_key_bits"
+        first, second = pair.members
+        if outcomes[first] is not outcomes[second]:
+            yield "qkd_disagreements"
+    elif verdict.kind is VerdictKind.KEY_PQSS:
+        yield "pqss_secret_bits"
+        yield "total_key_bits"
+        shares = [outcomes[p] for p in _PARTIES if p != dealer]
+        try:
+            recovered = reconstruct_dealer_bit(shares[0], shares[1])
+        except InconsistentSharesError:
+            recovered = None
+        if recovered is not outcomes[dealer]:
+            yield "pqss_reconstruction_failures"
+    else:
+        yield "discarded_trials"
+
+
+@functools.cache
+def _weights(mode: ProtocolMode, dealer: Party) -> np.ndarray:
+    """The report's weight matrix, shape (len(_COUNT_FIELDS), 128), read-only.
+
+    Entry ``[f, 16s + 2o + a]`` is 1 iff a trial on axis set ``s``, outcome
+    string ``o`` and announcement ``a`` adds 1 to ``_COUNT_FIELDS[f]``, so a
+    run's count columns are this matrix times its 128 cell counts.  It is
+    built on first use for each (mode, dealer), not at import.
+    """
+    rows = {name: row for row, name in enumerate(_COUNT_FIELDS)}
+    weights = np.zeros((len(_COUNT_FIELDS), _CELLS), dtype=np.int64)
+    for set_index, axes in enumerate(ALL_AXIS_SETS):
+        for outcome_index, outcomes in enumerate(_OUTCOME_STRINGS):
+            for announced in (0, 1):
+                cell = 16 * set_index + 2 * outcome_index + announced
+                for name in _cell_fields(mode, dealer, axes, outcomes, bool(announced)):
+                    weights[rows[name], cell] = 1
+    weights.flags.writeable = False
+    return weights
 
 
 def run_protocol(config: ProtocolConfig) -> RunReport:
     """Execute all trials and aggregate; identical configs give identical reports.
 
     Trials are sampled chunk by chunk and counted per (axis set, outcome
-    string, announced) cell; no per-trial record is built.
+    string, announced) cell; no per-trial record is built.  The report's
+    count columns are the (mode, dealer) weight matrix times the 128 cell
+    counts, and its rates and verdict follow from those counts.
     """
-    counts = np.zeros(len(ALL_AXIS_SETS) * len(_OUTCOME_STRINGS) * 2, dtype=np.int64)
+    counts = np.zeros(_CELLS, dtype=np.int64)
     for _, sets, outcomes, announced in _run_chunks(config):
-        counts += np.bincount(16 * sets + 2 * outcomes + announced, minlength=counts.size)
-    agg = _Aggregator(config)
-    cells = counts.reshape(len(ALL_AXIS_SETS), len(_OUTCOME_STRINGS), 2)
-    for set_index, outcome_index, announced in np.argwhere(cells):
-        count = int(cells[set_index, outcome_index, announced])
-        agg.add(ALL_AXIS_SETS[set_index], _OUTCOME_STRINGS[outcome_index], bool(announced), count)
-    return agg.report()
+        counts += np.bincount(16 * sets + 2 * outcomes + announced, minlength=_CELLS)
+    columns = dict(zip(_COUNT_FIELDS, (_weights(config.mode, config.dealer) @ counts).tolist()))
+    trials = config.trials
+    total_key_bits = columns["total_key_bits"]
+    p_s = MODE_SUCCESS_PROBABILITY[config.mode]
+    accounting = key_accounting(total_key_bits, p_s, trials, columns["announced_trials"])
+    checked = columns["announced_qkd_trials"]
+    frequency = columns["security_events"] / checked if checked else None
+    return RunReport(
+        mode=config.mode,
+        trials=trials,
+        seed=config.seed,
+        announce_rate=config.announce_rate,
+        attack_phi=config.attack.phi if config.attack is not None else None,
+        attack_target=config.attack.target if config.attack is not None else None,
+        epsilon=config.epsilon,
+        dealer=config.dealer,
+        empirical_success_rate=columns["success_trials"] / trials,
+        analytic_success_probability=p_s,
+        security_event_frequency=frequency,
+        qubits_consumed=QUBITS_PER_TRIAL * trials,
+        formula_qubits=accounting.nominal,
+        qubits_per_key_bit=QUBITS_PER_TRIAL * trials / total_key_bits if total_key_bits else None,
+        security_verdict=security_verdict(frequency, config.epsilon),
+        **columns,
+    )
 
 
 def binomial_sigma(p: float, n: int) -> float:

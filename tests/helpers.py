@@ -5,12 +5,15 @@ probabilities by exhaustive enumeration over outcome strings, eigenvalues
 through numpy's LAPACK bindings, the three-way tangle through the
 residual construction (pair concurrences subtracted from the one-vs-rest
 tangle) instead of the hyperdeterminant, a protocol trial by sequential
-statevector measurement instead of the engine's outcome table, and that
-table by a recursive walk over single states instead of batched passes.
+statevector measurement instead of the engine's outcome table, that
+table by a recursive walk over single states instead of batched passes,
+and a run's report by folding its trial records one at a time instead of
+multiplying the engine's weight matrix by its cell counts.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
@@ -18,14 +21,30 @@ import numpy as np
 from wqsc import (
     Axis,
     AxisSet,
+    AxisSetKind,
+    InconsistentSharesError,
     Outcome,
+    Pair,
     Party,
+    ProtocolConfig,
+    ProtocolMode,
+    RunReport,
     StateVector,
+    Verdict,
+    VerdictKind,
     collapse,
+    decider_step,
+    is_event,
+    iter_trials,
     joint_probability,
+    key_accounting,
     measure_qubit,
     plus_probability,
+    pqss_step,
+    reconstruct_dealer_bit,
+    security_verdict,
 )
+from wqsc.protocol import MODE_SUCCESS_PROBABILITY, QUBITS_PER_TRIAL
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -104,6 +123,96 @@ def oracle_table(source: StateVector) -> np.ndarray:
 
     walk(source, Party.ALICE, 0, 0)
     return table
+
+
+_MODE_STEPS = {
+    ProtocolMode.QKD: (decider_step,),
+    ProtocolMode.PQSS: (pqss_step,),
+    ProtocolMode.SYNTH: (decider_step, pqss_step),
+}
+_DISCARD = Verdict(VerdictKind.DISCARD)
+
+
+def oracle_report(config: ProtocolConfig) -> RunReport:
+    """The run's report by folding ``iter_trials(config)`` one record at a time.
+
+    Each trial is decided by the mode's own steps (``decider_step`` for
+    QKD, ``pqss_step`` for PQSS, the first of them that keeps the trial for
+    SYNTH), which must agree with the record's verdict; the kept bits are
+    read from the record, secrets are recombined by
+    ``reconstruct_dealer_bit`` and announced QKD-set trials are checked by
+    ``is_event``.
+    """
+    n = collections.Counter()
+    for record in iter_trials(config):
+        axes, outcomes = record.axes, record.outcomes
+        kept = (step(axes, outcomes)[0] for step in _MODE_STEPS[config.mode])
+        verdict = next((v for v in kept if v.kind is not VerdictKind.DISCARD), _DISCARD)
+        assert record.verdict == verdict
+        n["qkd_axis"] += axes.kind is AxisSetKind.QKD
+        n["pqss_axis"] += axes.kind is AxisSetKind.PQSS
+        n["qkd_success"] += verdict.kind is VerdictKind.KEY_QKD
+        n["pqss_success"] += verdict.kind is VerdictKind.KEY_PQSS
+        if record.announced:
+            n["announced"] += 1
+            if axes.kind is AxisSetKind.QKD:
+                n["announced_qkd"] += 1
+                n["events"] += is_event(axes, outcomes)
+        elif verdict.kind is VerdictKind.DISCARD:
+            n["discarded"] += 1
+        elif verdict.kind is VerdictKind.KEY_QKD:
+            n[verdict.pair] += 1
+            first, second = verdict.pair.members
+            n["disagreements"] += record.key_bits[first] is not record.key_bits[second]
+        else:
+            n["secrets"] += 1
+            shares = [record.key_bits[p] for p in Party if p is not config.dealer]
+            try:
+                recovered = reconstruct_dealer_bit(*shares)
+            except InconsistentSharesError:
+                recovered = None
+            n["failures"] += recovered is not record.key_bits[config.dealer]
+
+    trials = config.trials
+    pair_bits = [n[pair] for pair in (Pair.AB, Pair.AC, Pair.BC)]
+    total_key_bits = sum(pair_bits) + n["secrets"]
+    success_trials = n["qkd_success"] + n["pqss_success"]
+    p_s = MODE_SUCCESS_PROBABILITY[config.mode]
+    frequency = n["events"] / n["announced_qkd"] if n["announced_qkd"] else None
+    attack = config.attack
+    return RunReport(
+        mode=config.mode,
+        trials=trials,
+        seed=config.seed,
+        announce_rate=config.announce_rate,
+        attack_phi=None if attack is None else attack.phi,
+        attack_target=None if attack is None else attack.target,
+        epsilon=config.epsilon,
+        dealer=config.dealer,
+        announced_trials=n["announced"],
+        qkd_axis_trials=n["qkd_axis"],
+        pqss_axis_trials=n["pqss_axis"],
+        qkd_success_trials=n["qkd_success"],
+        pqss_success_trials=n["pqss_success"],
+        success_trials=success_trials,
+        empirical_success_rate=success_trials / trials,
+        analytic_success_probability=p_s,
+        key_bits_ab=pair_bits[0],
+        key_bits_ac=pair_bits[1],
+        key_bits_bc=pair_bits[2],
+        pqss_secret_bits=n["secrets"],
+        total_key_bits=total_key_bits,
+        discarded_trials=n["discarded"],
+        qkd_disagreements=n["disagreements"],
+        pqss_reconstruction_failures=n["failures"],
+        announced_qkd_trials=n["announced_qkd"],
+        security_events=n["events"],
+        security_event_frequency=frequency,
+        qubits_consumed=QUBITS_PER_TRIAL * trials,
+        formula_qubits=key_accounting(total_key_bits, p_s, trials, n["announced"]).nominal,
+        qubits_per_key_bit=QUBITS_PER_TRIAL * trials / total_key_bits if total_key_bits else None,
+        security_verdict=security_verdict(frequency, config.epsilon),
+    )
 
 
 def z_axes(*qubits: int) -> list[tuple[int, Axis]]:

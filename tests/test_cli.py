@@ -135,6 +135,30 @@ class TestEnvironmentMirroring:
                        "--output", str(out)) == 0
         assert parse_report_json(out.read_text()).trials == 800
 
+    def test_parser_follows_environment_between_calls(self, tmp_path, capsys, monkeypatch):
+        # The parser is built once per set of WQSC_* values; each call must
+        # still see the environment as it is when the call is made.
+        out = tmp_path / "report.json"
+        argv = ("run", "--mode", "qkd", "--trials", "2000", "--output", str(out))
+        monkeypatch.setenv("WQSC_SEED", "21")
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+
+        monkeypatch.delenv("WQSC_SEED")
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulation ran before the format was checked")
+
+        monkeypatch.setattr(wqsc.cli, "run_protocol", forbidden)
+        monkeypatch.setenv("WQSC_SEED", "21")
+        monkeypatch.setenv("WQSC_FORMAT", "xml")
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "xml" in err
+
 
 class TestVerifyCommand:
     def test_all_golden_values_pass(self, capsys):
