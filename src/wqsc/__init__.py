@@ -29,15 +29,11 @@ from .protocol import (
     DEFAULT_EPSILON,
     Inference,
     InconsistentSharesError,
-    Pair,
     ProtocolConfig,
     ProtocolMode,
-    QubitAccounting,
     RunReport,
     SecurityVerdict,
     TrialRecord,
-    Verdict,
-    VerdictKind,
     binomial_sigma,
     decider_step,
     is_event,
@@ -49,7 +45,6 @@ from .protocol import (
     run_protocol,
     run_trial,
     sample_security_frequency,
-    security_check,
     security_verdict,
 )
 from .qcore import (

@@ -27,8 +27,6 @@ from .bell import (
 )
 from .protocol import (
     Outcome,
-    Pair,
-    VerdictKind,
     decider_step,
     key_accounting,
     partial_inference,
@@ -192,28 +190,23 @@ def golden_checks() -> list[GoldenCheck]:
     add("synth-success-probability", 1.0 / 8.0 + (3.0 / 8.0) * decider_plus, 0.375)
 
     # Resource accounting constants (no announcements).
-    add("qubits-per-key-bit-qkd", key_accounting(1, 0.25, 1, 0).nominal, 12.0)
-    add("qubits-per-key-bit-pqss", key_accounting(1, 0.125, 1, 0).nominal, 24.0)
-    add("qubits-per-key-bit-synth", key_accounting(1, 0.375, 1, 0).nominal, 8.0)
+    add("qubits-per-key-bit-qkd", key_accounting(1, 0.25, 1, 0), 12.0)
+    add("qubits-per-key-bit-pqss", key_accounting(1, 0.125, 1, 0), 24.0)
+    add("qubits-per-key-bit-synth", key_accounting(1, 0.375, 1, 0), 8.0)
     add("qubits-per-key-bit-epr-comparison",
-        key_accounting(1, 2.0 / 9.0, 1, 0, qubits_per_trial=2).nominal, 9.0)
+        key_accounting(1, 2.0 / 9.0, 1, 0, qubits_per_trial=2), 9.0)
     add("qubits-per-key-bit-ghz-comparison",
-        key_accounting(1, 0.5, 1, 0).nominal, 6.0)
+        key_accounting(1, 0.5, 1, 0), 6.0)
 
     # Decider table rows.
-    verdict, bits = decider_step(xxz, (_PLUS, _PLUS, _PLUS))
-    row_ok = (
-        verdict.kind is VerdictKind.KEY_QKD
-        and verdict.pair is Pair.AB
-        and bits == {_A: _PLUS, _B: _PLUS}
-    )
-    add("decider-row-charlie-plus-keeps-pair", 1.0 if row_ok else 0.0, 1.0)
-    verdict, bits = decider_step(xxz, (_PLUS, _MINUS, _MINUS))
-    add("decider-row-charlie-minus-discards",
-        1.0 if verdict.kind is VerdictKind.DISCARD and bits is None else 0.0, 1.0)
-    verdict, _ = decider_step(zxx, (_PLUS, _MINUS, _MINUS))
+    bits = decider_step(xxz, (_PLUS, _PLUS, _PLUS))
+    add("decider-row-charlie-plus-keeps-pair",
+        1.0 if bits == {_A: _PLUS, _B: _PLUS} else 0.0, 1.0)
+    bits = decider_step(xxz, (_PLUS, _MINUS, _MINUS))
+    add("decider-row-charlie-minus-discards", 1.0 if bits is None else 0.0, 1.0)
+    bits = decider_step(zxx, (_PLUS, _MINUS, _MINUS))
     add("decider-row-alice-decides-for-bc",
-        1.0 if verdict.kind is VerdictKind.KEY_QKD and verdict.pair is Pair.BC else 0.0, 1.0)
+        1.0 if bits is not None and set(bits) == {_B, _C} else 0.0, 1.0)
 
     # Secret-sharing relations.
     add("reconstruct-unequal-shares-gives-plus",

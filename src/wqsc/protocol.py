@@ -2,8 +2,8 @@
 
 One trial: a fresh source state (attacked or not), independent axis choices,
 local measurements, an optional public announcement of the outcomes, and a
-verdict.  Three modes share the machinery and differ only in which axis
-sets produce key material:
+decision: the key bits the mode keeps, or none.  Three modes share the
+machinery and differ only in which axis sets produce key material:
 
 * key distribution (QKD): the sets with exactly one z measurer; the z
   measurer decides, and on a plus outcome the two x measurers keep their
@@ -44,9 +44,9 @@ outcome the sequential statevector measurement gives for the same uniforms.
 Trials are sampled in chunks of whole arrays and folded into counts over
 the 128 (axis set, outcome string, announced) cells.  A report's count
 columns are a 0/1 weight matrix, one per (mode, dealer), times those
-counts.  The matrix is filled from the per-trial rules (the mode's verdict,
-:func:`is_event`, :func:`reconstruct_dealer_bit`), so a report equals the
-fold of its trial records one by one.
+counts.  The matrix is filled from the per-trial rules (the mode's kept
+bits, :func:`is_event`, :func:`reconstruct_dealer_bit`), so a report equals
+the fold of its trial records one by one.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -79,13 +79,6 @@ MAX_SEED = 2**64 - 1
 
 QUBITS_PER_TRIAL = 3
 
-# Overall per-trial success probabilities: P(usable axis set) times
-# P(success | set).  QKD: (3/8)(2/3) = 1/4; PQSS: 1/8 (every all-z trial
-# succeeds); SYNTH is their sum.
-QKD_SUCCESS_PROBABILITY = 0.25
-PQSS_SUCCESS_PROBABILITY = 0.125
-SYNTH_SUCCESS_PROBABILITY = 0.375
-
 _PARTIES = (Party.ALICE, Party.BOB, Party.CHARLIE)
 
 # Outcome strings of (A, B, C); index 4a + 2b + c with PLUS as bit 0, the
@@ -105,50 +98,14 @@ class ProtocolMode(Enum):
     SYNTH = "synth"
 
 
+# Overall per-trial success probabilities: P(usable axis set) times
+# P(success | set).  QKD: (3/8)(2/3) = 1/4; PQSS: 1/8 (every all-z trial
+# succeeds); SYNTH is their sum.
 MODE_SUCCESS_PROBABILITY: dict[ProtocolMode, float] = {
-    ProtocolMode.QKD: QKD_SUCCESS_PROBABILITY,
-    ProtocolMode.PQSS: PQSS_SUCCESS_PROBABILITY,
-    ProtocolMode.SYNTH: SYNTH_SUCCESS_PROBABILITY,
+    ProtocolMode.QKD: 0.25,
+    ProtocolMode.PQSS: 0.125,
+    ProtocolMode.SYNTH: 0.375,
 }
-
-
-class Pair(Enum):
-    """Unordered pair of parties holding a common key string."""
-
-    AB = (Party.ALICE, Party.BOB)
-    AC = (Party.ALICE, Party.CHARLIE)
-    BC = (Party.BOB, Party.CHARLIE)
-
-    @property
-    def members(self) -> tuple[Party, Party]:
-        return self.value
-
-    @classmethod
-    def of(cls, first: Party, second: Party) -> "Pair":
-        key = tuple(sorted((first, second)))
-        for pair in cls:
-            if pair.value == key:
-                return pair
-        raise ValueError(f"no pair for parties {first!r}, {second!r}")
-
-
-class VerdictKind(Enum):
-    KEY_QKD = "key_qkd"
-    KEY_PQSS = "key_pqss"
-    DISCARD = "discard"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    pair: Pair | None = None  # set only for KEY_QKD
-
-    def __post_init__(self) -> None:
-        if (self.kind is VerdictKind.KEY_QKD) != (self.pair is not None):
-            raise ValueError("a pair is attached exactly to KEY_QKD verdicts")
-
-
-DISCARD = Verdict(VerdictKind.DISCARD)
 
 
 class Inference(Enum):
@@ -166,7 +123,11 @@ class SecurityVerdict(Enum):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Run parameters; a config plus the trial index determines a trial exactly."""
+    """Run parameters; a config plus the trial index determines a trial exactly.
+
+    ``mode`` and ``dealer`` are coerced to their enums, so a value that
+    names neither raises ValueError here, before any draw.
+    """
 
     mode: ProtocolMode
     trials: int
@@ -177,6 +138,8 @@ class ProtocolConfig:
     dealer: Party = Party.ALICE
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", ProtocolMode(self.mode))
+        object.__setattr__(self, "dealer", Party(self.dealer))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not 0 <= self.seed <= MAX_SEED:
@@ -191,16 +154,17 @@ class ProtocolConfig:
 class TrialRecord:
     """Everything one trial produced.
 
-    ``outcomes`` holds the parties' private results indexed by party;
-    ``key_bits`` is None for announced trials, whose outcomes are public
-    and contribute no key material.
+    ``outcomes`` holds the parties' private results indexed by party.
+    ``key_bits`` holds the bits the mode keeps, keyed by the parties that
+    hold them: the pair for a key bit, all three for a secret and its
+    shares.  It is None when the mode discards the trial, and for announced
+    trials, whose outcomes are public and contribute no key material.
     """
 
     index: int
     axes: AxisSet
     outcomes: tuple[Outcome, Outcome, Outcome]
     announced: bool
-    verdict: Verdict
     key_bits: Mapping[Party, Outcome] | None
 
 
@@ -241,46 +205,39 @@ class RunReport:
     security_verdict: SecurityVerdict
 
 
-class QubitAccounting(NamedTuple):
-    """Total qubit cost of a run, by the nominal formula and by exact count."""
-
-    nominal: float
-    exact: float
-
-
 def decider_step(
     axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]
-) -> tuple[Verdict, dict[Party, Outcome] | None]:
-    """Key-distribution decision for one trial.
+) -> dict[Party, Outcome] | None:
+    """Key-distribution decision for one trial: the pair's key bits, or None.
 
     On a QKD axis set the z measurer decides: a plus outcome tells the two
     x measurers to keep their (equal) x outcomes as a key bit for their
-    pair; a minus outcome leaves the pair in a product state with
-    uncorrelated x outcomes, so the trial is discarded.  Any other axis set
-    is discarded.
+    pair, returned keyed by the pair in party order; a minus outcome leaves
+    the pair in a product state with uncorrelated x outcomes, so the trial
+    is discarded.  Any other axis set is discarded.
     """
     if axes.kind is not AxisSetKind.QKD:
-        return DISCARD, None
+        return None
     decider = axes.decider
     assert decider is not None
     if outcomes[decider] is not Outcome.PLUS:
-        return DISCARD, None
+        return None
     x1, x2 = axes.x_parties  # type: ignore[misc]
-    verdict = Verdict(VerdictKind.KEY_QKD, Pair.of(x1, x2))
-    return verdict, {x1: outcomes[x1], x2: outcomes[x2]}
+    return {x1: outcomes[x1], x2: outcomes[x2]}
 
 
 def pqss_step(
     axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]
-) -> tuple[Verdict, dict[Party, Outcome] | None]:
+) -> dict[Party, Outcome] | None:
     """Secret-sharing decision: the all-z set succeeds, everything else restarts.
 
     The dealer's outcome is the secret bit; the other two parties record
-    their outcomes as shares.
+    their outcomes as shares.  Returns all three outcomes keyed by party,
+    or None when the trial is discarded.
     """
     if axes.kind is not AxisSetKind.PQSS:
-        return DISCARD, None
-    return Verdict(VerdictKind.KEY_PQSS), {p: outcomes[p] for p in _PARTIES}
+        return None
+    return {p: outcomes[p] for p in _PARTIES}
 
 
 def reconstruct_dealer_bit(share_b: Outcome, share_c: Outcome) -> Outcome:
@@ -346,12 +303,13 @@ _MODE_KINDS: dict[ProtocolMode, frozenset[AxisSetKind]] = {
 }
 
 
-def _resolve_verdict(
+def _kept_bits(
     mode: ProtocolMode, axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]
-) -> tuple[Verdict, dict[Party, Outcome] | None]:
+) -> dict[Party, Outcome] | None:
+    """The key bits ``mode`` keeps from one trial, or None if it discards it."""
     kind = axes.kind
     if kind not in _MODE_KINDS[mode]:
-        return DISCARD, None
+        return None
     step = pqss_step if kind is AxisSetKind.PQSS else decider_step
     return step(axes, outcomes)
 
@@ -479,8 +437,8 @@ def _record(
 ) -> TrialRecord:
     axes = ALL_AXIS_SETS[set_index]
     outcomes = _OUTCOME_STRINGS[outcome_index]
-    verdict, key_bits = _resolve_verdict(mode, axes, outcomes)
-    return TrialRecord(index, axes, outcomes, announced, verdict, None if announced else key_bits)
+    key_bits = None if announced else _kept_bits(mode, axes, outcomes)
+    return TrialRecord(index, axes, outcomes, announced, key_bits)
 
 
 def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
@@ -488,8 +446,7 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
 
     The source state is prepared (with the attack applied when one is
     configured), each party measures its qubit along its chosen axis, and
-    the announcement flag is drawn.  Announced trials keep their verdict but
-    carry no key bits.
+    the announcement flag is drawn.  Announced trials carry no key bits.
     """
     if index < 0:
         raise ValueError("trial index must be non-negative")
@@ -550,28 +507,21 @@ def sample_security_frequency(
     return int(counts[_EVENT_CELLS].sum()) / samples
 
 
-def security_check(records: Iterable[TrialRecord], epsilon: float) -> SecurityVerdict:
-    """Verdict from the announced QKD-set trials; see :func:`security_verdict`."""
-    checked = [r for r in records if r.announced and r.axes.kind is AxisSetKind.QKD]
-    events = sum(is_event(r.axes, r.outcomes) for r in checked)
-    return security_verdict(events / len(checked) if checked else None, epsilon)
-
-
 def key_accounting(
     key_bits: int,
     success_probability: float,
     trials: int,
     announced_trials: int,
     qubits_per_trial: int = QUBITS_PER_TRIAL,
-) -> QubitAccounting:
-    """Qubit cost of distributing ``key_bits`` key bits.
+) -> float:
+    """Nominal qubit cost of distributing ``key_bits`` key bits.
 
-    ``nominal`` applies the resource formula q * K / (P_s * (1 + M/N)); its
-    (1 + M/N) discount is the first-order form of the exact (1 - M/N)
-    divisor, and the two agree as M/N -> 0.  ``exact`` is the literal
-    consumption q * N.  With three qubits per trial and no announcements
-    the nominal cost per key bit is 12 for QKD, 24 for PQSS, and 8 for the
-    synthesis protocol.
+    The resource formula is q * K / (P_s * (1 + M/N)); its (1 + M/N)
+    discount is the first-order form of the exact (1 - M/N) divisor, and
+    the two agree as M/N -> 0.  The literal consumption q * N is the
+    report's ``qubits_consumed``.  With three qubits per trial and no
+    announcements the nominal cost per key bit is 12 for QKD, 24 for PQSS,
+    and 8 for the synthesis protocol.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -584,8 +534,7 @@ def key_accounting(
     if qubits_per_trial < 1:
         raise ValueError("qubits per trial must be at least 1")
     ratio = announced_trials / trials
-    nominal = qubits_per_trial * key_bits / (success_probability * (1.0 + ratio))
-    return QubitAccounting(nominal=nominal, exact=float(qubits_per_trial * trials))
+    return qubits_per_trial * key_bits / (success_probability * (1.0 + ratio))
 
 
 # The RunReport columns that count trials: each is a sum over the run's
@@ -609,43 +558,40 @@ def _cell_fields(
     announced: bool,
 ) -> Iterator[str]:
     """The count fields to which one trial in this cell adds 1."""
-    verdict, _ = _resolve_verdict(mode, axes, outcomes)
-    if axes.kind is AxisSetKind.QKD:
-        yield "qkd_axis_trials"
-    elif axes.kind is AxisSetKind.PQSS:
-        yield "pqss_axis_trials"
-    if verdict.kind is not VerdictKind.DISCARD:
-        yield "qkd_success_trials" if verdict.kind is VerdictKind.KEY_QKD else "pqss_success_trials"
+    kind = axes.kind
+    bits = _kept_bits(mode, axes, outcomes)
+    if kind is not AxisSetKind.USELESS:
+        yield f"{kind.value}_axis_trials"
+    if bits is not None:
+        yield f"{kind.value}_success_trials"
         yield "success_trials"
 
     if announced:
         yield "announced_trials"
-        if axes.kind is AxisSetKind.QKD:
+        if kind is AxisSetKind.QKD:
             yield "announced_qkd_trials"
             if is_event(axes, outcomes):
                 yield "security_events"
         return
 
-    if verdict.kind is VerdictKind.KEY_QKD:
-        pair = verdict.pair
-        assert pair is not None
-        yield f"key_bits_{pair.name.lower()}"
+    if bits is None:
+        yield "discarded_trials"
+    elif kind is AxisSetKind.QKD:
+        x1, x2 = bits
+        yield f"key_bits_{x1.letter}{x2.letter}".lower()
         yield "total_key_bits"
-        first, second = pair.members
-        if outcomes[first] is not outcomes[second]:
+        if bits[x1] is not bits[x2]:
             yield "qkd_disagreements"
-    elif verdict.kind is VerdictKind.KEY_PQSS:
+    else:
         yield "pqss_secret_bits"
         yield "total_key_bits"
-        shares = [outcomes[p] for p in _PARTIES if p != dealer]
+        shares = [bits[p] for p in _PARTIES if p != dealer]
         try:
             recovered = reconstruct_dealer_bit(shares[0], shares[1])
         except InconsistentSharesError:
             recovered = None
-        if recovered is not outcomes[dealer]:
+        if recovered is not bits[dealer]:
             yield "pqss_reconstruction_failures"
-    else:
-        yield "discarded_trials"
 
 
 @functools.cache
@@ -684,7 +630,6 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     trials = config.trials
     total_key_bits = columns["total_key_bits"]
     p_s = MODE_SUCCESS_PROBABILITY[config.mode]
-    accounting = key_accounting(total_key_bits, p_s, trials, columns["announced_trials"])
     checked = columns["announced_qkd_trials"]
     frequency = columns["security_events"] / checked if checked else None
     return RunReport(
@@ -700,7 +645,7 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
         analytic_success_probability=p_s,
         security_event_frequency=frequency,
         qubits_consumed=QUBITS_PER_TRIAL * trials,
-        formula_qubits=accounting.nominal,
+        formula_qubits=key_accounting(total_key_bits, p_s, trials, columns["announced_trials"]),
         qubits_per_key_bit=QUBITS_PER_TRIAL * trials / total_key_bits if total_key_bits else None,
         security_verdict=security_verdict(frequency, config.epsilon),
         **columns,

@@ -24,14 +24,11 @@ from wqsc import (
     AxisSetKind,
     InconsistentSharesError,
     Outcome,
-    Pair,
     Party,
     ProtocolConfig,
     ProtocolMode,
     RunReport,
     StateVector,
-    Verdict,
-    VerdictKind,
     collapse,
     decider_step,
     is_event,
@@ -130,7 +127,6 @@ _MODE_STEPS = {
     ProtocolMode.PQSS: (pqss_step,),
     ProtocolMode.SYNTH: (decider_step, pqss_step),
 }
-_DISCARD = Verdict(VerdictKind.DISCARD)
 
 
 def oracle_report(config: ProtocolConfig) -> RunReport:
@@ -138,43 +134,43 @@ def oracle_report(config: ProtocolConfig) -> RunReport:
 
     Each trial is decided by the mode's own steps (``decider_step`` for
     QKD, ``pqss_step`` for PQSS, the first of them that keeps the trial for
-    SYNTH), which must agree with the record's verdict; the kept bits are
-    read from the record, secrets are recombined by
+    SYNTH); the record must carry the kept bits unless it was announced.
+    Key bits are counted per pair of parties, secrets are recombined by
     ``reconstruct_dealer_bit`` and announced QKD-set trials are checked by
     ``is_event``.
     """
     n = collections.Counter()
     for record in iter_trials(config):
         axes, outcomes = record.axes, record.outcomes
-        kept = (step(axes, outcomes)[0] for step in _MODE_STEPS[config.mode])
-        verdict = next((v for v in kept if v.kind is not VerdictKind.DISCARD), _DISCARD)
-        assert record.verdict == verdict
+        decisions = ((step, step(axes, outcomes)) for step in _MODE_STEPS[config.mode])
+        step, kept = next(((s, bits) for s, bits in decisions if bits is not None), (None, None))
+        assert record.key_bits == (None if record.announced else kept)
         n["qkd_axis"] += axes.kind is AxisSetKind.QKD
         n["pqss_axis"] += axes.kind is AxisSetKind.PQSS
-        n["qkd_success"] += verdict.kind is VerdictKind.KEY_QKD
-        n["pqss_success"] += verdict.kind is VerdictKind.KEY_PQSS
+        n["qkd_success"] += step is decider_step
+        n["pqss_success"] += step is pqss_step
         if record.announced:
             n["announced"] += 1
             if axes.kind is AxisSetKind.QKD:
                 n["announced_qkd"] += 1
                 n["events"] += is_event(axes, outcomes)
-        elif verdict.kind is VerdictKind.DISCARD:
+        elif kept is None:
             n["discarded"] += 1
-        elif verdict.kind is VerdictKind.KEY_QKD:
-            n[verdict.pair] += 1
-            first, second = verdict.pair.members
-            n["disagreements"] += record.key_bits[first] is not record.key_bits[second]
+        elif step is decider_step:
+            first, second = pair = tuple(sorted(kept))
+            n[pair] += 1
+            n["disagreements"] += kept[first] is not kept[second]
         else:
             n["secrets"] += 1
-            shares = [record.key_bits[p] for p in Party if p is not config.dealer]
+            shares = [kept[p] for p in Party if p is not config.dealer]
             try:
                 recovered = reconstruct_dealer_bit(*shares)
             except InconsistentSharesError:
                 recovered = None
-            n["failures"] += recovered is not record.key_bits[config.dealer]
+            n["failures"] += recovered is not kept[config.dealer]
 
     trials = config.trials
-    pair_bits = [n[pair] for pair in (Pair.AB, Pair.AC, Pair.BC)]
+    pair_bits = [n[pair] for pair in itertools.combinations(Party, 2)]
     total_key_bits = sum(pair_bits) + n["secrets"]
     success_trials = n["qkd_success"] + n["pqss_success"]
     p_s = MODE_SUCCESS_PROBABILITY[config.mode]
@@ -209,7 +205,7 @@ def oracle_report(config: ProtocolConfig) -> RunReport:
         security_events=n["events"],
         security_event_frequency=frequency,
         qubits_consumed=QUBITS_PER_TRIAL * trials,
-        formula_qubits=key_accounting(total_key_bits, p_s, trials, n["announced"]).nominal,
+        formula_qubits=key_accounting(total_key_bits, p_s, trials, n["announced"]),
         qubits_per_key_bit=QUBITS_PER_TRIAL * trials / total_key_bits if total_key_bits else None,
         security_verdict=security_verdict(frequency, config.epsilon),
     )

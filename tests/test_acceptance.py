@@ -164,8 +164,8 @@ def test_c06_resource_accounting(mode_runs):
         ok &= abs(report.qubits_per_key_bit - target) / target <= 0.05
     epr = key_accounting(1, 2.0 / 9.0, 1, 0, qubits_per_trial=2)
     ghz99 = key_accounting(1, 0.5, 1, 0)
-    ok &= abs(epr.nominal - 9.0) <= 1e-12
-    ok &= abs(ghz99.nominal - 6.0) <= 1e-12
+    ok &= abs(epr - 9.0) <= 1e-12
+    ok &= abs(ghz99 - 6.0) <= 1e-12
     criterion(6, "qubits per key bit 12/24/8 within 5%; comparison constants 9 and 6 exact", ok)
 
 

@@ -10,15 +10,11 @@ from wqsc import (
     Inference,
     InconsistentSharesError,
     Outcome,
-    Pair,
     Party,
     ProtocolConfig,
     ProtocolMode,
     SecurityVerdict,
-    TrialRecord,
     UnitaryCouplingAttack,
-    Verdict,
-    VerdictKind,
     averaged_security_probability,
     binomial_sigma,
     decider_step,
@@ -30,10 +26,9 @@ from wqsc import (
     reconstruct_dealer_bit,
     run_protocol,
     run_trial,
-    security_check,
     security_verdict,
 )
-from wqsc.protocol import _resolve_verdict
+from wqsc.protocol import _kept_bits
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
@@ -67,46 +62,35 @@ class TestAxisDraws:
 
 class TestDeciderStep:
     def test_charlie_plus_authorizes_pair_key(self):
-        verdict, bits = decider_step(AxisSet.from_label("xxz"), (PLUS, PLUS, PLUS))
-        assert verdict == Verdict(VerdictKind.KEY_QKD, Pair.AB)
+        bits = decider_step(AxisSet.from_label("xxz"), (PLUS, PLUS, PLUS))
         assert bits == {A: PLUS, B: PLUS}
-        verdict, bits = decider_step(AxisSet.from_label("xxz"), (MINUS, MINUS, PLUS))
-        assert verdict.pair is Pair.AB
+        bits = decider_step(AxisSet.from_label("xxz"), (MINUS, MINUS, PLUS))
         assert bits == {A: MINUS, B: MINUS}
 
     def test_decider_minus_discards(self):
-        verdict, bits = decider_step(AxisSet.from_label("xxz"), (PLUS, MINUS, MINUS))
-        assert verdict.kind is VerdictKind.DISCARD
-        assert bits is None
+        assert decider_step(AxisSet.from_label("xxz"), (PLUS, MINUS, MINUS)) is None
 
     def test_non_qkd_sets_discard(self):
         for label in ("zzx", "zzz", "xxx"):
-            verdict, bits = decider_step(AxisSet.from_label(label), (PLUS, PLUS, PLUS))
-            assert verdict.kind is VerdictKind.DISCARD
-            assert bits is None
+            assert decider_step(AxisSet.from_label(label), (PLUS, PLUS, PLUS)) is None
 
     def test_other_deciders(self):
-        verdict, bits = decider_step(AxisSet.from_label("xzx"), (MINUS, PLUS, MINUS))
-        assert verdict.pair is Pair.AC
+        bits = decider_step(AxisSet.from_label("xzx"), (MINUS, PLUS, MINUS))
         assert bits == {A: MINUS, C: MINUS}
-        verdict, bits = decider_step(AxisSet.from_label("zxx"), (PLUS, PLUS, MINUS))
-        assert verdict.pair is Pair.BC
+        bits = decider_step(AxisSet.from_label("zxx"), (PLUS, PLUS, MINUS))
         assert bits == {B: PLUS, C: MINUS}
 
 
 class TestPqssStep:
     def test_all_z_set_shares_the_dealer_bit(self):
-        verdict, bits = pqss_step(AxisSet.from_label("zzz"), (PLUS, MINUS, PLUS))
-        assert verdict.kind is VerdictKind.KEY_PQSS
+        bits = pqss_step(AxisSet.from_label("zzz"), (PLUS, MINUS, PLUS))
         assert bits == {A: PLUS, B: MINUS, C: PLUS}
-        verdict, bits = pqss_step(AxisSet.from_label("zzz"), (MINUS, PLUS, PLUS))
+        bits = pqss_step(AxisSet.from_label("zzz"), (MINUS, PLUS, PLUS))
         assert bits[A] is MINUS
         assert (bits[B], bits[C]) == (PLUS, PLUS)
 
     def test_other_sets_discard(self):
-        verdict, bits = pqss_step(AxisSet.from_label("zzx"), (PLUS, PLUS, PLUS))
-        assert verdict.kind is VerdictKind.DISCARD
-        assert bits is None
+        assert pqss_step(AxisSet.from_label("zzx"), (PLUS, PLUS, PLUS)) is None
 
 
 class TestModeRouting:
@@ -120,14 +104,13 @@ class TestModeRouting:
         assert len(ALL_AXIS_SETS) == 8
         for mode, axes in itertools.product(ProtocolMode, ALL_AXIS_SETS):
             for outcomes in itertools.product((PLUS, MINUS), repeat=3):
-                verdict, bits = _resolve_verdict(mode, axes, outcomes)
+                bits = _kept_bits(mode, axes, outcomes)
                 if axes.label not in self.KEPT[mode]:
-                    assert verdict.kind is VerdictKind.DISCARD and bits is None
+                    assert bits is None
                 elif axes.label == "zzz":
-                    assert verdict.kind is VerdictKind.KEY_PQSS
                     assert bits == {A: outcomes[A], B: outcomes[B], C: outcomes[C]}
                 else:
-                    assert (verdict, bits) == decider_step(axes, outcomes)
+                    assert bits == decider_step(axes, outcomes)
 
 
 class TestSecretReconstruction:
@@ -158,12 +141,12 @@ class TestRunTrial:
         assert announced
         assert all(r.key_bits is None for r in announced)
 
-    def test_verdict_consistent_with_axes_and_outcomes(self):
+    def test_key_bits_consistent_with_axes_and_outcomes(self):
         config = ProtocolConfig(ProtocolMode.QKD, trials=10, seed=7)
         for i in range(300):
             record = run_trial(config, i)
-            expected, _ = decider_step(record.axes, record.outcomes)
-            assert record.verdict == expected
+            expected = None if record.announced else decider_step(record.axes, record.outcomes)
+            assert record.key_bits == expected
 
     def test_replay_is_order_independent(self):
         config = ProtocolConfig(ProtocolMode.SYNTH, trials=10, seed=5, announce_rate=0.5)
@@ -182,7 +165,7 @@ class TestRunTrial:
         n = 20_000
         config = ProtocolConfig(ProtocolMode.QKD, trials=n, seed=11, announce_rate=0.0)
         records = list(iter_trials(config))
-        key_trials = sum(1 for r in records if r.verdict.kind is VerdictKind.KEY_QKD)
+        key_trials = sum(1 for r in records if r.key_bits is not None)
         qkd_axis = sum(1 for r in records if r.axes.kind is AxisSetKind.QKD)
         assert within_3_sigma(key_trials / n, 0.25, n)
         assert within_3_sigma(key_trials / qkd_axis, 2.0 / 3.0, qkd_axis)
@@ -231,12 +214,11 @@ class TestRunProtocol:
 
     def test_key_strings_match_between_pair_members(self):
         config = ProtocolConfig(ProtocolMode.QKD, trials=5000, seed=37, announce_rate=0.1)
-        strings: dict[Pair, tuple[list, list]] = {p: ([], []) for p in Pair}
+        strings = {pair: ([], []) for pair in itertools.combinations(Party, 2)}
         for record in iter_trials(config):
-            if record.announced or record.verdict.kind is not VerdictKind.KEY_QKD:
+            if record.key_bits is None:
                 continue
-            pair = record.verdict.pair
-            first, second = pair.members
+            first, second = pair = tuple(record.key_bits)
             strings[pair][0].append(record.key_bits[first])
             strings[pair][1].append(record.key_bits[second])
         total = 0
@@ -288,41 +270,7 @@ class TestRunProtocol:
         assert report.pqss_reconstruction_failures == 0
 
 
-class TestSecurityCheck:
-    @staticmethod
-    def _record(index, label, outcomes, announced):
-        axes = AxisSet.from_label(label)
-        verdict, bits = decider_step(axes, outcomes)
-        if announced:
-            bits = None
-        return TrialRecord(index, axes, outcomes, announced, verdict, bits)
-
-    def test_zero_frequency_is_secure(self):
-        records = [
-            self._record(i, "xxz", (PLUS, PLUS, PLUS), True) for i in range(1000)
-        ]
-        assert security_check(records, 1e-9) is SecurityVerdict.SECURE
-
-    def test_single_event_triggers_compromise(self):
-        records = [self._record(i, "xxz", (PLUS, PLUS, PLUS), True) for i in range(999)]
-        records.append(self._record(999, "xxz", (PLUS, MINUS, PLUS), True))
-        assert security_check(records, 1e-9) is SecurityVerdict.COMPROMISED
-
-    def test_no_announced_qkd_trials_is_inconclusive(self):
-        unannounced = [self._record(0, "xxz", (PLUS, PLUS, PLUS), False)]
-        pqss_only = [self._record(1, "zzz", (PLUS, PLUS, MINUS), True)]
-        assert security_check([], 1e-9) is SecurityVerdict.INCONCLUSIVE
-        assert security_check(unannounced, 1e-9) is SecurityVerdict.INCONCLUSIVE
-        assert security_check(pqss_only, 1e-9) is SecurityVerdict.INCONCLUSIVE
-
-    def test_epsilon_threshold(self):
-        records = [self._record(i, "xxz", (PLUS, PLUS, PLUS), True) for i in range(9)]
-        records.append(self._record(9, "xxz", (PLUS, MINUS, PLUS), True))
-        assert security_check(records, 0.5) is SecurityVerdict.SECURE
-        assert security_check(records, 0.05) is SecurityVerdict.COMPROMISED
-        with pytest.raises(ValueError):
-            security_check(records, 0.0)
-
+class TestSecurityVerdict:
     def test_verdict_is_strict_at_epsilon(self):
         assert security_verdict(0.1, 0.1) is SecurityVerdict.SECURE
         assert security_verdict(0.1, 0.05) is SecurityVerdict.COMPROMISED
@@ -333,22 +281,19 @@ class TestSecurityCheck:
 
 class TestKeyAccounting:
     def test_per_protocol_costs(self):
-        assert key_accounting(100, 0.25, 400, 0).nominal / 100 == pytest.approx(12.0)
-        assert key_accounting(100, 0.125, 800, 0).nominal / 100 == pytest.approx(24.0)
-        assert key_accounting(100, 0.375, 267, 0).nominal / 100 == pytest.approx(8.0)
+        assert key_accounting(100, 0.25, 400, 0) / 100 == pytest.approx(12.0)
+        assert key_accounting(100, 0.125, 800, 0) / 100 == pytest.approx(24.0)
+        assert key_accounting(100, 0.375, 267, 0) / 100 == pytest.approx(8.0)
 
     def test_comparison_constants(self):
         epr = key_accounting(2, 2.0 / 9.0, 9, 0, qubits_per_trial=2)
-        assert epr.nominal / 2 == pytest.approx(9.0)
+        assert epr / 2 == pytest.approx(9.0)
         ghz = key_accounting(3, 0.5, 6, 0, qubits_per_trial=3)
-        assert ghz.nominal / 3 == pytest.approx(6.0)
+        assert ghz / 3 == pytest.approx(6.0)
 
-    def test_exact_count_is_literal_consumption(self):
-        accounting = key_accounting(10, 0.25, 100, 20)
-        assert accounting.exact == 300.0
-        # The nominal discount divides by (1 + M/N); exact counting would
-        # divide by (1 - M/N), so nominal understates the cost when M > 0.
-        assert accounting.nominal < accounting.exact
+    def test_announcement_discount(self):
+        # q K / (P_s (1 + M/N)) = 3 * 10 / (0.25 * 1.2).
+        assert key_accounting(10, 0.25, 100, 20) == pytest.approx(100.0)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -371,9 +316,14 @@ class TestConfigValidation:
             ProtocolConfig(ProtocolMode.QKD, trials=10, seed=1, announce_rate=1.0)
         with pytest.raises(ValueError):
             ProtocolConfig(ProtocolMode.QKD, trials=10, seed=1, epsilon=0.0)
+        with pytest.raises(ValueError):
+            ProtocolConfig("bogus", trials=10, seed=1)
+        with pytest.raises(ValueError):
+            ProtocolConfig(ProtocolMode.QKD, trials=10, seed=1, dealer=5)
+        with pytest.raises(ValueError):
+            ProtocolConfig(ProtocolMode.PQSS, trials=10, seed=1, dealer="A")
 
-    def test_verdict_pair_consistency(self):
-        with pytest.raises(ValueError):
-            Verdict(VerdictKind.KEY_QKD, None)
-        with pytest.raises(ValueError):
-            Verdict(VerdictKind.DISCARD, Pair.AB)
+    def test_mode_and_dealer_values_are_coerced(self):
+        config = ProtocolConfig("qkd", trials=10, seed=1, dealer=2)
+        assert config.mode is ProtocolMode.QKD
+        assert config.dealer is C

@@ -2,9 +2,10 @@
 
 ``run_protocol`` computes a report's count columns as a (mode, dealer)
 weight matrix times the run's 128 (axis set, outcome string, announced)
-cell counts.  These tests check it against ``oracle_report``, which folds
-the run's trial records one at a time, and check that the same matrix
-times the exact cell probabilities gives the closed-form means.
+cell counts.  These tests check each cell's column against the per-trial
+rules, check the matrix against ``oracle_report``, which folds the run's
+trial records one at a time, and check that the same matrix times the
+exact cell probabilities gives the closed-form means.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from helpers import oracle_report
 from wqsc import (
     ALL_AXIS_SETS,
+    AxisSetKind,
     Outcome,
     Party,
     ProtocolConfig,
@@ -24,6 +26,7 @@ from wqsc import (
     UnitaryCouplingAttack,
     apply_attack,
     averaged_security_probability,
+    is_event,
     joint_probability,
     run_protocol,
     w_state,
@@ -45,6 +48,27 @@ def make_config(mode, dealer, target, phi, announce_rate, trials, seed=7):
 
 def row(field):
     return protocol._COUNT_FIELDS.index(field)
+
+
+class TestCellWeights:
+    @pytest.mark.parametrize("dealer", list(Party))
+    @pytest.mark.parametrize("mode", list(ProtocolMode))
+    def test_each_cell_follows_the_trial_rules(self, mode, dealer):
+        weights = protocol._weights(mode, dealer)
+        for s, axes in enumerate(ALL_AXIS_SETS):
+            for o, outcomes in enumerate(protocol._OUTCOME_STRINGS):
+                kept = protocol._kept_bits(mode, axes, outcomes)
+                for announced in (False, True):
+                    cell = weights[:, 16 * s + 2 * o + announced]
+                    w = dict(zip(protocol._COUNT_FIELDS, cell.tolist()))
+                    assert w["announced_trials"] + w["total_key_bits"] + w["discarded_trials"] == 1
+                    assert w["announced_trials"] == announced
+                    # An announced all-z trial is public but never checked.
+                    assert w["announced_qkd_trials"] == (
+                        announced and axes.kind is AxisSetKind.QKD
+                    )
+                    assert w["security_events"] == (announced and is_event(axes, outcomes))
+                    assert w["discarded_trials"] == (not announced and kept is None)
 
 
 class TestReportOracle:
