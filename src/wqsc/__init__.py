@@ -59,6 +59,7 @@ from .qcore import (
     joint_probability,
     make_basis_state,
     measure_qubit,
+    outcome_distribution,
     partial_transpose,
     plus_probability,
     reduced_density,

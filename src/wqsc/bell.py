@@ -1,9 +1,13 @@
 """Event probabilities on shared states and the CH-Bell inequality term.
 
-All probabilities here are exact, computed by projection on the supplied
-state (never by sampling).  The module also classifies the eight possible
-axis assignments of the three parties and evaluates the security-check
-event used to expose the ancilla-coupling attack.
+All probabilities here are exact (never sampled): each is a sum of entries
+of the state's :func:`~wqsc.qcore.outcome_distribution`, the joint outcome
+probabilities of the three party qubits under all eight axis sets.  The
+private ``_``-prefixed readers take that array, so a caller that needs
+several events of one state (``wqsc.golden``) builds it once.  The module
+also classifies the eight possible axis assignments of the three parties
+and evaluates the security-check event used to expose the ancilla-coupling
+attack.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from functools import cached_property
 from itertools import product
 from typing import Union
 
-from .qcore import Axis, Outcome, Party, StateVector, joint_probability
+import numpy as np
+
+from .qcore import Axis, Party, StateVector, outcome_distribution
 from .states import validate_attack_angle
 
 # Tolerance used when flagging a CH bound violation, so floating-point dust
@@ -48,10 +54,10 @@ class AxisSet:
     def axis_of(self, party: Party) -> Axis:
         return self.axes[party]
 
+    # kind, decider and x_parties are stored in the instance on first
+    # access; equality and hashing read only the three axes.
     @cached_property
     def kind(self) -> AxisSetKind:
-        # Stored in the instance on first access; equality and hashing read
-        # only the three axes.
         z_count = sum(1 for axis in self.axes if axis is Axis.Z)
         if z_count == 1:
             return AxisSetKind.QKD
@@ -59,14 +65,14 @@ class AxisSet:
             return AxisSetKind.PQSS
         return AxisSetKind.USELESS
 
-    @property
+    @cached_property
     def decider(self) -> Party | None:
         """The lone z measurer of a QKD set; None for any other kind."""
         if self.kind is not AxisSetKind.QKD:
             return None
         return next(p for p in _PARTIES if self.axis_of(p) is Axis.Z)
 
-    @property
+    @cached_property
     def x_parties(self) -> tuple[Party, Party] | None:
         """The two x measurers of a QKD set; None for any other kind."""
         if self.kind is not AxisSetKind.QKD:
@@ -137,6 +143,47 @@ def _require_three_qubits(state: StateVector) -> None:
         raise ValueError("this probability is defined on three-qubit states")
 
 
+# Outcome strings o = 0..7 of an outcome_distribution row, as party bits
+# (PLUS = 0, A the MSB): _BITS[p, o] is party p's bit, _MINUS_COUNT[o] the
+# number of minus outcomes.
+_BITS = np.array([[(o >> (2 - p)) & 1 for o in range(8)] for p in _PARTIES])
+_MINUS_COUNT = _BITS.sum(axis=0)
+# Per z measurer: the strings where it gets plus and the other two disagree.
+_Z_PLUS_X_UNEQUAL = tuple(np.flatnonzero((bits == 0) & (_MINUS_COUNT == 1)) for bits in _BITS)
+
+
+def _two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
+    zzz = dist[0]
+    if isinstance(interp, StrictPair):
+        return float(zzz[(_BITS[interp.first] == 0) & (_BITS[interp.second] == 0)].sum())
+    if isinstance(interp, AtLeastTwo):
+        return float(zzz[_MINUS_COUNT <= 1].sum())
+    raise TypeError(f"unsupported pair interpretation: {interp!r}")
+
+
+def _z_plus_x_unequal(dist: np.ndarray, z_qubit: Party) -> float:
+    """P(z_qubit measures z and gets plus, the other two measure x and disagree)."""
+    # The row whose only z bit is z_qubit's.
+    return float(dist[7 - (4 >> z_qubit), _Z_PLUS_X_UNEQUAL[z_qubit]].sum())
+
+
+def _x_all_equal(dist: np.ndarray) -> float:
+    return float(dist[7, 0] + dist[7, 7])
+
+
+def _ch_middle_term(
+    dist: np.ndarray, interp: PairInterpretation, roles: tuple[Party, Party, Party]
+) -> ChBellResult:
+    i, j, _k = roles
+    a11 = _two_z_plus(dist, interp)
+    a12 = _z_plus_x_unequal(dist, i)
+    a21 = _z_plus_x_unequal(dist, j)
+    a22 = _x_all_equal(dist)
+    value = a11 - a12 - a21 - a22
+    violation = value > CH_BOUND_ATOL or value < -1.0 - CH_BOUND_ATOL
+    return ChBellResult(value, violation, a11, a12, a21, a22)
+
+
 def prob_two_z_plus(state: StateVector, interp: PairInterpretation) -> float:
     """Probability of the two-plus z event under the chosen interpretation.
 
@@ -145,21 +192,7 @@ def prob_two_z_plus(state: StateVector, interp: PairInterpretation) -> float:
     which the symmetric W state attains probability 1.
     """
     _require_three_qubits(state)
-    if isinstance(interp, StrictPair):
-        return joint_probability(
-            state,
-            [(interp.first, Axis.Z, Outcome.PLUS), (interp.second, Axis.Z, Outcome.PLUS)],
-        )
-    if isinstance(interp, AtLeastTwo):
-        total = 0.0
-        for outcomes in product(Outcome, repeat=3):
-            if sum(1 for o in outcomes if o is Outcome.PLUS) < 2:
-                continue
-            total += joint_probability(
-                state, [(p, Axis.Z, o) for p, o in zip(_PARTIES, outcomes)]
-            )
-        return total
-    raise TypeError(f"unsupported pair interpretation: {interp!r}")
+    return _two_z_plus(outcome_distribution(state), interp)
 
 
 def prob_z_plus_x_unequal(
@@ -178,22 +211,13 @@ def prob_z_plus_x_unequal(
         raise ValueError("the z qubit and the two x qubits must be distinct")
     if any(q not in _PARTIES for q in qubits):
         raise ValueError("only the party qubits A, B, C can be measured here")
-    total = 0.0
-    for first, second in ((Outcome.PLUS, Outcome.MINUS), (Outcome.MINUS, Outcome.PLUS)):
-        total += joint_probability(
-            state,
-            [(z_qubit, Axis.Z, Outcome.PLUS), (x1, Axis.X, first), (x2, Axis.X, second)],
-        )
-    return total
+    return _z_plus_x_unequal(outcome_distribution(state), z_qubit)
 
 
 def prob_x_all_equal(state: StateVector) -> float:
     """P(all three x outcomes coincide); 3/4 on the symmetric W state."""
     _require_three_qubits(state)
-    total = 0.0
-    for outcome in Outcome:
-        total += joint_probability(state, [(p, Axis.X, outcome) for p in _PARTIES])
-    return total
+    return _x_all_equal(outcome_distribution(state))
 
 
 def ch_middle_term(
@@ -206,21 +230,16 @@ def ch_middle_term(
     ``roles = (i, j, k)`` assigns the parties: A12 = P(z_i=+, x_j != x_k),
     A21 = P(z_j=+, x_i != x_k), A22 = P(x_i = x_j = x_k), and A11 is the
     two-plus probability under ``interp``.  A strict-pair interpretation
-    must name the parties playing i and j.
+    must name the parties playing i and j.  All four terms are read from
+    one :func:`outcome_distribution` of the state.
     """
     _require_three_qubits(state)
     if sorted(roles) != sorted(_PARTIES):
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
-    i, j, k = roles
+    i, j, _k = roles
     if isinstance(interp, StrictPair) and {interp.first, interp.second} != {i, j}:
         raise ValueError("strict pair must match the first two roles")
-    a11 = prob_two_z_plus(state, interp)
-    a12 = prob_z_plus_x_unequal(state, i, (j, k))
-    a21 = prob_z_plus_x_unequal(state, j, (i, k))
-    a22 = prob_x_all_equal(state)
-    value = a11 - a12 - a21 - a22
-    violation = value > CH_BOUND_ATOL or value < -1.0 - CH_BOUND_ATOL
-    return ChBellResult(value, violation, a11, a12, a21, a22)
+    return _ch_middle_term(outcome_distribution(state), interp, roles)
 
 
 def security_event_probability(state: StateVector, axes: AxisSet) -> float:
@@ -235,10 +254,7 @@ def security_event_probability(state: StateVector, axes: AxisSet) -> float:
         raise ValueError("security events are evaluated on the four-qubit attacked state")
     if axes.kind is not AxisSetKind.QKD:
         raise ValueError(f"axis set {axes.label!r} has no defined security event")
-    decider = axes.decider
-    assert decider is not None
-    x1, x2 = axes.x_parties  # type: ignore[misc]
-    return prob_z_plus_x_unequal(state, decider, (x1, x2))
+    return _z_plus_x_unequal(outcome_distribution(state), axes.decider)  # type: ignore[arg-type]
 
 
 def averaged_security_probability(phi: float) -> float:

@@ -2,7 +2,9 @@
 
 Every closed-form quantity the package must reproduce is evaluated here by
 exact projection or closed formula (never by sampling) and compared against
-its expected value.  Boolean claims are encoded as 1.0/0.0.
+its expected value.  Boolean claims are encoded as 1.0/0.0.  The events of
+each state are read from one :func:`~wqsc.qcore.outcome_distribution`,
+built anew on every call.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from .bell import (
     AxisSet,
     QKD_AXIS_SETS,
     StrictPair,
+    _ch_middle_term,
+    _two_z_plus,
+    _x_all_equal,
+    _z_plus_x_unequal,
     averaged_security_probability,
-    ch_middle_term,
-    prob_two_z_plus,
-    prob_x_all_equal,
-    prob_z_plus_x_unequal,
-    security_event_probability,
 )
 from .protocol import (
     Outcome,
@@ -40,6 +41,7 @@ from .qcore import (
     joint_probability,
     make_basis_state,
     measure_qubit,
+    outcome_distribution,
     partial_transpose,
     reduced_density,
     three_tangle,
@@ -101,23 +103,22 @@ def golden_checks() -> list[GoldenCheck]:
         0.0,
     )
 
-    # Event probabilities on the W state.
-    add("two-z-plus-at-least-two-on-w", prob_two_z_plus(w, AT_LEAST_TWO), 1.0)
-    add("two-z-plus-strict-pair-on-w", prob_two_z_plus(w, StrictPair(_A, _B)), 1.0 / 3.0)
-    worst = max(
-        prob_z_plus_x_unequal(w, z, (x1, x2))
-        for z, x1, x2 in ((_A, _B, _C), (_B, _A, _C), (_C, _A, _B),
-                          (_A, _C, _B), (_B, _C, _A), (_C, _B, _A))
-    )
+    # Event probabilities on the W state, all read from one distribution.
+    w_dist = outcome_distribution(w)
+    add("two-z-plus-at-least-two-on-w", _two_z_plus(w_dist, AT_LEAST_TWO), 1.0)
+    add("two-z-plus-strict-pair-on-w", _two_z_plus(w_dist, StrictPair(_A, _B)), 1.0 / 3.0)
+    # The event is symmetric in the two x measurers, so the z measurer
+    # names each of the six role assignments' values.
+    worst = max(_z_plus_x_unequal(w_dist, z) for z in (_A, _B, _C))
     add("z-plus-x-unequal-on-w-all-roles", worst, 0.0)
-    add("x-all-equal-on-w", prob_x_all_equal(w), 0.75)
-    add("x-all-equal-on-ghz", prob_x_all_equal(ghz), 0.25)
+    add("x-all-equal-on-w", _x_all_equal(w_dist), 0.75)
+    add("x-all-equal-on-ghz", _x_all_equal(outcome_distribution(ghz)), 0.25)
 
     # CH middle term.
-    existential = ch_middle_term(w, AT_LEAST_TWO)
+    existential = _ch_middle_term(w_dist, AT_LEAST_TWO, (_A, _B, _C))
     add("ch-middle-term-at-least-two-on-w", existential.value, 0.25)
     add("ch-violation-flag-at-least-two", 1.0 if existential.violation else 0.0, 1.0)
-    strict = ch_middle_term(w, StrictPair(_A, _B))
+    strict = _ch_middle_term(w_dist, StrictPair(_A, _B), (_A, _B, _C))
     add("ch-middle-term-strict-pair-on-w", strict.value, -5.0 / 12.0)
     add("ch-no-violation-strict-pair", 1.0 if strict.violation else 0.0, 0.0)
 
@@ -151,18 +152,18 @@ def golden_checks() -> list[GoldenCheck]:
     zxx = AxisSet.from_label("zxx")
     add(
         "security-event-charlie-z-quarter-pi",
-        security_event_probability(attacked_w_state(math.pi / 4.0), xxz),
+        _z_plus_x_unequal(outcome_distribution(attacked_w_state(math.pi / 4.0)), xxz.decider),
         1.0 / 12.0,
     )
     add(
         "security-event-charlie-x-third-pi",
-        security_event_probability(attacked_w_state(math.pi / 3.0), zxx),
+        _z_plus_x_unequal(outcome_distribution(attacked_w_state(math.pi / 3.0)), zxx.decider),
         1.0 / 6.0,
     )
-    untouched = attacked_w_state(0.0)
+    untouched = outcome_distribution(attacked_w_state(0.0))
     add(
         "security-event-no-attack",
-        max(security_event_probability(untouched, axes) for axes in QKD_AXIS_SETS),
+        max(_z_plus_x_unequal(untouched, axes.decider) for axes in QKD_AXIS_SETS),
         0.0,
     )
     add("averaged-security-probability-half-pi",
@@ -172,8 +173,8 @@ def golden_checks() -> list[GoldenCheck]:
     add("averaged-security-probability-zero", averaged_security_probability(0.0), 0.0)
     mismatch = 0.0
     for phi in np.linspace(0.0, math.pi / 2.0, 11):
-        state = attacked_w_state(float(phi))
-        weighted = sum(security_event_probability(state, axes) for axes in QKD_AXIS_SETS) / 3.0
+        dist = outcome_distribution(attacked_w_state(float(phi)))
+        weighted = sum(_z_plus_x_unequal(dist, axes.decider) for axes in QKD_AXIS_SETS) / 3.0
         mismatch = max(mismatch, abs(weighted - averaged_security_probability(float(phi))))
     add("averaged-matches-per-set-mean", mismatch, 0.0)
 

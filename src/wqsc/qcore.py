@@ -14,6 +14,11 @@ stack of states: the outcome table of :mod:`wqsc.protocol` measures up to
 summed along one contiguous axis, serves a single state and a stacked row
 alike, so the table matches the single-state steps bit for bit.
 
+:func:`outcome_distribution` gives every joint outcome probability of the
+three party qubits, for all eight axis sets, from one pass of the same
+elementwise x-basis butterfly; :func:`joint_probability` projects one event
+at a time and is kept as its independent check.
+
 Index convention (fixed for the whole package): qubit 0 (Alice) is the most
 significant bit of the basis index, bit value 0 maps to ``|z+>`` and bit
 value 1 to ``|z->``.  The x eigenbasis is ``|x±> = (|z+> ± |z->)/sqrt(2)``.
@@ -322,6 +327,30 @@ def joint_probability(
         view = _split_on_qubit(work, qubit)
         _project(view, axis, outcome, _axis_components(view, axis)[outcome])
     return float(np.vdot(work, work).real) / total
+
+
+def outcome_distribution(state: StateVector) -> np.ndarray:
+    """Exact joint outcome probabilities of the three party qubits, per axis set.
+
+    Returns the 8x8 array ``P[s, o]``: row ``s`` is the axis set with bits
+    (A, B, C), z as 0 and x as 1; column ``o`` is the outcome string with
+    bits (A, B, C), PLUS as 0.  Any further qubit (an attached ancilla) is
+    marginalized.  Each party qubit is rotated into both eigenbases by the
+    elementwise butterfly of :func:`_axis_components`, so an outcome whose
+    amplitudes cancel exactly has probability exactly 0.0, as under
+    :func:`joint_probability`; masses are divided by the state's total.
+    """
+    if state.num_qubits < 3:
+        raise ValueError("outcome distribution needs at least three qubits")
+    rotated = state.amplitudes
+    for party in Party:
+        # (axis prefixes, leading, 2, trailing) -> (axis prefixes, z|x, ...):
+        # the z half is the view itself, the x half its butterfly.
+        view = rotated.reshape(1 << party, 1 << party, 2, -1)
+        rotated = np.empty((1 << party, 2) + view.shape[1:], dtype=np.complex128)
+        rotated[:, 0] = view
+        rotated[:, 1, ..., 0, :], rotated[:, 1, ..., 1, :] = _axis_components(view, Axis.X)
+    return _masses(rotated.reshape(8, 8, 1, -1)) / state.squared_norm()
 
 
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:

@@ -14,6 +14,8 @@ from wqsc import (
     Party,
     QKD_AXIS_SETS,
     StrictPair,
+    UnitaryCouplingAttack,
+    apply_attack,
     attacked_w_state,
     averaged_security_probability,
     ch_middle_term,
@@ -75,8 +77,7 @@ class TestWStateEventSuite:
 
     def test_mixed_axis_events_vanish_for_every_role_assignment(self):
         for z_party, x1, x2 in ROLE_ASSIGNMENTS:
-            p = prob_z_plus_x_unequal(w_state(), z_party, (x1, x2))
-            assert p == pytest.approx(0.0, abs=1e-12)
+            assert prob_z_plus_x_unequal(w_state(), z_party, (x1, x2)) == 0.0
 
     def test_all_x_equal(self):
         assert prob_x_all_equal(w_state()) == pytest.approx(0.75, abs=1e-12)
@@ -152,9 +153,13 @@ class TestSecurityEventProbability:
             assert p == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_no_attack_means_no_event(self):
-        state = attacked_w_state(0.0)
-        for axis_set in QKD_AXIS_SETS:
-            assert security_event_probability(state, axis_set) == pytest.approx(0.0, abs=1e-15)
+        # phi = 0 leaves the ancilla untouched: the event's amplitudes cancel
+        # exactly, on the closed form and through the circuit on every target.
+        states = [attacked_w_state(0.0)]
+        states += [apply_attack(w_state(), UnitaryCouplingAttack(0.0, t)) for t in (A, B, C)]
+        for state in states:
+            for axis_set in QKD_AXIS_SETS:
+                assert security_event_probability(state, axis_set) == 0.0
 
     def test_rejects_non_qkd_sets_and_plain_states(self):
         state = attacked_w_state(0.5)

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+import wqsc.bell
 import wqsc.cli
+import wqsc.golden
 from wqsc import binomial_sigma
 from wqsc.cli import main, sample_security_frequency
+from wqsc.golden import run_verification
 from wqsc.reporting import parse_report_csv, parse_report_json, parse_sweep_csv
 
 HALF_PI_TEXT = "1.5707963267948966"
@@ -166,6 +169,23 @@ class TestVerifyCommand:
         output = capsys.readouterr().out
         assert "FAIL" not in output
         assert output.count("PASS") >= 40
+
+    def test_one_distribution_per_state_and_none_kept_between_calls(self, monkeypatch):
+        # Every event of a state is read from one outcome distribution, so a
+        # call builds one per checked state (16).  The second call builds
+        # as many again: nothing is cached across calls.
+        builds = []
+        for module in (wqsc.bell, wqsc.golden):
+            def counting(state, build=module.outcome_distribution):
+                builds.append(state)
+                return build(state)
+            monkeypatch.setattr(module, "outcome_distribution", counting)
+        counts = []
+        for _ in range(2):
+            builds.clear()
+            assert run_verification()[0]
+            counts.append(len(builds))
+        assert counts[0] == counts[1] <= 20
 
 
 class TestSweepCommand:

@@ -3,8 +3,10 @@
 Each digest is the SHA-256 of a small fixed report.  A change to the draw
 order, the number of draws, the seeding or the rendering changes a digest,
 so an accidental change to the stream fails here instead of passing as
-"still deterministic".  When the contract changes on purpose, update the
-digests together with the change and record it in CHANGES.md.
+"still deterministic".  The output of ``wqsc verify`` is pinned the same
+way, so a golden value that drifts by one ulp fails here even while it
+stays within ``VERIFY_TOL``.  When the contract changes on purpose, update
+the digests together with the change and record it in CHANGES.md.
 """
 
 import hashlib
@@ -37,6 +39,8 @@ RUN_DIGESTS = {
 SWEEP_FLAGS = ("--grid", f"0,0.7853981633974483,{HALF_PI_TEXT}", "--trials", "300", "--seed", "11")
 SWEEP_DIGEST = "282783e456d87530ae144b64fdbd9af8277668fb7633ffc9157660aae8cbbac3"
 
+VERIFY_DIGEST = "55d1df667cd7777100a72f215a93330627dd0a9d898cf49e54ff862a30d1a170"
+
 
 def digest(tmp_path, *argv):
     out = tmp_path / "out"
@@ -57,3 +61,8 @@ def test_run_report_digest(tmp_path, mode, fmt, attacked):
 
 def test_sweep_csv_digest(tmp_path):
     assert digest(tmp_path, "sweep-phi", *SWEEP_FLAGS) == (0, SWEEP_DIGEST)
+
+
+def test_verify_output_digest(capsys):
+    assert main(["verify"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_DIGEST

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     enumerate_event_probability,
@@ -21,12 +23,14 @@ from wqsc import (
     StateVector,
     UnitaryCouplingAttack,
     apply_attack,
+    attacked_w_state,
     collapse,
     eigenvalues_hermitian,
     ghz_state,
     joint_probability,
     make_basis_state,
     measure_qubit,
+    outcome_distribution,
     partial_transpose,
     plus_probability,
     reduced_density,
@@ -39,6 +43,7 @@ PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
 
 PPT_MIN_EIG = (1.0 - math.sqrt(5.0)) / 6.0
+HALF_PI = math.pi / 2.0
 
 
 class TestStateVector:
@@ -228,6 +233,58 @@ class TestJointProbability:
                 ]
                 total += joint_probability(state, constraints)
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def joint_table(state: StateVector) -> np.ndarray:
+    """The 8x8 outcome distribution entry by entry from joint_probability.
+
+    Row s and column o carry the (A, B, C) bits of the axes (z as 0) and of
+    the outcomes (PLUS as 0); any qubit past C is marginalized.
+    """
+    table = np.zeros((8, 8))
+    for s, o in itertools.product(range(8), repeat=2):
+        table[s, o] = joint_probability(state, [
+            (p, Axis.X if (s >> (2 - p)) & 1 else Axis.Z, Outcome((o >> (2 - p)) & 1))
+            for p in (A, B, C)
+        ])
+    return table
+
+
+def assert_matches_joint_probability(state: StateVector) -> None:
+    dist = outcome_distribution(state)
+    oracle = joint_table(state)
+    assert dist.shape == (8, 8)
+    assert np.max(np.abs(dist - oracle)) <= 1e-15
+    # Exact cancellations stay exact: a zero of the oracle is a zero here.
+    assert np.array_equal(dist == 0.0, oracle == 0.0)
+    assert np.max(np.abs(dist.sum(axis=1) - 1.0)) <= 1e-12
+
+
+class TestOutcomeDistribution:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phi=st.floats(min_value=0.0, max_value=HALF_PI),
+        target=st.sampled_from([None, A, B, C]),
+    )
+    @example(phi=0.0, target=None)
+    @example(phi=HALF_PI, target=C)
+    @example(phi=8.4e-161, target=A)  # amplitudes whose squares are subnormal
+    def test_attacked_states_match_joint_probability(self, phi, target):
+        assert_matches_joint_probability(attacked_w_state(phi))
+        if target is None:
+            assert_matches_joint_probability(w_state())
+        else:
+            attack = UnitaryCouplingAttack(phi, target)
+            assert_matches_joint_probability(apply_attack(w_state(), attack))
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_qubits=st.sampled_from([3, 4, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_random_states_match_joint_probability(self, num_qubits, seed):
+        assert_matches_joint_probability(random_state(np.random.default_rng(seed), num_qubits))
+
+    def test_requires_three_party_qubits(self):
+        with pytest.raises(ValueError):
+            outcome_distribution(make_basis_state(2, [PLUS, PLUS]))
 
 
 class TestReducedDensity:
