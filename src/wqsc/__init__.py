@@ -19,6 +19,7 @@ from .bell import (
     StrictPair,
     averaged_security_probability,
     ch_middle_term,
+    is_event,
     prob_two_z_plus,
     prob_x_all_equal,
     prob_z_plus_x_unequal,
@@ -36,7 +37,6 @@ from .protocol import (
     TrialRecord,
     binomial_sigma,
     decider_step,
-    is_event,
     iter_trials,
     key_accounting,
     partial_inference,

@@ -6,8 +6,9 @@ probabilities of the three party qubits under all eight axis sets.  The
 private ``_``-prefixed readers take that array, so a caller that needs
 several events of one state (``wqsc.golden``) builds it once.  The module
 also classifies the eight possible axis assignments of the three parties
-and evaluates the security-check event used to expose the ancilla-coupling
-attack.
+and defines the security-check event that exposes the ancilla-coupling
+attack once: :func:`is_event`, tabulated as ``EVENT_CELLS``, from which
+both the sampled event counts and the exact event probabilities are read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .qcore import Axis, Party, StateVector, outcome_distribution
+from .qcore import Axis, Outcome, Party, StateVector, outcome_distribution
 from .states import validate_attack_angle
 
 # Tolerance used when flagging a CH bound violation, so floating-point dust
@@ -99,6 +100,28 @@ QKD_AXIS_SETS: tuple[AxisSet, ...] = tuple(
     s for s in ALL_AXIS_SETS if s.kind is AxisSetKind.QKD
 )
 
+# Outcome strings of (A, B, C); index 4a + 2b + c with PLUS as bit 0, the
+# same bit order as ALL_AXIS_SETS uses for (z, x).
+OUTCOME_STRINGS: tuple[tuple[Outcome, Outcome, Outcome], ...] = tuple(product(Outcome, repeat=3))
+
+
+def is_event(axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]) -> bool:
+    """Security-check event: the z measurer saw plus, the x measurers disagree.
+
+    Defined only on QKD axis sets; its probability is exactly zero without
+    an attack, so any occurrence indicates tampering.
+    """
+    if axes.kind is not AxisSetKind.QKD:
+        return False
+    x1, x2 = axes.x_parties  # type: ignore[misc]
+    return outcomes[axes.decider] is Outcome.PLUS and outcomes[x1] is not outcomes[x2]
+
+
+# EVENT_CELLS[s, o]: whether axis set s with outcome string o is an event.
+EVENT_CELLS = np.array([[is_event(axes, o) for o in OUTCOME_STRINGS] for axes in ALL_AXIS_SETS])
+# The index of the QKD axis set in which each party is the lone z measurer.
+_DECIDER_SET = {s.decider: ALL_AXIS_SETS.index(s) for s in QKD_AXIS_SETS}
+
 
 @dataclass(frozen=True)
 class StrictPair:
@@ -148,8 +171,6 @@ def _require_three_qubits(state: StateVector) -> None:
 # number of minus outcomes.
 _BITS = np.array([[(o >> (2 - p)) & 1 for o in range(8)] for p in _PARTIES])
 _MINUS_COUNT = _BITS.sum(axis=0)
-# Per z measurer: the strings where it gets plus and the other two disagree.
-_Z_PLUS_X_UNEQUAL = tuple(np.flatnonzero((bits == 0) & (_MINUS_COUNT == 1)) for bits in _BITS)
 
 
 def _two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
@@ -163,8 +184,8 @@ def _two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
 
 def _z_plus_x_unequal(dist: np.ndarray, z_qubit: Party) -> float:
     """P(z_qubit measures z and gets plus, the other two measure x and disagree)."""
-    # The row whose only z bit is z_qubit's.
-    return float(dist[7 - (4 >> z_qubit), _Z_PLUS_X_UNEQUAL[z_qubit]].sum())
+    s = _DECIDER_SET[z_qubit]
+    return float(dist[s, EVENT_CELLS[s]].sum())
 
 
 def _x_all_equal(dist: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 """Command-line driver: run protocols, verify golden values, sweep the attack.
 
 Every flag is mirrored by an environment variable with the ``WQSC_`` prefix
-(``--announce-rate`` by ``WQSC_ANNOUNCE_RATE`` and so on); flags win over the
-environment.  All randomness flows from ``--seed``, which is required, so a
+(``--announce-rate`` by ``WQSC_ANNOUNCE_RATE`` and so on).  Each one that is
+set enters the invoked command as ``--flag=value`` right after the command
+word, so argparse checks it like any flag and an explicit flag, parsed
+later, wins.  All randomness flows from ``--seed``, which is required, so a
 repeated invocation with identical flags produces byte-identical output.
 
-The parser is built once per distinct set of ``WQSC_*`` values and shared
-by later calls under the same values; parsing only reads it.
+The parser holds no environment; it is built once per process.
 
 Exit codes: 0 success / channel secure, 1 usage error (bad flags or an
 unopenable output, caught before any simulation), 2 verification failure /
@@ -64,73 +65,62 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Every WQSC_<name> the parser reads, one per flag name; the parser cache is
-# keyed on their values.
-_ENV_NAMES = (
-    "MODE", "TRIALS", "SEED", "ANNOUNCE_RATE", "PHI", "TARGET", "EPSILON", "DEALER", "FORMAT",
-    "OUTPUT", "GRID",
-)
+_SEED = ("--seed", dict(required=True, type=int, help="root RNG seed"))
+_EPSILON = ("--epsilon", dict(type=float, default=DEFAULT_EPSILON,
+                              help="permitted security-event frequency"))
+
+# Each command's help and flags, in help order.
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
+    "run": ("run one protocol and write its report", (
+        ("--mode", dict(required=True, choices=[m.value for m in ProtocolMode],
+                        help="protocol to run")),
+        ("--trials", dict(required=True, type=int, help="number of trials N")),
+        _SEED,
+        ("--announce-rate", dict(type=float, default=DEFAULT_ANNOUNCE_RATE,
+                                 help="per-trial probability of a public outcome announcement")),
+        ("--phi", dict(type=float, default=None,
+                       help="attack coupling strength in radians, [0, pi/2]; omit for no attack")),
+        ("--target", dict(default="C",
+                          help="attacked party (A, B, or C); meaningful only with --phi")),
+        _EPSILON,
+        ("--dealer", dict(default="A", help="secret-sharing dealer")),
+        ("--format", dict(choices=REPORT_FORMATS, default="json", help="report format")),
+        ("--output", dict(default="-", help="report path, '-' for stdout")),
+    )),
+    "verify": ("check every analytic golden value", ()),
+    "sweep-phi": ("empirical vs analytic detection sweep", (
+        ("--grid", dict(required=True, help="comma-separated attack strengths in radians")),
+        ("--trials", dict(type=int, default=10000,
+                          help="announced-equivalent samples per grid point")),
+        _SEED,
+        _EPSILON,
+        ("--output", dict(default="-", help="CSV path, '-' for stdout")),
+    )),
+}
 
 
-def _add_flag(
-    parser: argparse.ArgumentParser, env: dict[str, str | None], flag: str, **kwargs
-) -> None:
-    """Register a flag whose default is mirrored by WQSC_<FLAG>.
-
-    ``--announce-rate`` reads ``env["ANNOUNCE_RATE"]``; a name missing from
-    ``_ENV_NAMES`` raises KeyError when the parser is built.
-    """
-    env_value = env[flag[2:].upper().replace("-", "_")]
-    if env_value is not None:
-        kwargs["default"] = env_value  # argparse applies type= to string defaults
-        kwargs.pop("required", None)
-    parser.add_argument(flag, **kwargs)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser for the current ``WQSC_*`` environment.
-
-    It is shared by every call made under the same ``WQSC_*`` values, so it
-    must not be modified.
-    """
-    return _parser(tuple(os.environ.get(ENV_PREFIX + name) for name in _ENV_NAMES))
-
-
-@functools.lru_cache(maxsize=16)
-def _parser(env_values: tuple[str | None, ...]) -> argparse.ArgumentParser:
-    env = dict(zip(_ENV_NAMES, env_values))
+    """The parser, built on first use and shared by every later call."""
     parser = _Parser(prog="wqsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one protocol and write its report")
-    _add_flag(run, env, "--mode", required=True, choices=[m.value for m in ProtocolMode],
-              help="protocol to run")
-    _add_flag(run, env, "--trials", required=True, type=int, help="number of trials N")
-    _add_flag(run, env, "--seed", required=True, type=int, help="root RNG seed")
-    _add_flag(run, env, "--announce-rate", type=float, default=DEFAULT_ANNOUNCE_RATE,
-              help="per-trial probability of a public outcome announcement")
-    _add_flag(run, env, "--phi", type=float, default=None,
-              help="attack coupling strength in radians, [0, pi/2]; omit for no attack")
-    _add_flag(run, env, "--target", default="C",
-              help="attacked party (A, B, or C); meaningful only with --phi")
-    _add_flag(run, env, "--epsilon", type=float, default=DEFAULT_EPSILON,
-              help="permitted security-event frequency")
-    _add_flag(run, env, "--dealer", default="A", help="secret-sharing dealer")
-    _add_flag(run, env, "--format", choices=REPORT_FORMATS, default="json", help="report format")
-    _add_flag(run, env, "--output", default="-", help="report path, '-' for stdout")
-
-    sub.add_parser("verify", help="check every analytic golden value")
-
-    sweep = sub.add_parser("sweep-phi", help="empirical vs analytic detection sweep")
-    _add_flag(sweep, env, "--grid", required=True,
-              help="comma-separated attack strengths in radians")
-    _add_flag(sweep, env, "--trials", type=int, default=10000,
-              help="announced-equivalent samples per grid point")
-    _add_flag(sweep, env, "--seed", required=True, type=int, help="root RNG seed")
-    _add_flag(sweep, env, "--epsilon", type=float, default=DEFAULT_EPSILON,
-              help="permitted security-event frequency")
-    _add_flag(sweep, env, "--output", default="-", help="CSV path, '-' for stdout")
+    for command, (help_text, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for flag, kwargs in flags:
+            command_parser.add_argument(flag, **kwargs)
     return parser
+
+
+def _with_environment(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each set ``WQSC_<FLAG>`` of its command after the command word."""
+    if not argv or argv[0] not in _COMMANDS:
+        return list(argv)
+    env = [
+        f"{flag}={os.environ[name]}"
+        for flag, _ in _COMMANDS[argv[0]][1]
+        if (name := ENV_PREFIX + flag[2:].upper().replace("-", "_")) in os.environ
+    ]
+    return [argv[0], *env, *argv[1:]]
 
 
 def _open_output(path: str) -> ContextManager[TextIO]:
@@ -141,10 +131,6 @@ def _open_output(path: str) -> ContextManager[TextIO]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # argparse checks choices only for values given as flags, not for
-    # defaults taken from the environment.
-    if args.format not in REPORT_FORMATS:
-        raise _UsageError(f"unknown report format {args.format!r}")
     # --target is checked even without --phi, so a typo never passes silently.
     target = Party.from_letter(args.target)
     attack = None if args.phi is None else UnitaryCouplingAttack(args.phi, target)
@@ -209,8 +195,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_with_environment(sys.argv[1:] if argv is None else argv))
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "verify":

@@ -16,6 +16,7 @@ import numpy as np
 
 from .adversary import UnitaryCouplingAttack, apply_attack, eve_ancilla_statistics
 from .bell import (
+    ALL_AXIS_SETS,
     AT_LEAST_TWO,
     AxisSet,
     QKD_AXIS_SETS,
@@ -27,11 +28,13 @@ from .bell import (
     averaged_security_probability,
 )
 from .protocol import (
+    MODE_SUCCESS_PROBABILITY,
+    Inference,
     Outcome,
+    ProtocolMode,
     decider_step,
     key_accounting,
     partial_inference,
-    Inference,
     reconstruct_dealer_bit,
 )
 from .qcore import (
@@ -182,18 +185,20 @@ def golden_checks() -> list[GoldenCheck]:
     add("eve-minus-rate-half-pi", eve_ancilla_statistics(attacked_w_state(math.pi / 2)), 1.0 / 3.0)
     add("eve-minus-rate-quarter-pi", eve_ancilla_statistics(attacked_w_state(math.pi / 4)), 1.0 / 6.0)
 
-    # Protocol-level constants, still by exact projection.
+    # The success probabilities the engine reports, against exact projection.
     decider_plus = joint_probability(w, [(_C, Axis.Z, _PLUS)])
     add("decider-plus-probability-on-w", decider_plus, 2.0 / 3.0)
-    add("qkd-axis-set-probability", 3.0 / 8.0, 3.0 / 8.0)
-    add("qkd-success-probability", (3.0 / 8.0) * decider_plus, 0.25)
-    add("pqss-success-probability", 1.0 / 8.0, 0.125)
-    add("synth-success-probability", 1.0 / 8.0 + (3.0 / 8.0) * decider_plus, 0.375)
+    qkd_sets = len(QKD_AXIS_SETS) / len(ALL_AXIS_SETS)
+    add("qkd-axis-set-probability", qkd_sets, 3.0 / 8.0)
+    exact = {ProtocolMode.QKD: qkd_sets * decider_plus, ProtocolMode.PQSS: 1.0 / len(ALL_AXIS_SETS)}
+    exact[ProtocolMode.SYNTH] = exact[ProtocolMode.PQSS] + exact[ProtocolMode.QKD]
+    for mode in ProtocolMode:
+        add(f"{mode.value}-success-probability", exact[mode], MODE_SUCCESS_PROBABILITY[mode])
 
     # Resource accounting constants (no announcements).
-    add("qubits-per-key-bit-qkd", key_accounting(1, 0.25, 1, 0), 12.0)
-    add("qubits-per-key-bit-pqss", key_accounting(1, 0.125, 1, 0), 24.0)
-    add("qubits-per-key-bit-synth", key_accounting(1, 0.375, 1, 0), 8.0)
+    for mode, per_bit in zip(ProtocolMode, (12.0, 24.0, 8.0)):
+        cost = key_accounting(1, MODE_SUCCESS_PROBABILITY[mode], 1, 0)
+        add(f"qubits-per-key-bit-{mode.value}", cost, per_bit)
     add("qubits-per-key-bit-epr-comparison",
         key_accounting(1, 2.0 / 9.0, 1, 0, qubits_per_trial=2), 9.0)
     add("qubits-per-key-bit-ghz-comparison",

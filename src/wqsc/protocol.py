@@ -45,15 +45,15 @@ Trials are sampled in chunks of whole arrays and folded into counts over
 the 128 (axis set, outcome string, announced) cells.  A report's count
 columns are a 0/1 weight matrix, one per (mode, dealer), times those
 counts.  The matrix is filled from the per-trial rules (the mode's kept
-bits, :func:`is_event`, :func:`reconstruct_dealer_bit`), so a report equals
-the fold of its trial records one by one.
+bits, :func:`~wqsc.bell.is_event`, :func:`reconstruct_dealer_bit`), so a
+report equals the fold of its trial records one by one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
@@ -61,7 +61,15 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .adversary import AttackConfig, apply_attack
-from .bell import ALL_AXIS_SETS, QKD_AXIS_SETS, AxisSet, AxisSetKind
+from .bell import (
+    ALL_AXIS_SETS,
+    EVENT_CELLS,
+    OUTCOME_STRINGS,
+    QKD_AXIS_SETS,
+    AxisSet,
+    AxisSetKind,
+    is_event,
+)
 from .qcore import (
     Axis,
     Outcome,
@@ -80,12 +88,6 @@ MAX_SEED = 2**64 - 1
 QUBITS_PER_TRIAL = 3
 
 _PARTIES = (Party.ALICE, Party.BOB, Party.CHARLIE)
-
-# Outcome strings of (A, B, C); index 4a + 2b + c with PLUS as bit 0, the
-# same bit order as ALL_AXIS_SETS uses for (z, x).
-_OUTCOME_STRINGS: tuple[tuple[Outcome, Outcome, Outcome], ...] = tuple(
-    itertools.product(Outcome, repeat=3)
-)
 
 
 class InconsistentSharesError(ValueError):
@@ -125,8 +127,9 @@ class SecurityVerdict(Enum):
 class ProtocolConfig:
     """Run parameters; a config plus the trial index determines a trial exactly.
 
-    ``mode`` and ``dealer`` are coerced to their enums, so a value that
-    names neither raises ValueError here, before any draw.
+    ``mode`` and ``dealer`` are coerced to their enums, and ``trials`` and
+    ``seed`` (Python or numpy integers, never bool) to int, so a bad value
+    raises ValueError here, before any draw.
     """
 
     mode: ProtocolMode
@@ -140,6 +143,11 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ProtocolMode(self.mode))
         object.__setattr__(self, "dealer", Party(self.dealer))
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not 0 <= self.seed <= MAX_SEED:
@@ -264,18 +272,6 @@ def partial_inference(own_share: Outcome) -> Inference:
     if own_share is Outcome.MINUS:
         return Inference.DEALER_IS_PLUS
     return Inference.UNKNOWN
-
-
-def is_event(axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]) -> bool:
-    """Security-check event: the z measurer saw plus, the x measurers disagree.
-
-    Defined only on QKD axis sets; its probability is exactly zero without
-    an attack, so any occurrence indicates tampering.
-    """
-    if axes.kind is not AxisSetKind.QKD:
-        return False
-    x1, x2 = axes.x_parties  # type: ignore[misc]
-    return outcomes[axes.decider] is Outcome.PLUS and outcomes[x1] is not outcomes[x2]
 
 
 def security_verdict(frequency: float | None, epsilon: float) -> SecurityVerdict:
@@ -436,7 +432,7 @@ def _record(
     mode: ProtocolMode, index: int, set_index: int, outcome_index: int, announced: bool
 ) -> TrialRecord:
     axes = ALL_AXIS_SETS[set_index]
-    outcomes = _OUTCOME_STRINGS[outcome_index]
+    outcomes = OUTCOME_STRINGS[outcome_index]
     key_bits = None if announced else _kept_bits(mode, axes, outcomes)
     return TrialRecord(index, axes, outcomes, announced, key_bits)
 
@@ -474,13 +470,6 @@ def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
             yield _record(config.mode, index, set_index, outcome_index, announced)
 
 
-# Whether each (axis set, outcome string) cell, index 8s + o, is a security
-# event; the sweep counts its samples per cell.
-_EVENT_CELLS = np.array(
-    [is_event(axes, outcomes) for axes in ALL_AXIS_SETS for outcomes in _OUTCOME_STRINGS]
-)
-
-
 def sample_security_frequency(
     phi: float, samples: int, seed: int, point_index: int = 0
 ) -> float:
@@ -499,12 +488,12 @@ def sample_security_frequency(
         raise ValueError("point index must lie in [0, 2**64 - 1)")
     table = _outcome_table(attacked_w_state(phi))
     bits = _stream(seed + ((point_index + 1) << 64), 0, _SAMPLE_SLOTS)
-    counts = np.zeros(len(ALL_AXIS_SETS) * len(_OUTCOME_STRINGS), dtype=np.int64)
+    counts = np.zeros(EVENT_CELLS.size, dtype=np.int64)
     for _, u in _chunks(bits, samples, _SAMPLE_SLOTS):
         sets = _QKD_SET_INDEX[(u[:, 0] * 3.0).astype(np.intp)]
         outcomes = _sample_outcomes(table, sets, u[:, 1], u[:, 2], u[:, 3])
         counts += np.bincount(8 * sets + outcomes, minlength=counts.size)
-    return int(counts[_EVENT_CELLS].sum()) / samples
+    return int(counts[EVENT_CELLS.ravel()].sum()) / samples
 
 
 def key_accounting(
@@ -547,7 +536,7 @@ _COUNT_FIELDS = (
     "pqss_reconstruction_failures", "announced_qkd_trials", "security_events",
 )
 
-_CELLS = len(ALL_AXIS_SETS) * len(_OUTCOME_STRINGS) * 2  # index 16s + 2o + announced
+_CELLS = len(ALL_AXIS_SETS) * len(OUTCOME_STRINGS) * 2  # index 16s + 2o + announced
 
 
 def _cell_fields(
@@ -606,7 +595,7 @@ def _weights(mode: ProtocolMode, dealer: Party) -> np.ndarray:
     rows = {name: row for row, name in enumerate(_COUNT_FIELDS)}
     weights = np.zeros((len(_COUNT_FIELDS), _CELLS), dtype=np.int64)
     for set_index, axes in enumerate(ALL_AXIS_SETS):
-        for outcome_index, outcomes in enumerate(_OUTCOME_STRINGS):
+        for outcome_index, outcomes in enumerate(OUTCOME_STRINGS):
             for announced in (0, 1):
                 cell = 16 * set_index + 2 * outcome_index + announced
                 for name in _cell_fields(mode, dealer, axes, outcomes, bool(announced)):

@@ -64,10 +64,6 @@ class Outcome(IntEnum):
     PLUS = 0
     MINUS = 1
 
-    @property
-    def symbol(self) -> str:
-        return "+" if self is Outcome.PLUS else "-"
-
 
 class Party(IntEnum):
     """Authorized communicator; the value is the party's qubit index."""

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -6,8 +7,9 @@ import wqsc.bell
 import wqsc.cli
 import wqsc.golden
 from wqsc import binomial_sigma
-from wqsc.cli import main, sample_security_frequency
+from wqsc.cli import entrypoint, main, sample_security_frequency
 from wqsc.golden import run_verification
+from wqsc.protocol import MODE_SUCCESS_PROBABILITY, ProtocolMode
 from wqsc.reporting import parse_report_csv, parse_report_json, parse_sweep_csv
 
 HALF_PI_TEXT = "1.5707963267948966"
@@ -120,6 +122,19 @@ class TestFailFast:
         assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "-1") == 1
         self.assert_one_line_error(capsys, "seed")
 
+    def test_console_script_rejects_bad_environment_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["wqsc", "run", "--trials", "10", "--seed", "1"])
+        monkeypatch.setenv("WQSC_MODE", "nope")
+        with pytest.raises(SystemExit) as exit_info:
+            entrypoint()
+        assert exit_info.value.code == 1
+        self.assert_one_line_error(capsys, "'nope'")
+
+    def test_bad_environment_value_under_a_flag_is_still_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WQSC_TRIALS", "many")
+        assert run_cli("run", "--mode", "qkd", "--trials", "10", "--seed", "1") == 1
+        self.assert_one_line_error(capsys, "--trials", "'many'")
+
 
 class TestEnvironmentMirroring:
     def test_flags_can_come_from_environment(self, tmp_path, monkeypatch):
@@ -139,8 +154,8 @@ class TestEnvironmentMirroring:
         assert parse_report_json(out.read_text()).trials == 800
 
     def test_parser_follows_environment_between_calls(self, tmp_path, capsys, monkeypatch):
-        # The parser is built once per set of WQSC_* values; each call must
-        # still see the environment as it is when the call is made.
+        # The parser is built once per process; each call must still see
+        # the environment as it is when the call is made.
         out = tmp_path / "report.json"
         argv = ("run", "--mode", "qkd", "--trials", "2000", "--output", str(out))
         monkeypatch.setenv("WQSC_SEED", "21")
@@ -161,6 +176,15 @@ class TestEnvironmentMirroring:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "xml" in err
+
+
+class TestConsoleScript:
+    def test_main_reads_sys_argv_and_environment(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["wqsc", "run", "--mode", "qkd", "--trials", "700"])
+        monkeypatch.setenv("WQSC_SEED", "21")
+        assert main() == 0
+        report = parse_report_json(capsys.readouterr().out)
+        assert (report.trials, report.seed) == (700, 21)
 
 
 class TestVerifyCommand:
@@ -186,6 +210,13 @@ class TestVerifyCommand:
             assert run_verification()[0]
             counts.append(len(builds))
         assert counts[0] == counts[1] <= 20
+
+    def test_checks_the_success_probabilities_run_reports(self, monkeypatch):
+        monkeypatch.setitem(MODE_SUCCESS_PROBABILITY, ProtocolMode.QKD, 0.26)
+        passed, checks = run_verification()
+        assert not passed
+        assert {c.item for c in checks if not c.passed} == {
+            "qkd-success-probability", "qubits-per-key-bit-qkd"}
 
 
 class TestSweepCommand:

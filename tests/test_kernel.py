@@ -34,7 +34,7 @@ from wqsc import (
     run_trial,
     w_state,
 )
-from wqsc import protocol
+from wqsc import bell, protocol
 from wqsc.cli import main
 
 HALF_PI = math.pi / 2.0
@@ -54,7 +54,7 @@ def kernel_trial(table, uniforms, announce_rate):
 
 def branch_probabilities(table, set_index, outcome_index):
     """The table's conditional probability of each outcome along the string's path."""
-    a, b, c = protocol._OUTCOME_STRINGS[outcome_index]
+    a, b, c = bell.OUTCOME_STRINGS[outcome_index]
     nodes = ((0, a), (1 + a, b), (3 + 2 * a + b, c))
     return [
         table[set_index, node] if bit is Outcome.PLUS else 1.0 - table[set_index, node]
@@ -66,7 +66,7 @@ def assert_cell_matches_oracle(source, table, uniforms, announce_rate):
     set_index, outcome_index, announced = kernel_trial(table, uniforms, announce_rate)
     axes, outcomes, oracle_announced = oracle_trial(source, uniforms, announce_rate)
     assert ALL_AXIS_SETS[set_index] == axes
-    assert protocol._OUTCOME_STRINGS[outcome_index] == outcomes
+    assert bell.OUTCOME_STRINGS[outcome_index] == outcomes
     assert announced == oracle_announced
     assert min(branch_probabilities(table, set_index, outcome_index)) > 0.0
 
@@ -98,7 +98,7 @@ class TestOracleAgreement:
         table = protocol._outcome_table(source)
         for set_index, axes in enumerate(ALL_AXIS_SETS):
             total = 0.0
-            for outcome_index, outcomes in enumerate(protocol._OUTCOME_STRINGS):
+            for outcome_index, outcomes in enumerate(bell.OUTCOME_STRINGS):
                 branches = branch_probabilities(table, set_index, outcome_index)
                 total += math.prod(branches)
                 if min(branches) == 0.0:
@@ -115,7 +115,7 @@ class TestOracleAgreement:
         table = protocol._outcome_table(source)
         for set_index, outcomes in itertools.product(range(8), range(8)):
             axis_bits = [0.75 if set_index >> shift & 1 else 0.25 for shift in (2, 1, 0)]
-            a, b, _ = protocol._OUTCOME_STRINGS[outcomes]
+            a, b, _ = bell.OUTCOME_STRINGS[outcomes]
             nodes = (0, 1 + a, 3 + 2 * a + b)
             for slot, node in enumerate(nodes):
                 p_plus = float(table[set_index, node])

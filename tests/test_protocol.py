@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from wqsc import (
@@ -29,6 +30,7 @@ from wqsc import (
     security_verdict,
 )
 from wqsc.protocol import _kept_bits
+from wqsc.reporting import parse_report_json, render_report
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
@@ -327,3 +329,19 @@ class TestConfigValidation:
         config = ProtocolConfig("qkd", trials=10, seed=1, dealer=2)
         assert config.mode is ProtocolMode.QKD
         assert config.dealer is C
+
+    @pytest.mark.parametrize(
+        "trials, seed",
+        [(10, 1.5), (10, 1.0), (True, 1), (10, False), (10.5, 1), (10, "1"), (np.float64(10), 1)],
+    )
+    def test_non_integer_trials_or_seed_rejected(self, trials, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProtocolConfig(ProtocolMode.QKD, trials=trials, seed=seed)
+
+    def test_numpy_integers_are_coerced_to_int(self):
+        config = ProtocolConfig(ProtocolMode.QKD, trials=np.int64(300), seed=np.uint64(7))
+        assert type(config.trials) is int and type(config.seed) is int
+        report = run_protocol(config)
+        assert report == run_protocol(ProtocolConfig(ProtocolMode.QKD, trials=300, seed=7))
+        parsed = parse_report_json(render_report(report, "json"))
+        assert (parsed.trials, parsed.seed) == (300, 7)

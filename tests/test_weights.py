@@ -31,7 +31,7 @@ from wqsc import (
     run_protocol,
     w_state,
 )
-from wqsc import protocol
+from wqsc import bell, protocol
 from wqsc.protocol import MAX_SEED, MODE_SUCCESS_PROBABILITY
 
 HALF_PI = math.pi / 2.0
@@ -56,7 +56,7 @@ class TestCellWeights:
     def test_each_cell_follows_the_trial_rules(self, mode, dealer):
         weights = protocol._weights(mode, dealer)
         for s, axes in enumerate(ALL_AXIS_SETS):
-            for o, outcomes in enumerate(protocol._OUTCOME_STRINGS):
+            for o, outcomes in enumerate(bell.OUTCOME_STRINGS):
                 kept = protocol._kept_bits(mode, axes, outcomes)
                 for announced in (False, True):
                     cell = weights[:, 16 * s + 2 * o + announced]
@@ -112,9 +112,9 @@ class TestReportOracle:
 
 def chain_probabilities(table):
     """P(axis set s, outcome string o) from the outcome table, shape (8, 8)."""
-    p = np.empty((len(ALL_AXIS_SETS), len(protocol._OUTCOME_STRINGS)))
+    p = np.empty((len(ALL_AXIS_SETS), len(bell.OUTCOME_STRINGS)))
     for s in range(len(ALL_AXIS_SETS)):
-        for o, (a, b, c) in enumerate(protocol._OUTCOME_STRINGS):
+        for o, (a, b, c) in enumerate(bell.OUTCOME_STRINGS):
             nodes = ((0, a), (1 + a, b), (3 + 2 * a + b, c))
             p[s, o] = math.prod(
                 table[s, node] if bit is Outcome.PLUS else 1.0 - table[s, node]
@@ -137,7 +137,7 @@ class TestExactMeans:
         source = apply_attack(w_state(), attack)
         joint = chain_probabilities(protocol._outcome_table(source))
         for s, axes in enumerate(ALL_AXIS_SETS):
-            for o, outcomes in enumerate(protocol._OUTCOME_STRINGS):
+            for o, outcomes in enumerate(bell.OUTCOME_STRINGS):
                 constraints = [(p, axes.axis_of(p), outcomes[p]) for p in Party]
                 expected = joint_probability(source, constraints) / len(ALL_AXIS_SETS)
                 assert joint[s, o] == pytest.approx(expected, abs=1e-12)
