@@ -4,8 +4,9 @@ Every flag is mirrored by an environment variable with the ``WQSC_`` prefix
 (``--announce-rate`` by ``WQSC_ANNOUNCE_RATE`` and so on).  Each one that is
 set enters the invoked command as ``--flag=value`` right after the command
 word, so argparse checks it like any flag and an explicit flag, parsed
-later, wins.  All randomness flows from ``--seed``, which is required, so a
-repeated invocation with identical flags produces byte-identical output.
+later, wins; an error in such a value starts with the variable's name.
+All randomness flows from ``--seed``, which is required, so a repeated
+invocation with identical flags produces byte-identical output.
 
 The parser holds no environment; it is built once per process.
 
@@ -111,16 +112,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_environment(argv: Sequence[str]) -> list[str]:
-    """``argv`` with each set ``WQSC_<FLAG>`` of its command after the command word."""
+def _environment(argv: Sequence[str]) -> dict[str, str]:
+    """``{WQSC_<FLAG>: --flag=value}`` for each set variable of ``argv``'s command."""
     if not argv or argv[0] not in _COMMANDS:
-        return list(argv)
-    env = [
-        f"{flag}={os.environ[name]}"
+        return {}
+    return {
+        name: f"{flag}={os.environ[name]}"
         for flag, _ in _COMMANDS[argv[0]][1]
         if (name := ENV_PREFIX + flag[2:].upper().replace("-", "_")) in os.environ
-    ]
-    return [argv[0], *env, *argv[1:]]
+    }
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` with its command's environment values after the command word.
+
+    The environment values come first, so a bad one fails as it does when
+    they are parsed alone; that error is prefixed with the variable's name.
+    """
+    parser = build_parser()
+    env = _environment(argv)
+    try:
+        return parser.parse_args([*argv[:1], *env.values(), *argv[1:]])
+    except _UsageError as exc:
+        message = str(exc)
+        for name, flag in env.items():
+            if message.startswith(f"argument {flag.partition('=')[0]}: "):
+                try:
+                    parser.parse_args([argv[0], *env.values()])
+                except _UsageError as alone:
+                    if str(alone) == message:
+                        raise _UsageError(f"{name}: {message}") from None
+        raise
 
 
 def _open_output(path: str) -> ContextManager[TextIO]:
@@ -178,9 +200,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     with _open_output(args.output) as out:
         rows = []
-        for point_index, phi in enumerate(grid):
+        frequencies = sample_security_frequency(grid, args.trials, args.seed)
+        for phi, empirical in zip(grid, frequencies):
             p_bar = averaged_security_probability(phi)
-            empirical = sample_security_frequency(phi, args.trials, args.seed, point_index)
             rows.append(
                 SweepRow(
                     phi=phi,
@@ -197,7 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``."""
     try:
-        args = build_parser().parse_args(_with_environment(sys.argv[1:] if argv is None else argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "verify":

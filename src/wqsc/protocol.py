@@ -35,8 +35,9 @@ slot ``x`` becomes the uniform ``(x >> 11) * 2**-53``, exactly what
 
 A measurement draw ``u`` yields plus iff ``u`` lies below the exact
 chain-rule probability of plus given the earlier outcomes.  Those
-probabilities come from an outcome table built once per run (and once per
-sweep point) in one batched pass per party over every state reached so far.
+probabilities come from an outcome table built once per call: for a run
+from its one source, for a sweep from the whole grid's sources at once, in
+one batched pass per party over every state reached so far.
 The passes share their arithmetic with :func:`~wqsc.qcore.plus_probability`
 and :func:`~wqsc.qcore.collapse`, the two steps of
 :func:`wqsc.qcore.measure_qubit`, so sampling from the table gives the
@@ -56,7 +57,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -79,7 +80,7 @@ from .qcore import (
     _masses,
     _post_states,
 )
-from .states import attacked_w_state, w_state
+from .states import attacked_w_state, validate_attack_angle, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
 DEFAULT_EPSILON = 1e-9
@@ -123,6 +124,21 @@ class SecurityVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _integer(name: str, value: object, low: int, high: int | None = None) -> int:
+    """``value`` as an int of at least ``low`` and at most ``high`` (if given).
+
+    Python and numpy integers pass; bool, every other type and a value out
+    of range raise ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters; a config plus the trial index determines a trial exactly.
@@ -143,15 +159,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ProtocolMode(self.mode))
         object.__setattr__(self, "dealer", Party(self.dealer))
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, MAX_SEED))
         if not 0.0 <= self.announce_rate < 1.0:
             raise ValueError(f"announce_rate must lie in [0, 1), got {self.announce_rate!r}")
         if not 0.0 < self.epsilon < 1.0:
@@ -324,31 +333,34 @@ _AXIS_BITS = np.arange(len(_AXES))
 _QKD_SET_INDEX = np.array([ALL_AXIS_SETS.index(axes) for axes in QKD_AXIS_SETS])
 
 
-def _outcome_table(source: StateVector) -> np.ndarray:
-    """Chain-rule probabilities of plus for every axis set, shape (8, 7).
+def _outcome_table(sources: Sequence[StateVector]) -> np.ndarray:
+    """Chain-rule probabilities of plus for every axis set, shape (P, 8, 7).
 
-    Row ``s`` is ``ALL_AXIS_SETS[s]``.  Node 0 is P(A=+); the child of node
-    ``n`` on outcome bit ``x`` (plus is 0) is node ``2n + 1 + x``, so node
-    ``1 + a`` is P(B=+|a) and node ``3 + 2a + b`` is P(C=+|a,b).
+    ``sources`` are P states of one qubit count; ``table[k]`` is the table
+    of ``sources[k]``.  Row ``s`` is ``ALL_AXIS_SETS[s]``.  Node 0 is
+    P(A=+); the child of node ``n`` on outcome bit ``x`` (plus is 0) is
+    node ``2n + 1 + x``, so node ``1 + a`` is P(B=+|a) and node
+    ``3 + 2a + b`` is P(C=+|a,b).
 
     One batched pass per party (A, then B, then C) measures every state
-    reached so far along both axes at once: 1 state, then at most 4, then
-    at most 16, one per (axes, outcomes) prefix.  A pass collapses only onto
-    outcomes of nonzero probability, never at C; nodes behind an outcome of
-    probability 0 are never reached and stay 0.  The passes run
-    :mod:`wqsc.qcore`'s own component, mass and post-state arithmetic on
-    stacked states, so each reached node holds, bit for bit, the
+    reached so far, over all sources, along both axes at once: one state
+    per source, then at most 4, then at most 16, one per (axes, outcomes)
+    prefix.  A pass collapses only onto outcomes of nonzero probability,
+    never at C; nodes behind an outcome of probability 0 are never reached
+    and stay 0.  The passes run :mod:`wqsc.qcore`'s own component, mass
+    and post-state arithmetic on stacked states, which treats each row as
+    on its own, so each reached node holds, bit for bit, the
     :func:`~wqsc.qcore.plus_probability` that a sequential
-    :func:`~wqsc.qcore.measure_qubit` reads there.
+    :func:`~wqsc.qcore.measure_qubit` reads there, whatever else is stacked.
     """
-    table = np.zeros((len(ALL_AXIS_SETS), 7))
-    states = source.amplitudes[np.newaxis]  # one row per reached prefix
-    axis_bits = outcome_bits = np.zeros(1, dtype=np.intp)  # each row's prefix
+    states = np.stack([source.amplitudes for source in sources])  # one row per reached prefix
+    table = np.zeros((len(states), len(ALL_AXIS_SETS), 7))
+    points = np.arange(len(states))  # each row's source
+    axis_bits = outcome_bits = np.zeros(len(states), dtype=np.intp)  # each row's prefix
     for party in _PARTIES:
         view = states.reshape(len(states), 1 << party, 2, -1)  # split on this party's qubit
-        leading, _, trailing = view.shape[1:]
         # components[r, i, x]: row r's component along _AXES[i] for outcome bit x
-        components = np.empty((len(states), 2, 2, leading, trailing), dtype=np.complex128)
+        components = np.empty((len(states), 2, 2, *view.shape[1::2]), dtype=np.complex128)
         for i, axis in enumerate(_AXES):
             components[:, i, Outcome.PLUS], components[:, i, Outcome.MINUS] = _axis_components(
                 view, axis
@@ -356,28 +368,24 @@ def _outcome_table(source: StateVector) -> np.ndarray:
         masses = _masses(components)
         mass_plus, mass_minus = masses[..., Outcome.PLUS], masses[..., Outcome.MINUS]
         p_plus = mass_plus / (mass_plus + mass_minus)
-        # Table rows grouped by the axes of the parties so far, this one included.
-        groups = table.reshape(2 << party, -1, 7)
+        # Each source's table rows grouped by the axes of the parties so
+        # far, this one included.
+        groups = table.reshape(len(table), 2 << party, -1, 7)
         nodes = (1 << party) - 1 + outcome_bits
-        groups[2 * axis_bits[:, np.newaxis] + _AXIS_BITS, :, nodes[:, np.newaxis]] = (
-            p_plus[..., np.newaxis]
-        )
+        groups[
+            points[:, np.newaxis], 2 * axis_bits[:, np.newaxis] + _AXIS_BITS, :,
+            nodes[:, np.newaxis],
+        ] = p_plus[..., np.newaxis]
         if party == Party.CHARLIE:
             break
         reached = np.empty(masses.shape, dtype=bool)
         reached[..., Outcome.PLUS] = p_plus > 0.0
         reached[..., Outcome.MINUS] = 1.0 - p_plus > 0.0
-        # Unreached branches' post-states are discarded; a unit mass keeps
-        # their renormalization finite.
-        masses = np.where(reached, masses, 1.0)
-        posts = np.empty((*masses.shape, leading, 2, trailing), dtype=np.complex128)
-        for i, axis in enumerate(_AXES):
-            for outcome in Outcome:
-                posts[:, i, outcome] = _post_states(
-                    axis, outcome, components[:, i, outcome], masses[:, i, outcome]
-                )
-        rows, axis_index, outcome_index = np.nonzero(reached)
-        states = posts[reached].reshape(len(rows), -1)
+        picked = np.nonzero(reached)
+        rows, axis_index, outcome_index = picked
+        posts = _post_states(axis_index, outcome_index, components[picked], masses[picked])
+        states = posts.reshape(len(rows), -1)
+        points = points[rows]
         axis_bits = 2 * axis_bits[rows] + axis_index
         outcome_bits = 2 * outcome_bits[rows] + outcome_index
     return table
@@ -446,7 +454,7 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     """
     if index < 0:
         raise ValueError("trial index must be non-negative")
-    table = _outcome_table(apply_attack(w_state(), config.attack))
+    table = _outcome_table([apply_attack(w_state(), config.attack)])[0]
     u = _uniforms(_stream(config.seed, index, _TRIAL_SLOTS), 1, _TRIAL_SLOTS)
     sets, outcomes, announced = _trial_cells(table, u, config.announce_rate)
     return _record(config.mode, index, int(sets[0]), int(outcomes[0]), bool(announced[0]))
@@ -456,7 +464,7 @@ def _run_chunks(
     config: ProtocolConfig,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """``(first index, *_trial_cells)`` per chunk of the run; one outcome table."""
-    table = _outcome_table(apply_attack(w_state(), config.attack))
+    table = _outcome_table([apply_attack(w_state(), config.attack)])[0]
     bits = _stream(config.seed, 0, _TRIAL_SLOTS)
     for start, u in _chunks(bits, config.trials, _TRIAL_SLOTS):
         yield (start, *_trial_cells(table, u, config.announce_rate))
@@ -470,24 +478,36 @@ def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
             yield _record(config.mode, index, set_index, outcome_index, announced)
 
 
-def sample_security_frequency(
-    phi: float, samples: int, seed: int, point_index: int = 0
-) -> float:
-    """Empirical security-event frequency over announced-equivalent trials.
+def sample_security_frequency(grid: Sequence[float], samples: int, seed: int) -> list[float]:
+    """Empirical security-event frequency at each attack strength of ``grid``.
 
     Each sample plays one announced QKD-set trial against the attacked
     channel (target Charlie): a uniformly chosen QKD axis set, then
-    measurements of Alice, Bob, Charlie.  Grid point ``point_index`` has
-    its own Philox key, ``seed + (point_index + 1) * 2**64``.
+    measurements of Alice, Bob, Charlie.  Every point's outcome table comes
+    from one batched build over the whole grid.  Point ``k`` draws from
+    its own Philox key, ``seed + (k + 1) * 2**64``, so its frequency depends
+    on its index and not on the rest of the grid.  ``samples`` and ``seed``
+    follow :class:`ProtocolConfig`'s integer rule, and every value is
+    checked before any table is built or any draw is made.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    if not 0 <= point_index < MAX_SEED:
-        raise ValueError("point index must lie in [0, 2**64 - 1)")
-    table = _outcome_table(attacked_w_state(phi))
-    bits = _stream(seed + ((point_index + 1) << 64), 0, _SAMPLE_SLOTS)
+    samples = _integer("samples", samples, 1)
+    seed = _integer("seed", seed, 0, MAX_SEED)
+    grid = [validate_attack_angle(phi) for phi in grid]
+    if not grid:
+        raise ValueError("the phi grid is empty")
+    tables = _outcome_table([attacked_w_state(phi) for phi in grid])
+    return [
+        _event_frequency(table, seed + ((point + 1) << 64), samples)
+        for point, table in enumerate(tables)
+    ]
+
+
+def _event_frequency(table: np.ndarray, key: int, samples: int) -> float:
+    """Event frequency over ``samples`` sweep samples drawn from Philox key ``key``.
+
+    Its chunks are released on return, so a sweep holds one at a time.
+    """
+    bits = _stream(key, 0, _SAMPLE_SLOTS)
     counts = np.zeros(EVENT_CELLS.size, dtype=np.int64)
     for _, u in _chunks(bits, samples, _SAMPLE_SLOTS):
         sets = _QKD_SET_INDEX[(u[:, 0] * 3.0).astype(np.intp)]

@@ -9,10 +9,12 @@ A measurement is two steps, each public: :func:`plus_probability` is the
 threshold a uniform draw is compared against, and :func:`collapse` is the
 renormalized post-state of a chosen outcome.  :func:`measure_qubit` is
 their composition.  Both steps run on private helpers that also take a
-stack of states: the outcome table of :mod:`wqsc.protocol` measures up to
-16 states per pass with them.  One mass reduction, ``re**2 + im**2``
-summed along one contiguous axis, serves a single state and a stacked row
-alike, so the table matches the single-state steps bit for bit.
+stack of states, each row with its own axis and outcome: the outcome
+table of :mod:`wqsc.protocol` measures every state it has reached, over a
+whole stack of sources, in one pass per party with them.  One mass
+reduction, ``re**2 + im**2`` summed along one contiguous axis, serves a
+single state and a stacked row alike, so the table matches the
+single-state steps bit for bit.
 
 :func:`outcome_distribution` gives every joint outcome probability of the
 three party qubits, for all eight axis sets, from one pass of the same
@@ -205,31 +207,39 @@ def _masses(components: np.ndarray) -> np.ndarray:
     return squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def _project(dest: np.ndarray, axis: Axis, outcome: Outcome, component: np.ndarray) -> None:
-    """Write the qubit's projection onto ``outcome`` into the split view(s) ``dest``.
+# _PROJECTIONS[x, outcome] holds the factors of the two halves of a split
+# view projected onto the outcome, x being 1 for the x axis and 0 for z: z
+# keeps the outcome's half, x spreads the component over both, signed.
+# Shaped (x, outcome, 1, half, 1) to broadcast against (..., leading, 1, trailing).
+_PROJECTIONS = np.array(
+    [[[1.0, 0.0], [0.0, 1.0]], [[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]]],
+    dtype=np.complex128,
+).reshape(2, 2, 1, 2, 1)
+
+
+def _project(x: int | np.ndarray, outcome: int | np.ndarray, component: np.ndarray) -> np.ndarray:
+    """The qubit's projection onto ``outcome``, as split view(s) ``(..., leading, 2, trailing)``.
 
     ``component`` is the outcome's amplitude component from
-    :func:`_axis_components`; both halves of ``dest`` are overwritten.
+    :func:`_axis_components`.  ``x`` (1 for the x axis, 0 for z) and
+    ``outcome`` are integers or integer arrays with one entry per stacked
+    row, so rows measured along different axes onto different outcomes are
+    projected in one pass, each by its own factors.
     """
-    if axis is Axis.Z:
-        dest[..., outcome, :] = component
-        dest[..., 1 - outcome, :] = 0.0
-    else:
-        half = component * _SQRT1_2
-        dest[..., 0, :] = half
-        dest[..., 1, :] = half if outcome == Outcome.PLUS else -half
+    return component[..., np.newaxis, :] * _PROJECTIONS[x, outcome]
 
 
 def _post_states(
-    axis: Axis, outcome: Outcome, component: np.ndarray, mass: np.ndarray
+    x: int | np.ndarray, outcome: int | np.ndarray, component: np.ndarray, mass: np.ndarray
 ) -> np.ndarray:
     """Renormalized projections of a stack of components, as split views.
 
     ``component`` has shape ``(..., leading, trailing)`` and ``mass`` is its
-    :func:`_masses`; the result has shape ``(..., leading, 2, trailing)``.
-    A component of subnormal mass is first scaled to unit peak amplitude,
-    so that renormalizing it yields a valid state; every other component is
-    divided by the square root of its mass alone.
+    :func:`_masses`; ``x`` and ``outcome`` are as for :func:`_project`.
+    The result has shape ``(..., leading, 2, trailing)``.  A component of
+    subnormal mass is first scaled to unit peak amplitude, so that
+    renormalizing it yields a valid state; every other component is divided
+    by the square root of its mass alone.
     """
     tiny = mass < sys.float_info.min
     if tiny.any():
@@ -238,8 +248,7 @@ def _post_states(
             raise ValueError("cannot collapse onto an outcome of probability 0")
         component = component / np.where(tiny, peak, 1.0)[..., np.newaxis, np.newaxis]
         mass = _masses(component)
-    post = np.empty(component.shape[:-1] + (2, component.shape[-1]), dtype=np.complex128)
-    _project(post, axis, outcome, component)
+    post = _project(x, outcome, component)
     post /= np.sqrt(mass)[..., np.newaxis, np.newaxis, np.newaxis]
     return post
 
@@ -276,7 +285,8 @@ def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> St
     probability 0 has no post-state and raises ``ValueError``.
     """
     component = _components(state, qubit, axis)[outcome]
-    return StateVector(_post_states(axis, outcome, component, _masses(component)).reshape(-1))
+    post = _post_states(int(axis is Axis.X), outcome, component, _masses(component))
+    return StateVector(post.reshape(-1))
 
 
 def measure_qubit(
@@ -317,11 +327,11 @@ def joint_probability(
             raise ValueError(f"duplicate constraint on qubit {qubit}")
         seen.add(qubit)
 
-    work = state.amplitudes.copy()
+    work = state.amplitudes
     total = float(np.vdot(work, work).real)
     for qubit, axis, outcome in constraints:
-        view = _split_on_qubit(work, qubit)
-        _project(view, axis, outcome, _axis_components(view, axis)[outcome])
+        component = _axis_components(_split_on_qubit(work, qubit), axis)[outcome]
+        work = _project(int(axis is Axis.X), outcome, component).reshape(-1)
     return float(np.vdot(work, work).real) / total
 
 

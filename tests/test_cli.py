@@ -1,11 +1,13 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import wqsc.bell
 import wqsc.cli
 import wqsc.golden
+import wqsc.protocol
 from wqsc import binomial_sigma
 from wqsc.cli import entrypoint, main, sample_security_frequency
 from wqsc.golden import run_verification
@@ -135,6 +137,22 @@ class TestFailFast:
         assert run_cli("run", "--mode", "qkd", "--trials", "10", "--seed", "1") == 1
         self.assert_one_line_error(capsys, "--trials", "'many'")
 
+    def test_error_in_environment_value_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("WQSC_MODE", "nope")
+        assert run_cli("run", "--trials", "10", "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: WQSC_MODE: argument --mode: invalid choice: 'nope'")
+        assert err.count("\n") == 1
+
+    def test_error_in_flag_under_good_environment_value_names_the_flag(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("WQSC_MODE", "qkd")
+        assert run_cli("run", "--mode", "nope", "--trials", "10", "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --mode: invalid choice: 'nope'")
+        assert err.count("\n") == 1
+
 
 class TestEnvironmentMirroring:
     def test_flags_can_come_from_environment(self, tmp_path, monkeypatch):
@@ -256,7 +274,30 @@ class TestSweepCommand:
     def test_out_of_range_grid_rejected(self):
         assert run_cli("sweep-phi", "--grid", "0,2.0", "--seed", "1") == 1
 
+    @pytest.mark.parametrize("samples,seed", [(100, 1.5), (True, 1), (100.5, 1), (0, 1), (100, -1)])
+    def test_sampler_rejects_bad_integers_before_any_draw(self, samples, seed, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a table was built before the arguments were checked")
+
+        monkeypatch.setattr(wqsc.protocol, "_outcome_table", forbidden)
+        with pytest.raises(ValueError):
+            sample_security_frequency([0.5], samples, seed)
+
+    @pytest.mark.parametrize("grid", [[0.5, 2.0], [float("nan")], [-0.1], []])
+    def test_sampler_checks_the_whole_grid_before_any_table(self, grid, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a table was built before the grid was checked")
+
+        monkeypatch.setattr(wqsc.protocol, "_outcome_table", forbidden)
+        with pytest.raises(ValueError):
+            sample_security_frequency(grid, 100, 1)
+
+    def test_sampler_coerces_numpy_integers(self):
+        frequencies = sample_security_frequency([0.9], np.int64(200), np.uint64(4))
+        assert frequencies == sample_security_frequency([0.9], 200, 4)
+        assert type(frequencies[0]) is float
+
     def test_sampler_is_deterministic(self):
-        a = sample_security_frequency(0.9, 2000, seed=4, point_index=1)
-        b = sample_security_frequency(0.9, 2000, seed=4, point_index=1)
+        a = sample_security_frequency([0.2, 0.9], 2000, seed=4)
+        b = sample_security_frequency([0.2, 0.9], 2000, seed=4)
         assert a == b

@@ -25,6 +25,7 @@ from wqsc import (
     Party,
     ProtocolConfig,
     ProtocolMode,
+    StateVector,
     UnitaryCouplingAttack,
     apply_attack,
     attacked_w_state,
@@ -87,7 +88,7 @@ class TestOracleAgreement:
     @example(phi=8.4e-161, target=Party.ALICE, uniforms=[0.75] * 3 + [0.0] * 5, announce_rate=0.5)
     def test_kernel_cell_equals_oracle(self, phi, target, uniforms, announce_rate):
         source = source_for(phi, target)
-        table = protocol._outcome_table(source)
+        table = protocol._outcome_table([source])[0]
         assert_cell_matches_oracle(source, table, uniforms, announce_rate)
 
     @settings(max_examples=60, deadline=None)
@@ -95,7 +96,7 @@ class TestOracleAgreement:
     @example(phi=8.4e-161, target=Party.ALICE)  # a branch of subnormal mass
     def test_unreachable_branches_have_probability_zero(self, phi, target):
         source = source_for(phi, target)
-        table = protocol._outcome_table(source)
+        table = protocol._outcome_table([source])[0]
         for set_index, axes in enumerate(ALL_AXIS_SETS):
             total = 0.0
             for outcome_index, outcomes in enumerate(bell.OUTCOME_STRINGS):
@@ -112,7 +113,7 @@ class TestOracleAgreement:
         # A draw equal to a node's P(plus) gives minus, the draw just below
         # it gives plus; kernel and oracle must split there identically.
         source = source_for(phi, target)
-        table = protocol._outcome_table(source)
+        table = protocol._outcome_table([source])[0]
         for set_index, outcomes in itertools.product(range(8), range(8)):
             axis_bits = [0.75 if set_index >> shift & 1 else 0.25 for shift in (2, 1, 0)]
             a, b, _ = bell.OUTCOME_STRINGS[outcomes]
@@ -138,9 +139,69 @@ class TestTableConstruction:
     @pytest.mark.parametrize("target", TARGETS)
     def test_table_equals_oracle_walk(self, target, phi):
         source = source_for(phi, target)
-        assert protocol._outcome_table(source).tobytes() == oracle_table(source).tobytes()
+        assert protocol._outcome_table([source])[0].tobytes() == oracle_table(source).tobytes()
         swept = attacked_w_state(phi)
-        assert protocol._outcome_table(swept).tobytes() == oracle_table(swept).tobytes()
+        assert protocol._outcome_table([swept])[0].tobytes() == oracle_table(swept).tobytes()
+
+
+def tiny_plus_branch():
+    """A four-qubit source whose A=z+ branch has subnormal mass (2.4e-321).
+
+    Its probability is subnormal but not 0, so the table collapses onto it
+    and the post-state is rescaled first.  An attack in [0, pi/2] never
+    does this before C: at phi = 8.4e-161 on A the subnormal branch is
+    C=z+, which only the sequential measurement collapses.
+    """
+    amps = np.zeros(16, dtype=np.complex128)
+    amps[0b0001] = 4.84974226e-161
+    amps[0b1000] = amps[0b1100] = amps[0b1010] = 1.0 / math.sqrt(3.0)
+    return StateVector(amps)
+
+
+# Sources of four qubits: every target's attack, the sweep's closed form and
+# a source whose table rescales a branch of subnormal mass.
+four_qubit_sources = st.one_of(
+    st.builds(
+        lambda phi, target, closed_form: (
+            attacked_w_state(phi) if closed_form else source_for(phi, target)
+        ),
+        phi=st.one_of(
+            st.sampled_from([0.0, HALF_PI, 8.4e-161]),
+            st.floats(min_value=0.0, max_value=HALF_PI),
+        ),
+        target=st.sampled_from(TARGETS[1:]),
+        closed_form=st.booleans(),
+    ),
+    st.builds(tiny_plus_branch),
+)
+
+
+# A stack of 1 to 8 such sources, with a permutation of its indices.
+stacks = st.lists(four_qubit_sources, min_size=1, max_size=8).flatmap(
+    lambda sources: st.tuples(st.just(sources), st.permutations(range(len(sources))))
+)
+
+
+class TestStackedTables:
+    """A stack of sources builds each row as if it were built alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=stacks)
+    # Subnormal-mass rows beside the exact endpoints and a generic attack.
+    @example(stack=(
+        [source_for(8.4e-161, Party.ALICE), source_for(0.0, Party.BOB), tiny_plus_branch(),
+         attacked_w_state(HALF_PI), source_for(0.7, Party.CHARLIE)],
+        [3, 0, 4, 2, 1],
+    ))
+    def test_rows_are_independent(self, stack):
+        sources, order = stack
+        tables = protocol._outcome_table(sources)
+        assert tables.shape == (len(sources), len(ALL_AXIS_SETS), 7)
+        for source, table in zip(sources, tables):
+            assert table.tobytes() == oracle_table(source).tobytes()
+            assert table.tobytes() == protocol._outcome_table([source])[0].tobytes()
+        permuted = protocol._outcome_table([sources[k] for k in order])
+        assert permuted.tobytes() == tables[order].tobytes()
 
 
 class TestChunking:
@@ -188,16 +249,22 @@ class TestStreamContract:
             assert (record.axes, record.outcomes, record.announced) == expected
 
     def test_sweep_point_slots(self):
-        seed, point_index, phi, samples = 19, 2, 1.3, 400
-        source = attacked_w_state(phi)
-        key = seed + ((point_index + 1) << 64)
-        events = 0
-        for j in range(samples):
-            u = np.random.Generator(np.random.Philox(key=key, counter=j)).random(4)
-            axes = QKD_AXIS_SETS[int(u[0] * 3.0)]
-            # The oracle reads run slots: axis draws that select this set,
-            # then the sweep's measurement draws.
-            axis_draws = [0.25 if axis is Axis.Z else 0.75 for axis in axes.axes]
-            _, outcomes, _ = oracle_trial(source, [*axis_draws, *u[1:], 0.0, 0.0], 0.0)
-            events += is_event(axes, outcomes)
-        assert protocol.sample_security_frequency(phi, samples, seed, point_index) == events / samples
+        # Point k reads key seed + (k + 1) * 2**64; the probe sits at index 2.
+        seed, grid, samples = 19, [0.4, HALF_PI, 1.3], 400
+        expected = []
+        for point, phi in enumerate(grid):
+            source = attacked_w_state(phi)
+            key = seed + ((point + 1) << 64)
+            events = 0
+            for j in range(samples):
+                u = np.random.Generator(np.random.Philox(key=key, counter=j)).random(4)
+                axes = QKD_AXIS_SETS[int(u[0] * 3.0)]
+                # The oracle reads run slots: axis draws that select this
+                # set, then the sweep's measurement draws.
+                axis_draws = [0.25 if axis is Axis.Z else 0.75 for axis in axes.axes]
+                _, outcomes, _ = oracle_trial(source, [*axis_draws, *u[1:], 0.0, 0.0], 0.0)
+                events += is_event(axes, outcomes)
+            expected.append(events / samples)
+        assert protocol.sample_security_frequency(grid, samples, seed) == expected
+        # A point's key depends on its index alone, not on the rest of the grid.
+        assert protocol.sample_security_frequency(grid[:2], samples, seed) == expected[:2]
