@@ -13,8 +13,8 @@ from .bell import (
     ALL_AXIS_SETS,
     AtLeastTwo,
     AxisSet,
-    AxisSetKind,
     ChBellResult,
+    PQSS_AXIS_SET,
     QKD_AXIS_SETS,
     StrictPair,
     averaged_security_probability,

@@ -5,17 +5,17 @@ of the state's :func:`~wqsc.qcore.outcome_distribution`, the joint outcome
 probabilities of the three party qubits under all eight axis sets.  The
 private ``_``-prefixed readers take that array, so a caller that needs
 several events of one state (``wqsc.golden``) builds it once.  The module
-also classifies the eight possible axis assignments of the three parties
-and defines the security-check event that exposes the ancilla-coupling
-attack once: :func:`is_event`, tabulated as ``EVENT_CELLS``, from which
-both the sampled event counts and the exact event probabilities are read.
+also gives each axis set its role, a lone z measurer (its *decider*) or the
+all-z ``PQSS_AXIS_SET``, and defines the security-check event that exposes
+the ancilla-coupling attack once: :func:`is_event`, tabulated as
+``EVENT_CELLS``, from which both the sampled event counts and the exact
+event probabilities are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import product
 from typing import Union
@@ -30,14 +30,6 @@ from .states import validate_attack_angle
 CH_BOUND_ATOL = 1e-12
 
 _PARTIES = (Party.ALICE, Party.BOB, Party.CHARLIE)
-
-
-class AxisSetKind(Enum):
-    """Classification of a joint axis assignment."""
-
-    QKD = "qkd"  # exactly one z measurer: xxz, xzx, zxx
-    PQSS = "pqss"  # all three z: zzz
-    USELESS = "useless"  # anything else; discarded by every protocol
 
 
 @dataclass(frozen=True)
@@ -55,30 +47,20 @@ class AxisSet:
     def axis_of(self, party: Party) -> Axis:
         return self.axes[party]
 
-    # kind, decider and x_parties are stored in the instance on first
-    # access; equality and hashing read only the three axes.
-    @cached_property
-    def kind(self) -> AxisSetKind:
-        z_count = sum(1 for axis in self.axes if axis is Axis.Z)
-        if z_count == 1:
-            return AxisSetKind.QKD
-        if z_count == 3:
-            return AxisSetKind.PQSS
-        return AxisSetKind.USELESS
-
+    # decider and x_parties are stored in the instance on first access;
+    # equality and hashing read only the three axes.
     @cached_property
     def decider(self) -> Party | None:
-        """The lone z measurer of a QKD set; None for any other kind."""
-        if self.kind is not AxisSetKind.QKD:
-            return None
-        return next(p for p in _PARTIES if self.axis_of(p) is Axis.Z)
+        """The lone z measurer; None unless exactly one party measures z."""
+        z_parties = [p for p in _PARTIES if self.axis_of(p) is Axis.Z]
+        return z_parties[0] if len(z_parties) == 1 else None
 
     @cached_property
     def x_parties(self) -> tuple[Party, Party] | None:
-        """The two x measurers of a QKD set; None for any other kind."""
-        if self.kind is not AxisSetKind.QKD:
+        """The two parties other than the decider; None without a decider."""
+        if self.decider is None:
             return None
-        first, second = (p for p in _PARTIES if self.axis_of(p) is Axis.X)
+        first, second = (p for p in _PARTIES if p is not self.decider)
         return (first, second)
 
     @property
@@ -96,9 +78,10 @@ class AxisSet:
 ALL_AXIS_SETS: tuple[AxisSet, ...] = tuple(
     AxisSet(a, b, c) for a, b, c in product((Axis.Z, Axis.X), repeat=3)
 )
-QKD_AXIS_SETS: tuple[AxisSet, ...] = tuple(
-    s for s in ALL_AXIS_SETS if s.kind is AxisSetKind.QKD
-)
+# zxx, xzx, xxz: set k is decided by Party(k), and is ALL_AXIS_SETS[_QKD_SET_INDEX[k]].
+QKD_AXIS_SETS: tuple[AxisSet, ...] = tuple(s for s in ALL_AXIS_SETS if s.decider is not None)
+PQSS_AXIS_SET = AxisSet(Axis.Z, Axis.Z, Axis.Z)
+_QKD_SET_INDEX = np.array([ALL_AXIS_SETS.index(s) for s in QKD_AXIS_SETS])
 
 # Outcome strings of (A, B, C); index 4a + 2b + c with PLUS as bit 0, the
 # same bit order as ALL_AXIS_SETS uses for (z, x).
@@ -108,10 +91,10 @@ OUTCOME_STRINGS: tuple[tuple[Outcome, Outcome, Outcome], ...] = tuple(product(Ou
 def is_event(axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]) -> bool:
     """Security-check event: the z measurer saw plus, the x measurers disagree.
 
-    Defined only on QKD axis sets; its probability is exactly zero without
-    an attack, so any occurrence indicates tampering.
+    Defined only on axis sets with a decider; its probability is exactly
+    zero without an attack, so any occurrence indicates tampering.
     """
-    if axes.kind is not AxisSetKind.QKD:
+    if axes.decider is None:
         return False
     x1, x2 = axes.x_parties  # type: ignore[misc]
     return outcomes[axes.decider] is Outcome.PLUS and outcomes[x1] is not outcomes[x2]
@@ -119,8 +102,6 @@ def is_event(axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]) -> bool:
 
 # EVENT_CELLS[s, o]: whether axis set s with outcome string o is an event.
 EVENT_CELLS = np.array([[is_event(axes, o) for o in OUTCOME_STRINGS] for axes in ALL_AXIS_SETS])
-# The index of the QKD axis set in which each party is the lone z measurer.
-_DECIDER_SET = {s.decider: ALL_AXIS_SETS.index(s) for s in QKD_AXIS_SETS}
 
 
 @dataclass(frozen=True)
@@ -184,7 +165,7 @@ def _two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
 
 def _z_plus_x_unequal(dist: np.ndarray, z_qubit: Party) -> float:
     """P(z_qubit measures z and gets plus, the other two measure x and disagree)."""
-    s = _DECIDER_SET[z_qubit]
+    s = _QKD_SET_INDEX[z_qubit]
     return float(dist[s, EVENT_CELLS[s]].sum())
 
 
@@ -273,9 +254,9 @@ def security_event_probability(state: StateVector, axes: AxisSet) -> float:
     """
     if state.num_qubits != 4:
         raise ValueError("security events are evaluated on the four-qubit attacked state")
-    if axes.kind is not AxisSetKind.QKD:
+    if axes.decider is None:
         raise ValueError(f"axis set {axes.label!r} has no defined security event")
-    return _z_plus_x_unequal(outcome_distribution(state), axes.decider)  # type: ignore[arg-type]
+    return _z_plus_x_unequal(outcome_distribution(state), axes.decider)
 
 
 def averaged_security_probability(phi: float) -> float:

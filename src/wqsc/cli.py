@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import os
 import sys
 from typing import ContextManager, Sequence, TextIO
@@ -31,11 +30,11 @@ from .golden import run_verification
 from .protocol import (
     DEFAULT_ANNOUNCE_RATE,
     DEFAULT_EPSILON,
-    MAX_SEED,
     ProtocolConfig,
     ProtocolMode,
     SecurityVerdict,
     binomial_sigma,
+    check_sweep_arguments,
     run_protocol,
     sample_security_frequency,
     security_verdict,
@@ -181,26 +180,17 @@ def _cmd_verify() -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    entries = [item for item in args.grid.split(",") if item.strip()]
-    if not entries:
-        raise _UsageError("the phi grid is empty")
     try:
-        grid = [float(item) for item in entries]
+        grid = [float(item) for item in args.grid.split(",") if item.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad phi grid: {exc}") from exc
-    for phi in grid:
-        if not 0.0 <= phi <= math.pi / 2.0:
-            raise _UsageError(f"grid value {phi!r} lies outside [0, pi/2]")
-    if args.trials < 1:
-        raise _UsageError("trials per grid point must be at least 1")
-    if not 0 <= args.seed <= MAX_SEED:
-        raise _UsageError("seed must be a 64-bit unsigned integer")
+    grid, samples, seed = check_sweep_arguments(grid, args.trials, args.seed)
     if not 0.0 < args.epsilon < 1.0:
         raise _UsageError("epsilon must lie in (0, 1)")
 
     with _open_output(args.output) as out:
         rows = []
-        frequencies = sample_security_frequency(grid, args.trials, args.seed)
+        frequencies = sample_security_frequency(grid, samples, seed)
         for phi, empirical in zip(grid, frequencies):
             p_bar = averaged_security_probability(phi)
             rows.append(
@@ -208,7 +198,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     phi=phi,
                     p_bar=p_bar,
                     empirical=empirical,
-                    sigma=binomial_sigma(p_bar, args.trials),
+                    sigma=binomial_sigma(p_bar, samples),
                     verdict=security_verdict(empirical, args.epsilon),
                 )
             )

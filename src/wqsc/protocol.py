@@ -3,14 +3,14 @@
 One trial: a fresh source state (attacked or not), independent axis choices,
 local measurements, an optional public announcement of the outcomes, and a
 decision: the key bits the mode keeps, or none.  Three modes share the
-machinery and differ only in which axis sets produce key material:
+machinery and differ only in the steps they try:
 
-* key distribution (QKD): the sets with exactly one z measurer; the z
-  measurer decides, and on a plus outcome the two x measurers keep their
+* key distribution (QKD), :func:`decider_step`: on a set with a lone z
+  measurer, the decider, a plus outcome makes the two x measurers keep their
   (equal) x outcomes as a shared pair key bit;
-* partial secret sharing (PQSS): the all-z set; the dealer's outcome is the
-  secret bit and the other two outcomes are the shares;
-* synthesis (SYNTH): both at once, routed by the axis set.
+* partial secret sharing (PQSS), :func:`pqss_step`: on the all-z set the
+  dealer's outcome is the secret bit and the other two are the shares;
+* synthesis (SYNTH): both, the first step that keeps a trial deciding it.
 
 Randomness and its draw order are part of the output contract: a change to
 either changes report bytes for a given seed.
@@ -30,8 +30,8 @@ slot ``x`` becomes the uniform ``(x >> 11) * 2**-53``, exactly what
 * ``sweep-phi``: grid point ``k`` has key ``seed + (k + 1) * 2**64`` (key
   words ``(seed, k + 1)``, disjoint from every ``run`` key).  Sample ``j``
   reads the 4 slots of ``Philox(key, counter=j)``: the QKD axis set
-  (``floor(3u)`` indexes ``QKD_AXIS_SETS``), then the measurements of A, B
-  and C.
+  (``floor(3u)`` indexes ``QKD_AXIS_SETS``, zxx, xzx, xxz), then the
+  measurements of A, B and C.
 
 A measurement draw ``u`` yields plus iff ``u`` lies below the exact
 chain-rule probability of plus given the earlier outcomes.  Those
@@ -63,12 +63,12 @@ import numpy as np
 
 from .adversary import AttackConfig, apply_attack
 from .bell import (
+    _QKD_SET_INDEX,
     ALL_AXIS_SETS,
     EVENT_CELLS,
     OUTCOME_STRINGS,
-    QKD_AXIS_SETS,
+    PQSS_AXIS_SET,
     AxisSet,
-    AxisSetKind,
     is_event,
 )
 from .qcore import (
@@ -227,17 +227,14 @@ def decider_step(
 ) -> dict[Party, Outcome] | None:
     """Key-distribution decision for one trial: the pair's key bits, or None.
 
-    On a QKD axis set the z measurer decides: a plus outcome tells the two
-    x measurers to keep their (equal) x outcomes as a key bit for their
-    pair, returned keyed by the pair in party order; a minus outcome leaves
-    the pair in a product state with uncorrelated x outcomes, so the trial
-    is discarded.  Any other axis set is discarded.
+    On an axis set with a lone z measurer, that decider decides: a plus
+    outcome tells the two x measurers to keep their (equal) x outcomes as a
+    key bit for their pair, returned keyed by the pair in party order; a
+    minus outcome leaves the pair in a product state with uncorrelated x
+    outcomes, so the trial is discarded.  Any other axis set is discarded.
     """
-    if axes.kind is not AxisSetKind.QKD:
-        return None
     decider = axes.decider
-    assert decider is not None
-    if outcomes[decider] is not Outcome.PLUS:
+    if decider is None or outcomes[decider] is not Outcome.PLUS:
         return None
     x1, x2 = axes.x_parties  # type: ignore[misc]
     return {x1: outcomes[x1], x2: outcomes[x2]}
@@ -252,7 +249,7 @@ def pqss_step(
     their outcomes as shares.  Returns all three outcomes keyed by party,
     or None when the trial is discarded.
     """
-    if axes.kind is not AxisSetKind.PQSS:
+    if axes != PQSS_AXIS_SET:
         return None
     return {p: outcomes[p] for p in _PARTIES}
 
@@ -299,24 +296,24 @@ def security_verdict(frequency: float | None, epsilon: float) -> SecurityVerdict
     return SecurityVerdict.COMPROMISED if frequency > epsilon else SecurityVerdict.SECURE
 
 
-# The axis-set kinds that yield key material in each mode; every other kind
-# is discarded.
-_MODE_KINDS: dict[ProtocolMode, frozenset[AxisSetKind]] = {
-    ProtocolMode.QKD: frozenset({AxisSetKind.QKD}),
-    ProtocolMode.PQSS: frozenset({AxisSetKind.PQSS}),
-    ProtocolMode.SYNTH: frozenset({AxisSetKind.QKD, AxisSetKind.PQSS}),
+# The steps each mode tries.  Each step rejects every axis set but its own,
+# so at most one keeps a trial.
+_MODE_STEPS = {
+    ProtocolMode.QKD: (decider_step,),
+    ProtocolMode.PQSS: (pqss_step,),
+    ProtocolMode.SYNTH: (decider_step, pqss_step),
 }
 
 
 def _kept_bits(
     mode: ProtocolMode, axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]
 ) -> dict[Party, Outcome] | None:
-    """The key bits ``mode`` keeps from one trial, or None if it discards it."""
-    kind = axes.kind
-    if kind not in _MODE_KINDS[mode]:
-        return None
-    step = pqss_step if kind is AxisSetKind.PQSS else decider_step
-    return step(axes, outcomes)
+    """The key bits of the first of ``mode``'s steps that keeps the trial, or None."""
+    for step in _MODE_STEPS[mode]:
+        bits = step(axes, outcomes)
+        if bits is not None:
+            return bits
+    return None
 
 
 # Trials per chunk: one random_raw call and one pass of array sampling.  It
@@ -330,7 +327,6 @@ _UNIT = 2.0**-53
 
 _AXES = (Axis.Z, Axis.X)  # the bit order of ALL_AXIS_SETS
 _AXIS_BITS = np.arange(len(_AXES))
-_QKD_SET_INDEX = np.array([ALL_AXIS_SETS.index(axes) for axes in QKD_AXIS_SETS])
 
 
 def _outcome_table(sources: Sequence[StateVector]) -> np.ndarray:
@@ -478,6 +474,25 @@ def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
             yield _record(config.mode, index, set_index, outcome_index, announced)
 
 
+def check_sweep_arguments(
+    grid: Sequence[float], samples: int, seed: int
+) -> tuple[list[float], int, int]:
+    """:func:`sample_security_frequency`'s arguments, checked and coerced.
+
+    ``grid`` must be a non-empty sequence (or numpy array) of real numbers,
+    not bool, each a valid attack angle; ``samples`` and ``seed`` follow
+    :class:`ProtocolConfig`'s integer rule.  A bad value raises ValueError.
+    """
+    if isinstance(grid, (str, bytes)) or not isinstance(grid, (Sequence, np.ndarray)) or any(
+        isinstance(phi, bool) or not isinstance(phi, numbers.Real) for phi in grid
+    ):
+        raise ValueError(f"the phi grid must be a sequence of numbers, got {grid!r}")
+    grid = [validate_attack_angle(phi) for phi in grid]
+    if not grid:
+        raise ValueError("the phi grid is empty")
+    return grid, _integer("samples", samples, 1), _integer("seed", seed, 0, MAX_SEED)
+
+
 def sample_security_frequency(grid: Sequence[float], samples: int, seed: int) -> list[float]:
     """Empirical security-event frequency at each attack strength of ``grid``.
 
@@ -486,15 +501,11 @@ def sample_security_frequency(grid: Sequence[float], samples: int, seed: int) ->
     measurements of Alice, Bob, Charlie.  Every point's outcome table comes
     from one batched build over the whole grid.  Point ``k`` draws from
     its own Philox key, ``seed + (k + 1) * 2**64``, so its frequency depends
-    on its index and not on the rest of the grid.  ``samples`` and ``seed``
-    follow :class:`ProtocolConfig`'s integer rule, and every value is
-    checked before any table is built or any draw is made.
+    on its index and not on the rest of the grid.  Every value is checked
+    by :func:`check_sweep_arguments` before any table is built or any draw
+    is made.
     """
-    samples = _integer("samples", samples, 1)
-    seed = _integer("seed", seed, 0, MAX_SEED)
-    grid = [validate_attack_angle(phi) for phi in grid]
-    if not grid:
-        raise ValueError("the phi grid is empty")
+    grid, samples, seed = check_sweep_arguments(grid, samples, seed)
     tables = _outcome_table([attacked_w_state(phi) for phi in grid])
     return [
         _event_frequency(table, seed + ((point + 1) << 64), samples)
@@ -567,17 +578,19 @@ def _cell_fields(
     announced: bool,
 ) -> Iterator[str]:
     """The count fields to which one trial in this cell adds 1."""
-    kind = axes.kind
+    qkd = axes.decider is not None
     bits = _kept_bits(mode, axes, outcomes)
-    if kind is not AxisSetKind.USELESS:
-        yield f"{kind.value}_axis_trials"
+    if qkd:
+        yield "qkd_axis_trials"
+    elif axes == PQSS_AXIS_SET:
+        yield "pqss_axis_trials"
     if bits is not None:
-        yield f"{kind.value}_success_trials"
+        yield "qkd_success_trials" if qkd else "pqss_success_trials"
         yield "success_trials"
 
     if announced:
         yield "announced_trials"
-        if kind is AxisSetKind.QKD:
+        if qkd:
             yield "announced_qkd_trials"
             if is_event(axes, outcomes):
                 yield "security_events"
@@ -585,7 +598,7 @@ def _cell_fields(
 
     if bits is None:
         yield "discarded_trials"
-    elif kind is AxisSetKind.QKD:
+    elif qkd:
         x1, x2 = bits
         yield f"key_bits_{x1.letter}{x2.letter}".lower()
         yield "total_key_bits"

@@ -315,7 +315,10 @@ def joint_probability(
     """Exact probability that each constrained qubit yields its outcome.
 
     Computed by projecting the amplitudes (no sampling); unconstrained
-    qubits are marginalized.  Constraint qubits must be distinct.
+    qubits are marginalized.  Constraint qubits must be distinct.  A
+    projection of subnormal mass is first scaled by an exact power of two
+    to unit peak amplitude, so its squares are summed before they round,
+    and the scale is undone on the quotient.
     """
     constraints = list(constraints)
     n = state.num_qubits
@@ -332,7 +335,13 @@ def joint_probability(
     for qubit, axis, outcome in constraints:
         component = _axis_components(_split_on_qubit(work, qubit), axis)[outcome]
         work = _project(int(axis is Axis.X), outcome, component).reshape(-1)
-    return float(np.vdot(work, work).real) / total
+    mass = float(np.vdot(work, work).real)
+    if mass < sys.float_info.min and (peak := float(np.max(np.abs(work)))) > 0.0:
+        # 2.0**e overflows for the smallest peaks, so each part is scaled elementwise.
+        e = -math.frexp(peak)[1]
+        scaled = np.ldexp(work.real, e) + 1j * np.ldexp(work.imag, e)
+        return math.ldexp(float(np.vdot(scaled, scaled).real) / total, -2 * e)
+    return mass / total
 
 
 def outcome_distribution(state: StateVector) -> np.ndarray:

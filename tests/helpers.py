@@ -21,9 +21,9 @@ import numpy as np
 from wqsc import (
     Axis,
     AxisSet,
-    AxisSetKind,
     InconsistentSharesError,
     Outcome,
+    PQSS_AXIS_SET,
     Party,
     ProtocolConfig,
     ProtocolMode,
@@ -145,13 +145,13 @@ def oracle_report(config: ProtocolConfig) -> RunReport:
         decisions = ((step, step(axes, outcomes)) for step in _MODE_STEPS[config.mode])
         step, kept = next(((s, bits) for s, bits in decisions if bits is not None), (None, None))
         assert record.key_bits == (None if record.announced else kept)
-        n["qkd_axis"] += axes.kind is AxisSetKind.QKD
-        n["pqss_axis"] += axes.kind is AxisSetKind.PQSS
+        n["qkd_axis"] += axes.decider is not None
+        n["pqss_axis"] += axes == PQSS_AXIS_SET
         n["qkd_success"] += step is decider_step
         n["pqss_success"] += step is pqss_step
         if record.announced:
             n["announced"] += 1
-            if axes.kind is AxisSetKind.QKD:
+            if axes.decider is not None:
                 n["announced_qkd"] += 1
                 n["events"] += is_event(axes, outcomes)
         elif kept is None:

@@ -9,8 +9,8 @@ from wqsc import (
     ALL_AXIS_SETS,
     Axis,
     AxisSet,
-    AxisSetKind,
     Outcome,
+    PQSS_AXIS_SET,
     Party,
     QKD_AXIS_SETS,
     StrictPair,
@@ -27,6 +27,7 @@ from wqsc import (
     security_event_probability,
     w_state,
 )
+from wqsc import bell
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
@@ -38,14 +39,32 @@ ROLE_ASSIGNMENTS = [
 
 
 class TestAxisSet:
-    def test_exactly_eight_sets_with_fixed_classification(self):
-        assert len(ALL_AXIS_SETS) == 8
-        by_kind = {kind: [] for kind in AxisSetKind}
+    def test_every_set_has_its_fixed_role(self):
+        # label -> (decider, x_parties, is the secret-sharing set)
+        roles = {
+            "zzz": (None, None, True),
+            "zzx": (None, None, False),
+            "zxz": (None, None, False),
+            "zxx": (A, (B, C), False),
+            "xzz": (None, None, False),
+            "xzx": (B, (A, C), False),
+            "xxz": (C, (A, B), False),
+            "xxx": (None, None, False),
+        }
+        assert [axis_set.label for axis_set in ALL_AXIS_SETS] == list(roles)
         for axis_set in ALL_AXIS_SETS:
-            by_kind[axis_set.kind].append(axis_set.label)
-        assert sorted(by_kind[AxisSetKind.QKD]) == ["xxz", "xzx", "zxx"]
-        assert by_kind[AxisSetKind.PQSS] == ["zzz"]
-        assert sorted(by_kind[AxisSetKind.USELESS]) == ["xxx", "xzz", "zxz", "zzx"]
+            decider, x_parties, pqss = roles[axis_set.label]
+            assert axis_set.decider is decider, axis_set.label
+            assert axis_set.x_parties == x_parties, axis_set.label
+            assert (axis_set == PQSS_AXIS_SET) is pqss, axis_set.label
+
+    def test_qkd_set_k_is_decided_by_party_k(self):
+        # The sweep's floor(3u) draw and the exact event readers index the
+        # QKD sets by the deciding party.
+        assert [axis_set.label for axis_set in QKD_AXIS_SETS] == ["zxx", "xzx", "xxz"]
+        for k, axis_set in enumerate(QKD_AXIS_SETS):
+            assert axis_set.decider is Party(k)
+            assert ALL_AXIS_SETS[bell._QKD_SET_INDEX[k]] == axis_set
 
     def test_decider_and_x_parties(self):
         xxz = AxisSet.from_label("xxz")

@@ -11,7 +11,7 @@ import wqsc.protocol
 from wqsc import binomial_sigma
 from wqsc.cli import entrypoint, main, sample_security_frequency
 from wqsc.golden import run_verification
-from wqsc.protocol import MODE_SUCCESS_PROBABILITY, ProtocolMode
+from wqsc.protocol import MODE_SUCCESS_PROBABILITY, ProtocolMode, check_sweep_arguments
 from wqsc.reporting import parse_report_csv, parse_report_json, parse_sweep_csv
 
 HALF_PI_TEXT = "1.5707963267948966"
@@ -123,6 +123,23 @@ class TestFailFast:
     def test_out_of_range_sweep_seed(self, capsys):
         assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "-1") == 1
         self.assert_one_line_error(capsys, "seed")
+
+    @pytest.mark.parametrize("flags,grid,samples,seed", [
+        (("--grid", "0,2.0"), [0.0, 2.0], 10000, 1),
+        (("--grid", "nan"), [math.nan], 10000, 1),
+        (("--grid", " , "), [], 10000, 1),
+        (("--grid", "0.5", "--trials", "0"), [0.5], 0, 1),
+        (("--grid", "0.5", "--seed", str(2**64)), [0.5], 10000, 2**64),
+    ])
+    def test_bad_sweep_value_gives_the_sampler_message_and_no_output(
+        self, flags, grid, samples, seed, tmp_path, capsys
+    ):
+        with pytest.raises(ValueError) as sampler:
+            check_sweep_arguments(grid, samples, seed)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-phi", "--seed", "1", *flags, "--output", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {sampler.value}\n"
+        assert not out.exists()
 
     def test_console_script_rejects_bad_environment_value(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["wqsc", "run", "--trials", "10", "--seed", "1"])
@@ -291,6 +308,21 @@ class TestSweepCommand:
         monkeypatch.setattr(wqsc.protocol, "_outcome_table", forbidden)
         with pytest.raises(ValueError):
             sample_security_frequency(grid, 100, 1)
+
+    @pytest.mark.parametrize("grid", [0.9, "01", [True], [[0.5]], None])
+    def test_sampler_rejects_a_grid_that_is_not_numbers(self, grid, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a table was built before the grid was checked")
+
+        monkeypatch.setattr(wqsc.protocol, "_outcome_table", forbidden)
+        with pytest.raises(ValueError, match="phi grid must be a sequence of numbers"):
+            sample_security_frequency(grid, 100, 1)
+
+    def test_sampler_takes_a_numpy_grid(self):
+        grid = np.array([0.2, 0.9])
+        assert sample_security_frequency(grid, 500, 4) == sample_security_frequency(
+            [0.2, 0.9], 500, 4
+        )
 
     def test_sampler_coerces_numpy_integers(self):
         frequencies = sample_security_frequency([0.9], np.int64(200), np.uint64(4))

@@ -7,7 +7,6 @@ import pytest
 from wqsc import (
     ALL_AXIS_SETS,
     AxisSet,
-    AxisSetKind,
     Inference,
     InconsistentSharesError,
     Outcome,
@@ -50,7 +49,7 @@ class TestAxisDraws:
             counts[record.axes.label] += 1
         for label, count in counts.items():
             assert within_3_sigma(count / n, 1.0 / 8.0, n), label
-        qkd = sum(counts[axes.label] for axes in ALL_AXIS_SETS if axes.kind is AxisSetKind.QKD)
+        qkd = sum(counts[axes.label] for axes in ALL_AXIS_SETS if axes.decider is not None)
         assert within_3_sigma(qkd / n, 3.0 / 8.0, n)
         assert within_3_sigma(counts["zzz"] / n, 1.0 / 8.0, n)
 
@@ -168,7 +167,7 @@ class TestRunTrial:
         config = ProtocolConfig(ProtocolMode.QKD, trials=n, seed=11, announce_rate=0.0)
         records = list(iter_trials(config))
         key_trials = sum(1 for r in records if r.key_bits is not None)
-        qkd_axis = sum(1 for r in records if r.axes.kind is AxisSetKind.QKD)
+        qkd_axis = sum(1 for r in records if r.axes.decider is not None)
         assert within_3_sigma(key_trials / n, 0.25, n)
         assert within_3_sigma(key_trials / qkd_axis, 2.0 / 3.0, qkd_axis)
 

@@ -269,6 +269,7 @@ class TestOutcomeDistribution:
     @example(phi=0.0, target=None)
     @example(phi=HALF_PI, target=C)
     @example(phi=8.4e-161, target=A)  # amplitudes whose squares are subnormal
+    @example(phi=1.0717349051363885e-161, target=None)  # squares below half the least subnormal
     def test_attacked_states_match_joint_probability(self, phi, target):
         assert_matches_joint_probability(attacked_w_state(phi))
         if target is None:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from helpers import oracle_report
 from wqsc import (
     ALL_AXIS_SETS,
-    AxisSetKind,
     Outcome,
     Party,
     ProtocolConfig,
@@ -65,7 +64,7 @@ class TestCellWeights:
                     assert w["announced_trials"] == announced
                     # An announced all-z trial is public but never checked.
                     assert w["announced_qkd_trials"] == (
-                        announced and axes.kind is AxisSetKind.QKD
+                        announced and axes.decider is not None
                     )
                     assert w["security_events"] == (announced and is_event(axes, outcomes))
                     assert w["discarded_trials"] == (not announced and kept is None)
