@@ -34,6 +34,7 @@ from .protocol import (
     ProtocolMode,
     SecurityVerdict,
     binomial_sigma,
+    check_epsilon,
     check_sweep_arguments,
     run_protocol,
     sample_security_frequency,
@@ -184,13 +185,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = [float(item) for item in args.grid.split(",") if item.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad phi grid: {exc}") from exc
-    grid, samples, seed = check_sweep_arguments(grid, args.trials, args.seed)
-    if not 0.0 < args.epsilon < 1.0:
-        raise _UsageError("epsilon must lie in (0, 1)")
+    grid, trials, seed = check_sweep_arguments(grid, args.trials, args.seed)
+    epsilon = check_epsilon(args.epsilon)
 
     with _open_output(args.output) as out:
         rows = []
-        frequencies = sample_security_frequency(grid, samples, seed)
+        frequencies = sample_security_frequency(grid, trials, seed)
         for phi, empirical in zip(grid, frequencies):
             p_bar = averaged_security_probability(phi)
             rows.append(
@@ -198,8 +198,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     phi=phi,
                     p_bar=p_bar,
                     empirical=empirical,
-                    sigma=binomial_sigma(p_bar, samples),
-                    verdict=security_verdict(empirical, args.epsilon),
+                    sigma=binomial_sigma(p_bar, trials),
+                    verdict=security_verdict(empirical, epsilon),
                 )
             )
         out.write(render_sweep_csv(rows))

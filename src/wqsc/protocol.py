@@ -139,6 +139,16 @@ def _integer(name: str, value: object, low: int, high: int | None = None) -> int
     return int(value)
 
 
+def check_epsilon(epsilon: float) -> float:
+    """``epsilon``, the permitted security-event frequency, if it lies in (0, 1).
+
+    Anything else, NaN included, raises ValueError.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return epsilon
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters; a config plus the trial index determines a trial exactly.
@@ -163,8 +173,7 @@ class ProtocolConfig:
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, MAX_SEED))
         if not 0.0 <= self.announce_rate < 1.0:
             raise ValueError(f"announce_rate must lie in [0, 1), got {self.announce_rate!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -289,8 +298,7 @@ def security_verdict(frequency: float | None, epsilon: float) -> SecurityVerdict
     unattacked channel, so the run is compromised as soon as it exceeds
     ``epsilon``; with the default epsilon a single event suffices.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_epsilon(epsilon)
     if frequency is None:
         return SecurityVerdict.INCONCLUSIVE
     return SecurityVerdict.COMPROMISED if frequency > epsilon else SecurityVerdict.SECURE
@@ -475,13 +483,14 @@ def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
 
 
 def check_sweep_arguments(
-    grid: Sequence[float], samples: int, seed: int
+    grid: Sequence[float], trials: int, seed: int
 ) -> tuple[list[float], int, int]:
     """:func:`sample_security_frequency`'s arguments, checked and coerced.
 
     ``grid`` must be a non-empty sequence (or numpy array) of real numbers,
-    not bool, each a valid attack angle; ``samples`` and ``seed`` follow
-    :class:`ProtocolConfig`'s integer rule.  A bad value raises ValueError.
+    not bool, each a valid attack angle; ``trials`` (samples per point) and
+    ``seed`` follow :class:`ProtocolConfig`'s integer rule.  A bad value
+    raises ValueError.
     """
     if isinstance(grid, (str, bytes)) or not isinstance(grid, (Sequence, np.ndarray)) or any(
         isinstance(phi, bool) or not isinstance(phi, numbers.Real) for phi in grid
@@ -490,10 +499,10 @@ def check_sweep_arguments(
     grid = [validate_attack_angle(phi) for phi in grid]
     if not grid:
         raise ValueError("the phi grid is empty")
-    return grid, _integer("samples", samples, 1), _integer("seed", seed, 0, MAX_SEED)
+    return grid, _integer("trials", trials, 1), _integer("seed", seed, 0, MAX_SEED)
 
 
-def sample_security_frequency(grid: Sequence[float], samples: int, seed: int) -> list[float]:
+def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> list[float]:
     """Empirical security-event frequency at each attack strength of ``grid``.
 
     Each sample plays one announced QKD-set trial against the attacked
@@ -505,26 +514,26 @@ def sample_security_frequency(grid: Sequence[float], samples: int, seed: int) ->
     by :func:`check_sweep_arguments` before any table is built or any draw
     is made.
     """
-    grid, samples, seed = check_sweep_arguments(grid, samples, seed)
+    grid, trials, seed = check_sweep_arguments(grid, trials, seed)
     tables = _outcome_table([attacked_w_state(phi) for phi in grid])
     return [
-        _event_frequency(table, seed + ((point + 1) << 64), samples)
+        _event_frequency(table, seed + ((point + 1) << 64), trials)
         for point, table in enumerate(tables)
     ]
 
 
-def _event_frequency(table: np.ndarray, key: int, samples: int) -> float:
-    """Event frequency over ``samples`` sweep samples drawn from Philox key ``key``.
+def _event_frequency(table: np.ndarray, key: int, trials: int) -> float:
+    """Event frequency over ``trials`` sweep samples drawn from Philox key ``key``.
 
     Its chunks are released on return, so a sweep holds one at a time.
     """
     bits = _stream(key, 0, _SAMPLE_SLOTS)
     counts = np.zeros(EVENT_CELLS.size, dtype=np.int64)
-    for _, u in _chunks(bits, samples, _SAMPLE_SLOTS):
+    for _, u in _chunks(bits, trials, _SAMPLE_SLOTS):
         sets = _QKD_SET_INDEX[(u[:, 0] * 3.0).astype(np.intp)]
         outcomes = _sample_outcomes(table, sets, u[:, 1], u[:, 2], u[:, 3])
         counts += np.bincount(8 * sets + outcomes, minlength=counts.size)
-    return int(counts[EVENT_CELLS.ravel()].sum()) / samples
+    return int(counts[EVENT_CELLS.ravel()].sum()) / trials
 
 
 def key_accounting(

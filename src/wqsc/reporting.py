@@ -1,12 +1,16 @@
-"""Machine-readable run reports: JSON and CSV renderers plus parsers.
+"""Machine-readable run reports and sweep rows: JSON and CSV renderers plus parsers.
 
-The schema is fixed: the fields of ``RunReport``, in declaration order,
-are the key list and column order, named by ``REPORT_COLUMNS``.  JSON
-object keys and CSV headers never change without a schema version bump.
-CSV is UTF-8, comma delimited, '.' decimal point, header row mandatory,
-and every row exactly as wide as the header; missing values are empty
-cells in CSV and null in JSON.  Rendering is deterministic: the same
-report always yields the same bytes.
+Each row type's fields are its schema: the fields of ``RunReport`` and
+``SweepRow``, in order, are its keys and columns (``REPORT_COLUMNS``,
+``SWEEP_COLUMNS``) and change only with a schema version bump.  A party is
+written as its letter, any other enum as its value, and the same rows always
+render to the same bytes.  CSV is UTF-8, comma delimited, '.' decimal point,
+one header row and rows as wide as it; a missing value is an empty cell or null.
+
+Decoding follows the field's annotation: only a ``| None`` field may be
+null or an empty cell; text (every CSV cell) is read with ``int()``,
+``float()`` or as an enum's scalar; a JSON int field takes an int, a float
+field an int or float, never a bool.  Else a ValueError names the field.
 """
 
 from __future__ import annotations
@@ -15,27 +19,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
+from enum import Enum
 
 from .protocol import ProtocolMode, RunReport, SecurityVerdict
 from .qcore import Party
-
-_REPORT_FIELDS = fields(RunReport)
-REPORT_COLUMNS: tuple[str, ...] = tuple(field.name for field in _REPORT_FIELDS)
-
-SWEEP_COLUMNS: tuple[str, ...] = ("phi", "p_bar", "empirical", "sigma", "verdict")
-
-# CSV cell parsers by field annotation, which ``protocol`` keeps as text
-# (postponed annotations); any other field is text, None when empty, and
-# report_from_dict converts it.
-_CELL_PARSERS = {
-    "int": int,
-    "float": float,
-    "float | None": lambda cell: float(cell) if cell else None,
-}
-
-
-def _text(cell: str) -> str | None:
-    return cell if cell else None
 
 
 @dataclass(frozen=True)
@@ -49,39 +36,62 @@ class SweepRow:
     verdict: SecurityVerdict
 
 
+REPORT_COLUMNS = tuple(field.name for field in fields(RunReport))
+SWEEP_COLUMNS = tuple(field.name for field in fields(SweepRow))
+_COLUMNS = {RunReport: REPORT_COLUMNS, SweepRow: SWEEP_COLUMNS}
+_ENUMS = (ProtocolMode, Party, SecurityVerdict)
+
+
+def _scalar(member: Enum) -> object:
+    """An enum member as a JSON scalar: a party's letter, any other member's value."""
+    return member.letter if isinstance(member, Party) else member.value
+
+
+# By field annotation (text, as annotations are postponed) less any "| None":
+# the types a value may have, never bool, and how it is read.
+_DECODERS = {
+    "int": ((str, int), int),
+    "float": ((str, int, float), float),
+    **{enum.__name__: ((str,), {_scalar(m): m for m in enum}.__getitem__) for enum in _ENUMS},
+}
+
+
+def _decode(field, value: object) -> object:
+    base = field.type.removesuffix(" | None")
+    if base != field.type and value in (None, ""):
+        return None
+    types, read = _DECODERS[base]
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            return read(value)
+        except (KeyError, ValueError):
+            pass
+    raise ValueError(f"{field.name} cannot be {value!r}")
+
+
+def _to_dict(row) -> dict:
+    # An exact type test: isinstance() against an enum class takes about 0.1 us.
+    return {
+        name: _scalar(value) if type(value := getattr(row, name)) in _ENUMS else value
+        for name in _COLUMNS[type(row)]
+    }
+
+
+def _from_dict(row_type: type, data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"{row_type.__name__} must be an object, got {data!r}")
+    if missing := set(_COLUMNS[row_type]) - set(data):
+        raise ValueError(f"{row_type.__name__} is missing fields: {sorted(missing)}")
+    return row_type(**{field.name: _decode(field, data[field.name]) for field in fields(row_type)})
+
+
 def report_to_dict(report: RunReport) -> dict:
     """Flatten a report to plain scalars in schema order."""
-    raw = {
-        "mode": report.mode.value,
-        "trials": report.trials,
-        "seed": report.seed,
-        "announce_rate": report.announce_rate,
-        "attack_phi": report.attack_phi,
-        "attack_target": (
-            report.attack_target.letter if report.attack_target is not None else None
-        ),
-        "epsilon": report.epsilon,
-        "dealer": report.dealer.letter,
-        "security_verdict": report.security_verdict.value,
-    }
-    for name in REPORT_COLUMNS:
-        if name not in raw:
-            raw[name] = getattr(report, name)
-    return {name: raw[name] for name in REPORT_COLUMNS}
+    return _to_dict(report)
 
 
 def report_from_dict(data: dict) -> RunReport:
-    missing = set(REPORT_COLUMNS) - set(data)
-    if missing:
-        raise ValueError(f"report is missing fields: {sorted(missing)}")
-    kwargs = dict(data)
-    kwargs["mode"] = ProtocolMode(kwargs["mode"])
-    kwargs["dealer"] = Party.from_letter(kwargs["dealer"])
-    target = kwargs["attack_target"]
-    kwargs["attack_target"] = Party.from_letter(target) if target is not None else None
-    kwargs["security_verdict"] = SecurityVerdict(kwargs["security_verdict"])
-    kwargs = {name: kwargs[name] for name in REPORT_COLUMNS}
-    return RunReport(**kwargs)
+    return _from_dict(RunReport, data)
 
 
 def render_report_json(report: RunReport) -> str:
@@ -92,74 +102,49 @@ def parse_report_json(text: str) -> RunReport:
     return report_from_dict(json.loads(text))
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
+def _write_csv(row_type: type, rows: list) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(_COLUMNS[row_type])
+    writer.writerows(_to_dict(row).values() for row in rows)  # None: an empty cell
+    return buffer.getvalue()
 
 
-def _check_width(cells: list[str], columns: tuple[str, ...]) -> None:
-    if len(cells) != len(columns):
-        raise ValueError(f"CSV row has {len(cells)} cells, expected {len(columns)}: {cells!r}")
+def _read_csv(row_type: type, text: str) -> list:
+    columns = _COLUMNS[row_type]
+    header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+    if tuple(header) != columns:
+        raise ValueError(f"{row_type.__name__} CSV must start with the header {','.join(columns)}")
+    for cells in rows:
+        if len(cells) != len(columns):
+            raise ValueError(f"CSV row has {len(cells)} cells, expected {len(columns)}: {cells!r}")
+    return [_from_dict(row_type, dict(zip(columns, cells))) for cells in rows]
 
 
 def render_report_csv(report: RunReport) -> str:
-    data = report_to_dict(report)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    writer.writerow([_cell(data[name]) for name in REPORT_COLUMNS])
-    return buffer.getvalue()
+    return _write_csv(RunReport, [report])
 
 
 def parse_report_csv(text: str) -> RunReport:
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) != 2 or tuple(rows[0]) != REPORT_COLUMNS:
-        raise ValueError("report CSV must have the fixed header row and one data row")
-    _check_width(rows[1], REPORT_COLUMNS)
-    data = {
-        field.name: _CELL_PARSERS.get(field.type, _text)(cell)
-        for field, cell in zip(_REPORT_FIELDS, rows[1])
-    }
-    return report_from_dict(data)
+    reports = _read_csv(RunReport, text)
+    if len(reports) == 1:
+        return reports[0]
+    raise ValueError(f"report CSV must have one data row, got {len(reports)}")
 
 
-REPORT_FORMATS = ("json", "csv")
+_RENDERERS = {"json": render_report_json, "csv": render_report_csv}
+REPORT_FORMATS = tuple(_RENDERERS)
 
 
 def render_report(report: RunReport, fmt: str) -> str:
-    if fmt == "json":
-        return render_report_json(report)
-    if fmt == "csv":
-        return render_report_csv(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return _RENDERERS[fmt](report)
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [row.phi, row.p_bar, row.empirical, row.sigma, row.verdict.value]
-        )
-    return buffer.getvalue()
+    return _write_csv(SweepRow, rows)
 
 
 def parse_sweep_csv(text: str) -> list[SweepRow]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != SWEEP_COLUMNS:
-        raise ValueError("sweep CSV must start with the fixed header row")
-    parsed = []
-    for cells in rows[1:]:
-        _check_width(cells, SWEEP_COLUMNS)
-        parsed.append(
-            SweepRow(
-                phi=float(cells[0]),
-                p_bar=float(cells[1]),
-                empirical=float(cells[2]),
-                sigma=float(cells[3]),
-                verdict=SecurityVerdict(cells[4]),
-            )
-        )
-    return parsed
+    return _read_csv(SweepRow, text)

@@ -124,21 +124,32 @@ class TestFailFast:
         assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "-1") == 1
         self.assert_one_line_error(capsys, "seed")
 
-    @pytest.mark.parametrize("flags,grid,samples,seed", [
-        (("--grid", "0,2.0"), [0.0, 2.0], 10000, 1),
-        (("--grid", "nan"), [math.nan], 10000, 1),
-        (("--grid", " , "), [], 10000, 1),
-        (("--grid", "0.5", "--trials", "0"), [0.5], 0, 1),
-        (("--grid", "0.5", "--seed", str(2**64)), [0.5], 10000, 2**64),
+    @pytest.mark.parametrize("flags,grid,samples,seed,named", [
+        (("--grid", "0,2.0"), [0.0, 2.0], 10000, 1, "angle"),
+        (("--grid", "nan"), [math.nan], 10000, 1, "angle"),
+        (("--grid", " , "), [], 10000, 1, "grid"),
+        (("--grid", "0.5", "--trials", "0"), [0.5], 0, 1, "trials"),
+        (("--grid", "0.5", "--seed", str(2**64)), [0.5], 10000, 2**64, "seed"),
     ])
     def test_bad_sweep_value_gives_the_sampler_message_and_no_output(
-        self, flags, grid, samples, seed, tmp_path, capsys
+        self, flags, grid, samples, seed, named, tmp_path, capsys
     ):
         with pytest.raises(ValueError) as sampler:
             check_sweep_arguments(grid, samples, seed)
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep-phi", "--seed", "1", *flags, "--output", str(out)) == 1
         assert capsys.readouterr().err == f"error: {sampler.value}\n"
+        assert named in str(sampler.value)
+        assert not out.exists()
+
+    def test_bad_epsilon_gives_one_message_for_run_and_sweep(self, tmp_path, capsys):
+        assert run_cli("run", "--mode", "qkd", "--trials", "10", "--seed", "1",
+                       "--epsilon", "0") == 1
+        run_err = capsys.readouterr().err
+        out = tmp_path / "eps.csv"
+        assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "1", "--epsilon", "0",
+                       "--output", str(out)) == 1
+        assert capsys.readouterr().err == run_err == "error: epsilon must lie in (0, 1), got 0.0\n"
         assert not out.exists()
 
     def test_console_script_rejects_bad_environment_value(self, capsys, monkeypatch):

@@ -164,3 +164,37 @@ class TestSweepSerialization:
     def test_row_width_must_match_header(self, row):
         with pytest.raises(ValueError):
             parse_sweep_csv(f"phi,p_bar,empirical,sigma,verdict\n{row}\n")
+
+
+class TestTypeRule:
+    """A value its field's annotation cannot read exactly is rejected, naming the field."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("trials", 400.5),
+        ("trials", True),
+        ("trials", None),
+        ("epsilon", True),
+        ("mode", "qkd2"),
+        ("dealer", 0),
+    ])
+    def test_json_value_of_wrong_type(self, plain_report, name, value):
+        payload = json.loads(render_report_json(plain_report))
+        payload[name] = value
+        with pytest.raises(ValueError, match=name):
+            parse_report_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["5", "null"])
+    def test_json_that_is_not_an_object(self, text):
+        with pytest.raises(ValueError):
+            parse_report_json(text)
+
+    def test_csv_unknown_dealer(self, plain_report):
+        header, row = render_report_csv(plain_report).splitlines()
+        cells = row.split(",")
+        cells[REPORT_COLUMNS.index("dealer")] = "Z"
+        with pytest.raises(ValueError, match="dealer"):
+            parse_report_csv(f"{header}\n{','.join(cells)}\n")
+
+    def test_sweep_unknown_verdict(self):
+        with pytest.raises(ValueError, match="verdict"):
+            parse_sweep_csv("phi,p_bar,empirical,sigma,verdict\n0,0,0,0,maybe\n")
