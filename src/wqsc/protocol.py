@@ -17,16 +17,18 @@ either changes report bytes for a given seed.
 
 Draws come from a counter-based Philox stream (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 slots.  A
-slot ``x`` becomes the uniform ``(x >> 11) * 2**-53``, exactly what
-``Generator.random()`` computes.
+slot ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
+``Generator.random()`` computes, and is compared with integers only.
 
-* ``run``: key ``seed``.  Trial ``i`` reads the 8 slots of
-  ``Philox(key=seed, counter=2*i)``, in order: the axis choices of A, B and
-  C (below 1/2 selects z), the measurements of A, B and C, the announcement
-  (below the announce rate announces), and 1 spare slot.  Any trial replays
-  in isolation from its counter alone, and contiguous trials are one
-  contiguous read.  The eavesdropper's ancilla is never sampled: it is
-  measured after the parties, so its outcome cannot change theirs.
+* ``run``: key ``seed``.  Trial ``i`` reads the 4 slots of
+  ``Philox(key=seed, counter=i)``: the measurements of A, B and C, then
+  the announcement (a draw below the announce rate announces).  The
+  announcement slot's low 3 bits, which the shift drops, choose the axes
+  of A, B and C, A the highest (0 selects z), each exactly 1/2 and
+  independent of every draw.  Any trial replays in isolation from its
+  counter alone, and contiguous trials are one contiguous read.  The
+  eavesdropper's ancilla is never sampled: it is measured after the
+  parties, so its outcome cannot change theirs.
 * ``sweep-phi``: grid point ``k`` has key ``seed + (k + 1) * 2**64`` (key
   words ``(seed, k + 1)``, disjoint from every ``run`` key).  Sample ``j``
   reads the 4 slots of ``Philox(key, counter=j)``: the QKD axis set
@@ -34,7 +36,8 @@ slot ``x`` becomes the uniform ``(x >> 11) * 2**-53``, exactly what
   measurements of A, B and C.
 
 A measurement draw ``u`` yields plus iff ``u`` lies below the exact
-chain-rule probability of plus given the earlier outcomes.  Those
+chain-rule probability ``p`` of plus given the earlier outcomes, that is
+iff ``k < ceil(p * 2**53)``, exact because ``p * 2**53`` is.  Those
 probabilities come from an outcome table built once per call: for a run
 from its one source, for a sweep from the whole grid's sources at once, in
 one batched pass per party over every state reached so far.
@@ -328,10 +331,11 @@ def _kept_bits(
 # bounds memory; counts add across chunks, so it never changes a report.
 _CHUNK_TRIALS = 4096
 
-_BLOCK_SLOTS = 4  # uint64 slots per Philox block; the counter counts blocks
-_TRIAL_SLOTS = 8  # run: axes A, B, C; measurements A, B, C; announcement; spare
-_SAMPLE_SLOTS = 4  # sweep-phi: QKD axis set; measurements A, B, C
-_UNIT = 2.0**-53
+_SLOTS = 4  # uint64 slots per Philox block: one run trial or one sweep sample
+_DRAW_SHIFT = np.uint64(11)  # slot x draws k = x >> 11, the uniform k * 2**-53
+_SET_MASK = np.uint64(7)  # run: the announcement slot's axis-set bits
+# A sweep's set draw k has floor(3 * k * 2**-53) = how many of these it reaches.
+_THIRDS = (np.uint64(-(-(2**53) // 3)), np.uint64((2**54 - 1) // 3))
 
 _AXES = (Axis.Z, Axis.X)  # the bit order of ALL_AXIS_SETS
 _AXIS_BITS = np.arange(len(_AXES))
@@ -395,56 +399,61 @@ def _outcome_table(sources: Sequence[StateVector]) -> np.ndarray:
     return table
 
 
-def _sample_outcomes(
-    table: np.ndarray, sets: np.ndarray, u_a: np.ndarray, u_b: np.ndarray, u_c: np.ndarray
-) -> np.ndarray:
-    """Outcome-string index ``4a + 2b + c`` per trial.
+def _threshold(p: np.ndarray | float) -> np.ndarray:
+    """``ceil(p * 2**53)`` as uint64: a draw ``k`` lies below ``p`` iff below this.
 
-    A measurement gives plus iff its draw lies below its node's P(plus),
-    so a bit is 1 (minus) iff the draw is at least that probability.
+    ``p * 2**53`` is exact for every ``p`` in [0, 1], so the rule is exact.
     """
-    a = (u_a >= table[sets, 0]).astype(np.intp)
-    b = (u_b >= table[sets, 1 + a]).astype(np.intp)
-    c = (u_c >= table[sets, 3 + 2 * a + b]).astype(np.intp)
-    return 4 * a + 2 * b + c
+    return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
 
 
-def _trial_cells(
-    table: np.ndarray, u: np.ndarray, announce_rate: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axis-set index, outcome-string index and announcement of each trial.
+def _walk_thresholds(table: np.ndarray) -> np.ndarray:
+    """A table's node thresholds by walk position (see :func:`_walk`).
 
-    ``u`` holds the trials' uniforms, one row of ``_TRIAL_SLOTS`` each; an
-    axis draw below 1/2 selects z.
+    Position ``2**d * (8 + s) + i`` holds node ``2**d - 1 + i`` of set ``s``,
+    the ``i``-th node of party ``d``; positions 0 to 7 are never read.
     """
-    sets = 4 * (u[:, 0] >= 0.5) + 2 * (u[:, 1] >= 0.5) + (u[:, 2] >= 0.5)
-    outcomes = _sample_outcomes(table, sets, u[:, 3], u[:, 4], u[:, 5])
-    return sets, outcomes, u[:, 6] < announce_rate
+    by_party = [table[:, (1 << d) - 1 : (2 << d) - 1].ravel() for d in _PARTIES]
+    return _threshold(np.concatenate([np.zeros(len(table)), *by_party]))
 
 
-def _stream(key: int, first: int, slots: int) -> np.random.Philox:
-    """Philox stream positioned at item ``first`` of ``slots`` slots each."""
-    return np.random.Philox(key=key, counter=first * slots // _BLOCK_SLOTS)
+def _walk(thresholds: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Index ``8s + o`` of each trial's axis set ``s`` and outcome string ``o``.
+
+    ``draws`` holds the measurement draws of A, B and C, one column each.
+    A trial's walk starts at position ``8 + s``, and each party appends its
+    outcome bit: 1 (minus) iff its draw reaches the threshold at the walk's
+    position, that is, iff the draw is not below its node's P(plus).  The
+    walk thus ends at ``64 + 8s + o``.
+    """
+    positions = sets + 8
+    for party in _PARTIES:
+        positions = 2 * positions + (draws[:, party] >= np.take(thresholds, positions))
+    return positions - 64
 
 
-def _uniforms(bits: np.random.Philox, count: int, slots: int) -> np.ndarray:
-    """The next ``count`` items' uniforms, one row of ``slots`` per item."""
-    raw = bits.random_raw(count * slots).reshape(count, slots)
-    raw >>= np.uint64(11)  # in place: one chunk-sized buffer fewer
-    return raw * _UNIT
+def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: np.uint64) -> np.ndarray:
+    """Each trial's cell ``16s + 2o + announced``.
+
+    ``raw`` holds the trials' slots, one row of ``_SLOTS`` each, and is
+    shifted in place; ``announce`` is the announce rate's threshold.
+    """
+    sets = (raw[:, 3] & _SET_MASK).astype(np.intp)
+    raw >>= _DRAW_SHIFT
+    return 2 * _walk(thresholds, sets, raw) + (raw[:, 3] < announce)
 
 
-def _chunks(bits: np.random.Philox, count: int, slots: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first item, uniforms)`` for ``count`` items in chunks of at most ``_CHUNK_TRIALS``."""
+def _chunks(bits: np.random.Philox, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first item, slots)`` for ``count`` items in chunks of at most ``_CHUNK_TRIALS``."""
     for start in range(0, count, _CHUNK_TRIALS):
-        yield start, _uniforms(bits, min(_CHUNK_TRIALS, count - start), slots)
+        size = min(_CHUNK_TRIALS, count - start)
+        yield start, bits.random_raw(size * _SLOTS).reshape(size, _SLOTS)
 
 
-def _record(
-    mode: ProtocolMode, index: int, set_index: int, outcome_index: int, announced: bool
-) -> TrialRecord:
-    axes = ALL_AXIS_SETS[set_index]
-    outcomes = OUTCOME_STRINGS[outcome_index]
+def _record(mode: ProtocolMode, index: int, cell: int) -> TrialRecord:
+    axes = ALL_AXIS_SETS[cell >> 4]
+    outcomes = OUTCOME_STRINGS[cell >> 1 & 7]
+    announced = bool(cell & 1)
     key_bits = None if announced else _kept_bits(mode, axes, outcomes)
     return TrialRecord(index, axes, outcomes, announced, key_bits)
 
@@ -458,28 +467,25 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     """
     if index < 0:
         raise ValueError("trial index must be non-negative")
-    table = _outcome_table([apply_attack(w_state(), config.attack)])[0]
-    u = _uniforms(_stream(config.seed, index, _TRIAL_SLOTS), 1, _TRIAL_SLOTS)
-    sets, outcomes, announced = _trial_cells(table, u, config.announce_rate)
-    return _record(config.mode, index, int(sets[0]), int(outcomes[0]), bool(announced[0]))
+    _, cells = next(_run_chunks(config, index, 1))
+    return _record(config.mode, index, int(cells[0]))
 
 
 def _run_chunks(
-    config: ProtocolConfig,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(first index, *_trial_cells)`` per chunk of the run; one outcome table."""
+    config: ProtocolConfig, first: int, count: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one table."""
     table = _outcome_table([apply_attack(w_state(), config.attack)])[0]
-    bits = _stream(config.seed, 0, _TRIAL_SLOTS)
-    for start, u in _chunks(bits, config.trials, _TRIAL_SLOTS):
-        yield (start, *_trial_cells(table, u, config.announce_rate))
+    thresholds, announce = _walk_thresholds(table), _threshold(config.announce_rate)
+    for start, raw in _chunks(np.random.Philox(key=config.seed, counter=first), count):
+        yield first + start, _trial_cells(thresholds, raw, announce)
 
 
 def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
     """Yield the run's trials in index order, building the outcome table once."""
-    for start, *columns in _run_chunks(config):
-        cells = zip(*(column.tolist() for column in columns))
-        for index, (set_index, outcome_index, announced) in enumerate(cells, start):
-            yield _record(config.mode, index, set_index, outcome_index, announced)
+    for start, cells in _run_chunks(config, 0, config.trials):
+        for index, cell in enumerate(cells.tolist(), start):
+            yield _record(config.mode, index, cell)
 
 
 def check_sweep_arguments(
@@ -527,12 +533,13 @@ def _event_frequency(table: np.ndarray, key: int, trials: int) -> float:
 
     Its chunks are released on return, so a sweep holds one at a time.
     """
-    bits = _stream(key, 0, _SAMPLE_SLOTS)
+    thresholds = _walk_thresholds(table)
     counts = np.zeros(EVENT_CELLS.size, dtype=np.int64)
-    for _, u in _chunks(bits, trials, _SAMPLE_SLOTS):
-        sets = _QKD_SET_INDEX[(u[:, 0] * 3.0).astype(np.intp)]
-        outcomes = _sample_outcomes(table, sets, u[:, 1], u[:, 2], u[:, 3])
-        counts += np.bincount(8 * sets + outcomes, minlength=counts.size)
+    for _, raw in _chunks(np.random.Philox(key=key), trials):
+        raw >>= _DRAW_SHIFT
+        thirds = (raw[:, 0] >= _THIRDS[0]).astype(np.intp) + (raw[:, 0] >= _THIRDS[1])
+        cells = _walk(thresholds, _QKD_SET_INDEX[thirds], raw[:, 1:])
+        counts += np.bincount(cells, minlength=counts.size)
     return int(counts[EVENT_CELLS.ravel()].sum()) / trials
 
 
@@ -655,8 +662,8 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     counts, and its rates and verdict follow from those counts.
     """
     counts = np.zeros(_CELLS, dtype=np.int64)
-    for _, sets, outcomes, announced in _run_chunks(config):
-        counts += np.bincount(16 * sets + 2 * outcomes + announced, minlength=_CELLS)
+    for _, cells in _run_chunks(config, 0, config.trials):
+        counts += np.bincount(cells, minlength=_CELLS)
     columns = dict(zip(_COUNT_FIELDS, (_weights(config.mode, config.dealer) @ counts).tolist()))
     trials = config.trials
     total_key_bits = columns["total_key_bits"]

@@ -95,7 +95,10 @@ def report_from_dict(data: dict) -> RunReport:
 
 
 def render_report_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    # The bytes of ``indent=2`` for a flat object, from CPython's C encoder,
+    # which ``indent`` would bypass.
+    body = json.dumps(report_to_dict(report), separators=(",\n  ", ": "))[1:-1]
+    return "{\n  " + body + "\n}\n"
 
 
 def parse_report_json(text: str) -> RunReport:

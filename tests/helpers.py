@@ -80,18 +80,26 @@ def enumerate_event_probability(state, qubit_axes, predicate) -> float:
     return total
 
 
-def oracle_trial(source: StateVector, uniforms, announce_rate: float):
-    """One trial played on the statevector, from the 8 slot uniforms of a trial.
+def unit(word) -> float:
+    """The uniform a raw Philox word stands for: ``(x >> 11) * 2**-53``."""
+    return (int(word) >> 11) * 2.0**-53
 
-    Slots 0-2 choose the axes of A, B, C (below 1/2 selects z), slots 3-5
-    drive a sequential ``measure_qubit`` on A, B, then C, slot 6 decides the
-    announcement, slot 7 is unused.  Returns (axes, outcomes, announced).
+
+def oracle_trial(source: StateVector, words, announce_rate: float):
+    """One trial played on the statevector, from the 4 raw Philox words of a trial.
+
+    Each word is decoded in floating point by :func:`unit`.  Words 0-2 drive
+    a sequential ``measure_qubit`` on A, B, then C; word 3 announces when
+    its uniform lies below ``announce_rate``, and its low 3 bits choose the
+    axes of A, B and C, A the highest, a 0 selecting z.  Returns (axes,
+    outcomes, announced).
     """
-    axes = AxisSet(*(Axis.Z if u < 0.5 else Axis.X for u in uniforms[:3]))
-    a, state, _ = measure_qubit(source, Party.ALICE, axes.alice, uniforms[3])
-    b, state, _ = measure_qubit(state, Party.BOB, axes.bob, uniforms[4])
-    c, _, _ = measure_qubit(state, Party.CHARLIE, axes.charlie, uniforms[5])
-    return axes, (a, b, c), bool(uniforms[6] < announce_rate)
+    set_bits = int(words[3]) & 7
+    axes = AxisSet(*(Axis.X if set_bits >> shift & 1 else Axis.Z for shift in (2, 1, 0)))
+    a, state, _ = measure_qubit(source, Party.ALICE, axes.alice, unit(words[0]))
+    b, state, _ = measure_qubit(state, Party.BOB, axes.bob, unit(words[1]))
+    c, _, _ = measure_qubit(state, Party.CHARLIE, axes.charlie, unit(words[2]))
+    return axes, (a, b, c), unit(words[3]) < announce_rate
 
 
 def oracle_table(source: StateVector) -> np.ndarray:

@@ -22,18 +22,18 @@ ATTACK_FLAGS = ("--phi", HALF_PI_TEXT, "--target", "C")
 
 # (mode, format, attacked) -> (exit code, SHA-256 of the report bytes)
 RUN_DIGESTS = {
-    ("qkd", "json", False): (0, "b9a6740452e4044492c99e5d1a70b0a77bffda5fbee8c3af2dc09900a0c471ad"),
-    ("qkd", "csv", False): (0, "2171436e4315d956dcf765fa568653379db62021df39632aa6e59c952e7a4a35"),
-    ("pqss", "json", False): (0, "bc5db74fb67df12d14980d9226b736c0648ae4cb2c2b16eb23667e09f44cca2a"),
-    ("pqss", "csv", False): (0, "bbd227cc9d89e0f48b10782f2565218717deb2da88ceabc59d461b914b1e4783"),
-    ("synth", "json", False): (0, "f37894fe745160fea4bab02c833c6a2e2ce891e926b6a3f6272f0fef194d6aed"),
-    ("synth", "csv", False): (0, "e1e7b920047dc4b92dcb33168ea8873464e930b91a370910e63efa353ba4b385"),
-    ("qkd", "json", True): (2, "7802d048a4de8155d9896f65d01f560061a64fc70a4db5491d1ff4fb3308d7af"),
-    ("qkd", "csv", True): (2, "163817a4fa8bbe6dfdb69caafbc9640afc55416b5b9195854fb2204b7ac685c0"),
-    ("pqss", "json", True): (2, "46f5892ae2ef880ffea67a9883a80d4f96fd4d3575f2df42acce5a0f4af9e62e"),
-    ("pqss", "csv", True): (2, "a9d2cf70989f1d2ba141c460ba2587bc9b5921489b19e6c881c34653a2238d0b"),
-    ("synth", "json", True): (2, "1821de1ece06c8b765c81241749b87bd30c4608a1569124ca2af57270d44d0ca"),
-    ("synth", "csv", True): (2, "4879f03a1ff6a03539b7b308d0d80456fbf1233cd3cdea0ba3bf236576fecc19"),
+    ("qkd", "json", False): (0, "e958174f139654c17cd7360d79d9c3505b9337038a05c764cac166a5c7dae8cb"),
+    ("qkd", "csv", False): (0, "7bf078cea7c60873d77652f00210fc8acc32a217aded44c46c3f05fb08338b0c"),
+    ("pqss", "json", False): (0, "e7caa58d4d4c174b35ef6c9ed5870099bf7fd5964237da75057a80a0f9e09a2e"),
+    ("pqss", "csv", False): (0, "88c0803e75393cc7706179674cede41676ef9ecf0e87a37e76f8a286760ac904"),
+    ("synth", "json", False): (0, "09b747fc56fde1d25a55ead76af8a5b7549147c4638dff77ae369d1fb6b02383"),
+    ("synth", "csv", False): (0, "58b12ebe8c2846f55edbb97a8d6940a2dba479f5a0f8418de1a87110346b66cf"),
+    ("qkd", "json", True): (2, "ec8509c26368d348334ced6d0f1f402f6e767190b1edb44fec3456bf106ebaad"),
+    ("qkd", "csv", True): (2, "1d9f1ec0ab7b57ded9b5818c0458d209757f04c9315fdaea697ad01dbd988304"),
+    ("pqss", "json", True): (2, "511641b2dd3eee6d9e42225d13a29a03aa771f2cf69e9b431f1435dbccdc5eaa"),
+    ("pqss", "csv", True): (2, "46c862987a192dcb3242b3283b9c7a103028231f5c0edc8c8d891c5ea57ef3c0"),
+    ("synth", "json", True): (2, "65b276bc177b86916502cbd53073ccf27bf3b1816e74b2d0618565af01a04c54"),
+    ("synth", "csv", True): (2, "947e8770b5073948cbd9ee12a27021a8788fab6e2b32a60c07d151eef108133b"),
 }
 
 SWEEP_FLAGS = ("--grid", f"0,0.7853981633974483,{HALF_PI_TEXT}", "--trials", "300", "--seed", "11")

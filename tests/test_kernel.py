@@ -1,10 +1,11 @@
 """The table-driven trial kernel against the sequential statevector oracle.
 
 The kernel samples trials from an exact chain-rule outcome table and a
-counter-based Philox stream; these tests check that it reproduces the
-statevector measurement uniform for uniform, that unreachable branches
-stay unreachable, and that neither the chunk size nor the order in which
-trials are computed changes a result.
+counter-based Philox stream, comparing raw words with integer thresholds;
+these tests check that it reproduces the statevector measurement, driven
+by the same words decoded in floating point, word for word, that
+unreachable branches stay unreachable, and that neither the chunk size nor
+the order in which trials are computed changes a result.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_table, oracle_trial
+from helpers import oracle_table, oracle_trial, unit
 from wqsc import (
     ALL_AXIS_SETS,
     QKD_AXIS_SETS,
@@ -47,10 +48,16 @@ def source_for(phi, target):
     return apply_attack(w_state(), attack)
 
 
-def kernel_trial(table, uniforms, announce_rate):
-    u = np.array([uniforms], dtype=np.float64)
-    sets, outcomes, announced = protocol._trial_cells(table, u, announce_rate)
-    return int(sets[0]), int(outcomes[0]), bool(announced[0])
+def kernel_trial(table, words, announce_rate):
+    raw = np.array([words], dtype=np.uint64)
+    thresholds = protocol._walk_thresholds(table)
+    cell = int(protocol._trial_cells(thresholds, raw, protocol._threshold(announce_rate))[0])
+    return cell >> 4, cell >> 1 & 7, bool(cell & 1)
+
+
+def word(k, low_bits=0):
+    """A raw Philox word whose draw ``x >> 11`` is ``k``."""
+    return k << 11 | low_bits
 
 
 def branch_probabilities(table, set_index, outcome_index):
@@ -63,9 +70,9 @@ def branch_probabilities(table, set_index, outcome_index):
     ]
 
 
-def assert_cell_matches_oracle(source, table, uniforms, announce_rate):
-    set_index, outcome_index, announced = kernel_trial(table, uniforms, announce_rate)
-    axes, outcomes, oracle_announced = oracle_trial(source, uniforms, announce_rate)
+def assert_cell_matches_oracle(source, table, words, announce_rate):
+    set_index, outcome_index, announced = kernel_trial(table, words, announce_rate)
+    axes, outcomes, oracle_announced = oracle_trial(source, words, announce_rate)
     assert ALL_AXIS_SETS[set_index] == axes
     assert bell.OUTCOME_STRINGS[outcome_index] == outcomes
     assert announced == oracle_announced
@@ -73,6 +80,9 @@ def assert_cell_matches_oracle(source, table, uniforms, announce_rate):
 
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+raw_words = st.integers(min_value=0, max_value=2**64 - 1)
+HALF = 2**52  # the draw of the uniform 1/2
+ANNOUNCE_RATES = (0.0, 0.05, 0.1, 0.2, 0.3, float(np.nextafter(1.0, 0.0)))
 
 
 class TestOracleAgreement:
@@ -80,16 +90,16 @@ class TestOracleAgreement:
     @given(
         phi=st.floats(min_value=0.0, max_value=HALF_PI),
         target=st.sampled_from(TARGETS),
-        uniforms=st.lists(unit_floats, min_size=8, max_size=8),
+        words=st.lists(raw_words, min_size=4, max_size=4),
         announce_rate=unit_floats,
     )
-    # Branches of subnormal mass, selected by draws of exactly 0.
-    @example(phi=8.4e-161, target=Party.ALICE, uniforms=[0.0] * 8, announce_rate=0.5)
-    @example(phi=8.4e-161, target=Party.ALICE, uniforms=[0.75] * 3 + [0.0] * 5, announce_rate=0.5)
-    def test_kernel_cell_equals_oracle(self, phi, target, uniforms, announce_rate):
+    # Branches of subnormal mass, selected by draws of exactly 0 on zzz and xxx.
+    @example(phi=8.4e-161, target=Party.ALICE, words=[0, 0, 0, 0], announce_rate=0.5)
+    @example(phi=8.4e-161, target=Party.ALICE, words=[0, 0, 0, 7], announce_rate=0.5)
+    def test_kernel_cell_equals_oracle(self, phi, target, words, announce_rate):
         source = source_for(phi, target)
         table = protocol._outcome_table([source])[0]
-        assert_cell_matches_oracle(source, table, uniforms, announce_rate)
+        assert_cell_matches_oracle(source, table, words, announce_rate)
 
     @settings(max_examples=60, deadline=None)
     @given(phi=st.floats(min_value=0.0, max_value=HALF_PI), target=st.sampled_from(TARGETS))
@@ -110,22 +120,30 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("phi", [0.0, 0.4, HALF_PI])
     def test_draws_at_each_threshold(self, phi, target):
-        # A draw equal to a node's P(plus) gives minus, the draw just below
-        # it gives plus; kernel and oracle must split there identically.
+        # A draw k equal to a node's threshold K = ceil(P(plus) * 2**53) gives
+        # minus, k = K - 1 gives plus; an announcement draw splits the same
+        # way at its rate's threshold.  Kernel and oracle must agree at both
+        # sides of every split.  The low bits of a measurement word, which
+        # the shift drops, are set to check that they are dropped.
         source = source_for(phi, target)
         table = protocol._outcome_table([source])[0]
         for set_index, outcomes in itertools.product(range(8), range(8)):
-            axis_bits = [0.75 if set_index >> shift & 1 else 0.25 for shift in (2, 1, 0)]
             a, b, _ = bell.OUTCOME_STRINGS[outcomes]
             nodes = (0, 1 + a, 3 + 2 * a + b)
             for slot, node in enumerate(nodes):
-                p_plus = float(table[set_index, node])
-                for u in (p_plus, np.nextafter(p_plus, 0.0)):
-                    if not 0.0 <= u < 1.0:
+                threshold = int(protocol._threshold(table[set_index, node]))
+                for k in (threshold - 1, threshold):
+                    if not 0 <= k < 2**53:
                         continue
-                    uniforms = axis_bits + [0.5, 0.5, 0.5, 0.5, 0.0]
-                    uniforms[3 + slot] = float(u)
-                    assert_cell_matches_oracle(source, table, uniforms, 0.5)
+                    words = [word(HALF, 0x7FF)] * 3 + [word(HALF, set_index)]
+                    words[slot] = word(k, 0x7FF)
+                    assert_cell_matches_oracle(source, table, words, 0.5)
+        for rate, set_index in itertools.product(ANNOUNCE_RATES, range(8)):
+            threshold = int(protocol._threshold(rate))
+            for k in (threshold - 1, threshold):
+                if 0 <= k < 2**53:
+                    words = [word(HALF)] * 3 + [word(k, set_index)]
+                    assert_cell_matches_oracle(source, table, words, rate)
 
 
 class TestTableConstruction:
@@ -243,9 +261,8 @@ class TestStreamContract:
         )
         source = source_for(1.1, Party.ALICE)
         for record in iter_trials(config):
-            i = record.index
-            uniforms = np.random.Generator(np.random.Philox(key=config.seed, counter=2 * i)).random(8)
-            expected = oracle_trial(source, uniforms, config.announce_rate)
+            words = np.random.Philox(key=config.seed, counter=record.index).random_raw(4)
+            expected = oracle_trial(source, words, config.announce_rate)
             assert (record.axes, record.outcomes, record.announced) == expected
 
     def test_sweep_point_slots(self):
@@ -257,14 +274,24 @@ class TestStreamContract:
             key = seed + ((point + 1) << 64)
             events = 0
             for j in range(samples):
-                u = np.random.Generator(np.random.Philox(key=key, counter=j)).random(4)
-                axes = QKD_AXIS_SETS[int(u[0] * 3.0)]
-                # The oracle reads run slots: axis draws that select this
-                # set, then the sweep's measurement draws.
-                axis_draws = [0.25 if axis is Axis.Z else 0.75 for axis in axes.axes]
-                _, outcomes, _ = oracle_trial(source, [*axis_draws, *u[1:], 0.0, 0.0], 0.0)
+                words = np.random.Philox(key=key, counter=j).random_raw(4)
+                axes = QKD_AXIS_SETS[int(unit(words[0]) * 3.0)]
+                # The oracle reads a run trial's words: the sweep's
+                # measurement words, then a word whose low bits select this
+                # set (z as 0, A the highest) and which never announces.
+                set_bits = sum(1 << 2 - p for p in Party if axes.axis_of(p) is Axis.X)
+                _, outcomes, _ = oracle_trial(source, [*words[1:], set_bits], 0.0)
                 events += is_event(axes, outcomes)
             expected.append(events / samples)
         assert protocol.sample_security_frequency(grid, samples, seed) == expected
         # A point's key depends on its index alone, not on the rest of the grid.
         assert protocol.sample_security_frequency(grid[:2], samples, seed) == expected[:2]
+
+
+def test_sweep_set_thresholds():
+    # floor(3u) of u = k * 2**-53 steps from 0 to 1 and from 1 to 2 exactly
+    # between c - 1 and c, for the two integer thresholds of the sweep.
+    for step, c in enumerate((-(-(2**53) // 3), (2**54 - 1) // 3), start=1):
+        assert int((c - 1) * 2.0**-53 * 3.0) == step - 1
+        assert int(c * 2.0**-53 * 3.0) == step
+        assert protocol._THIRDS[step - 1] == c

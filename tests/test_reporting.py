@@ -115,6 +115,14 @@ class TestRoundTrip:
             with pytest.raises(ValueError):
                 parse_report_csv(f"{header}\n{bad_row}\n")
 
+    @pytest.mark.parametrize("mode", list(ProtocolMode))
+    @pytest.mark.parametrize("trials", [1, 300])
+    def test_json_bytes_are_indent_2(self, mode, trials):
+        for attack in (None, UnitaryCouplingAttack(math.pi / 2.0)):
+            report = run_protocol(ProtocolConfig(mode, trials=trials, seed=3, attack=attack))
+            expected = json.dumps(report_to_dict(report), indent=2) + "\n"
+            assert render_report_json(report) == expected
+
     def test_rendering_is_deterministic(self, attacked_report):
         assert render_report_json(attacked_report) == render_report_json(attacked_report)
         assert render_report_csv(attacked_report) == render_report_csv(attacked_report)
