@@ -38,18 +38,11 @@ slot ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
 A measurement draw ``u`` yields plus iff ``u`` lies below the exact
 chain-rule probability ``p`` of plus given the earlier outcomes, that is
 iff ``k < ceil(p * 2**53)``, exact because ``p * 2**53`` is.  Those
-probabilities come from an outcome table built once per call: for a run
-from its one source, for a sweep from the whole grid's sources at once, in
-one batched pass per party over every state reached so far.
-The passes share their arithmetic with :func:`~wqsc.qcore.plus_probability`
-and :func:`~wqsc.qcore.collapse`, the two steps of
-:func:`wqsc.qcore.measure_qubit`, so sampling from the table gives the
-outcome the sequential statevector measurement gives for the same uniforms.
-Trials are sampled in chunks of whole arrays and folded into counts over
-the 128 (axis set, outcome string, announced) cells.  A report's count
-columns are a 0/1 weight matrix, one per (mode, dealer), times those
-counts.  The matrix is filled from the per-trial rules (the mode's kept
-bits, :func:`~wqsc.bell.is_event`, :func:`reconstruct_dealer_bit`), so a
+probabilities come from :func:`~wqsc.qcore.outcome_table`, built once per
+call: for a run from its one source, for a sweep from the whole grid's
+sources at once.  Trials are sampled in chunks and counted per (axis set,
+outcome string, announced) cell; :func:`run_protocol` reads a report from
+those counts through a weight matrix filled from the per-trial rules, so a
 report equals the fold of its trial records one by one.
 """
 
@@ -64,7 +57,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .adversary import AttackConfig, apply_attack
+from .adversary import AttackConfig, UnitaryCouplingAttack, apply_attack
 from .bell import (
     _QKD_SET_INDEX,
     ALL_AXIS_SETS,
@@ -74,15 +67,7 @@ from .bell import (
     AxisSet,
     is_event,
 )
-from .qcore import (
-    Axis,
-    Outcome,
-    Party,
-    StateVector,
-    _axis_components,
-    _masses,
-    _post_states,
-)
+from .qcore import Outcome, Party, outcome_table
 from .states import attacked_w_state, validate_attack_angle, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
@@ -90,8 +75,6 @@ DEFAULT_EPSILON = 1e-9
 MAX_SEED = 2**64 - 1
 
 QUBITS_PER_TRIAL = 3
-
-_PARTIES = (Party.ALICE, Party.BOB, Party.CHARLIE)
 
 
 class InconsistentSharesError(ValueError):
@@ -142,11 +125,16 @@ def _integer(name: str, value: object, low: int, high: int | None = None) -> int
     return int(value)
 
 
-def check_epsilon(epsilon: float) -> float:
-    """``epsilon``, the permitted security-event frequency, if it lies in (0, 1).
+def _real(name: str, value: object) -> float:
+    """``value`` as a float: Python and numpy reals pass, bool and all else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
-    Anything else, NaN included, raises ValueError.
-    """
+
+def check_epsilon(epsilon: float) -> float:
+    """The permitted security-event frequency ``epsilon`` as a float in (0, 1), else ValueError."""
+    epsilon = _real("epsilon", epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return epsilon
@@ -156,9 +144,11 @@ def check_epsilon(epsilon: float) -> float:
 class ProtocolConfig:
     """Run parameters; a config plus the trial index determines a trial exactly.
 
-    ``mode`` and ``dealer`` are coerced to their enums, and ``trials`` and
-    ``seed`` (Python or numpy integers, never bool) to int, so a bad value
-    raises ValueError here, before any draw.
+    ``mode`` and ``dealer`` are coerced to their enums, ``trials`` and
+    ``seed`` (Python or numpy integers, never bool) to int, and
+    ``announce_rate`` and ``epsilon`` (Python or numpy reals, never bool) to
+    float; ``attack`` must be None or a :class:`UnitaryCouplingAttack`.  A
+    bad value raises ValueError here, before any draw.
     """
 
     mode: ProtocolMode
@@ -174,9 +164,13 @@ class ProtocolConfig:
         object.__setattr__(self, "dealer", Party(self.dealer))
         object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, MAX_SEED))
-        if not 0.0 <= self.announce_rate < 1.0:
-            raise ValueError(f"announce_rate must lie in [0, 1), got {self.announce_rate!r}")
-        check_epsilon(self.epsilon)
+        announce_rate = _real("announce_rate", self.announce_rate)
+        if not 0.0 <= announce_rate < 1.0:
+            raise ValueError(f"announce_rate must lie in [0, 1), got {announce_rate!r}")
+        object.__setattr__(self, "announce_rate", announce_rate)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
+        if self.attack is not None and not isinstance(self.attack, UnitaryCouplingAttack):
+            raise ValueError(f"attack must be None or a UnitaryCouplingAttack, got {self.attack!r}")
 
 
 @dataclass(frozen=True)
@@ -263,7 +257,7 @@ def pqss_step(
     """
     if axes != PQSS_AXIS_SET:
         return None
-    return {p: outcomes[p] for p in _PARTIES}
+    return {p: outcomes[p] for p in Party}
 
 
 def reconstruct_dealer_bit(share_b: Outcome, share_c: Outcome) -> Outcome:
@@ -337,68 +331,6 @@ _SET_MASK = np.uint64(7)  # run: the announcement slot's axis-set bits
 # A sweep's set draw k has floor(3 * k * 2**-53) = how many of these it reaches.
 _THIRDS = (np.uint64(-(-(2**53) // 3)), np.uint64((2**54 - 1) // 3))
 
-_AXES = (Axis.Z, Axis.X)  # the bit order of ALL_AXIS_SETS
-_AXIS_BITS = np.arange(len(_AXES))
-
-
-def _outcome_table(sources: Sequence[StateVector]) -> np.ndarray:
-    """Chain-rule probabilities of plus for every axis set, shape (P, 8, 7).
-
-    ``sources`` are P states of one qubit count; ``table[k]`` is the table
-    of ``sources[k]``.  Row ``s`` is ``ALL_AXIS_SETS[s]``.  Node 0 is
-    P(A=+); the child of node ``n`` on outcome bit ``x`` (plus is 0) is
-    node ``2n + 1 + x``, so node ``1 + a`` is P(B=+|a) and node
-    ``3 + 2a + b`` is P(C=+|a,b).
-
-    One batched pass per party (A, then B, then C) measures every state
-    reached so far, over all sources, along both axes at once: one state
-    per source, then at most 4, then at most 16, one per (axes, outcomes)
-    prefix.  A pass collapses only onto outcomes of nonzero probability,
-    never at C; nodes behind an outcome of probability 0 are never reached
-    and stay 0.  The passes run :mod:`wqsc.qcore`'s own component, mass
-    and post-state arithmetic on stacked states, which treats each row as
-    on its own, so each reached node holds, bit for bit, the
-    :func:`~wqsc.qcore.plus_probability` that a sequential
-    :func:`~wqsc.qcore.measure_qubit` reads there, whatever else is stacked.
-    """
-    states = np.stack([source.amplitudes for source in sources])  # one row per reached prefix
-    table = np.zeros((len(states), len(ALL_AXIS_SETS), 7))
-    points = np.arange(len(states))  # each row's source
-    axis_bits = outcome_bits = np.zeros(len(states), dtype=np.intp)  # each row's prefix
-    for party in _PARTIES:
-        view = states.reshape(len(states), 1 << party, 2, -1)  # split on this party's qubit
-        # components[r, i, x]: row r's component along _AXES[i] for outcome bit x
-        components = np.empty((len(states), 2, 2, *view.shape[1::2]), dtype=np.complex128)
-        for i, axis in enumerate(_AXES):
-            components[:, i, Outcome.PLUS], components[:, i, Outcome.MINUS] = _axis_components(
-                view, axis
-            )
-        masses = _masses(components)
-        mass_plus, mass_minus = masses[..., Outcome.PLUS], masses[..., Outcome.MINUS]
-        p_plus = mass_plus / (mass_plus + mass_minus)
-        # Each source's table rows grouped by the axes of the parties so
-        # far, this one included.
-        groups = table.reshape(len(table), 2 << party, -1, 7)
-        nodes = (1 << party) - 1 + outcome_bits
-        groups[
-            points[:, np.newaxis], 2 * axis_bits[:, np.newaxis] + _AXIS_BITS, :,
-            nodes[:, np.newaxis],
-        ] = p_plus[..., np.newaxis]
-        if party == Party.CHARLIE:
-            break
-        reached = np.empty(masses.shape, dtype=bool)
-        reached[..., Outcome.PLUS] = p_plus > 0.0
-        reached[..., Outcome.MINUS] = 1.0 - p_plus > 0.0
-        picked = np.nonzero(reached)
-        rows, axis_index, outcome_index = picked
-        posts = _post_states(axis_index, outcome_index, components[picked], masses[picked])
-        states = posts.reshape(len(rows), -1)
-        points = points[rows]
-        axis_bits = 2 * axis_bits[rows] + axis_index
-        outcome_bits = 2 * outcome_bits[rows] + outcome_index
-    return table
-
-
 def _threshold(p: np.ndarray | float) -> np.ndarray:
     """``ceil(p * 2**53)`` as uint64: a draw ``k`` lies below ``p`` iff below this.
 
@@ -413,7 +345,7 @@ def _walk_thresholds(table: np.ndarray) -> np.ndarray:
     Position ``2**d * (8 + s) + i`` holds node ``2**d - 1 + i`` of set ``s``,
     the ``i``-th node of party ``d``; positions 0 to 7 are never read.
     """
-    by_party = [table[:, (1 << d) - 1 : (2 << d) - 1].ravel() for d in _PARTIES]
+    by_party = [table[:, (1 << d) - 1 : (2 << d) - 1].ravel() for d in Party]
     return _threshold(np.concatenate([np.zeros(len(table)), *by_party]))
 
 
@@ -427,7 +359,7 @@ def _walk(thresholds: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.nda
     walk thus ends at ``64 + 8s + o``.
     """
     positions = sets + 8
-    for party in _PARTIES:
+    for party in Party:
         positions = 2 * positions + (draws[:, party] >= np.take(thresholds, positions))
     return positions - 64
 
@@ -465,8 +397,7 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     configured), each party measures its qubit along its chosen axis, and
     the announcement flag is drawn.  Announced trials carry no key bits.
     """
-    if index < 0:
-        raise ValueError("trial index must be non-negative")
+    index = _integer("trial index", index, 0)
     _, cells = next(_run_chunks(config, index, 1))
     return _record(config.mode, index, int(cells[0]))
 
@@ -475,7 +406,7 @@ def _run_chunks(
     config: ProtocolConfig, first: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one table."""
-    table = _outcome_table([apply_attack(w_state(), config.attack)])[0]
+    table = outcome_table([apply_attack(w_state(), config.attack)])[0]
     thresholds, announce = _walk_thresholds(table), _threshold(config.announce_rate)
     for start, raw in _chunks(np.random.Philox(key=config.seed, counter=first), count):
         yield first + start, _trial_cells(thresholds, raw, announce)
@@ -521,7 +452,7 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
     is made.
     """
     grid, trials, seed = check_sweep_arguments(grid, trials, seed)
-    tables = _outcome_table([attacked_w_state(phi) for phi in grid])
+    tables = outcome_table([attacked_w_state(phi) for phi in grid])
     return [
         _event_frequency(table, seed + ((point + 1) << 64), trials)
         for point, table in enumerate(tables)
@@ -623,7 +554,7 @@ def _cell_fields(
     else:
         yield "pqss_secret_bits"
         yield "total_key_bits"
-        shares = [bits[p] for p in _PARTIES if p != dealer]
+        shares = [bits[p] for p in Party if p != dealer]
         try:
             recovered = reconstruct_dealer_bit(shares[0], shares[1])
         except InconsistentSharesError:

@@ -7,14 +7,12 @@ that arise here (by LAPACK), and the three-qubit residual tangle.
 
 A measurement is two steps, each public: :func:`plus_probability` is the
 threshold a uniform draw is compared against, and :func:`collapse` is the
-renormalized post-state of a chosen outcome.  :func:`measure_qubit` is
-their composition.  Both steps run on private helpers that also take a
-stack of states, each row with its own axis and outcome: the outcome
-table of :mod:`wqsc.protocol` measures every state it has reached, over a
-whole stack of sources, in one pass per party with them.  One mass
-reduction, ``re**2 + im**2`` summed along one contiguous axis, serves a
-single state and a stacked row alike, so the table matches the
-single-state steps bit for bit.
+renormalized post-state of a chosen outcome; :func:`measure_qubit` reads
+both from one step.  That step splits one qubit of every state in a stack
+into its components along z and x and weighs them, so
+:func:`outcome_table`, which measures every state it has reached over a
+whole stack of sources in one pass per party, runs the same arithmetic
+as the single-state steps and matches them bit for bit.
 
 :func:`outcome_distribution` gives every joint outcome probability of the
 three party qubits, for all eight axis sets, from one pass of the same
@@ -199,9 +197,7 @@ def _masses(components: np.ndarray) -> np.ndarray:
 
     ``re**2 + im**2`` is summed along one contiguous axis, so a stacked
     row's mass is bit-identical to the same component's mass on its own
-    (``np.vdot``'s BLAS summation order is matched by no batched sum).  The
-    outcome table's batched passes rely on this to match
-    :func:`plus_probability` and :func:`collapse`.
+    (``np.vdot``'s BLAS summation order is matched by no batched sum).
     """
     squares = components.real**2 + components.imag**2
     return squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1)
@@ -220,11 +216,9 @@ _PROJECTIONS = np.array(
 def _project(x: int | np.ndarray, outcome: int | np.ndarray, component: np.ndarray) -> np.ndarray:
     """The qubit's projection onto ``outcome``, as split view(s) ``(..., leading, 2, trailing)``.
 
-    ``component`` is the outcome's amplitude component from
-    :func:`_axis_components`.  ``x`` (1 for the x axis, 0 for z) and
-    ``outcome`` are integers or integer arrays with one entry per stacked
-    row, so rows measured along different axes onto different outcomes are
-    projected in one pass, each by its own factors.
+    ``component`` is the outcome's component from :func:`_axis_components`.
+    ``x`` (1 for the x axis, 0 for z) and ``outcome`` are integers or have
+    one entry per stacked row, so each row is projected by its own factors.
     """
     return component[..., np.newaxis, :] * _PROJECTIONS[x, outcome]
 
@@ -235,11 +229,8 @@ def _post_states(
     """Renormalized projections of a stack of components, as split views.
 
     ``component`` has shape ``(..., leading, trailing)`` and ``mass`` is its
-    :func:`_masses`; ``x`` and ``outcome`` are as for :func:`_project`.
-    The result has shape ``(..., leading, 2, trailing)``.  A component of
-    subnormal mass is first scaled to unit peak amplitude, so that
-    renormalizing it yields a valid state; every other component is divided
-    by the square root of its mass alone.
+    :func:`_masses`; ``x`` and ``outcome`` are as for :func:`_project`.  A
+    subnormal mass is rescaled first, as :func:`collapse` describes.
     """
     tiny = mass < sys.float_info.min
     if tiny.any():
@@ -253,16 +244,35 @@ def _post_states(
     return post
 
 
-def _components(
-    state: StateVector, qubit: int, axis: Axis
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(plus, minus)`` components of a normalized state."""
+def _step(states: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """One qubit of each row of ``states`` ``(R, 2**n)`` split along z and x, and weighed.
+
+    ``components[r, x, o]``, shape ``(R, 2, 2, leading, trailing)``, is row
+    ``r``'s component for outcome bit ``o`` along z (``x = 0``) or x
+    (``x = 1``); ``masses``, shape ``(R, 2, 2)``, are their :func:`_masses`.
+    """
+    view = states.reshape(len(states), 1 << qubit, 2, -1)
+    components = np.empty((len(states), 2, 2, *view.shape[1::2]), dtype=np.complex128)
+    for x, axis in enumerate((Axis.Z, Axis.X)):
+        components[:, x, Outcome.PLUS], components[:, x, Outcome.MINUS] = _axis_components(
+            view, axis
+        )
+    return components, _masses(components)
+
+
+def _state_step(state: StateVector, qubit: int, axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(x, components, masses)``: one state's :func:`_step` row along ``axis``, coerced.
+
+    ``x`` is 1 for the x axis, 0 for z.  A bad axis or qubit raises ValueError.
+    """
+    x = int(Axis(axis) is Axis.X)
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     if abs(state.squared_norm() - 1.0) > NORM_ATOL:
         raise InvalidStateError("cannot measure an unnormalized state")
-    return _axis_components(_split_on_qubit(state.amplitudes, qubit), axis)
+    components, masses = _step(state.amplitudes[np.newaxis], qubit)
+    return x, components[0, x], masses[0, x]
 
 
 def plus_probability(state: StateVector, qubit: int, axis: Axis) -> float:
@@ -271,9 +281,8 @@ def plus_probability(state: StateVector, qubit: int, axis: Axis) -> float:
     Normalizing by the total mass keeps zero-amplitude branches exactly
     unreachable: a branch of mass 0.0 has probability 0.0, never sampled.
     """
-    plus, minus = _components(state, qubit, axis)
-    mass_plus = float(_masses(plus))
-    return mass_plus / (mass_plus + float(_masses(minus)))
+    _, _, masses = _state_step(state, qubit, axis)
+    return float(masses[Outcome.PLUS] / (masses[Outcome.PLUS] + masses[Outcome.MINUS]))
 
 
 def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> StateVector:
@@ -282,10 +291,12 @@ def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> St
     A branch of subnormal mass is first scaled to unit peak amplitude, so
     that renormalizing it yields a valid state; every other branch is
     divided by the square root of its mass alone.  An outcome of
-    probability 0 has no post-state and raises ``ValueError``.
+    probability 0, or one that is not an :class:`Outcome`, raises
+    ``ValueError``.
     """
-    component = _components(state, qubit, axis)[outcome]
-    post = _post_states(int(axis is Axis.X), outcome, component, _masses(component))
+    outcome = Outcome(outcome)
+    x, components, masses = _state_step(state, qubit, axis)
+    post = _post_states(x, outcome, components[outcome], masses[outcome])
     return StateVector(post.reshape(-1))
 
 
@@ -297,16 +308,71 @@ def measure_qubit(
     The outcome is PLUS iff ``u < plus_probability(...)``, so the caller
     supplies all randomness and a replay with the same ``u`` is
     bit-identical.  Returns the outcome, its :func:`collapse` post-state,
-    and the probability of the observed outcome.
+    and the probability of the observed outcome, all read from one step.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
-    p_plus = plus_probability(state, qubit, axis)
+    x, components, masses = _state_step(state, qubit, axis)
+    p_plus = float(masses[Outcome.PLUS] / (masses[Outcome.PLUS] + masses[Outcome.MINUS]))
     if u < p_plus:
         outcome, probability = Outcome.PLUS, p_plus
     else:
         outcome, probability = Outcome.MINUS, 1.0 - p_plus
-    return outcome, collapse(state, qubit, axis, outcome), probability
+    post = _post_states(x, outcome, components[outcome], masses[outcome])
+    return outcome, StateVector(post.reshape(-1)), probability
+
+
+def outcome_table(sources: Sequence[StateVector]) -> np.ndarray:
+    """Chain-rule probabilities of plus for the three party qubits, shape (P, 8, 7).
+
+    ``sources`` are P >= 1 states of one qubit count, at least three;
+    ``table[k]`` is the table of ``sources[k]``.  Row ``s`` is the axis set
+    with bits (A, B, C), z as 0.  Node 0 is P(A=+); the child of node ``n``
+    on outcome bit ``x`` (plus is 0) is node ``2n + 1 + x``, so node
+    ``1 + a`` is P(B=+|a) and node ``3 + 2a + b`` is P(C=+|a,b).
+
+    One :func:`_step` per party (A, then B, then C) measures every state
+    reached so far, one per source and (axes, outcomes) prefix, and
+    collapses them onto outcomes of nonzero probability, except at C.
+    Nodes behind an outcome of probability 0 stay 0; every other node
+    holds, bit for bit, the :func:`plus_probability` that a sequential
+    :func:`measure_qubit` reads there.
+    """
+    counts = {source.num_qubits for source in sources}
+    if len(counts) != 1:
+        raise ValueError(f"an outcome table needs sources of one qubit count, got {sorted(counts)}")
+    if counts.pop() < 3:
+        raise ValueError("an outcome table needs sources of at least three qubits")
+    states = np.stack([source.amplitudes for source in sources])  # one row per reached prefix
+    table = np.zeros((len(states), 8, 7))
+    step_axes = np.arange(2)  # a step's axis bit, z as 0
+    points = np.arange(len(states))  # each row's source
+    axis_bits = outcome_bits = np.zeros(len(states), dtype=np.intp)  # each row's prefix
+    for party in Party:
+        components, masses = _step(states, party)
+        mass_plus, mass_minus = masses[..., Outcome.PLUS], masses[..., Outcome.MINUS]
+        p_plus = mass_plus / (mass_plus + mass_minus)
+        # Each source's table rows grouped by the axes of the parties so
+        # far, this one included.
+        groups = table.reshape(len(table), 2 << party, -1, 7)
+        nodes = (1 << party) - 1 + outcome_bits
+        groups[
+            points[:, np.newaxis], 2 * axis_bits[:, np.newaxis] + step_axes, :,
+            nodes[:, np.newaxis],
+        ] = p_plus[..., np.newaxis]
+        if party == Party.CHARLIE:
+            break
+        reached = np.empty(masses.shape, dtype=bool)
+        reached[..., Outcome.PLUS] = p_plus > 0.0
+        reached[..., Outcome.MINUS] = 1.0 - p_plus > 0.0
+        picked = np.nonzero(reached)
+        rows, axis_index, outcome_index = picked
+        posts = _post_states(axis_index, outcome_index, components[picked], masses[picked])
+        states = posts.reshape(len(rows), -1)
+        points = points[rows]
+        axis_bits = 2 * axis_bits[rows] + axis_index
+        outcome_bits = 2 * outcome_bits[rows] + outcome_index
+    return table
 
 
 def joint_probability(
@@ -315,12 +381,13 @@ def joint_probability(
     """Exact probability that each constrained qubit yields its outcome.
 
     Computed by projecting the amplitudes (no sampling); unconstrained
-    qubits are marginalized.  Constraint qubits must be distinct.  A
-    projection of subnormal mass is first scaled by an exact power of two
-    to unit peak amplitude, so its squares are summed before they round,
-    and the scale is undone on the quotient.
+    qubits are marginalized.  Constraint qubits must be distinct, and each
+    axis and outcome is coerced to its enum.  A projection of subnormal
+    mass is first scaled by an exact power of two to unit peak amplitude,
+    so its squares are summed before they round, and the scale is undone
+    on the quotient.
     """
-    constraints = list(constraints)
+    constraints = [(qubit, Axis(axis), Outcome(outcome)) for qubit, axis, outcome in constraints]
     n = state.num_qubits
     seen: set[int] = set()
     for qubit, _axis, _outcome in constraints:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import permute_qubits, random_state
 from wqsc import (
@@ -34,6 +36,19 @@ class TestApplyAttack:
         attacked = apply_attack(w_state(), UnitaryCouplingAttack(HALF_PI, C))
         expected = attacked_w_state(HALF_PI)
         assert np.max(np.abs(attacked.amplitudes - expected.amplitudes)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi=st.floats(min_value=0.0, max_value=HALF_PI))
+    @example(phi=0.0)
+    @example(phi=1e-12)
+    @example(phi=8.4e-161)
+    @example(phi=5e-324)
+    @example(phi=HALF_PI)
+    def test_sweep_source_is_the_run_attack_on_charlie(self, phi):
+        # sweep-phi samples attacked_w_state(phi), run samples the attack
+        # circuit on Charlie: the two must be one channel, byte for byte.
+        circuit = apply_attack(w_state(), UnitaryCouplingAttack(phi, C))
+        assert attacked_w_state(phi).amplitudes.tobytes() == circuit.amplitudes.tobytes()
 
     def test_identity_coupling_leaves_party_statistics_unchanged(self):
         attacked = apply_attack(w_state(), UnitaryCouplingAttack(0.0, C))

@@ -307,7 +307,7 @@ class TestSweepCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a table was built before the arguments were checked")
 
-        monkeypatch.setattr(wqsc.protocol, "_outcome_table", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "outcome_table", forbidden)
         with pytest.raises(ValueError):
             sample_security_frequency([0.5], samples, seed)
 
@@ -316,7 +316,7 @@ class TestSweepCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a table was built before the grid was checked")
 
-        monkeypatch.setattr(wqsc.protocol, "_outcome_table", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "outcome_table", forbidden)
         with pytest.raises(ValueError):
             sample_security_frequency(grid, 100, 1)
 
@@ -325,7 +325,7 @@ class TestSweepCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a table was built before the grid was checked")
 
-        monkeypatch.setattr(wqsc.protocol, "_outcome_table", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "outcome_table", forbidden)
         with pytest.raises(ValueError, match="phi grid must be a sequence of numbers"):
             sample_security_frequency(grid, 100, 1)
 

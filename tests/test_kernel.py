@@ -33,6 +33,7 @@ from wqsc import (
     is_event,
     iter_trials,
     joint_probability,
+    outcome_table,
     run_trial,
     w_state,
 )
@@ -98,7 +99,7 @@ class TestOracleAgreement:
     @example(phi=8.4e-161, target=Party.ALICE, words=[0, 0, 0, 7], announce_rate=0.5)
     def test_kernel_cell_equals_oracle(self, phi, target, words, announce_rate):
         source = source_for(phi, target)
-        table = protocol._outcome_table([source])[0]
+        table = outcome_table([source])[0]
         assert_cell_matches_oracle(source, table, words, announce_rate)
 
     @settings(max_examples=60, deadline=None)
@@ -106,7 +107,7 @@ class TestOracleAgreement:
     @example(phi=8.4e-161, target=Party.ALICE)  # a branch of subnormal mass
     def test_unreachable_branches_have_probability_zero(self, phi, target):
         source = source_for(phi, target)
-        table = protocol._outcome_table([source])[0]
+        table = outcome_table([source])[0]
         for set_index, axes in enumerate(ALL_AXIS_SETS):
             total = 0.0
             for outcome_index, outcomes in enumerate(bell.OUTCOME_STRINGS):
@@ -126,7 +127,7 @@ class TestOracleAgreement:
         # sides of every split.  The low bits of a measurement word, which
         # the shift drops, are set to check that they are dropped.
         source = source_for(phi, target)
-        table = protocol._outcome_table([source])[0]
+        table = outcome_table([source])[0]
         for set_index, outcomes in itertools.product(range(8), range(8)):
             a, b, _ = bell.OUTCOME_STRINGS[outcomes]
             nodes = (0, 1 + a, 3 + 2 * a + b)
@@ -157,9 +158,9 @@ class TestTableConstruction:
     @pytest.mark.parametrize("target", TARGETS)
     def test_table_equals_oracle_walk(self, target, phi):
         source = source_for(phi, target)
-        assert protocol._outcome_table([source])[0].tobytes() == oracle_table(source).tobytes()
+        assert outcome_table([source])[0].tobytes() == oracle_table(source).tobytes()
         swept = attacked_w_state(phi)
-        assert protocol._outcome_table([swept])[0].tobytes() == oracle_table(swept).tobytes()
+        assert outcome_table([swept])[0].tobytes() == oracle_table(swept).tobytes()
 
 
 def tiny_plus_branch():
@@ -213,12 +214,12 @@ class TestStackedTables:
     ))
     def test_rows_are_independent(self, stack):
         sources, order = stack
-        tables = protocol._outcome_table(sources)
+        tables = outcome_table(sources)
         assert tables.shape == (len(sources), len(ALL_AXIS_SETS), 7)
         for source, table in zip(sources, tables):
             assert table.tobytes() == oracle_table(source).tobytes()
-            assert table.tobytes() == protocol._outcome_table([source])[0].tobytes()
-        permuted = protocol._outcome_table([sources[k] for k in order])
+            assert table.tobytes() == outcome_table([source])[0].tobytes()
+        permuted = outcome_table([sources[k] for k in order])
         assert permuted.tobytes() == tables[order].tobytes()
 
 

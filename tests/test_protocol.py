@@ -162,6 +162,17 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(config, -1)
 
+    @pytest.mark.parametrize("index", [1.5, True, 1.0, "1"])
+    def test_non_integer_index_rejected(self, index):
+        config = ProtocolConfig(ProtocolMode.QKD, trials=10, seed=7)
+        with pytest.raises(ValueError, match="trial index must be an integer"):
+            run_trial(config, index)
+
+    def test_numpy_index_is_coerced_to_int(self):
+        config = ProtocolConfig(ProtocolMode.QKD, trials=10, seed=7)
+        record = run_trial(config, np.int64(3))
+        assert type(record.index) is int and record == run_trial(config, 3)
+
     def test_success_and_conditional_rates(self):
         n = 20_000
         config = ProtocolConfig(ProtocolMode.QKD, trials=n, seed=11, announce_rate=0.0)
@@ -336,6 +347,33 @@ class TestConfigValidation:
     def test_non_integer_trials_or_seed_rejected(self, trials, seed):
         with pytest.raises(ValueError, match="must be an integer"):
             ProtocolConfig(ProtocolMode.QKD, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("announce_rate", False),
+            ("announce_rate", "0.1"),
+            ("announce_rate", None),
+            ("epsilon", True),
+            ("epsilon", "1e-9"),
+            ("attack", "C"),
+            ("attack", 0.5),
+        ],
+    )
+    def test_bad_rate_epsilon_or_attack_types_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(ProtocolMode.QKD, trials=10, seed=1, **{field: value})
+
+    def test_numpy_reals_are_coerced_to_float(self):
+        config = ProtocolConfig(
+            ProtocolMode.QKD, trials=300, seed=7, announce_rate=np.float32(0.1),
+            epsilon=np.float32(0.5),
+        )
+        assert type(config.announce_rate) is float and type(config.epsilon) is float
+        assert (config.announce_rate, config.epsilon) == (float(np.float32(0.1)), 0.5)
+        report = run_protocol(config)
+        parsed = parse_report_json(render_report(report, "json"))
+        assert (parsed.announce_rate, parsed.epsilon) == (config.announce_rate, 0.5)
 
     def test_numpy_integers_are_coerced_to_int(self):
         config = ProtocolConfig(ProtocolMode.QKD, trials=np.int64(300), seed=np.uint64(7))

@@ -31,6 +31,7 @@ from wqsc import (
     make_basis_state,
     measure_qubit,
     outcome_distribution,
+    outcome_table,
     partial_transpose,
     plus_probability,
     reduced_density,
@@ -176,6 +177,54 @@ class TestMeasureQubit:
             assert np.array_equal(collapse(w_state(), A, Axis.X, bit).amplitudes, expected)
         with pytest.raises(ValueError):
             collapse(make_basis_state(3, [PLUS, PLUS, PLUS]), A, Axis.Z, MINUS)
+
+
+class TestArgumentCoercion:
+    # Axis and outcome values are coerced to their enums at every public
+    # measurement entry point, so a string axis is never read as another.
+    def test_string_axes_measure_along_their_axis(self):
+        w = w_state()
+        for axis in Axis:
+            assert plus_probability(w, C, axis.value) == plus_probability(w, C, axis)
+            for outcome in Outcome:
+                expected = collapse(w, A, axis, outcome).amplitudes.tobytes()
+                assert collapse(w, A, axis.value, outcome).amplitudes.tobytes() == expected
+                constraint = [(C, axis.value, int(outcome))]
+                assert joint_probability(w, constraint) == joint_probability(
+                    w, [(C, axis, outcome)]
+                )
+            single = measure_qubit(w, B, axis, 0.4)
+            coerced = measure_qubit(w, B, axis.value, 0.4)
+            assert coerced[0] is single[0] and coerced[2] == single[2]
+            assert coerced[1].amplitudes.tobytes() == single[1].amplitudes.tobytes()
+        assert plus_probability(w, C, "z") == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    def test_bad_axis_or_outcome_raises_value_error(self):
+        w = w_state()
+        with pytest.raises(ValueError):
+            plus_probability(w, A, "y")
+        with pytest.raises(ValueError):
+            measure_qubit(w, A, "Z", 0.5)
+        with pytest.raises(ValueError):
+            collapse(w, A, Axis.Z, 2)
+        with pytest.raises(ValueError):
+            joint_probability(w, [(A, Axis.Z, 2)])
+        with pytest.raises(ValueError):
+            joint_probability(w, [(A, "y", PLUS)])
+
+
+class TestOutcomeTableArguments:
+    @pytest.mark.parametrize(
+        "sources, rule",
+        [
+            ([], "one qubit count"),
+            ([w_state(), attacked_w_state(0.3)], "one qubit count"),
+            ([make_basis_state(2, [PLUS, MINUS])], "at least three qubits"),
+        ],
+    )
+    def test_bad_sources_raise_value_error_naming_the_rule(self, sources, rule):
+        with pytest.raises(ValueError, match=rule):
+            outcome_table(sources)
 
 
 class TestStackedMass:

@@ -27,6 +27,7 @@ from wqsc import (
     averaged_security_probability,
     is_event,
     joint_probability,
+    outcome_table,
     run_protocol,
     w_state,
 )
@@ -134,7 +135,7 @@ class TestExactMeans:
     def test_cells_match_joint_probability(self, phi, target):
         attack = None if target is None else UnitaryCouplingAttack(phi, target)
         source = apply_attack(w_state(), attack)
-        joint = chain_probabilities(protocol._outcome_table([source])[0])
+        joint = chain_probabilities(outcome_table([source])[0])
         for s, axes in enumerate(ALL_AXIS_SETS):
             for o, outcomes in enumerate(bell.OUTCOME_STRINGS):
                 constraints = [(p, axes.axis_of(p), outcomes[p]) for p in Party]
@@ -145,7 +146,7 @@ class TestExactMeans:
     @pytest.mark.parametrize("mode", list(ProtocolMode))
     def test_unattacked_means(self, mode, announce_rate):
         n = 10_000
-        table = protocol._outcome_table([w_state()])[0]
+        table = outcome_table([w_state()])[0]
         for dealer in Party:
             means = protocol._weights(mode, dealer) @ (n * cell_probabilities(table, announce_rate))
             expected_success = n * MODE_SUCCESS_PROBABILITY[mode]
@@ -158,7 +159,7 @@ class TestExactMeans:
     def test_security_event_mean_under_attack_on_charlie(self, phi, announce_rate):
         n = 10_000
         source = apply_attack(w_state(), UnitaryCouplingAttack(phi, Party.CHARLIE))
-        cells = n * cell_probabilities(protocol._outcome_table([source])[0], announce_rate)
+        cells = n * cell_probabilities(outcome_table([source])[0], announce_rate)
         expected = n * announce_rate * (3.0 / 8.0) * averaged_security_probability(phi)
         for mode in ProtocolMode:
             means = protocol._weights(mode, Party.ALICE) @ cells
