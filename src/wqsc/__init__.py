@@ -7,7 +7,7 @@ and seeded Monte Carlo engines for pair-wise key distribution, partial
 secret sharing, and their synthesis.
 """
 
-from .adversary import AttackConfig, UnitaryCouplingAttack, apply_attack, eve_ancilla_statistics
+from .adversary import UnitaryCouplingAttack, apply_attack, eve_ancilla_statistics
 from .bell import (
     AT_LEAST_TWO,
     ALL_AXIS_SETS,

@@ -12,11 +12,10 @@ cannot change their outcomes.  Its statistics are exact here, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .qcore import Axis, Outcome, Party, StateVector, joint_probability
+from .qcore import Axis, Outcome, Party, StateVector, integer_argument, joint_probability
 from .states import coupling_unitary, validate_attack_angle
 
 
@@ -25,7 +24,8 @@ class UnitaryCouplingAttack:
     """Couple an ancilla of strength ``phi`` to one party's qubit.
 
     ``phi = 0`` leaves the channel untouched (but still appends the
-    ancilla); ``phi = pi/2`` is the maximal coupling.
+    ancilla); ``phi = pi/2`` is the maximal coupling.  ``target`` is a
+    :class:`Party` or its qubit index.
     """
 
     phi: float
@@ -33,10 +33,7 @@ class UnitaryCouplingAttack:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", validate_attack_angle(self.phi))
-        object.__setattr__(self, "target", Party(self.target))
-
-
-AttackConfig = Optional[UnitaryCouplingAttack]
+        object.__setattr__(self, "target", Party(integer_argument("target", self.target, 0, 2)))
 
 
 def _apply_two_qubit_unitary(
@@ -50,7 +47,7 @@ def _apply_two_qubit_unitary(
     return np.moveaxis(updated.reshape(moved.shape), (0, 1), qubits).reshape(-1)
 
 
-def apply_attack(source: StateVector, attack: AttackConfig) -> StateVector:
+def apply_attack(source: StateVector, attack: UnitaryCouplingAttack | None) -> StateVector:
     """Return the channel state seen by the parties, with ancilla if attacked.
 
     With no attack the source is returned unchanged.  Otherwise the ancilla

@@ -66,6 +66,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _party(text: str) -> Party:
+    """A party flag's letter or name as a :class:`Party`, as argparse converts it."""
+    try:
+        return Party.from_letter(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 _SEED = ("--seed", dict(required=True, type=int, help="root RNG seed"))
 _EPSILON = ("--epsilon", dict(type=float, default=DEFAULT_EPSILON,
                               help="permitted security-event frequency"))
@@ -81,10 +89,10 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
                                  help="per-trial probability of a public outcome announcement")),
         ("--phi", dict(type=float, default=None,
                        help="attack coupling strength in radians, [0, pi/2]; omit for no attack")),
-        ("--target", dict(default="C",
+        ("--target", dict(type=_party, default="C",
                           help="attacked party (A, B, or C); meaningful only with --phi")),
         _EPSILON,
-        ("--dealer", dict(default="A", help="secret-sharing dealer")),
+        ("--dealer", dict(type=_party, default="A", help="secret-sharing dealer")),
         ("--format", dict(choices=REPORT_FORMATS, default="json", help="report format")),
         ("--output", dict(default="-", help="report path, '-' for stdout")),
     )),
@@ -153,9 +161,7 @@ def _open_output(path: str) -> ContextManager[TextIO]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # --target is checked even without --phi, so a typo never passes silently.
-    target = Party.from_letter(args.target)
-    attack = None if args.phi is None else UnitaryCouplingAttack(args.phi, target)
+    attack = None if args.phi is None else UnitaryCouplingAttack(args.phi, args.target)
     config = ProtocolConfig(
         mode=ProtocolMode(args.mode),
         trials=args.trials,
@@ -163,7 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         announce_rate=args.announce_rate,
         attack=attack,
         epsilon=args.epsilon,
-        dealer=Party.from_letter(args.dealer),
+        dealer=args.dealer,
     )
     with _open_output(args.output) as out:
         report = run_protocol(config)

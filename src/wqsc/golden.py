@@ -30,7 +30,6 @@ from .bell import (
 from .protocol import (
     MODE_SUCCESS_PROBABILITY,
     Inference,
-    Outcome,
     ProtocolMode,
     decider_step,
     key_accounting,
@@ -39,6 +38,7 @@ from .protocol import (
 )
 from .qcore import (
     Axis,
+    Outcome,
     Party,
     eigenvalues_hermitian,
     joint_probability,

@@ -57,7 +57,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .adversary import AttackConfig, UnitaryCouplingAttack, apply_attack
+from .adversary import UnitaryCouplingAttack, apply_attack
 from .bell import (
     _QKD_SET_INDEX,
     ALL_AXIS_SETS,
@@ -67,7 +67,7 @@ from .bell import (
     AxisSet,
     is_event,
 )
-from .qcore import Outcome, Party, outcome_table
+from .qcore import Outcome, Party, integer_argument, outcome_table, real_argument
 from .states import attacked_w_state, validate_attack_angle, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
@@ -110,31 +110,9 @@ class SecurityVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _integer(name: str, value: object, low: int, high: int | None = None) -> int:
-    """``value`` as an int of at least ``low`` and at most ``high`` (if given).
-
-    Python and numpy integers pass; bool, every other type and a value out
-    of range raise ValueError.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-    if high is not None and value > high:
-        raise ValueError(f"{name} must be at most {high}, got {value}")
-    return int(value)
-
-
-def _real(name: str, value: object) -> float:
-    """``value`` as a float: Python and numpy reals pass, bool and all else raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
 def check_epsilon(epsilon: float) -> float:
     """The permitted security-event frequency ``epsilon`` as a float in (0, 1), else ValueError."""
-    epsilon = _real("epsilon", epsilon)
+    epsilon = real_argument("epsilon", epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return epsilon
@@ -144,27 +122,27 @@ def check_epsilon(epsilon: float) -> float:
 class ProtocolConfig:
     """Run parameters; a config plus the trial index determines a trial exactly.
 
-    ``mode`` and ``dealer`` are coerced to their enums, ``trials`` and
-    ``seed`` (Python or numpy integers, never bool) to int, and
-    ``announce_rate`` and ``epsilon`` (Python or numpy reals, never bool) to
-    float; ``attack`` must be None or a :class:`UnitaryCouplingAttack`.  A
-    bad value raises ValueError here, before any draw.
+    ``mode`` is coerced to its enum; ``dealer`` (a :class:`Party` or its
+    index), ``trials`` and ``seed`` follow :func:`~wqsc.qcore.integer_argument`,
+    and ``announce_rate`` and ``epsilon`` :func:`~wqsc.qcore.real_argument`;
+    ``attack`` must be None or a :class:`UnitaryCouplingAttack`.  A bad
+    value raises ValueError here, before any draw.
     """
 
     mode: ProtocolMode
     trials: int
     seed: int
     announce_rate: float = DEFAULT_ANNOUNCE_RATE
-    attack: AttackConfig = None
+    attack: UnitaryCouplingAttack | None = None
     epsilon: float = DEFAULT_EPSILON
     dealer: Party = Party.ALICE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ProtocolMode(self.mode))
-        object.__setattr__(self, "dealer", Party(self.dealer))
-        object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
-        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, MAX_SEED))
-        announce_rate = _real("announce_rate", self.announce_rate)
+        object.__setattr__(self, "dealer", Party(integer_argument("dealer", self.dealer, 0, 2)))
+        object.__setattr__(self, "trials", integer_argument("trials", self.trials, 1))
+        object.__setattr__(self, "seed", integer_argument("seed", self.seed, 0, MAX_SEED))
+        announce_rate = real_argument("announce_rate", self.announce_rate)
         if not 0.0 <= announce_rate < 1.0:
             raise ValueError(f"announce_rate must lie in [0, 1), got {announce_rate!r}")
         object.__setattr__(self, "announce_rate", announce_rate)
@@ -289,15 +267,18 @@ def partial_inference(own_share: Outcome) -> Inference:
 def security_verdict(frequency: float | None, epsilon: float) -> SecurityVerdict:
     """Verdict from the security-event frequency over the checked trials.
 
-    ``frequency`` is ``events / checked``, or None when no trial was checked:
-    there is then no evidence either way and the result is inconclusive
-    rather than secure.  The event frequency is exactly zero on the
+    ``frequency`` is ``events / checked``, a real in [0, 1], or None when no
+    trial was checked: there is then no evidence either way and the result
+    is inconclusive rather than secure.  The event frequency is exactly zero on the
     unattacked channel, so the run is compromised as soon as it exceeds
     ``epsilon``; with the default epsilon a single event suffices.
     """
     check_epsilon(epsilon)
     if frequency is None:
         return SecurityVerdict.INCONCLUSIVE
+    frequency = real_argument("frequency", frequency)
+    if not 0.0 <= frequency <= 1.0:
+        raise ValueError(f"frequency must lie in [0, 1], got {frequency!r}")
     return SecurityVerdict.COMPROMISED if frequency > epsilon else SecurityVerdict.SECURE
 
 
@@ -397,7 +378,7 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     configured), each party measures its qubit along its chosen axis, and
     the announcement flag is drawn.  Announced trials carry no key bits.
     """
-    index = _integer("trial index", index, 0)
+    index = integer_argument("trial index", index, 0)
     _, cells = next(_run_chunks(config, index, 1))
     return _record(config.mode, index, int(cells[0]))
 
@@ -426,8 +407,7 @@ def check_sweep_arguments(
 
     ``grid`` must be a non-empty sequence (or numpy array) of real numbers,
     not bool, each a valid attack angle; ``trials`` (samples per point) and
-    ``seed`` follow :class:`ProtocolConfig`'s integer rule.  A bad value
-    raises ValueError.
+    ``seed`` follow the integer rule.  A bad value raises ValueError.
     """
     if isinstance(grid, (str, bytes)) or not isinstance(grid, (Sequence, np.ndarray)) or any(
         isinstance(phi, bool) or not isinstance(phi, numbers.Real) for phi in grid
@@ -436,7 +416,7 @@ def check_sweep_arguments(
     grid = [validate_attack_angle(phi) for phi in grid]
     if not grid:
         raise ValueError("the phi grid is empty")
-    return grid, _integer("trials", trials, 1), _integer("seed", seed, 0, MAX_SEED)
+    return grid, integer_argument("trials", trials, 1), integer_argument("seed", seed, 0, MAX_SEED)
 
 
 def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> list[float]:
@@ -490,16 +470,13 @@ def key_accounting(
     announcements the nominal cost per key bit is 12 for QKD, 24 for PQSS,
     and 8 for the synthesis protocol.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0 <= announced_trials <= trials:
-        raise ValueError("announced trials must lie in [0, trials]")
+    key_bits = integer_argument("key_bits", key_bits, 0)
+    success_probability = real_argument("success_probability", success_probability)
     if not 0.0 < success_probability <= 1.0:
-        raise ValueError("success probability must lie in (0, 1]")
-    if key_bits < 0:
-        raise ValueError("key bit count cannot be negative")
-    if qubits_per_trial < 1:
-        raise ValueError("qubits per trial must be at least 1")
+        raise ValueError(f"success_probability must lie in (0, 1], got {success_probability!r}")
+    trials = integer_argument("trials", trials, 1)
+    announced_trials = integer_argument("announced_trials", announced_trials, 0, trials)
+    qubits_per_trial = integer_argument("qubits_per_trial", qubits_per_trial, 1)
     ratio = announced_trials / trials
     return qubits_per_trial * key_bits / (success_probability * (1.0 + ratio))
 
@@ -623,8 +600,7 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
 
 def binomial_sigma(p: float, n: int) -> float:
     """Standard deviation of an empirical frequency of n Bernoulli(p) draws."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    p, n = real_argument("p", p), integer_argument("n", n, 1)
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     return math.sqrt(p * (1.0 - p) / n)

@@ -27,6 +27,7 @@ value 1 to ``|z->``.  The x eigenbasis is ``|x±> = (|z+> ± |z->)/sqrt(2)``.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -49,6 +50,28 @@ MAX_QUBITS = 5
 
 class InvalidStateError(ValueError):
     """Raised when a state vector fails its normalization contract."""
+
+
+def integer_argument(name: str, value: object, low: int, high: int | None = None) -> int:
+    """``value`` as an int of at least ``low`` and at most ``high`` (if given).
+
+    Python and numpy integers (and ``Party`` members) pass; bool, every
+    other type and a value out of range raise ValueError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return int(value)
+
+
+def real_argument(name: str, value: object) -> float:
+    """``value`` as a float: Python and numpy reals pass, bool and all else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class Axis(Enum):
@@ -163,8 +186,7 @@ def _check_hermitian(m: np.ndarray, name: str) -> None:
 
 def make_basis_state(num_qubits: int, bits: Sequence[Outcome]) -> StateVector:
     """Computational z-basis ket ``|b_0 b_1 ...>`` with qubit 0 as the MSB."""
-    if not MIN_QUBITS <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {num_qubits}")
+    num_qubits = integer_argument("num_qubits", num_qubits, MIN_QUBITS, MAX_QUBITS)
     if len(bits) != num_qubits:
         raise ValueError(f"expected {num_qubits} outcomes, got {len(bits)}")
     index = 0
@@ -266,9 +288,7 @@ def _state_step(state: StateVector, qubit: int, axis: Axis) -> tuple[int, np.nda
     ``x`` is 1 for the x axis, 0 for z.  A bad axis or qubit raises ValueError.
     """
     x = int(Axis(axis) is Axis.X)
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
+    qubit = integer_argument("qubit", qubit, 0, state.num_qubits - 1)
     if abs(state.squared_norm() - 1.0) > NORM_ATOL:
         raise InvalidStateError("cannot measure an unnormalized state")
     components, masses = _step(state.amplitudes[np.newaxis], qubit)
@@ -310,6 +330,7 @@ def measure_qubit(
     bit-identical.  Returns the outcome, its :func:`collapse` post-state,
     and the probability of the observed outcome, all read from one step.
     """
+    u = real_argument("u", u)
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
     x, components, masses = _state_step(state, qubit, axis)
@@ -381,18 +402,19 @@ def joint_probability(
     """Exact probability that each constrained qubit yields its outcome.
 
     Computed by projecting the amplitudes (no sampling); unconstrained
-    qubits are marginalized.  Constraint qubits must be distinct, and each
-    axis and outcome is coerced to its enum.  A projection of subnormal
-    mass is first scaled by an exact power of two to unit peak amplitude,
-    so its squares are summed before they round, and the scale is undone
-    on the quotient.
+    qubits are marginalized.  Constraint qubits follow :func:`integer_argument`
+    and must be distinct; each axis and outcome is coerced to its enum.  A
+    projection of subnormal mass is first scaled by an exact power of two to
+    unit peak amplitude, so its squares are summed before they round, and
+    the scale is undone on the quotient.
     """
-    constraints = [(qubit, Axis(axis), Outcome(outcome)) for qubit, axis, outcome in constraints]
-    n = state.num_qubits
+    last = state.num_qubits - 1
+    constraints = [
+        (integer_argument("qubit", q, 0, last), Axis(axis), Outcome(outcome))
+        for q, axis, outcome in constraints
+    ]
     seen: set[int] = set()
     for qubit, _axis, _outcome in constraints:
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
         if qubit in seen:
             raise ValueError(f"duplicate constraint on qubit {qubit}")
         seen.add(qubit)
@@ -437,12 +459,10 @@ def outcome_distribution(state: StateVector) -> np.ndarray:
 
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Partial trace onto the kept qubits (at most two, ascending order)."""
-    kept = sorted(set(keep))
     n = state.num_qubits
+    kept = sorted({integer_argument("keep", q, 0, n - 1) for q in keep})
     if not kept:
         raise ValueError("keep must name at least one qubit")
-    if any(q < 0 or q >= n for q in kept):
-        raise ValueError(f"keep indices must lie in [0, {n})")
     if len(kept) >= n:
         raise ValueError("keep must be a strict subset of the qubits")
     if len(kept) > 2:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .qcore import StateVector
+from .qcore import StateVector, real_argument
 
 ATTACK_ANGLE_MAX = math.pi / 2.0
 
@@ -24,9 +24,9 @@ _W_INDICES = (4, 2, 1)
 
 
 def validate_attack_angle(phi: float) -> float:
-    """Check that the coupling strength lies in [0, pi/2]; returns it as float."""
-    phi = float(phi)
-    if not math.isfinite(phi) or not 0.0 <= phi <= ATTACK_ANGLE_MAX:
+    """The coupling strength, a real in [0, pi/2], as a float; else ValueError."""
+    phi = real_argument("phi", phi)
+    if not 0.0 <= phi <= ATTACK_ANGLE_MAX:
         raise ValueError(f"attack angle must lie in [0, pi/2], got {phi!r}")
     return phi
 

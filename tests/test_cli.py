@@ -120,6 +120,22 @@ class TestFailFast:
                        "--target", "Z") == 1
         self.assert_one_line_error(capsys, "'Z'")
 
+    @pytest.mark.parametrize("name,flag,value", [
+        ("WQSC_TARGET", "--target", "D"),
+        ("WQSC_DEALER", "--dealer", "Z"),
+    ])
+    def test_bad_party_from_environment_names_the_variable(
+        self, name, flag, value, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "report.json"
+        assert run_cli("run", "--mode", "qkd", "--trials", "10", "--seed", "1",
+                       "--output", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name}: argument {flag}: unknown party '{value}'; expected one of A, B, C\n"
+        )
+        assert not out.exists()
+
     def test_out_of_range_sweep_seed(self, capsys):
         assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "-1") == 1
         self.assert_one_line_error(capsys, "seed")

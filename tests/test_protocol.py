@@ -290,6 +290,11 @@ class TestSecurityVerdict:
         with pytest.raises(ValueError):
             security_verdict(None, 1.0)
 
+    @pytest.mark.parametrize("frequency", [True, -1.0, 1.5, float("nan"), "0.1"])
+    def test_frequency_must_be_a_real_in_the_unit_interval(self, frequency):
+        with pytest.raises(ValueError, match="^frequency must"):
+            security_verdict(frequency, 0.5)
+
 
 class TestKeyAccounting:
     def test_per_protocol_costs(self):
