@@ -60,7 +60,6 @@ from .qcore import (
     make_basis_state,
     measure_qubit,
     outcome_distribution,
-    outcome_table,
     partial_transpose,
     plus_probability,
     reduced_density,

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .qcore import Axis, Outcome, Party, StateVector, outcome_distribution
+from .qcore import Axis, Outcome, Party, StateVector, integer_argument, outcome_distribution
 from .states import validate_attack_angle
 
 # Tolerance used when flagging a CH bound violation, so floating-point dust
@@ -106,12 +106,18 @@ EVENT_CELLS = np.array([[is_event(axes, o) for o in OUTCOME_STRINGS] for axes in
 
 @dataclass(frozen=True)
 class StrictPair:
-    """Fixed-pair reading of the two-plus event: P(z_i = +, z_j = +)."""
+    """Fixed-pair reading of the two-plus event: P(z_i = +, z_j = +).
+
+    Each party is a :class:`Party` or its index, read by
+    :func:`~wqsc.qcore.integer_argument`.
+    """
 
     first: Party
     second: Party
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "first", _party("first", self.first))
+        object.__setattr__(self, "second", _party("second", self.second))
         if self.first == self.second:
             raise ValueError("strict pair must name two distinct parties")
 
@@ -140,6 +146,11 @@ class ChBellResult:
     a12: float
     a21: float
     a22: float
+
+
+def _party(name: str, value: object) -> Party:
+    """``value`` as a :class:`Party`, by :func:`~wqsc.qcore.integer_argument`."""
+    return Party(integer_argument(name, value, 0, 2))
 
 
 def _require_three_qubits(state: StateVector) -> None:
@@ -203,16 +214,16 @@ def prob_z_plus_x_unequal(
     """P(z outcome of one qubit is plus and the two x outcomes disagree).
 
     Defined for three- or four-qubit states; only the three party qubits
-    may be named, so an attached ancilla is always marginalized.
+    may be named (each a :class:`Party` or its index, read by
+    :func:`~wqsc.qcore.integer_argument`), so an attached ancilla is always
+    marginalized.
     """
     if state.num_qubits not in (3, 4):
         raise ValueError("state must have three or four qubits")
-    x1, x2 = x_qubits
-    qubits = (z_qubit, x1, x2)
-    if len(set(qubits)) != 3:
+    z_qubit = _party("z_qubit", z_qubit)
+    x1, x2 = (_party("x_qubits", q) for q in x_qubits)
+    if len({z_qubit, x1, x2}) != 3:
         raise ValueError("the z qubit and the two x qubits must be distinct")
-    if any(q not in _PARTIES for q in qubits):
-        raise ValueError("only the party qubits A, B, C can be measured here")
     return _z_plus_x_unequal(outcome_distribution(state), z_qubit)
 
 
@@ -232,10 +243,12 @@ def ch_middle_term(
     ``roles = (i, j, k)`` assigns the parties: A12 = P(z_i=+, x_j != x_k),
     A21 = P(z_j=+, x_i != x_k), A22 = P(x_i = x_j = x_k), and A11 is the
     two-plus probability under ``interp``.  A strict-pair interpretation
-    must name the parties playing i and j.  All four terms are read from
-    one :func:`outcome_distribution` of the state.
+    must name the parties playing i and j.  Each role is a :class:`Party`
+    or its index, read by :func:`~wqsc.qcore.integer_argument`.  All four
+    terms are read from one :func:`outcome_distribution` of the state.
     """
     _require_three_qubits(state)
+    roles = tuple(_party("roles", role) for role in roles)
     if sorted(roles) != sorted(_PARTIES):
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
     i, j, _k = roles

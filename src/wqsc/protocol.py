@@ -16,34 +16,35 @@ Randomness and its draw order are part of the output contract: a change to
 either changes report bytes for a given seed.
 
 Draws come from a counter-based Philox stream (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 slots.  A
-slot ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
-``Generator.random()`` computes, and is compared with integers only.
+random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 words.  A
+word ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
+``Generator.random()`` computes, and is compared with integers only.  Every
+probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`.
 
-* ``run``: key ``seed``.  Trial ``i`` reads the 4 slots of
-  ``Philox(key=seed, counter=i)``: the measurements of A, B and C, then
-  the announcement (a draw below the announce rate announces).  The
-  announcement slot's low 3 bits, which the shift drops, choose the axes
-  of A, B and C, A the highest (0 selects z), each exactly 1/2 and
-  independent of every draw.  Any trial replays in isolation from its
-  counter alone, and contiguous trials are one contiguous read.  The
-  eavesdropper's ancilla is never sampled: it is measured after the
+* ``run`` (stream v4): key ``seed``.  Trial ``i`` reads raw words ``2i``
+  and ``2i + 1``, that is half ``i & 1`` of ``Philox(key=seed, counter=i >>
+  1)``, so any trial replays in isolation from its counter and contiguous
+  trials are one contiguous read.  Word ``2i + 1`` is the announcement (a
+  draw below the announce rate announces); its low 3 bits, which the shift
+  drops, choose the axes of A, B and C, A the highest (0 selects z), each
+  exactly 1/2 and independent of every draw.  Word ``2i`` is the one
+  measurement draw: it walks its axis set's interval tree over ``[0,
+  2**53)`` through A, B and C, and the leaf it lands in is the outcome
+  string.  A node ``[lo, hi)`` splits at ``lo + ceil(p * (hi - lo))``, ``p``
+  being the node's plus mass over its total in the set's distribution row.
+  The eavesdropper's ancilla is never sampled: it is measured after the
   parties, so its outcome cannot change theirs.
 * ``sweep-phi``: grid point ``k`` has key ``seed + (k + 1) * 2**64`` (key
   words ``(seed, k + 1)``, disjoint from every ``run`` key).  Sample ``j``
-  reads the 4 slots of ``Philox(key, counter=j)``: the QKD axis set
-  (``floor(3u)`` indexes ``QKD_AXIS_SETS``, zxx, xzx, xxz), then the
-  measurements of A, B and C.
+  is raw word ``j``, an event iff its draw lies below ``p_bar``, the mean
+  event mass of the three QKD axis sets under the attack on Charlie.
 
-A measurement draw ``u`` yields plus iff ``u`` lies below the exact
-chain-rule probability ``p`` of plus given the earlier outcomes, that is
-iff ``k < ceil(p * 2**53)``, exact because ``p * 2**53`` is.  Those
-probabilities come from :func:`~wqsc.qcore.outcome_table`, built once per
-call: for a run from its one source, for a sweep from the whole grid's
-sources at once.  Trials are sampled in chunks and counted per (axis set,
-outcome string, announced) cell; :func:`run_protocol` reads a report from
-those counts through a weight matrix filled from the per-trial rules, so a
-report equals the fold of its trial records one by one.
+A draw ``k`` lies below a probability ``p`` iff ``k < ceil(p * 2**53)``,
+exact because ``p * 2**53`` is; a cell of mass 0 gets an interval of width
+0 and is never drawn.  Trials are sampled in chunks and counted per (axis
+set, outcome string, announced) cell; :func:`run_protocol` reads a report
+from those counts through a weight matrix filled from the per-trial rules,
+so a report equals the fold of its trial records one by one.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ from .bell import (
     AxisSet,
     is_event,
 )
-from .qcore import Outcome, Party, integer_argument, outcome_table, real_argument
-from .states import attacked_w_state, validate_attack_angle, w_state
+from .qcore import Outcome, Party, integer_argument, outcome_distribution, real_argument
+from .states import validate_attack_angle, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
 DEFAULT_EPSILON = 1e-9
@@ -306,11 +307,9 @@ def _kept_bits(
 # bounds memory; counts add across chunks, so it never changes a report.
 _CHUNK_TRIALS = 4096
 
-_SLOTS = 4  # uint64 slots per Philox block: one run trial or one sweep sample
-_DRAW_SHIFT = np.uint64(11)  # slot x draws k = x >> 11, the uniform k * 2**-53
-_SET_MASK = np.uint64(7)  # run: the announcement slot's axis-set bits
-# A sweep's set draw k has floor(3 * k * 2**-53) = how many of these it reaches.
-_THIRDS = (np.uint64(-(-(2**53) // 3)), np.uint64((2**54 - 1) // 3))
+_DRAW_SHIFT = np.uint64(11)  # word x draws k = x >> 11, the uniform k * 2**-53
+_SET_MASK = np.uint64(7)  # run: the announcement word's axis-set bits
+
 
 def _threshold(p: np.ndarray | float) -> np.ndarray:
     """``ceil(p * 2**53)`` as uint64: a draw ``k`` lies below ``p`` iff below this.
@@ -320,47 +319,67 @@ def _threshold(p: np.ndarray | float) -> np.ndarray:
     return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
 
 
-def _walk_thresholds(table: np.ndarray) -> np.ndarray:
-    """A table's node thresholds by walk position (see :func:`_walk`).
+def _walk_thresholds(dist: np.ndarray) -> np.ndarray:
+    """Split points of each axis set's interval tree over ``[0, 2**53)``, by walk position.
 
-    Position ``2**d * (8 + s) + i`` holds node ``2**d - 1 + i`` of set ``s``,
-    the ``i``-th node of party ``d``; positions 0 to 7 are never read.
+    ``dist`` is an :func:`~wqsc.qcore.outcome_distribution`.  Party ``d``'s
+    node ``i`` of set ``s`` (``i`` the outcome bits of the parties before
+    it) covers ``[lo, hi)`` and splits at ``lo + ceil(p * (hi - lo))``, ``p``
+    being its plus child's mass over its own, or at ``lo`` if its mass is 0.
+    A node's mass is summed as its plus child's plus its minus child's, so
+    a child of mass 0 gets width 0 (``p`` is 0 or exactly 1).  A plus child
+    of nonzero mass keeps at least width 1 of a node that has any; a minus
+    child whose share is lost in rounding ``p * (hi - lo)`` up to ``hi -
+    lo`` gets width 0.  All 8
+    sets are built at once.  Position ``2**d * (8 + s) + i`` holds the
+    split (see :func:`_walk`); positions 0 to 7 are never read.
     """
-    by_party = [table[:, (1 << d) - 1 : (2 << d) - 1].ravel() for d in Party]
-    return _threshold(np.concatenate([np.zeros(len(table)), *by_party]))
+    masses = [dist]  # masses[-1 - d]: the masses of party d's children, shape (8, 2 << d)
+    for _ in range(2):
+        masses.append(masses[-1][:, 0::2] + masses[-1][:, 1::2])
+    lo, width = np.zeros((8, 1)), np.full((8, 1), 2.0**53)
+    splits = [np.zeros(8)]
+    for children in reversed(masses):
+        plus = children[:, 0::2]
+        total = plus + children[:, 1::2]
+        plus_width = np.ceil(plus / np.where(total > 0.0, total, 1.0) * width)
+        split = lo + plus_width
+        splits.append(split.ravel())
+        lo = np.stack([lo, split], axis=-1).reshape(8, -1)
+        width = np.stack([plus_width, width - plus_width], axis=-1).reshape(8, -1)
+    return np.concatenate(splits).astype(np.uint64)
 
 
 def _walk(thresholds: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Index ``8s + o`` of each trial's axis set ``s`` and outcome string ``o``.
 
-    ``draws`` holds the measurement draws of A, B and C, one column each.
     A trial's walk starts at position ``8 + s``, and each party appends its
-    outcome bit: 1 (minus) iff its draw reaches the threshold at the walk's
-    position, that is, iff the draw is not below its node's P(plus).  The
-    walk thus ends at ``64 + 8s + o``.
+    outcome bit: 1 (minus) iff the trial's draw reaches the split at the
+    walk's position.  The walk thus ends at ``64 + 8s + o``.
     """
     positions = sets + 8
-    for party in Party:
-        positions = 2 * positions + (draws[:, party] >= np.take(thresholds, positions))
+    for _ in Party:
+        positions = 2 * positions + (draws >= np.take(thresholds, positions))
     return positions - 64
 
 
 def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: np.uint64) -> np.ndarray:
     """Each trial's cell ``16s + 2o + announced``.
 
-    ``raw`` holds the trials' slots, one row of ``_SLOTS`` each, and is
-    shifted in place; ``announce`` is the announce rate's threshold.
+    ``raw`` holds the trials' words, one row (measurement, announcement)
+    each, and is shifted in place; ``announce`` is the announce rate's
+    threshold.
     """
-    sets = (raw[:, 3] & _SET_MASK).astype(np.intp)
+    sets = (raw[:, 1] & _SET_MASK).astype(np.intp)
     raw >>= _DRAW_SHIFT
-    return 2 * _walk(thresholds, sets, raw) + (raw[:, 3] < announce)
+    return 2 * _walk(thresholds, sets, raw[:, 0]) + (raw[:, 1] < announce)
 
 
-def _chunks(bits: np.random.Philox, count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first item, slots)`` for ``count`` items in chunks of at most ``_CHUNK_TRIALS``."""
+def _chunks(bits: np.random.Philox, count: int, words: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first item, raw words)`` for ``count`` items of ``words`` words each, in chunks."""
     for start in range(0, count, _CHUNK_TRIALS):
         size = min(_CHUNK_TRIALS, count - start)
-        yield start, bits.random_raw(size * _SLOTS).reshape(size, _SLOTS)
+        yield start, bits.random_raw(size * words).reshape(size, words)
 
 
 def _record(mode: ProtocolMode, index: int, cell: int) -> TrialRecord:
@@ -386,15 +405,17 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
 def _run_chunks(
     config: ProtocolConfig, first: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one table."""
-    table = outcome_table([apply_attack(w_state(), config.attack)])[0]
-    thresholds, announce = _walk_thresholds(table), _threshold(config.announce_rate)
-    for start, raw in _chunks(np.random.Philox(key=config.seed, counter=first), count):
+    """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
+    dist = outcome_distribution(apply_attack(w_state(), config.attack))
+    thresholds, announce = _walk_thresholds(dist), _threshold(config.announce_rate)
+    bits = np.random.Philox(key=config.seed, counter=first >> 1)
+    bits.random_raw(2 * (first & 1))  # an odd first trial starts its block's second half
+    for start, raw in _chunks(bits, count, 2):
         yield first + start, _trial_cells(thresholds, raw, announce)
 
 
 def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
-    """Yield the run's trials in index order, building the outcome table once."""
+    """Yield the run's trials in index order, building the interval trees once."""
     for start, cells in _run_chunks(config, 0, config.trials):
         for index, cell in enumerate(cells.tolist(), start):
             yield _record(config.mode, index, cell)
@@ -422,36 +443,40 @@ def check_sweep_arguments(
 def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> list[float]:
     """Empirical security-event frequency at each attack strength of ``grid``.
 
-    Each sample plays one announced QKD-set trial against the attacked
-    channel (target Charlie): a uniformly chosen QKD axis set, then
-    measurements of Alice, Bob, Charlie.  Every point's outcome table comes
-    from one batched build over the whole grid.  Point ``k`` draws from
-    its own Philox key, ``seed + (k + 1) * 2**64``, so its frequency depends
-    on its index and not on the rest of the grid.  Every value is checked
-    by :func:`check_sweep_arguments` before any table is built or any draw
-    is made.
+    Each sample stands for one announced QKD-set trial against the attacked
+    channel (target Charlie), and draws only whether it is a security
+    event: its draw lies below ``p_bar``, the mean over the three QKD axis
+    sets of the event mass in the attacked state's
+    :func:`~wqsc.qcore.outcome_distribution`.  Point ``k`` draws from its
+    own Philox key, ``seed + (k + 1) * 2**64``, so its frequency depends on
+    its index and not on the rest of the grid.  Every value is checked by
+    :func:`check_sweep_arguments` before any state is built or any draw is
+    made.
     """
     grid, trials, seed = check_sweep_arguments(grid, trials, seed)
-    tables = outcome_table([attacked_w_state(phi) for phi in grid])
     return [
-        _event_frequency(table, seed + ((point + 1) << 64), trials)
-        for point, table in enumerate(tables)
+        _event_frequency(_event_mass(phi), seed + ((point + 1) << 64), trials)
+        for point, phi in enumerate(grid)
     ]
 
 
-def _event_frequency(table: np.ndarray, key: int, trials: int) -> float:
+def _event_mass(phi: float) -> float:
+    """``p_bar``: the mean event mass of the QKD axis sets under the attack of ``phi`` on C."""
+    attacked = apply_attack(w_state(), UnitaryCouplingAttack(phi, Party.CHARLIE))
+    row_masses = (outcome_distribution(attacked) * EVENT_CELLS).sum(axis=1)
+    return sum(row_masses[_QKD_SET_INDEX].tolist()) / len(_QKD_SET_INDEX)
+
+
+def _event_frequency(p_bar: float, key: int, trials: int) -> float:
     """Event frequency over ``trials`` sweep samples drawn from Philox key ``key``.
 
     Its chunks are released on return, so a sweep holds one at a time.
     """
-    thresholds = _walk_thresholds(table)
-    counts = np.zeros(EVENT_CELLS.size, dtype=np.int64)
-    for _, raw in _chunks(np.random.Philox(key=key), trials):
-        raw >>= _DRAW_SHIFT
-        thirds = (raw[:, 0] >= _THIRDS[0]).astype(np.intp) + (raw[:, 0] >= _THIRDS[1])
-        cells = _walk(thresholds, _QKD_SET_INDEX[thirds], raw[:, 1:])
-        counts += np.bincount(cells, minlength=counts.size)
-    return int(counts[EVENT_CELLS.ravel()].sum()) / trials
+    threshold = _threshold(p_bar)
+    events = 0
+    for _, raw in _chunks(np.random.Philox(key=key), trials, 1):
+        events += int(np.count_nonzero(raw >> _DRAW_SHIFT < threshold))
+    return events / trials
 
 
 def key_accounting(

@@ -8,16 +8,14 @@ that arise here (by LAPACK), and the three-qubit residual tangle.
 A measurement is two steps, each public: :func:`plus_probability` is the
 threshold a uniform draw is compared against, and :func:`collapse` is the
 renormalized post-state of a chosen outcome; :func:`measure_qubit` reads
-both from one step.  That step splits one qubit of every state in a stack
-into its components along z and x and weighs them, so
-:func:`outcome_table`, which measures every state it has reached over a
-whole stack of sources in one pass per party, runs the same arithmetic
-as the single-state steps and matches them bit for bit.
+both from one private step, which splits one qubit into its components
+along the axis and weighs them.
 
 :func:`outcome_distribution` gives every joint outcome probability of the
 three party qubits, for all eight axis sets, from one pass of the same
-elementwise x-basis butterfly; :func:`joint_probability` projects one event
-at a time and is kept as its independent check.
+elementwise x-basis butterfly; it is the one probability source from which
+``wqsc.protocol`` samples.  :func:`joint_probability` projects one event at
+a time and is kept as its independent check.
 
 Index convention (fixed for the whole package): qubit 0 (Alice) is the most
 significant bit of the basis index, bit value 0 maps to ``|z+>`` and bit
@@ -228,71 +226,48 @@ def _masses(components: np.ndarray) -> np.ndarray:
 # _PROJECTIONS[x, outcome] holds the factors of the two halves of a split
 # view projected onto the outcome, x being 1 for the x axis and 0 for z: z
 # keeps the outcome's half, x spreads the component over both, signed.
-# Shaped (x, outcome, 1, half, 1) to broadcast against (..., leading, 1, trailing).
+# Shaped (x, outcome, 1, half, 1) to broadcast against (leading, 1, trailing).
 _PROJECTIONS = np.array(
     [[[1.0, 0.0], [0.0, 1.0]], [[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]]],
     dtype=np.complex128,
 ).reshape(2, 2, 1, 2, 1)
 
 
-def _project(x: int | np.ndarray, outcome: int | np.ndarray, component: np.ndarray) -> np.ndarray:
-    """The qubit's projection onto ``outcome``, as split view(s) ``(..., leading, 2, trailing)``.
+def _project(x: int, outcome: int, component: np.ndarray) -> np.ndarray:
+    """The qubit's projection onto ``outcome``, as a split view ``(leading, 2, trailing)``.
 
-    ``component`` is the outcome's component from :func:`_axis_components`.
-    ``x`` (1 for the x axis, 0 for z) and ``outcome`` are integers or have
-    one entry per stacked row, so each row is projected by its own factors.
+    ``component`` is the outcome's component from :func:`_axis_components`;
+    ``x`` is 1 for the x axis, 0 for z.
     """
     return component[..., np.newaxis, :] * _PROJECTIONS[x, outcome]
 
 
-def _post_states(
-    x: int | np.ndarray, outcome: int | np.ndarray, component: np.ndarray, mass: np.ndarray
-) -> np.ndarray:
-    """Renormalized projections of a stack of components, as split views.
-
-    ``component`` has shape ``(..., leading, trailing)`` and ``mass`` is its
-    :func:`_masses`; ``x`` and ``outcome`` are as for :func:`_project`.  A
-    subnormal mass is rescaled first, as :func:`collapse` describes.
-    """
-    tiny = mass < sys.float_info.min
-    if tiny.any():
-        peak = np.max(np.abs(component), axis=(-2, -1))
-        if not peak[tiny].all():
-            raise ValueError("cannot collapse onto an outcome of probability 0")
-        component = component / np.where(tiny, peak, 1.0)[..., np.newaxis, np.newaxis]
-        mass = _masses(component)
-    post = _project(x, outcome, component)
-    post /= np.sqrt(mass)[..., np.newaxis, np.newaxis, np.newaxis]
-    return post
-
-
-def _step(states: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """One qubit of each row of ``states`` ``(R, 2**n)`` split along z and x, and weighed.
-
-    ``components[r, x, o]``, shape ``(R, 2, 2, leading, trailing)``, is row
-    ``r``'s component for outcome bit ``o`` along z (``x = 0``) or x
-    (``x = 1``); ``masses``, shape ``(R, 2, 2)``, are their :func:`_masses`.
-    """
-    view = states.reshape(len(states), 1 << qubit, 2, -1)
-    components = np.empty((len(states), 2, 2, *view.shape[1::2]), dtype=np.complex128)
-    for x, axis in enumerate((Axis.Z, Axis.X)):
-        components[:, x, Outcome.PLUS], components[:, x, Outcome.MINUS] = _axis_components(
-            view, axis
-        )
-    return components, _masses(components)
-
-
 def _state_step(state: StateVector, qubit: int, axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(x, components, masses)``: one state's :func:`_step` row along ``axis``, coerced.
+    """``(x, components, masses)``: one qubit of ``state`` split along ``axis``, and weighed.
 
-    ``x`` is 1 for the x axis, 0 for z.  A bad axis or qubit raises ValueError.
+    ``x`` is 1 for the x axis, 0 for z; ``components[o]`` is the component
+    for outcome bit ``o``, shape ``(leading, trailing)``, and ``masses[o]``
+    its :func:`_masses`.  A bad axis or qubit raises ValueError.
     """
-    x = int(Axis(axis) is Axis.X)
+    axis = Axis(axis)
     qubit = integer_argument("qubit", qubit, 0, state.num_qubits - 1)
     if abs(state.squared_norm() - 1.0) > NORM_ATOL:
         raise InvalidStateError("cannot measure an unnormalized state")
-    components, masses = _step(state.amplitudes[np.newaxis], qubit)
-    return x, components[0, x], masses[0, x]
+    components = np.stack(_axis_components(_split_on_qubit(state.amplitudes, qubit), axis))
+    return int(axis is Axis.X), components, _masses(components)
+
+
+def _post_state(x: int, outcome: Outcome, component: np.ndarray, mass: float) -> StateVector:
+    """The renormalized projection of one component; a subnormal mass is rescaled first."""
+    if mass < sys.float_info.min:
+        peak = np.max(np.abs(component))
+        if not peak:
+            raise ValueError("cannot collapse onto an outcome of probability 0")
+        component = component / peak
+        mass = _masses(component)
+    post = _project(x, outcome, component)
+    post /= np.sqrt(mass)
+    return StateVector(post.reshape(-1))
 
 
 def plus_probability(state: StateVector, qubit: int, axis: Axis) -> float:
@@ -316,8 +291,7 @@ def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> St
     """
     outcome = Outcome(outcome)
     x, components, masses = _state_step(state, qubit, axis)
-    post = _post_states(x, outcome, components[outcome], masses[outcome])
-    return StateVector(post.reshape(-1))
+    return _post_state(x, outcome, components[outcome], masses[outcome])
 
 
 def measure_qubit(
@@ -339,61 +313,7 @@ def measure_qubit(
         outcome, probability = Outcome.PLUS, p_plus
     else:
         outcome, probability = Outcome.MINUS, 1.0 - p_plus
-    post = _post_states(x, outcome, components[outcome], masses[outcome])
-    return outcome, StateVector(post.reshape(-1)), probability
-
-
-def outcome_table(sources: Sequence[StateVector]) -> np.ndarray:
-    """Chain-rule probabilities of plus for the three party qubits, shape (P, 8, 7).
-
-    ``sources`` are P >= 1 states of one qubit count, at least three;
-    ``table[k]`` is the table of ``sources[k]``.  Row ``s`` is the axis set
-    with bits (A, B, C), z as 0.  Node 0 is P(A=+); the child of node ``n``
-    on outcome bit ``x`` (plus is 0) is node ``2n + 1 + x``, so node
-    ``1 + a`` is P(B=+|a) and node ``3 + 2a + b`` is P(C=+|a,b).
-
-    One :func:`_step` per party (A, then B, then C) measures every state
-    reached so far, one per source and (axes, outcomes) prefix, and
-    collapses them onto outcomes of nonzero probability, except at C.
-    Nodes behind an outcome of probability 0 stay 0; every other node
-    holds, bit for bit, the :func:`plus_probability` that a sequential
-    :func:`measure_qubit` reads there.
-    """
-    counts = {source.num_qubits for source in sources}
-    if len(counts) != 1:
-        raise ValueError(f"an outcome table needs sources of one qubit count, got {sorted(counts)}")
-    if counts.pop() < 3:
-        raise ValueError("an outcome table needs sources of at least three qubits")
-    states = np.stack([source.amplitudes for source in sources])  # one row per reached prefix
-    table = np.zeros((len(states), 8, 7))
-    step_axes = np.arange(2)  # a step's axis bit, z as 0
-    points = np.arange(len(states))  # each row's source
-    axis_bits = outcome_bits = np.zeros(len(states), dtype=np.intp)  # each row's prefix
-    for party in Party:
-        components, masses = _step(states, party)
-        mass_plus, mass_minus = masses[..., Outcome.PLUS], masses[..., Outcome.MINUS]
-        p_plus = mass_plus / (mass_plus + mass_minus)
-        # Each source's table rows grouped by the axes of the parties so
-        # far, this one included.
-        groups = table.reshape(len(table), 2 << party, -1, 7)
-        nodes = (1 << party) - 1 + outcome_bits
-        groups[
-            points[:, np.newaxis], 2 * axis_bits[:, np.newaxis] + step_axes, :,
-            nodes[:, np.newaxis],
-        ] = p_plus[..., np.newaxis]
-        if party == Party.CHARLIE:
-            break
-        reached = np.empty(masses.shape, dtype=bool)
-        reached[..., Outcome.PLUS] = p_plus > 0.0
-        reached[..., Outcome.MINUS] = 1.0 - p_plus > 0.0
-        picked = np.nonzero(reached)
-        rows, axis_index, outcome_index = picked
-        posts = _post_states(axis_index, outcome_index, components[picked], masses[picked])
-        states = posts.reshape(len(rows), -1)
-        points = points[rows]
-        axis_bits = 2 * axis_bits[rows] + axis_index
-        outcome_bits = 2 * outcome_bits[rows] + outcome_index
-    return table
+    return outcome, _post_state(x, outcome, components[outcome], masses[outcome]), probability
 
 
 def joint_probability(

@@ -4,17 +4,19 @@ The oracles deliberately take different routes than the production code:
 probabilities by exhaustive enumeration over outcome strings, eigenvalues
 through numpy's LAPACK bindings, the three-way tangle through the
 residual construction (pair concurrences subtracted from the one-vs-rest
-tangle) instead of the hyperdeterminant, a protocol trial by sequential
-statevector measurement instead of the engine's outcome table, that
-table by a recursive walk over single states instead of batched passes,
-and a run's report by folding its trial records one at a time instead of
-multiplying the engine's weight matrix by its cell counts.
+tangle) instead of the hyperdeterminant, a protocol trial by a scalar
+recursion of the interval-tree rule in Python integers instead of the
+engine's vectorised trees, the chain-rule outcome table by sequential
+statevector measurement (against which the trees' unreachable cells are
+checked), and a run's report by folding its trial records one at a time
+instead of multiplying the engine's weight matrix by its cell counts.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 
 import numpy as np
 
@@ -35,12 +37,13 @@ from wqsc import (
     iter_trials,
     joint_probability,
     key_accounting,
-    measure_qubit,
+    outcome_distribution,
     plus_probability,
     pqss_step,
     reconstruct_dealer_bit,
     security_verdict,
 )
+from wqsc import protocol
 from wqsc.protocol import MODE_SUCCESS_PROBABILITY, QUBITS_PER_TRIAL
 
 
@@ -85,25 +88,80 @@ def unit(word) -> float:
     return (int(word) >> 11) * 2.0**-53
 
 
-def oracle_trial(source: StateVector, words, announce_rate: float):
-    """One trial played on the statevector, from the 4 raw Philox words of a trial.
+TREE_SPAN = 2**53  # the interval a run trial's measurement draw walks down
 
-    Each word is decoded in floating point by :func:`unit`.  Words 0-2 drive
-    a sequential ``measure_qubit`` on A, B, then C; word 3 announces when
-    its uniform lies below ``announce_rate``, and its low 3 bits choose the
-    axes of A, B and C, A the highest, a 0 selecting z.  Returns (axes,
-    outcomes, announced).
+
+def oracle_intervals(row) -> list[tuple[int, int]]:
+    """The interval ``[lo, hi)`` of each outcome string, for one row of an outcome distribution.
+
+    A recursive, scalar statement of the run's tree rule in Python
+    integers.  A node is the outcome strings that share a prefix of party
+    bits (A first, plus first), and its mass is its plus half's plus its
+    minus half's.  It splits ``[lo, hi)`` at ``lo + ceil(p * (hi - lo))``,
+    ``p`` being its plus half's mass over its own, or at ``lo`` if its mass
+    is 0.  The root is ``[0, 2**53)``.
     """
-    set_bits = int(words[3]) & 7
+
+    def mass(cells):
+        if len(cells) == 1:
+            return float(cells[0])
+        return mass(cells[: len(cells) // 2]) + mass(cells[len(cells) // 2 :])
+
+    def split(cells, lo, hi):
+        if len(cells) == 1:
+            return [(lo, hi)]
+        plus, minus = cells[: len(cells) // 2], cells[len(cells) // 2 :]
+        total = mass(cells)
+        p = mass(plus) / total if total > 0.0 else 0.0
+        mid = lo + math.ceil(p * (hi - lo))
+        return split(plus, lo, mid) + split(minus, mid, hi)
+
+    return split(list(row), 0, TREE_SPAN)
+
+
+def kernel_intervals(source: StateVector) -> np.ndarray:
+    """The engine's ``[lo, hi)`` of each (axis set, outcome string), shape (8, 8, 2).
+
+    Read by descending the split points the engine builds for ``source``;
+    each split must lie inside its node.
+    """
+    splits = protocol._walk_thresholds(outcome_distribution(source)).tolist()
+    intervals = np.zeros((8, 8, 2), dtype=np.int64)
+
+    def descend(position: int, lo: int, hi: int) -> None:
+        if position >= 64:
+            intervals[divmod(position - 64, 8)] = lo, hi
+            return
+        mid = splits[position]
+        assert lo <= mid <= hi
+        descend(2 * position, lo, mid)
+        descend(2 * position + 1, mid, hi)
+
+    for set_index in range(8):
+        descend(8 + set_index, 0, TREE_SPAN)
+    return intervals
+
+
+def oracle_trial(source: StateVector, words, announce_rate: float):
+    """One run trial from its 2 raw Philox words, by :func:`oracle_intervals`.
+
+    Word 1 announces when its uniform (:func:`unit`) lies below
+    ``announce_rate``, and its low 3 bits choose the axes of A, B and C, A
+    the highest, a 0 selecting z.  Word 0's draw ``x >> 11`` picks the
+    outcome string whose interval holds it in the chosen set's row of
+    ``outcome_distribution(source)``.  Returns (axes, outcomes, announced).
+    """
+    set_bits = int(words[1]) & 7
     axes = AxisSet(*(Axis.X if set_bits >> shift & 1 else Axis.Z for shift in (2, 1, 0)))
-    a, state, _ = measure_qubit(source, Party.ALICE, axes.alice, unit(words[0]))
-    b, state, _ = measure_qubit(state, Party.BOB, axes.bob, unit(words[1]))
-    c, _, _ = measure_qubit(state, Party.CHARLIE, axes.charlie, unit(words[2]))
-    return axes, (a, b, c), unit(words[3]) < announce_rate
+    k = int(words[0]) >> 11
+    intervals = oracle_intervals(outcome_distribution(source)[set_bits])
+    string = next(o for o, (lo, hi) in enumerate(intervals) if lo <= k < hi)
+    outcomes = tuple(Outcome(string >> shift & 1) for shift in (2, 1, 0))
+    return axes, outcomes, unit(words[1]) < announce_rate
 
 
 def oracle_table(source: StateVector) -> np.ndarray:
-    """The (8, 7) outcome table by a recursive walk over A -> B -> C.
+    """The (8, 7) chain-rule outcome table by a recursive walk over A -> B -> C.
 
     Row ``s`` is the axis set with bits (A, B, C), z as 0; the child of
     node ``n`` on outcome bit ``x`` is node ``2n + 1 + x``.  The walk reads

@@ -10,20 +10,24 @@ import numpy as np
 import pytest
 
 from wqsc import (
+    AT_LEAST_TWO,
     Axis,
     Outcome,
     ProtocolConfig,
     ProtocolMode,
+    StrictPair,
     UnitaryCouplingAttack,
     attacked_w_state,
     averaged_security_probability,
     binomial_sigma,
+    ch_middle_term,
     collapse,
     joint_probability,
     key_accounting,
     make_basis_state,
     measure_qubit,
     plus_probability,
+    prob_z_plus_x_unequal,
     reduced_density,
     w_state,
 )
@@ -54,6 +58,12 @@ W = w_state()
         (averaged_security_probability, (True,), "phi"),
         (key_accounting, (1.5, 0.25, 10, 0), "key_bits"),
         (binomial_sigma, (0.5, 2.5), "n"),
+        (prob_z_plus_x_unequal, (W, True, (0, 2)), "z_qubit"),
+        (prob_z_plus_x_unequal, (W, 1.0, (0, 2)), "z_qubit"),
+        (prob_z_plus_x_unequal, (W, 1, (0, 2.0)), "x_qubits"),
+        (StrictPair, (True, 0), "first"),
+        (StrictPair, (0, 1.0), "second"),
+        (ch_middle_term, (W, AT_LEAST_TWO, (True, 0, 2)), "roles"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

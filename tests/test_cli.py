@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -321,27 +324,27 @@ class TestSweepCommand:
     @pytest.mark.parametrize("samples,seed", [(100, 1.5), (True, 1), (100.5, 1), (0, 1), (100, -1)])
     def test_sampler_rejects_bad_integers_before_any_draw(self, samples, seed, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a table was built before the arguments were checked")
+            raise AssertionError("a state was built before the arguments were checked")
 
-        monkeypatch.setattr(wqsc.protocol, "outcome_table", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "apply_attack", forbidden)
         with pytest.raises(ValueError):
             sample_security_frequency([0.5], samples, seed)
 
     @pytest.mark.parametrize("grid", [[0.5, 2.0], [float("nan")], [-0.1], []])
-    def test_sampler_checks_the_whole_grid_before_any_table(self, grid, monkeypatch):
+    def test_sampler_checks_the_whole_grid_before_any_state(self, grid, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a table was built before the grid was checked")
+            raise AssertionError("a state was built before the grid was checked")
 
-        monkeypatch.setattr(wqsc.protocol, "outcome_table", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "apply_attack", forbidden)
         with pytest.raises(ValueError):
             sample_security_frequency(grid, 100, 1)
 
     @pytest.mark.parametrize("grid", [0.9, "01", [True], [[0.5]], None])
     def test_sampler_rejects_a_grid_that_is_not_numbers(self, grid, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a table was built before the grid was checked")
+            raise AssertionError("a state was built before the grid was checked")
 
-        monkeypatch.setattr(wqsc.protocol, "outcome_table", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "apply_attack", forbidden)
         with pytest.raises(ValueError, match="phi grid must be a sequence of numbers"):
             sample_security_frequency(grid, 100, 1)
 
@@ -360,3 +363,57 @@ class TestSweepCommand:
         a = sample_security_frequency([0.2, 0.9], 2000, seed=4)
         b = sample_security_frequency([0.2, 0.9], 2000, seed=4)
         assert a == b
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ENTRYPOINT = "from wqsc.cli import entrypoint; entrypoint()"
+EPSILON_ERROR = "error: epsilon must lie in (0, 1), got 0.0"
+
+# The bad-input commands of .github/workflows/tier1.yml: (environment, argv,
+# the start of the one stderr line).  The two epsilon commands share a line.
+WORKFLOW_BAD_INPUTS = {
+    "format": (
+        {"WQSC_MODE": "qkd", "WQSC_TRIALS": "2000", "WQSC_SEED": "7", "WQSC_FORMAT": "xml"},
+        ["run", "--output", "env.xml"],
+        "error: WQSC_FORMAT: argument --format: invalid choice: 'xml'",
+    ),
+    "grid": (
+        {"WQSC_GRID": "0,2.0"},
+        ["sweep-phi", "--seed", "1", "--output", "bad.csv"],
+        "error: attack angle must lie in [0, pi/2], got 2.0",
+    ),
+    "target": (
+        {"WQSC_TARGET": "D"},
+        ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--output", "party.json"],
+        "error: WQSC_TARGET: argument --target: unknown party 'D'; expected one of A, B, C",
+    ),
+    "dealer": (
+        {"WQSC_DEALER": "Z"},
+        ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--output", "party.json"],
+        "error: WQSC_DEALER: argument --dealer: unknown party 'Z'; expected one of A, B, C",
+    ),
+    "epsilon-run": (
+        {}, ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--epsilon", "0"],
+        EPSILON_ERROR,
+    ),
+    "epsilon-sweep": (
+        {}, ["sweep-phi", "--grid", "0.5", "--seed", "1", "--epsilon", "0", "--output", "eps.csv"],
+        EPSILON_ERROR,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WORKFLOW_BAD_INPUTS)
+def test_workflow_bad_input_fails_before_any_output(tmp_path, case):
+    env, argv, message = WORKFLOW_BAD_INPUTS[case]
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("WQSC_")}
+    environ.update(env, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", ENTRYPOINT, *argv],
+        cwd=tmp_path, env=environ, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), result.stderr
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []

@@ -22,22 +22,22 @@ ATTACK_FLAGS = ("--phi", HALF_PI_TEXT, "--target", "C")
 
 # (mode, format, attacked) -> (exit code, SHA-256 of the report bytes)
 RUN_DIGESTS = {
-    ("qkd", "json", False): (0, "e958174f139654c17cd7360d79d9c3505b9337038a05c764cac166a5c7dae8cb"),
-    ("qkd", "csv", False): (0, "7bf078cea7c60873d77652f00210fc8acc32a217aded44c46c3f05fb08338b0c"),
-    ("pqss", "json", False): (0, "e7caa58d4d4c174b35ef6c9ed5870099bf7fd5964237da75057a80a0f9e09a2e"),
-    ("pqss", "csv", False): (0, "88c0803e75393cc7706179674cede41676ef9ecf0e87a37e76f8a286760ac904"),
-    ("synth", "json", False): (0, "09b747fc56fde1d25a55ead76af8a5b7549147c4638dff77ae369d1fb6b02383"),
-    ("synth", "csv", False): (0, "58b12ebe8c2846f55edbb97a8d6940a2dba479f5a0f8418de1a87110346b66cf"),
-    ("qkd", "json", True): (2, "ec8509c26368d348334ced6d0f1f402f6e767190b1edb44fec3456bf106ebaad"),
-    ("qkd", "csv", True): (2, "1d9f1ec0ab7b57ded9b5818c0458d209757f04c9315fdaea697ad01dbd988304"),
-    ("pqss", "json", True): (2, "511641b2dd3eee6d9e42225d13a29a03aa771f2cf69e9b431f1435dbccdc5eaa"),
-    ("pqss", "csv", True): (2, "46c862987a192dcb3242b3283b9c7a103028231f5c0edc8c8d891c5ea57ef3c0"),
-    ("synth", "json", True): (2, "65b276bc177b86916502cbd53073ccf27bf3b1816e74b2d0618565af01a04c54"),
-    ("synth", "csv", True): (2, "947e8770b5073948cbd9ee12a27021a8788fab6e2b32a60c07d151eef108133b"),
+    ("qkd", "json", False): (0, "c4e00fbf6fa0b09e44303b9ae1203b0346db0f55def06a625d8d6f9a9c9fc3f1"),
+    ("qkd", "csv", False): (0, "7a415546a1ed4973880f3678078dab5dfc63145f1bae9c7ba5b20100f7e9925f"),
+    ("pqss", "json", False): (0, "20524e6c7ab727190aeffef66bde3c86861ef0ee78120d219ea481de3913a8f3"),
+    ("pqss", "csv", False): (0, "9bf245da932da605d732dd21975593dc2caa837cc2d4d7adc474a30ff0c07094"),
+    ("synth", "json", False): (0, "4b8153acf63e6dffb5201a867cc9a6e2ae00199b38b6ecba8353dd8c79b30d1a"),
+    ("synth", "csv", False): (0, "fd3e4ddc13e8c678751ea1f5c0956b0456f6da5ba07aa2977a7d17aaf5e3cf00"),
+    ("qkd", "json", True): (2, "733000c1fb2fe0a01736d7ee72be1ec10b0b41df92dbef41c1fa2908772355e8"),
+    ("qkd", "csv", True): (2, "498e4bf1e461775291797723f58edc2e1e89c77612e776037afcf3ea95c4f778"),
+    ("pqss", "json", True): (2, "d1df0c77a3c24bd2bf710303d0a4f6d27608320b131bad1b9aa845fb8b9cda9b"),
+    ("pqss", "csv", True): (2, "651106cbc0a59f2f0562f67ad871fe9c5427bb4176e4df4a6714c1ee31779a3b"),
+    ("synth", "json", True): (2, "d28b0281931b50da6dc44c2d96991db392b2f99da31ae43609df3ec0e6c894d7"),
+    ("synth", "csv", True): (2, "8e176f731f5c334061fe7a8506848dc9130a5c4665a7fb4bb6cdc79f3c9ac5e8"),
 }
 
 SWEEP_FLAGS = ("--grid", f"0,0.7853981633974483,{HALF_PI_TEXT}", "--trials", "300", "--seed", "11")
-SWEEP_DIGEST = "282783e456d87530ae144b64fdbd9af8277668fb7633ffc9157660aae8cbbac3"
+SWEEP_DIGEST = "6985f16b5983296e589c98b7752896ca82f7af77bb170ea7b8206e46b2badbe8"
 
 VERIFY_DIGEST = "55d1df667cd7777100a72f215a93330627dd0a9d898cf49e54ff862a30d1a170"
 

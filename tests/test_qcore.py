@@ -31,7 +31,6 @@ from wqsc import (
     make_basis_state,
     measure_qubit,
     outcome_distribution,
-    outcome_table,
     partial_transpose,
     plus_probability,
     reduced_density,
@@ -213,25 +212,12 @@ class TestArgumentCoercion:
             joint_probability(w, [(A, "y", PLUS)])
 
 
-class TestOutcomeTableArguments:
-    @pytest.mark.parametrize(
-        "sources, rule",
-        [
-            ([], "one qubit count"),
-            ([w_state(), attacked_w_state(0.3)], "one qubit count"),
-            ([make_basis_state(2, [PLUS, MINUS])], "at least three qubits"),
-        ],
-    )
-    def test_bad_sources_raise_value_error_naming_the_rule(self, sources, rule):
-        with pytest.raises(ValueError, match=rule):
-            outcome_table(sources)
-
-
 class TestStackedMass:
     @pytest.mark.parametrize("num_qubits", [3, 4, 5])
     def test_stacked_rows_match_single_states(self, num_qubits):
-        # The outcome table's batched passes match plus_probability bit for
-        # bit only if a stacked row's mass equals the single state's mass.
+        # outcome_distribution weighs a whole stack of components with one
+        # _masses call: a stacked row's mass must equal, bit for bit, the
+        # same component weighed alone, as plus_probability weighs it.
         # Middle qubits give strided components; x components are computed.
         rng = np.random.default_rng(50 + num_qubits)
         states = [random_state(rng, num_qubits) for _ in range(21)]

@@ -5,7 +5,7 @@ weight matrix times the run's 128 (axis set, outcome string, announced)
 cell counts.  These tests check each cell's column against the per-trial
 rules, check the matrix against ``oracle_report``, which folds the run's
 trial records one at a time, and check that the same matrix times the
-exact cell probabilities gives the closed-form means.
+probabilities of the cells the engine samples gives the closed-form means.
 """
 
 import math
@@ -15,10 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_report
+from helpers import TREE_SPAN, kernel_intervals, oracle_report
 from wqsc import (
     ALL_AXIS_SETS,
-    Outcome,
     Party,
     ProtocolConfig,
     ProtocolMode,
@@ -27,7 +26,6 @@ from wqsc import (
     averaged_security_probability,
     is_event,
     joint_probability,
-    outcome_table,
     run_protocol,
     w_state,
 )
@@ -110,22 +108,15 @@ class TestReportOracle:
             weights[0, 0] = 2
 
 
-def chain_probabilities(table):
-    """P(axis set s, outcome string o) from the outcome table, shape (8, 8)."""
-    p = np.empty((len(ALL_AXIS_SETS), len(bell.OUTCOME_STRINGS)))
-    for s in range(len(ALL_AXIS_SETS)):
-        for o, (a, b, c) in enumerate(bell.OUTCOME_STRINGS):
-            nodes = ((0, a), (1 + a, b), (3 + 2 * a + b, c))
-            p[s, o] = math.prod(
-                table[s, node] if bit is Outcome.PLUS else 1.0 - table[s, node]
-                for node, bit in nodes
-            )
-    return p / len(ALL_AXIS_SETS)
+def set_cell_probabilities(source):
+    """P(axis set s, outcome string o) as the engine samples it: leaf width / 2**53 / 8."""
+    intervals = kernel_intervals(source)
+    return (intervals[..., 1] - intervals[..., 0]) / TREE_SPAN / len(ALL_AXIS_SETS)
 
 
-def cell_probabilities(table, announce_rate):
+def cell_probabilities(source, announce_rate):
     """P(cell) in the engine's ``16s + 2o + announced`` order."""
-    joint = chain_probabilities(table)
+    joint = set_cell_probabilities(source)
     return np.stack([joint * (1.0 - announce_rate), joint * announce_rate], axis=-1).reshape(-1)
 
 
@@ -135,7 +126,7 @@ class TestExactMeans:
     def test_cells_match_joint_probability(self, phi, target):
         attack = None if target is None else UnitaryCouplingAttack(phi, target)
         source = apply_attack(w_state(), attack)
-        joint = chain_probabilities(outcome_table([source])[0])
+        joint = set_cell_probabilities(source)
         for s, axes in enumerate(ALL_AXIS_SETS):
             for o, outcomes in enumerate(bell.OUTCOME_STRINGS):
                 constraints = [(p, axes.axis_of(p), outcomes[p]) for p in Party]
@@ -146,9 +137,9 @@ class TestExactMeans:
     @pytest.mark.parametrize("mode", list(ProtocolMode))
     def test_unattacked_means(self, mode, announce_rate):
         n = 10_000
-        table = outcome_table([w_state()])[0]
+        cells = n * cell_probabilities(w_state(), announce_rate)
         for dealer in Party:
-            means = protocol._weights(mode, dealer) @ (n * cell_probabilities(table, announce_rate))
+            means = protocol._weights(mode, dealer) @ cells
             expected_success = n * MODE_SUCCESS_PROBABILITY[mode]
             assert means[row("success_trials")] == pytest.approx(expected_success, rel=1e-12)
             for field in ("security_events", "qkd_disagreements", "pqss_reconstruction_failures"):
@@ -159,7 +150,7 @@ class TestExactMeans:
     def test_security_event_mean_under_attack_on_charlie(self, phi, announce_rate):
         n = 10_000
         source = apply_attack(w_state(), UnitaryCouplingAttack(phi, Party.CHARLIE))
-        cells = n * cell_probabilities(outcome_table([source])[0], announce_rate)
+        cells = n * cell_probabilities(source, announce_rate)
         expected = n * announce_rate * (3.0 / 8.0) * averaged_security_probability(phi)
         for mode in ProtocolMode:
             means = protocol._weights(mode, Party.ALICE) @ cells
