@@ -60,6 +60,7 @@ from .qcore import (
     make_basis_state,
     measure_qubit,
     outcome_distribution,
+    outcome_distributions,
     partial_transpose,
     plus_probability,
     reduced_density,

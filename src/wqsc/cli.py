@@ -187,8 +187,13 @@ def _cmd_verify() -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # A blank grid is the empty grid, which the sampler's check names; a
+    # blank item among values would silently shorten the sweep.
+    items = [item.strip() for item in args.grid.split(",")]
+    if any(items) and not all(items):
+        raise _UsageError(f"bad phi grid {args.grid!r}: item {items.index('') + 1} is empty")
     try:
-        grid = [float(item) for item in args.grid.split(",") if item.strip()]
+        grid = [float(item) for item in items if item]
     except ValueError as exc:
         raise _UsageError(f"bad phi grid: {exc}") from exc
     grid, trials, seed = check_sweep_arguments(grid, args.trials, args.seed)

@@ -3,8 +3,10 @@
 Every closed-form quantity the package must reproduce is evaluated here by
 exact projection or closed formula (never by sampling) and compared against
 its expected value.  Boolean claims are encoded as 1.0/0.0.  The events of
-each state are read from one :func:`~wqsc.qcore.outcome_distribution`,
-built anew on every call.
+each state are read from its slice of a stacked
+:func:`~wqsc.qcore.outcome_distributions` pass, one pass for the two
+three-qubit states and one for the fourteen attacked states, built anew on
+every call.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .qcore import (
     joint_probability,
     make_basis_state,
     measure_qubit,
-    outcome_distribution,
+    outcome_distributions,
     partial_transpose,
     reduced_density,
     three_tangle,
@@ -106,8 +108,8 @@ def golden_checks() -> list[GoldenCheck]:
         0.0,
     )
 
-    # Event probabilities on the W state, all read from one distribution.
-    w_dist = outcome_distribution(w)
+    # Event probabilities on the W and GHZ states, read from one stacked pass.
+    w_dist, ghz_dist = outcome_distributions([w, ghz])
     add("two-z-plus-at-least-two-on-w", _two_z_plus(w_dist, AT_LEAST_TWO), 1.0)
     add("two-z-plus-strict-pair-on-w", _two_z_plus(w_dist, StrictPair(_A, _B)), 1.0 / 3.0)
     # The event is symmetric in the two x measurers, so the z measurer
@@ -115,7 +117,7 @@ def golden_checks() -> list[GoldenCheck]:
     worst = max(_z_plus_x_unequal(w_dist, z) for z in (_A, _B, _C))
     add("z-plus-x-unequal-on-w-all-roles", worst, 0.0)
     add("x-all-equal-on-w", _x_all_equal(w_dist), 0.75)
-    add("x-all-equal-on-ghz", _x_all_equal(outcome_distribution(ghz)), 0.25)
+    add("x-all-equal-on-ghz", _x_all_equal(ghz_dist), 0.25)
 
     # CH middle term.
     existential = _ch_middle_term(w_dist, AT_LEAST_TWO, (_A, _B, _C))
@@ -150,20 +152,17 @@ def golden_checks() -> list[GoldenCheck]:
         0.0,
     )
 
-    # Security-check event under attack.
+    # Security-check event under attack, every attacked state in one pass.
     xxz = AxisSet.from_label("xxz")
     zxx = AxisSet.from_label("zxx")
-    add(
-        "security-event-charlie-z-quarter-pi",
-        _z_plus_x_unequal(outcome_distribution(attacked_w_state(math.pi / 4.0)), xxz.decider),
-        1.0 / 12.0,
+    grid = np.linspace(0.0, math.pi / 2.0, 11).tolist()
+    quarter, third, untouched, *swept = outcome_distributions(
+        [attacked_w_state(phi) for phi in (math.pi / 4.0, math.pi / 3.0, 0.0, *grid)]
     )
     add(
-        "security-event-charlie-x-third-pi",
-        _z_plus_x_unequal(outcome_distribution(attacked_w_state(math.pi / 3.0)), zxx.decider),
-        1.0 / 6.0,
+        "security-event-charlie-z-quarter-pi", _z_plus_x_unequal(quarter, xxz.decider), 1.0 / 12.0
     )
-    untouched = outcome_distribution(attacked_w_state(0.0))
+    add("security-event-charlie-x-third-pi", _z_plus_x_unequal(third, zxx.decider), 1.0 / 6.0)
     add(
         "security-event-no-attack",
         max(_z_plus_x_unequal(untouched, axes.decider) for axes in QKD_AXIS_SETS),
@@ -175,10 +174,9 @@ def golden_checks() -> list[GoldenCheck]:
         averaged_security_probability(math.pi / 3.0), 11.0 / 72.0)
     add("averaged-security-probability-zero", averaged_security_probability(0.0), 0.0)
     mismatch = 0.0
-    for phi in np.linspace(0.0, math.pi / 2.0, 11):
-        dist = outcome_distribution(attacked_w_state(float(phi)))
+    for phi, dist in zip(grid, swept):
         weighted = sum(_z_plus_x_unequal(dist, axes.decider) for axes in QKD_AXIS_SETS) / 3.0
-        mismatch = max(mismatch, abs(weighted - averaged_security_probability(float(phi))))
+        mismatch = max(mismatch, abs(weighted - averaged_security_probability(phi)))
     add("averaged-matches-per-set-mean", mismatch, 0.0)
 
     # Eavesdropper's ancilla.

@@ -19,7 +19,9 @@ Draws come from a counter-based Philox stream (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 words.  A
 word ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
 ``Generator.random()`` computes, and is compared with integers only.  Every
-probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`.
+probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`:
+one per ``run`` call, and for ``sweep-phi`` one stacked
+:func:`~wqsc.qcore.outcome_distributions` pass over every grid point.
 
 * ``run`` (stream v4): key ``seed``.  Trial ``i`` reads raw words ``2i``
   and ``2i + 1``, that is half ``i & 1`` of ``Philox(key=seed, counter=i >>
@@ -37,7 +39,8 @@ probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`.
 * ``sweep-phi``: grid point ``k`` has key ``seed + (k + 1) * 2**64`` (key
   words ``(seed, k + 1)``, disjoint from every ``run`` key).  Sample ``j``
   is raw word ``j``, an event iff its draw lies below ``p_bar``, the mean
-  event mass of the three QKD axis sets under the attack on Charlie.
+  event mass of the three QKD axis sets in ``attacked_w_state(phi)``, the
+  closed form of the attack on Charlie.
 
 A draw ``k`` lies below a probability ``p`` iff ``k < ceil(p * 2**53)``,
 exact because ``p * 2**53`` is; a cell of mass 0 gets an interval of width
@@ -68,8 +71,15 @@ from .bell import (
     AxisSet,
     is_event,
 )
-from .qcore import Outcome, Party, integer_argument, outcome_distribution, real_argument
-from .states import validate_attack_angle, w_state
+from .qcore import (
+    Outcome,
+    Party,
+    integer_argument,
+    outcome_distribution,
+    outcome_distributions,
+    real_argument,
+)
+from .states import attacked_w_state, validate_attack_angle, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
 DEFAULT_EPSILON = 1e-9
@@ -446,25 +456,21 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
     Each sample stands for one announced QKD-set trial against the attacked
     channel (target Charlie), and draws only whether it is a security
     event: its draw lies below ``p_bar``, the mean over the three QKD axis
-    sets of the event mass in the attacked state's
-    :func:`~wqsc.qcore.outcome_distribution`.  Point ``k`` draws from its
-    own Philox key, ``seed + (k + 1) * 2**64``, so its frequency depends on
-    its index and not on the rest of the grid.  Every value is checked by
-    :func:`check_sweep_arguments` before any state is built or any draw is
-    made.
+    sets of the event mass in the point's
+    :func:`~wqsc.states.attacked_w_state`.  All points' masses are read from
+    one stacked :func:`~wqsc.qcore.outcome_distributions` pass.  Point ``k``
+    draws from its own Philox key, ``seed + (k + 1) * 2**64``, so its
+    frequency depends on its index and not on the rest of the grid.  Every
+    value is checked by :func:`check_sweep_arguments` before any state is
+    built or any draw is made.
     """
     grid, trials, seed = check_sweep_arguments(grid, trials, seed)
+    dists = outcome_distributions([attacked_w_state(phi) for phi in grid])
+    row_masses = (dists * EVENT_CELLS).sum(axis=2)[:, _QKD_SET_INDEX].tolist()
     return [
-        _event_frequency(_event_mass(phi), seed + ((point + 1) << 64), trials)
-        for point, phi in enumerate(grid)
+        _event_frequency(sum(masses) / len(masses), seed + ((point + 1) << 64), trials)
+        for point, masses in enumerate(row_masses)
     ]
-
-
-def _event_mass(phi: float) -> float:
-    """``p_bar``: the mean event mass of the QKD axis sets under the attack of ``phi`` on C."""
-    attacked = apply_attack(w_state(), UnitaryCouplingAttack(phi, Party.CHARLIE))
-    row_masses = (outcome_distribution(attacked) * EVENT_CELLS).sum(axis=1)
-    return sum(row_masses[_QKD_SET_INDEX].tolist()) / len(_QKD_SET_INDEX)
 
 
 def _event_frequency(p_bar: float, key: int, trials: int) -> float:

@@ -11,11 +11,14 @@ renormalized post-state of a chosen outcome; :func:`measure_qubit` reads
 both from one private step, which splits one qubit into its components
 along the axis and weighs them.
 
-:func:`outcome_distribution` gives every joint outcome probability of the
-three party qubits, for all eight axis sets, from one pass of the same
-elementwise x-basis butterfly; it is the one probability source from which
-``wqsc.protocol`` samples.  :func:`joint_probability` projects one event at
-a time and is kept as its independent check.
+:func:`outcome_distributions` gives every joint outcome probability of the
+three party qubits, for all eight axis sets, for a stack of states of one
+qubit count, from one pass of the same elementwise x-basis butterfly;
+:func:`outcome_distribution` is its stack of one.  They are the one
+probability source from which ``wqsc.protocol`` samples: one state per
+``run`` call, every grid point of a sweep in one stack.
+:func:`joint_probability` projects one event at a time and is kept as their
+independent check.
 
 Index convention (fixed for the whole package): qubit 0 (Alice) is the most
 significant bit of the basis index, bit value 0 maps to ``|z+>`` and bit
@@ -163,7 +166,7 @@ class DensityMatrix:
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > HERMITICITY_ATOL:
             raise ValueError(f"density matrix trace {trace!r} deviates from 1")
-        if eigenvalues_hermitian(m)[0] < -PSD_ATOL:
+        if _hermitian_eigenvalues(m)[0] < -PSD_ATOL:
             raise ValueError("density matrix has an eigenvalue below the positivity tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -180,6 +183,11 @@ def _check_hermitian(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within tolerance")
+
+
+def _hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``m``, once it passed the check."""
+    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 
 
 def make_basis_state(num_qubits: int, bits: Sequence[Outcome]) -> StateVector:
@@ -353,28 +361,54 @@ def joint_probability(
     return mass / total
 
 
-def outcome_distribution(state: StateVector) -> np.ndarray:
-    """Exact joint outcome probabilities of the three party qubits, per axis set.
+def outcome_distributions(states: Sequence[StateVector]) -> np.ndarray:
+    """Exact joint outcome probabilities of the three party qubits, per axis set, per state.
 
-    Returns the 8x8 array ``P[s, o]``: row ``s`` is the axis set with bits
-    (A, B, C), z as 0 and x as 1; column ``o`` is the outcome string with
-    bits (A, B, C), PLUS as 0.  Any further qubit (an attached ancilla) is
-    marginalized.  Each party qubit is rotated into both eigenbases by the
-    elementwise butterfly of :func:`_axis_components`, so an outcome whose
-    amplitudes cancel exactly has probability exactly 0.0, as under
-    :func:`joint_probability`; masses are divided by the state's total.
+    ``states`` share one qubit count of at least 3.  Returns the ``(n, 8,
+    8)`` array ``P[i, s, o]``: ``i`` is the state's place in ``states``; row
+    ``s`` is the axis set with bits (A, B, C), z as 0 and x as 1; column
+    ``o`` is the outcome string with bits (A, B, C), PLUS as 0.  Any further
+    qubit (an attached ancilla) is marginalized.  Each party qubit is
+    rotated into both eigenbases by the elementwise butterfly of
+    :func:`_axis_components`, so an outcome whose amplitudes cancel exactly
+    has probability exactly 0.0, as under :func:`joint_probability`; each
+    state's masses are divided by its own total.  Every operation is
+    elementwise or sums within one state, so a state's slice has the same
+    bytes whatever else is stacked with it.
     """
-    if state.num_qubits < 3:
+    counts = {state.num_qubits for state in states}
+    if not counts:
+        raise ValueError("outcome distributions need at least one state")
+    if len(counts) > 1:
+        raise ValueError(f"stacked states must share a qubit count, got {sorted(counts)}")
+    totals = np.array([state.squared_norm() for state in states]).reshape(-1, 1, 1)
+    return _stack_distributions(np.array([state.amplitudes for state in states]), totals)
+
+
+def outcome_distribution(state: StateVector) -> np.ndarray:
+    """The 8x8 :func:`outcome_distributions` of one state, as a stack of one."""
+    return _stack_distributions(state.amplitudes[np.newaxis], state.squared_norm())[0]
+
+
+def _stack_distributions(amplitudes: np.ndarray, totals: np.ndarray | float) -> np.ndarray:
+    """The butterfly of :func:`outcome_distributions` over amplitude rows ``(n, 2**q)``.
+
+    Row ``i``'s masses are divided by ``totals[i]``, shaped ``(n, 1, 1)``,
+    or by ``totals`` itself for one row.
+    """
+    n, size = amplitudes.shape
+    if size < 8:
         raise ValueError("outcome distribution needs at least three qubits")
-    rotated = state.amplitudes
+    rotated = amplitudes
     for party in Party:
-        # (axis prefixes, leading, 2, trailing) -> (axis prefixes, z|x, ...):
-        # the z half is the view itself, the x half its butterfly.
-        view = rotated.reshape(1 << party, 1 << party, 2, -1)
-        rotated = np.empty((1 << party, 2) + view.shape[1:], dtype=np.complex128)
+        # (prefixes, leading, 2, trailing) -> (prefixes, z|x, ...), a prefix
+        # being a state and its axis bits so far: the z half is the view
+        # itself, the x half its butterfly.
+        view = rotated.reshape(n << party, 1 << party, 2, -1)
+        rotated = np.empty((n << party, 2) + view.shape[1:], dtype=np.complex128)
         rotated[:, 0] = view
         rotated[:, 1, ..., 0, :], rotated[:, 1, ..., 1, :] = _axis_components(view, Axis.X)
-    return _masses(rotated.reshape(8, 8, 1, -1)) / state.squared_norm()
+    return _masses(rotated.reshape(n, 8, 8, 1, -1)) / totals
 
 
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -427,7 +461,7 @@ def eigenvalues_hermitian(matrix: np.ndarray) -> list[float]:
     if dim not in (2, 4):
         raise ValueError(f"supported dimensions are 2 and 4, got {dim}")
     _check_hermitian(a, "input matrix")
-    return [float(x) for x in np.linalg.eigvalsh((a + a.conj().T) / 2.0)]
+    return _hermitian_eigenvalues(a).tolist()
 
 
 def three_tangle(state: StateVector) -> float:

@@ -143,6 +143,14 @@ class TestFailFast:
         assert run_cli("sweep-phi", "--grid", "0.5", "--seed", "-1") == 1
         self.assert_one_line_error(capsys, "seed")
 
+    @pytest.mark.parametrize("grid,item", [("0,,1", 2), ("0.5,", 2), (",0.5", 1), ("0, ,1", 2)])
+    def test_empty_grid_item_is_usage_error(self, grid, item, tmp_path, capsys):
+        # An empty item among values would otherwise run a shorter sweep.
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-phi", "--grid", grid, "--seed", "1", "--output", str(out)) == 1
+        assert capsys.readouterr().err == f"error: bad phi grid {grid!r}: item {item} is empty\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,grid,samples,seed,named", [
         (("--grid", "0,2.0"), [0.0, 2.0], 10000, 1, "angle"),
         (("--grid", "nan"), [math.nan], 10000, 1, "angle"),
@@ -261,20 +269,27 @@ class TestVerifyCommand:
 
     def test_one_distribution_per_state_and_none_kept_between_calls(self, monkeypatch):
         # Every event of a state is read from one outcome distribution, so a
-        # call builds one per checked state (16).  The second call builds
-        # as many again: nothing is cached across calls.
+        # call distributes each checked state once (16, the sum of its
+        # stacks' sizes).  The second call distributes as many again:
+        # nothing is cached across calls.
         builds = []
-        for module in (wqsc.bell, wqsc.golden):
-            def counting(state, build=module.outcome_distribution):
-                builds.append(state)
-                return build(state)
-            monkeypatch.setattr(module, "outcome_distribution", counting)
+
+        def single(state, build=wqsc.bell.outcome_distribution):
+            builds.append(state)
+            return build(state)
+
+        def stacked(states, build=wqsc.golden.outcome_distributions):
+            builds.extend(states)
+            return build(states)
+
+        monkeypatch.setattr(wqsc.bell, "outcome_distribution", single)
+        monkeypatch.setattr(wqsc.golden, "outcome_distributions", stacked)
         counts = []
         for _ in range(2):
             builds.clear()
             assert run_verification()[0]
             counts.append(len(builds))
-        assert counts[0] == counts[1] <= 20
+        assert counts[0] == counts[1] == 16
 
     def test_checks_the_success_probabilities_run_reports(self, monkeypatch):
         monkeypatch.setitem(MODE_SUCCESS_PROBABILITY, ProtocolMode.QKD, 0.26)
@@ -321,32 +336,42 @@ class TestSweepCommand:
     def test_out_of_range_grid_rejected(self):
         assert run_cli("sweep-phi", "--grid", "0,2.0", "--seed", "1") == 1
 
-    @pytest.mark.parametrize("samples,seed", [(100, 1.5), (True, 1), (100.5, 1), (0, 1), (100, -1)])
-    def test_sampler_rejects_bad_integers_before_any_draw(self, samples, seed, monkeypatch):
+    @pytest.fixture
+    def no_state_built(self, monkeypatch):
+        # What the sampler builds its states and their distributions with.
         def forbidden(*args, **kwargs):
             raise AssertionError("a state was built before the arguments were checked")
 
-        monkeypatch.setattr(wqsc.protocol, "apply_attack", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "attacked_w_state", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "outcome_distributions", forbidden)
+
+    @pytest.mark.parametrize("samples,seed", [(100, 1.5), (True, 1), (100.5, 1), (0, 1), (100, -1)])
+    def test_sampler_rejects_bad_integers_before_any_draw(self, samples, seed, no_state_built):
         with pytest.raises(ValueError):
             sample_security_frequency([0.5], samples, seed)
 
     @pytest.mark.parametrize("grid", [[0.5, 2.0], [float("nan")], [-0.1], []])
-    def test_sampler_checks_the_whole_grid_before_any_state(self, grid, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a state was built before the grid was checked")
-
-        monkeypatch.setattr(wqsc.protocol, "apply_attack", forbidden)
+    def test_sampler_checks_the_whole_grid_before_any_state(self, grid, no_state_built):
         with pytest.raises(ValueError):
             sample_security_frequency(grid, 100, 1)
 
     @pytest.mark.parametrize("grid", [0.9, "01", [True], [[0.5]], None])
-    def test_sampler_rejects_a_grid_that_is_not_numbers(self, grid, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a state was built before the grid was checked")
-
-        monkeypatch.setattr(wqsc.protocol, "apply_attack", forbidden)
+    def test_sampler_rejects_a_grid_that_is_not_numbers(self, grid, no_state_built):
         with pytest.raises(ValueError, match="phi grid must be a sequence of numbers"):
             sample_security_frequency(grid, 100, 1)
+
+    def test_one_stacked_pass_per_sweep(self, monkeypatch):
+        stacks = []
+
+        def counting(states, build=wqsc.protocol.outcome_distributions):
+            stacks.append(len(states))
+            return build(states)
+
+        monkeypatch.setattr(wqsc.protocol, "outcome_distributions", counting)
+        grid = [0.0, 0.4, 0.9, 1.3]
+        for _ in range(2):
+            sample_security_frequency(grid, 100, 3)
+        assert stacks == [len(grid)] * 2
 
     def test_sampler_takes_a_numpy_grid(self):
         grid = np.array([0.2, 0.9])

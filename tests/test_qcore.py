@@ -31,6 +31,7 @@ from wqsc import (
     make_basis_state,
     measure_qubit,
     outcome_distribution,
+    outcome_distributions,
     partial_transpose,
     plus_probability,
     reduced_density,
@@ -321,6 +322,49 @@ class TestOutcomeDistribution:
     def test_requires_three_party_qubits(self):
         with pytest.raises(ValueError):
             outcome_distribution(make_basis_state(2, [PLUS, PLUS]))
+
+
+# Attack angles with the edge cases of the butterfly: exact zeros, the
+# maximal coupling, and amplitudes whose squares are subnormal or vanish.
+EDGE_PHIS = st.sampled_from([0.0, HALF_PI, 1e-160, 8.4e-161, 5e-324])
+ATTACKED_STATES = st.builds(
+    lambda phi, target: attacked_w_state(phi) if target is None
+    else apply_attack(w_state(), UnitaryCouplingAttack(phi, target)),
+    st.one_of(EDGE_PHIS, st.floats(min_value=0.0, max_value=HALF_PI)),
+    st.sampled_from([None, A, B, C]),
+)
+THREE_QUBIT_STATES = st.one_of(
+    st.just(w_state()),
+    st.just(ghz_state()),
+    st.lists(st.sampled_from([PLUS, MINUS]), min_size=3, max_size=3).map(
+        lambda bits: make_basis_state(3, bits)
+    ),
+)
+
+
+class TestOutcomeDistributions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=st.one_of(
+            st.lists(ATTACKED_STATES, min_size=1, max_size=16),
+            st.lists(THREE_QUBIT_STATES, min_size=1, max_size=8),
+        )
+    )
+    @example(states=[attacked_w_state(phi) for phi in (0.0, HALF_PI, 1e-160, 5e-324)])
+    def test_each_slice_is_the_state_alone(self, states):
+        stacked = outcome_distributions(states)
+        assert stacked.shape == (len(states), 8, 8)
+        for index, state in enumerate(states):
+            assert stacked[index].tobytes() == outcome_distribution(state).tobytes()
+
+    @pytest.mark.parametrize("states", [
+        [],
+        [w_state(), attacked_w_state(0.5)],
+        [make_basis_state(2, [PLUS, MINUS])],
+    ], ids=["empty", "mixed-qubit-counts", "two-qubits"])
+    def test_bad_stacks_raise_value_error(self, states):
+        with pytest.raises(ValueError):
+            outcome_distributions(states)
 
 
 class TestReducedDensity:
