@@ -54,7 +54,6 @@ from .qcore import (
     Outcome,
     Party,
     StateVector,
-    collapse,
     eigenvalues_hermitian,
     joint_probability,
     make_basis_state,
@@ -62,7 +61,6 @@ from .qcore import (
     outcome_distribution,
     outcome_distributions,
     partial_transpose,
-    plus_probability,
     reduced_density,
     three_tangle,
 )

@@ -29,8 +29,6 @@ from .states import validate_attack_angle
 # on local states never raises a false alarm.
 CH_BOUND_ATOL = 1e-12
 
-_PARTIES = (Party.ALICE, Party.BOB, Party.CHARLIE)
-
 
 @dataclass(frozen=True)
 class AxisSet:
@@ -52,7 +50,7 @@ class AxisSet:
     @cached_property
     def decider(self) -> Party | None:
         """The lone z measurer; None unless exactly one party measures z."""
-        z_parties = [p for p in _PARTIES if self.axis_of(p) is Axis.Z]
+        z_parties = [p for p in Party if self.axis_of(p) is Axis.Z]
         return z_parties[0] if len(z_parties) == 1 else None
 
     @cached_property
@@ -60,7 +58,7 @@ class AxisSet:
         """The two parties other than the decider; None without a decider."""
         if self.decider is None:
             return None
-        first, second = (p for p in _PARTIES if p is not self.decider)
+        first, second = (p for p in Party if p is not self.decider)
         return (first, second)
 
     @property
@@ -161,7 +159,7 @@ def _require_three_qubits(state: StateVector) -> None:
 # Outcome strings o = 0..7 of an outcome_distribution row, as party bits
 # (PLUS = 0, A the MSB): _BITS[p, o] is party p's bit, _MINUS_COUNT[o] the
 # number of minus outcomes.
-_BITS = np.array([[(o >> (2 - p)) & 1 for o in range(8)] for p in _PARTIES])
+_BITS = np.array([[(o >> (2 - p)) & 1 for o in range(8)] for p in Party])
 _MINUS_COUNT = _BITS.sum(axis=0)
 
 
@@ -249,7 +247,7 @@ def ch_middle_term(
     """
     _require_three_qubits(state)
     roles = tuple(_party("roles", role) for role in roles)
-    if sorted(roles) != sorted(_PARTIES):
+    if sorted(roles) != list(Party):
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
     i, j, _k = roles
     if isinstance(interp, StrictPair) and {interp.first, interp.second} != {i, j}:

@@ -5,11 +5,10 @@ states, projective measurement, joint outcome probabilities, partial
 traces, partial transposition, eigenvalues of the small Hermitian matrices
 that arise here (by LAPACK), and the three-qubit residual tangle.
 
-A measurement is two steps, each public: :func:`plus_probability` is the
-threshold a uniform draw is compared against, and :func:`collapse` is the
-renormalized post-state of a chosen outcome; :func:`measure_qubit` reads
-both from one private step, which splits one qubit into its components
-along the axis and weighs them.
+:func:`measure_qubit` is the one measurement: it splits one qubit into its
+components along the axis, weighs them, compares a caller's uniform draw
+with the plus branch's share of the mass, and returns the outcome with its
+renormalized post-state.
 
 :func:`outcome_distributions` gives every joint outcome probability of the
 three party qubits, for all eight axis sets, for a stack of states of one
@@ -69,10 +68,21 @@ def integer_argument(name: str, value: object, low: int, high: int | None = None
 
 
 def real_argument(name: str, value: object) -> float:
-    """``value`` as a float: Python and numpy reals pass, bool and all else raise ValueError."""
+    """``value`` as a float: Python and numpy reals pass, bool and all else raise ValueError.
+
+    A real beyond float range (a Python int of 400 digits, say) raises
+    ValueError too, naming its type only: ``str`` of an int of more than
+    4300 digits itself raises.
+    """
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        kind = type(value).__name__
+        raise ValueError(f"{name} must be a real number, got {kind} beyond float range") from None
 
 
 class Axis(Enum):
@@ -250,78 +260,40 @@ def _project(x: int, outcome: int, component: np.ndarray) -> np.ndarray:
     return component[..., np.newaxis, :] * _PROJECTIONS[x, outcome]
 
 
-def _state_step(state: StateVector, qubit: int, axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(x, components, masses)``: one qubit of ``state`` split along ``axis``, and weighed.
-
-    ``x`` is 1 for the x axis, 0 for z; ``components[o]`` is the component
-    for outcome bit ``o``, shape ``(leading, trailing)``, and ``masses[o]``
-    its :func:`_masses`.  A bad axis or qubit raises ValueError.
-    """
-    axis = Axis(axis)
-    qubit = integer_argument("qubit", qubit, 0, state.num_qubits - 1)
-    if abs(state.squared_norm() - 1.0) > NORM_ATOL:
-        raise InvalidStateError("cannot measure an unnormalized state")
-    components = np.stack(_axis_components(_split_on_qubit(state.amplitudes, qubit), axis))
-    return int(axis is Axis.X), components, _masses(components)
-
-
-def _post_state(x: int, outcome: Outcome, component: np.ndarray, mass: float) -> StateVector:
-    """The renormalized projection of one component; a subnormal mass is rescaled first."""
-    if mass < sys.float_info.min:
-        peak = np.max(np.abs(component))
-        if not peak:
-            raise ValueError("cannot collapse onto an outcome of probability 0")
-        component = component / peak
-        mass = _masses(component)
-    post = _project(x, outcome, component)
-    post /= np.sqrt(mass)
-    return StateVector(post.reshape(-1))
-
-
-def plus_probability(state: StateVector, qubit: int, axis: Axis) -> float:
-    """Probability that measuring the qubit along the axis gives PLUS.
-
-    Normalizing by the total mass keeps zero-amplitude branches exactly
-    unreachable: a branch of mass 0.0 has probability 0.0, never sampled.
-    """
-    _, _, masses = _state_step(state, qubit, axis)
-    return float(masses[Outcome.PLUS] / (masses[Outcome.PLUS] + masses[Outcome.MINUS]))
-
-
-def collapse(state: StateVector, qubit: int, axis: Axis, outcome: Outcome) -> StateVector:
-    """Renormalized post-measurement state for the given outcome.
-
-    A branch of subnormal mass is first scaled to unit peak amplitude, so
-    that renormalizing it yields a valid state; every other branch is
-    divided by the square root of its mass alone.  An outcome of
-    probability 0, or one that is not an :class:`Outcome`, raises
-    ``ValueError``.
-    """
-    outcome = Outcome(outcome)
-    x, components, masses = _state_step(state, qubit, axis)
-    return _post_state(x, outcome, components[outcome], masses[outcome])
-
-
 def measure_qubit(
     state: StateVector, qubit: int, axis: Axis, u: float
 ) -> tuple[Outcome, StateVector, float]:
     """Projective single-qubit measurement with collapse.
 
-    The outcome is PLUS iff ``u < plus_probability(...)``, so the caller
-    supplies all randomness and a replay with the same ``u`` is
-    bit-identical.  Returns the outcome, its :func:`collapse` post-state,
-    and the probability of the observed outcome, all read from one step.
+    The outcome is PLUS iff ``u`` lies below ``m+ / (m+ + m-)``, the masses
+    of the qubit's two components along the axis, so the caller supplies
+    all randomness and a replay with the same ``u`` is bit-identical; a
+    branch of mass 0.0 has probability 0.0 and is never drawn.  Returns the
+    outcome, the renormalized post-state, and the probability of the
+    observed outcome.  A branch of subnormal mass is scaled to unit peak
+    amplitude before it is renormalized, so that its post-state is valid.
     """
     u = real_argument("u", u)
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
-    x, components, masses = _state_step(state, qubit, axis)
+    axis = Axis(axis)
+    qubit = integer_argument("qubit", qubit, 0, state.num_qubits - 1)
+    if abs(state.squared_norm() - 1.0) > NORM_ATOL:
+        raise InvalidStateError("cannot measure an unnormalized state")
+    components = np.stack(_axis_components(_split_on_qubit(state.amplitudes, qubit), axis))
+    masses = _masses(components)
     p_plus = float(masses[Outcome.PLUS] / (masses[Outcome.PLUS] + masses[Outcome.MINUS]))
     if u < p_plus:
         outcome, probability = Outcome.PLUS, p_plus
     else:
         outcome, probability = Outcome.MINUS, 1.0 - p_plus
-    return outcome, _post_state(x, outcome, components[outcome], masses[outcome]), probability
+    component, mass = components[outcome], masses[outcome]
+    if mass < sys.float_info.min:
+        component = component / np.max(np.abs(component))
+        mass = _masses(component)
+    post = _project(int(axis is Axis.X), outcome, component)
+    post /= np.sqrt(mass)
+    return outcome, StateVector(post.reshape(-1)), probability
 
 
 def joint_probability(

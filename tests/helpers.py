@@ -31,14 +31,13 @@ from wqsc import (
     ProtocolMode,
     RunReport,
     StateVector,
-    collapse,
     decider_step,
     is_event,
     iter_trials,
     joint_probability,
     key_accounting,
+    measure_qubit,
     outcome_distribution,
-    plus_probability,
     pqss_step,
     reconstruct_dealer_bit,
     security_verdict,
@@ -160,14 +159,22 @@ def oracle_trial(source: StateVector, words, announce_rate: float):
     return axes, outcomes, unit(words[1]) < announce_rate
 
 
+# The smallest and largest uniform draws: they select PLUS and MINUS
+# respectively wherever that outcome has nonzero probability.
+_EXTREME_DRAWS = (0.0, math.nextafter(1.0, 0.0))
+
+
 def oracle_table(source: StateVector) -> np.ndarray:
     """The (8, 7) chain-rule outcome table by a recursive walk over A -> B -> C.
 
     Row ``s`` is the axis set with bits (A, B, C), z as 0; the child of
-    node ``n`` on outcome bit ``x`` is node ``2n + 1 + x``.  The walk reads
-    :func:`plus_probability` at every node and collapses only onto outcomes
-    of nonzero probability, never at C, so nodes behind an outcome of
-    probability 0 stay 0.
+    node ``n`` on outcome bit ``x`` is node ``2n + 1 + x``.  Each node is
+    measured by :func:`measure_qubit` at the draws 0.0 and the largest
+    float below 1.0: the first gives PLUS with its probability and
+    post-state unless PLUS has probability 0, the second MINUS unless MINUS
+    has probability 0.  The walk descends only into the outcome each draw
+    asked for, never below C, so nodes behind an outcome of probability 0
+    stay 0.
     """
     table = np.zeros((8, 7))
 
@@ -175,13 +182,11 @@ def oracle_table(source: StateVector) -> np.ndarray:
         width = 4 >> party  # rows that share this party's axis
         for i, axis in enumerate((Axis.Z, Axis.X)):
             row = first_row + i * width
-            p_plus = plus_probability(state, party, axis)
-            table[row : row + width, node] = p_plus
-            if party == Party.CHARLIE:
-                continue
-            for outcome, probability in zip(Outcome, (p_plus, 1.0 - p_plus)):
-                if probability > 0.0:
-                    post = collapse(state, party, axis, outcome)
+            for u, wanted in zip(_EXTREME_DRAWS, Outcome):
+                outcome, post, probability = measure_qubit(state, party, axis, u)
+                if outcome is Outcome.PLUS:
+                    table[row : row + width, node] = probability
+                if outcome is wanted and party != Party.CHARLIE:
                     walk(post, party + 1, row, 2 * node + 1 + outcome)
 
     walk(source, Party.ALICE, 0, 0)

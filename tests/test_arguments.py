@@ -21,14 +21,13 @@ from wqsc import (
     averaged_security_probability,
     binomial_sigma,
     ch_middle_term,
-    collapse,
     joint_probability,
     key_accounting,
     make_basis_state,
     measure_qubit,
-    plus_probability,
     prob_z_plus_x_unequal,
     reduced_density,
+    sample_security_frequency,
     w_state,
 )
 from wqsc.qcore import integer_argument, real_argument
@@ -40,10 +39,6 @@ W = w_state()
 @pytest.mark.parametrize(
     "function, args, name",
     [
-        (plus_probability, (W, True, Axis.Z), "qubit"),
-        (plus_probability, (W, 2.0, Axis.Z), "qubit"),
-        (collapse, (W, True, Axis.Z, PLUS), "qubit"),
-        (collapse, (W, 2.0, Axis.Z, PLUS), "qubit"),
         (measure_qubit, (W, True, Axis.Z, 0.5), "qubit"),
         (measure_qubit, (W, 2.0, Axis.Z, 0.5), "qubit"),
         (measure_qubit, (W, 0, Axis.Z, "0.5"), "u"),
@@ -52,12 +47,18 @@ W = w_state()
         (make_basis_state, (3.0, [PLUS] * 3), "num_qubits"),
         (UnitaryCouplingAttack, (True,), "phi"),
         (UnitaryCouplingAttack, ("0.5",), "phi"),
+        # Ints beyond float range; str() of the second one raises by itself.
+        (UnitaryCouplingAttack, (10**400,), "phi"),
+        (UnitaryCouplingAttack, (10**5000,), "phi"),
         (UnitaryCouplingAttack, (0.5, True), "target"),
         (ProtocolConfig, (ProtocolMode.QKD, 10, 1, 0.1, None, 1e-9, True), "dealer"),
+        (ProtocolConfig, ("qkd", 10, 1, 10**400), "announce_rate"),
         (attacked_w_state, (True,), "phi"),
         (averaged_security_probability, (True,), "phi"),
         (key_accounting, (1.5, 0.25, 10, 0), "key_bits"),
         (binomial_sigma, (0.5, 2.5), "n"),
+        (binomial_sigma, (10**400, 3), "p"),
+        (sample_security_frequency, ([10**400], 10, 1), "phi"),
         (prob_z_plus_x_unequal, (W, True, (0, 2)), "z_qubit"),
         (prob_z_plus_x_unequal, (W, 1.0, (0, 2)), "z_qubit"),
         (prob_z_plus_x_unequal, (W, 1, (0, 2.0)), "x_qubits"),
@@ -76,12 +77,9 @@ def test_numpy_numbers_pass_as_their_python_values():
     assert type(integer_argument("n", np.int64(2), 0)) is int
     assert type(real_argument("x", np.float32(0.5))) is float
     qubit, angle = np.int64(2), np.float32(0.5)
-    assert plus_probability(W, qubit, Axis.X) == plus_probability(W, 2, Axis.X)
     assert joint_probability(W, [(qubit, Axis.Z, PLUS)]) == joint_probability(
         W, [(2, Axis.Z, PLUS)]
     )
-    post = collapse(W, qubit, Axis.Z, PLUS)
-    assert np.array_equal(post.amplitudes, collapse(W, 2, Axis.Z, PLUS).amplitudes)
     outcome, post, probability = measure_qubit(W, qubit, Axis.Z, angle)
     expected = measure_qubit(W, 2, Axis.Z, 0.5)
     assert (outcome, probability) == (expected[0], expected[2])

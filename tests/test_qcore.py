@@ -24,7 +24,6 @@ from wqsc import (
     UnitaryCouplingAttack,
     apply_attack,
     attacked_w_state,
-    collapse,
     eigenvalues_hermitian,
     ghz_state,
     joint_probability,
@@ -33,7 +32,6 @@ from wqsc import (
     outcome_distribution,
     outcome_distributions,
     partial_transpose,
-    plus_probability,
     reduced_density,
     three_tangle,
     w_state,
@@ -121,11 +119,13 @@ class TestMeasureQubit:
         expected[4] = expected[2] = 1.0 / math.sqrt(2.0)
         assert np.max(np.abs(post.amplitudes - expected)) < 1e-12
 
-    @pytest.mark.parametrize("u", [0.0, 0.3, 0.999999])
-    def test_eigenstate_is_unchanged(self, u):
-        state = make_basis_state(3, [PLUS, PLUS, PLUS])
+    # The extreme draws pin that a branch of probability 0 is never chosen.
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.999999, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("bit", [PLUS, MINUS])
+    def test_eigenstate_is_unchanged(self, bit, u):
+        state = make_basis_state(3, [bit, PLUS, PLUS])
         outcome, post, prob = measure_qubit(state, A, Axis.Z, u)
-        assert outcome is PLUS
+        assert outcome is bit
         assert prob == 1.0
         assert np.array_equal(post.amplitudes, state.amplitudes)
 
@@ -152,11 +152,6 @@ class TestMeasureQubit:
                 joint_probability(state, [(qubit, axis, outcome)]), abs=1e-12
             )
             assert post.squared_norm() == pytest.approx(1.0, abs=1e-9)
-            # measure_qubit is exactly the composition of its two steps.
-            p_plus = plus_probability(state, qubit, axis)
-            assert prob == (p_plus if outcome is PLUS else 1.0 - p_plus)
-            collapsed = collapse(state, qubit, axis, outcome)
-            assert post.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
 
     def test_collapses_onto_branch_of_subnormal_mass(self):
         # A weak coupling leaves amplitudes near 1e-161 whose squares are
@@ -170,14 +165,6 @@ class TestMeasureQubit:
             assert state.squared_norm() == pytest.approx(1.0, abs=1e-12)
         assert prob < sys.float_info.min
 
-    def test_collapse_outcome_argument(self):
-        # A plain bit selects the same branch as its Outcome.
-        for bit, outcome in enumerate(Outcome):
-            expected = collapse(w_state(), A, Axis.X, outcome).amplitudes
-            assert np.array_equal(collapse(w_state(), A, Axis.X, bit).amplitudes, expected)
-        with pytest.raises(ValueError):
-            collapse(make_basis_state(3, [PLUS, PLUS, PLUS]), A, Axis.Z, MINUS)
-
 
 class TestArgumentCoercion:
     # Axis and outcome values are coerced to their enums at every public
@@ -185,28 +172,24 @@ class TestArgumentCoercion:
     def test_string_axes_measure_along_their_axis(self):
         w = w_state()
         for axis in Axis:
-            assert plus_probability(w, C, axis.value) == plus_probability(w, C, axis)
             for outcome in Outcome:
-                expected = collapse(w, A, axis, outcome).amplitudes.tobytes()
-                assert collapse(w, A, axis.value, outcome).amplitudes.tobytes() == expected
                 constraint = [(C, axis.value, int(outcome))]
                 assert joint_probability(w, constraint) == joint_probability(
                     w, [(C, axis, outcome)]
                 )
-            single = measure_qubit(w, B, axis, 0.4)
-            coerced = measure_qubit(w, B, axis.value, 0.4)
-            assert coerced[0] is single[0] and coerced[2] == single[2]
-            assert coerced[1].amplitudes.tobytes() == single[1].amplitudes.tobytes()
-        assert plus_probability(w, C, "z") == pytest.approx(2.0 / 3.0, abs=1e-15)
+            for qubit, u in itertools.product((A, B, C), (0.0, 0.4, math.nextafter(1.0, 0.0))):
+                single = measure_qubit(w, qubit, axis, u)
+                coerced = measure_qubit(w, qubit, axis.value, u)
+                assert coerced[0] is single[0] and coerced[2] == single[2]
+                assert coerced[1].amplitudes.tobytes() == single[1].amplitudes.tobytes()
+        assert measure_qubit(w, C, "z", 0.0)[2] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_bad_axis_or_outcome_raises_value_error(self):
         w = w_state()
         with pytest.raises(ValueError):
-            plus_probability(w, A, "y")
+            measure_qubit(w, A, "y", 0.5)
         with pytest.raises(ValueError):
             measure_qubit(w, A, "Z", 0.5)
-        with pytest.raises(ValueError):
-            collapse(w, A, Axis.Z, 2)
         with pytest.raises(ValueError):
             joint_probability(w, [(A, Axis.Z, 2)])
         with pytest.raises(ValueError):
@@ -218,7 +201,7 @@ class TestStackedMass:
     def test_stacked_rows_match_single_states(self, num_qubits):
         # outcome_distribution weighs a whole stack of components with one
         # _masses call: a stacked row's mass must equal, bit for bit, the
-        # same component weighed alone, as plus_probability weighs it.
+        # same component weighed alone, as measure_qubit weighs it.
         # Middle qubits give strided components; x components are computed.
         rng = np.random.default_rng(50 + num_qubits)
         states = [random_state(rng, num_qubits) for _ in range(21)]
@@ -233,7 +216,7 @@ class TestStackedMass:
                 for outcome, component in enumerate(single):
                     assert _masses(component).tobytes() == batched[outcome][row].tobytes()
                 p_plus = batched[0][row] / (batched[0][row] + batched[1][row])
-                assert p_plus == plus_probability(state, qubit, axis)
+                assert measure_qubit(state, qubit, axis, 0.0)[::2] == (PLUS, p_plus)
 
 
 class TestJointProbability:
