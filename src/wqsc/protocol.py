@@ -34,6 +34,9 @@ one per ``run`` call, and for ``sweep-phi`` one stacked
   2**53)`` through A, B and C, and the leaf it lands in is the outcome
   string.  A node ``[lo, hi)`` splits at ``lo + ceil(p * (hi - lo))``, ``p``
   being the node's plus mass over its total in the set's distribution row.
+  The source is ``w_state()``, or under an attack the closed form
+  ``attacked_w_state(phi, target)``; the attack circuit
+  :func:`~wqsc.adversary.apply_attack` is its check, equal byte for byte.
   The eavesdropper's ancilla is never sampled: it is measured after the
   parties, so its outcome cannot change theirs.
 * ``sweep-phi``: grid point ``k`` has key ``seed + (k + 1) * 2**64`` (key
@@ -61,7 +64,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .adversary import UnitaryCouplingAttack, apply_attack
+from .adversary import UnitaryCouplingAttack
 from .bell import (
     _QKD_SET_INDEX,
     ALL_AXIS_SETS,
@@ -360,17 +363,18 @@ def _walk_thresholds(dist: np.ndarray) -> np.ndarray:
     return np.concatenate(splits).astype(np.uint64)
 
 
-def _walk(thresholds: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Index ``8s + o`` of each trial's axis set ``s`` and outcome string ``o``.
+def _walk(thresholds: np.ndarray, positions: np.ndarray, draws: np.ndarray) -> None:
+    """Walk each trial from ``positions`` to its leaf, in place.
 
-    A trial's walk starts at position ``8 + s``, and each party appends its
-    outcome bit: 1 (minus) iff the trial's draw reaches the split at the
-    walk's position.  The walk thus ends at ``64 + 8s + o``.
+    A trial's walk starts at position ``8 + s``, ``s`` its axis set, and
+    each party appends its outcome bit: 1 (minus) iff the trial's draw
+    reaches the split at the walk's position.  The walk thus ends at
+    ``64 + 8s + o``, ``o`` the outcome string.
     """
-    positions = sets + 8
     for _ in Party:
-        positions = 2 * positions + (draws >= np.take(thresholds, positions))
-    return positions - 64
+        reached = draws >= np.take(thresholds, positions)
+        positions <<= 1
+        positions += reached
 
 
 def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: np.uint64) -> np.ndarray:
@@ -380,9 +384,14 @@ def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: np.uint64) -
     each, and is shifted in place; ``announce`` is the announce rate's
     threshold.
     """
-    sets = (raw[:, 1] & _SET_MASK).astype(np.intp)
+    cells = (raw[:, 1] & _SET_MASK).astype(np.intp)
+    cells += 8
     raw >>= _DRAW_SHIFT
-    return 2 * _walk(thresholds, sets, raw[:, 0]) + (raw[:, 1] < announce)
+    _walk(thresholds, cells, np.ascontiguousarray(raw[:, 0]))
+    cells -= 64
+    cells <<= 1
+    cells += raw[:, 1] < announce
+    return cells
 
 
 def _chunks(bits: np.random.Philox, count: int, words: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -416,7 +425,9 @@ def _run_chunks(
     config: ProtocolConfig, first: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
-    dist = outcome_distribution(apply_attack(w_state(), config.attack))
+    attack = config.attack
+    source = w_state() if attack is None else attacked_w_state(attack.phi, attack.target)
+    dist = outcome_distribution(source)
     thresholds, announce = _walk_thresholds(dist), _threshold(config.announce_rate)
     bits = np.random.Philox(key=config.seed, counter=first >> 1)
     bits.random_raw(2 * (first & 1))  # an odd first trial starts its block's second half

@@ -57,14 +57,22 @@ def integer_argument(name: str, value: object, low: int, high: int | None = None
 
     Python and numpy integers (and ``Party`` members) pass; bool, every
     other type and a value out of range raise ValueError naming ``name``.
+    A value out of range too long for ``str`` (an int of more than 4300
+    digits) is named by its type and the bound only.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-    if high is not None and value > high:
-        raise ValueError(f"{name} must be at most {high}, got {value}")
-    return int(value)
+        bound = f"at least {low}"
+    elif high is not None and value > high:
+        bound = f"at most {high}"
+    else:
+        return int(value)
+    try:
+        shown = str(value)
+    except ValueError:
+        shown = f"{type(value).__name__} beyond that bound"
+    raise ValueError(f"{name} must be {bound}, got {shown}")
 
 
 def real_argument(name: str, value: object) -> float:

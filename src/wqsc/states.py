@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .qcore import StateVector, real_argument
+from .qcore import Party, StateVector, integer_argument, real_argument
 
 ATTACK_ANGLE_MAX = math.pi / 2.0
 
@@ -73,21 +73,27 @@ def coupling_unitary(phi: float) -> np.ndarray:
     )
 
 
-def attacked_w_state(phi: float) -> StateVector:
-    """Four-qubit state (A, B, C, E) after coupling of strength phi on qubit C.
+def attacked_w_state(phi: float, target: Party | int = Party.CHARLIE) -> StateVector:
+    """Four-qubit state (A, B, C, E) after coupling of strength phi on ``target``'s qubit.
 
-    Closed form:
+    Closed form, here for the default target Charlie:
 
         (|-+++> + |+-++> + cos(phi) |++-+> + sin(phi) |+++->) / sqrt(3)
 
-    which is what appending an ancilla ``|z+>`` to the W state and applying
-    ``coupling_unitary(phi)`` to (C, E) produces.  At phi = 0 the channel is
+    The target's single-minus amplitude is scaled by cos(phi) and the
+    other two stay 1/sqrt(3).  This is what appending an ancilla ``|z+>``
+    to the W state and applying ``coupling_unitary(phi)`` to (target, E)
+    produces: ``run`` samples this closed form, and
+    :func:`~wqsc.adversary.apply_attack`, the circuit, is its check (the
+    tests pin the two equal byte for byte for every target).  ``target``
+    is a :class:`Party` or its qubit index and follows
+    :func:`~wqsc.qcore.integer_argument`.  At phi = 0 the channel is
     untouched and the state factorizes as W tensor |z+>.
     """
     phi = validate_attack_angle(phi)
+    target = integer_argument("target", target, 0, 2)
     amps = np.zeros(16, dtype=np.complex128)
-    amps[0b1000] = _INV_SQRT3
-    amps[0b0100] = _INV_SQRT3
-    amps[0b0010] = _INV_SQRT3 * math.cos(phi)
+    amps[0b1000] = amps[0b0100] = amps[0b0010] = _INV_SQRT3
+    amps[0b1000 >> target] = _INV_SQRT3 * math.cos(phi)
     amps[0b0001] = _INV_SQRT3 * math.sin(phi)
     return StateVector(amps)

@@ -44,11 +44,13 @@ class TestApplyAttack:
     @example(phi=8.4e-161)
     @example(phi=5e-324)
     @example(phi=HALF_PI)
-    def test_sweep_source_is_the_run_attack_on_charlie(self, phi):
-        # sweep-phi samples attacked_w_state(phi), run samples the attack
-        # circuit on Charlie: the two must be one channel, byte for byte.
-        circuit = apply_attack(w_state(), UnitaryCouplingAttack(phi, C))
-        assert attacked_w_state(phi).amplitudes.tobytes() == circuit.amplitudes.tobytes()
+    @pytest.mark.parametrize("target", [A, B, C])
+    def test_closed_form_source_is_the_attack_circuit(self, target, phi):
+        # run and sweep-phi sample attacked_w_state, the closed form; the
+        # attack circuit is its check: one channel, byte for byte.
+        circuit = apply_attack(w_state(), UnitaryCouplingAttack(phi, target))
+        closed = attacked_w_state(phi, target)
+        assert closed.amplitudes.tobytes() == circuit.amplitudes.tobytes()
 
     def test_identity_coupling_leaves_party_statistics_unchanged(self):
         attacked = apply_attack(w_state(), UnitaryCouplingAttack(0.0, C))

@@ -54,6 +54,7 @@ W = w_state()
         (ProtocolConfig, (ProtocolMode.QKD, 10, 1, 0.1, None, 1e-9, True), "dealer"),
         (ProtocolConfig, ("qkd", 10, 1, 10**400), "announce_rate"),
         (attacked_w_state, (True,), "phi"),
+        (attacked_w_state, (0.5, True), "target"),
         (averaged_security_probability, (True,), "phi"),
         (key_accounting, (1.5, 0.25, 10, 0), "key_bits"),
         (binomial_sigma, (0.5, 2.5), "n"),
@@ -71,6 +72,29 @@ W = w_state()
 def test_bad_argument_raises_value_error_naming_it(function, args, name):
     with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|real number), got "):
         function(*args)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (attacked_w_state, (0.5, 3), "target must be at most 2, got 3"),
+        # str() of an int of more than 4300 digits raises by itself, so
+        # such a value is named by its type and the bound.
+        (measure_qubit, (W, 10**5000, Axis.Z, 0.5),
+         "qubit must be at most 2, got int beyond that bound"),
+        (measure_qubit, (W, -10**5000, Axis.Z, 0.5),
+         "qubit must be at least 0, got int beyond that bound"),
+        (make_basis_state, (10**5000, []),
+         "num_qubits must be at most 5, got int beyond that bound"),
+        (make_basis_state, (-10**5000, []),
+         "num_qubits must be at least 1, got int beyond that bound"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_out_of_range_integer_raises_value_error_naming_it_and_the_bound(function, args, message):
+    with pytest.raises(ValueError) as info:
+        function(*args)
+    assert str(info.value) == message
 
 
 def test_numpy_numbers_pass_as_their_python_values():

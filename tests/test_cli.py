@@ -260,6 +260,34 @@ class TestConsoleScript:
         assert (report.trials, report.seed) == (700, 21)
 
 
+class TestDispatch:
+    # A command word hands the rest to that command's own parser; these
+    # texts are the ones the top-level parser printed for the same words.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "error: the following arguments are required: command"),
+            (["bogus"], "error: argument command: invalid choice: 'bogus' "
+                        "(choose from 'run', 'verify', 'sweep-phi')"),
+            (["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "stray"],
+             "error: unrecognized arguments: stray"),
+        ],
+        ids=["no-command", "unknown-command", "stray-word"],
+    )
+    def test_usage_error_keeps_its_text(self, argv, message, capsys, monkeypatch):
+        for name in [name for name in os.environ if name.startswith("WQSC_")]:
+            monkeypatch.delenv(name)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+
+    def test_command_help_is_the_commands_own(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wqsc run ")
+
+
 class TestVerifyCommand:
     def test_all_golden_values_pass(self, capsys):
         assert run_cli("verify") == 0
