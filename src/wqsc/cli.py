@@ -139,13 +139,20 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """Parse ``argv``: after a command word, on that command's parser, environment values first.
 
     Anything else (no words, an unknown command, ``--help``) goes to the
-    top-level parser.  The environment values come first, so a bad one
-    fails as it does when they are parsed alone; that error is prefixed
+    top-level parser, and its error names a leading flag, which belongs
+    after the command word.  The environment values come first, so a bad
+    one fails as it does when they are parsed alone; that error is prefixed
     with the variable's name.
     """
     parser, commands = build_parser()
     if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
+        try:
+            return parser.parse_args(argv)
+        except _UsageError:
+            if argv and argv[0].startswith("-") and argv[0] not in ("-", "--"):
+                raise _UsageError(f"flag {argv[0]} comes before the command word; flags go "
+                                  "after the command word, as in 'wqsc run --seed 1'") from None
+            raise
     command_parser, env = commands[argv[0]], _environment(argv[0])
     try:
         return command_parser.parse_args([*env.values(), *argv[1:]])

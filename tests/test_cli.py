@@ -281,6 +281,25 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message + "\n")
 
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "1", "run", "--mode", "qkd", "--trials", "10"], ["--mode", "qkd", "run"]]
+    )
+    def test_leading_flag_is_named(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: flag {argv[0]} comes before the command word; flags go after the "
+            "command word, as in 'wqsc run --seed 1'\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_leading_help_flag_still_prints_help(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wqsc ")
+
     def test_command_help_is_the_commands_own(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--help"])
@@ -444,6 +463,10 @@ WORKFLOW_BAD_INPUTS = {
         {"WQSC_DEALER": "Z"},
         ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--output", "party.json"],
         "error: WQSC_DEALER: argument --dealer: unknown party 'Z'; expected one of A, B, C",
+    ),
+    "flag-before-command": (
+        {}, ["--seed", "1", "run", "--mode", "qkd", "--trials", "10", "--output", "order.json"],
+        "error: flag --seed comes before the command word; ",
     ),
     "epsilon-run": (
         {}, ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--epsilon", "0"],

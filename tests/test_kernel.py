@@ -126,6 +126,20 @@ class TestOracleAgreement:
                 if 0 <= k < TREE_SPAN:
                     assert_cell_matches_oracle(source, [word(HALF), word(k, set_index)], rate)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3, math.nextafter(1.0, 0.0)])
+    def test_unshifted_announcement_compare_at_its_threshold(self, rate):
+        # The kernel compares the announcement word, low bits and all, with
+        # the threshold shifted up by 11 bits; the draw ``x >> 11`` must
+        # still decide.  The largest rate below 1 has the largest threshold,
+        # 2**53 - 1, whose shift still fits in 64 bits.
+        threshold = int(protocol._threshold(rate))
+        assert threshold < TREE_SPAN
+        words = [word(k, low) for k in (threshold - 1, threshold) if k >= 0 for low in (0, 2047)]
+        raw = np.array([[word(HALF), w] for w in words], dtype=np.uint64)
+        thresholds = protocol._walk_thresholds(outcome_distribution(w_state()))
+        cells = protocol._trial_cells(thresholds, raw, protocol._threshold(rate)).tolist()
+        assert [bool(cell & 1) for cell in cells] == [w >> 11 < threshold for w in words]
+
 
 class TestTreeConstruction:
     @settings(max_examples=40, deadline=None)
@@ -179,6 +193,11 @@ class TestChunking:
            "--announce-rate", "0.3", "--phi", "1.0", "--target", "B", "--format", "csv")
     SWEEP = ("sweep-phi", "--grid", "0.3,1.2", "--trials", "500", "--seed", "8")
 
+    CHUNK = protocol._CHUNK_TRIALS
+    # Longer than two chunks of the engine's size, ending mid-chunk.
+    LONG_RUN = ("run", "--mode", "qkd", "--trials", str(2 * CHUNK + 1001), "--seed", "5",
+                "--announce-rate", "0.2", "--phi", "0.7", "--target", "A")
+
     @staticmethod
     def digest(tmp_path, argv):
         out = tmp_path / "out"
@@ -187,20 +206,29 @@ class TestChunking:
 
     def test_reports_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
         digests = set()
-        for chunk in (1, 7, 4096):
+        for chunk in (1, 7, 4096, self.CHUNK):
             monkeypatch.setattr(protocol, "_CHUNK_TRIALS", chunk)
             digests.add((self.digest(tmp_path, self.RUN), self.digest(tmp_path, self.SWEEP)))
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("chunk,indices", [(7, (0, 6, 7, 13, 14)), (4096, (4095, 4096))])
+    def test_run_of_more_than_two_chunks_equals_chunks_of_seven(self, tmp_path, monkeypatch):
+        engine = self.digest(tmp_path, self.LONG_RUN)
+        monkeypatch.setattr(protocol, "_CHUNK_TRIALS", 7)
+        assert self.digest(tmp_path, self.LONG_RUN) == engine
+
+    @pytest.mark.parametrize(
+        "chunk,indices",
+        [(7, (0, 6, 7, 13, 14)), (4096, (4095, 4096)), (CHUNK, (CHUNK - 1, CHUNK))],
+    )
     def test_replay_matches_iteration_across_chunk_boundaries(self, monkeypatch, chunk, indices):
         monkeypatch.setattr(protocol, "_CHUNK_TRIALS", chunk)
         config = ProtocolConfig(
-            ProtocolMode.SYNTH, trials=4100, seed=31, announce_rate=0.4,
+            ProtocolMode.SYNTH, trials=max(indices) + 5, seed=31, announce_rate=0.4,
             attack=UnitaryCouplingAttack(HALF_PI, Party.CHARLIE),
         )
+        records = list(iter_trials(config))
         for index in indices:
-            assert run_trial(config, index) == list(iter_trials(config))[index]
+            assert run_trial(config, index) == records[index]
 
 
 class TestStreamContract:
