@@ -23,17 +23,19 @@ probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`:
 one per ``run`` call, and for ``sweep-phi`` one stacked
 :func:`~wqsc.qcore.outcome_distributions` pass over every grid point.
 
-* ``run`` (stream v4): key ``seed``.  Trial ``i`` reads raw words ``2i``
-  and ``2i + 1``, that is half ``i & 1`` of ``Philox(key=seed, counter=i >>
-  1)``, so any trial replays in isolation from its counter and contiguous
-  trials are one contiguous read.  Word ``2i + 1`` is the announcement (a
-  draw below the announce rate announces); its low 3 bits, which the shift
-  drops, choose the axes of A, B and C, A the highest (0 selects z), each
-  exactly 1/2 and independent of every draw.  Word ``2i`` is the one
-  measurement draw: it walks its axis set's interval tree over ``[0,
-  2**53)`` through A, B and C, and the leaf it lands in is the outcome
-  string.  A node ``[lo, hi)`` splits at ``lo + ceil(p * (hi - lo))``, ``p``
-  being the node's plus mass over its total in the set's distribution row.
+* ``run`` (stream v5): key ``seed``.  Trial ``i`` reads raw word ``i``,
+  position ``i & 3`` of ``Philox(key=seed, counter=i >> 2)``, so any trial
+  replays in isolation from its counter and contiguous trials are one
+  contiguous read.  The word's low 3 bits, which the shift drops, choose
+  the axes of A, B and C, A the highest (0 selects z), each exactly 1/2 and
+  independent of the draw.  A draw below ``ann = ceil(r * 2**53)``, ``r``
+  the announce rate, announces; it then walks its axis set's interval tree
+  over its half, ``[0, ann)`` or ``[ann, 2**53)``, through A, B and C, and
+  the leaf it lands in is the outcome string.  A node ``[lo, hi)`` splits
+  at ``lo + ceil(p * (hi - lo))``, ``p`` being the node's plus mass over its
+  total in the set's distribution row.  So P(announced) is exact on every
+  set, and an outcome's mass is resolved to one unit of its half: ``1 / (r
+  * 2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.
   The source is ``w_state()``, or under an attack the closed form
   ``attacked_w_state(phi, target)``; the attack circuit
   :func:`~wqsc.adversary.apply_attack` is its check, equal byte for byte.
@@ -323,7 +325,7 @@ def _kept_bits(
 _CHUNK_TRIALS = 16384
 
 _DRAW_SHIFT = np.uint64(11)  # word x draws k = x >> 11, the uniform k * 2**-53
-_SET_MASK = np.uint64(7)  # run: the announcement word's axis-set bits
+_SET_MASK = np.uint64(7)  # run: the word's axis-set bits
 
 
 def _threshold(p: np.ndarray | float) -> np.ndarray:
@@ -334,75 +336,80 @@ def _threshold(p: np.ndarray | float) -> np.ndarray:
     return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
 
 
-def _walk_thresholds(dist: np.ndarray) -> np.ndarray:
-    """Split points of each axis set's interval tree over ``[0, 2**53)``, by walk position.
+def _walk_thresholds(dist: np.ndarray, announce: np.uint64) -> np.ndarray:
+    """Split points of each axis set's two interval trees, by walk position.
 
-    ``dist`` is an :func:`~wqsc.qcore.outcome_distribution`.  Party ``d``'s
-    node ``i`` of set ``s`` (``i`` the outcome bits of the parties before
-    it) covers ``[lo, hi)`` and splits at ``lo + ceil(p * (hi - lo))``, ``p``
-    being its plus child's mass over its own, or at ``lo`` if its mass is 0.
-    A node's mass is summed as its plus child's plus its minus child's, so
-    a child of mass 0 gets width 0 (``p`` is 0 or exactly 1).  A plus child
-    of nonzero mass keeps at least width 1 of a node that has any; a minus
-    child whose share is lost in rounding ``p * (hi - lo)`` up to ``hi -
-    lo`` gets width 0.  All 8 sets are built at once.  Position ``2**d *
-    (8 + s) + i`` holds the split, so party ``d``'s splits are positions
-    ``8 << d`` to ``16 << d`` (see :func:`_trial_cells`); positions 0 to 7
-    are never read.
+    ``dist`` is an :func:`~wqsc.qcore.outcome_distribution` and ``announce``
+    the announce rate's threshold ``ann``.  Set ``s`` has a tree over the
+    announced half ``[0, ann)`` and one over the unannounced half ``[ann,
+    2**53)``.  Party ``d``'s node ``i`` of a tree (``i`` the outcome bits of
+    the parties before it) covers ``[lo, hi)`` and splits at ``lo + ceil(p *
+    (hi - lo))``, ``p`` being its plus child's mass over its own, or at
+    ``lo`` if its mass is 0; ``p`` is the same in both halves.  A node's
+    mass is summed as its plus child's plus its minus child's, so a child of
+    mass 0 gets width 0 (``p`` is 0 or exactly 1).  A plus child of nonzero
+    mass keeps at least width 1 of a node that has any; a minus child whose
+    share is lost in rounding ``p * (hi - lo)`` up to ``hi - lo`` gets width
+    0.  All 16 trees are built at once.  Position ``2**d * (16 + 2s + u) +
+    i`` holds the split of half ``u`` (1 unannounced), so party ``d``'s
+    splits are positions ``16 << d`` to ``32 << d`` (see
+    :func:`_trial_cells`); positions 0 to 15 are never read.
     """
-    masses = [dist]  # masses[-1 - d]: the masses of party d's children, shape (8, 2 << d)
-    for _ in range(2):
-        masses.append(masses[-1][:, 0::2] + masses[-1][:, 1::2])
-    splits = np.zeros(64)
-    lo, width = np.zeros((8, 1)), np.full((8, 1), 2.0**53)
-    for depth, children in enumerate(reversed(masses)):
-        plus = children[:, 0::2]
-        total = plus + children[:, 1::2]
-        plus_width = np.ceil(plus / np.where(total > 0.0, total, 1.0) * width)
-        split = splits[8 << depth : 16 << depth].reshape(8, -1)
+    children = np.empty((8, 14))  # per set: A's 2 children, B's 4, C's 8, plus child first
+    children[:, 6:] = dist
+    np.add(dist[:, 0::2], dist[:, 1::2], out=children[:, 2:6])
+    np.add(children[:, 2:6:2], children[:, 3:6:2], out=children[:, :2])
+    plus = children[:, None, 0::2]
+    total = plus + children[:, None, 1::2]
+    ratio = plus / np.where(total > 0.0, total, 1.0)  # (8, 1, 7): A's node, B's 2, C's 4
+    ann = float(announce)  # numpy builds the roots faster from a float than from a uint64
+    lo, width = np.array([[[0.0], [ann]]]), np.array([[[ann], [2.0**53 - ann]]])
+    splits = np.zeros(128)
+    for depth in range(len(Party)):
+        nodes = 1 << depth
+        plus_width = np.ceil(ratio[..., nodes - 1 : 2 * nodes - 1] * width)
+        split = splits[16 << depth : 32 << depth].reshape(8, 2, nodes)
         np.add(lo, plus_width, out=split)
         if depth < 2:  # the children's nodes, plus child first
-            lo_next, width_next = np.empty((8, 2 << depth)), np.empty((8, 2 << depth))
-            lo_next[:, 0::2], lo_next[:, 1::2] = lo, split
-            width_next[:, 0::2], width_next[:, 1::2] = plus_width, width - plus_width
+            lo_next, width_next = np.empty((8, 2, 2 * nodes)), np.empty((8, 2, 2 * nodes))
+            lo_next[..., 0::2], lo_next[..., 1::2] = lo, split
+            width_next[..., 0::2], width_next[..., 1::2] = plus_width, width - plus_width
             lo, width = lo_next, width_next
     return splits.astype(np.uint64)
 
 
 def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: np.uint64) -> np.ndarray:
-    """Each trial's cell ``16s + 2o + announced``.
+    """Each trial's cell ``16s + 8u + o``, ``u`` 1 for an unannounced trial.
 
-    ``raw`` holds the trials' words, one row (measurement, announcement)
-    each; ``announce`` is the announce rate's threshold.  A trial's walk
-    starts at its axis set ``s``, and party ``d`` appends its outcome bit
-    to it: 1 (minus) iff the trial's draw reaches the split at the walk's
-    position among party ``d``'s.  The walk thus ends at ``8s + o``, ``o``
-    the outcome string.  The announcement word is compared unshifted with
-    ``announce << 11``, exact because a rate below 1 has a threshold below
-    ``2**53``.
+    ``raw`` holds the trials' words, one each; ``announce`` is the announce
+    rate's threshold.  A trial's walk starts at its axis set ``s`` and
+    appends ``u``, 1 iff its draw reaches ``announce``: the first split of
+    the set's tree, the same for every set, so one scalar compare.  Party
+    ``d`` then appends its outcome bit: 1 (minus) iff the draw reaches the
+    split at the walk's position among party ``d``'s.  The walk thus ends
+    at ``16s + 8u + o``, ``o`` the outcome string.
     """
-    draws = raw[:, 0] >> _DRAW_SHIFT
-    cells = (raw[:, 1] & _SET_MASK).view(np.int64)  # 0 to 7, so the same bits as int64
+    draws = raw >> _DRAW_SHIFT
+    cells = (raw & _SET_MASK).view(np.int64)  # 0 to 7, so the same bits as int64
+    cells <<= 1
+    cells += draws >= announce
     for depth in range(len(Party)):
-        reached = draws >= np.take(thresholds[8 << depth : 16 << depth], cells)
+        reached = draws >= np.take(thresholds[16 << depth : 32 << depth], cells)
         cells <<= 1
         cells += reached
-    cells <<= 1
-    cells += raw[:, 1] < announce << _DRAW_SHIFT
     return cells
 
 
-def _chunks(bits: np.random.Philox, count: int, words: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first item, raw words)`` for ``count`` items of ``words`` words each, in chunks."""
+def _chunks(bits: np.random.Philox, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first item, raw words)`` for ``count`` items of one word each, in chunks."""
     for start in range(0, count, _CHUNK_TRIALS):
-        size = min(_CHUNK_TRIALS, count - start)
-        yield start, bits.random_raw(size * words).reshape(size, words)
+        yield start, bits.random_raw(min(_CHUNK_TRIALS, count - start))
 
 
 def _record(mode: ProtocolMode, index: int, cell: int) -> TrialRecord:
     axes = ALL_AXIS_SETS[cell >> 4]
-    outcomes = OUTCOME_STRINGS[cell >> 1 & 7]
-    announced = bool(cell & 1)
+    outcomes = OUTCOME_STRINGS[cell & 7]
+    announced = not cell & 8
     key_bits = None if announced else _kept_bits(mode, axes, outcomes)
     return TrialRecord(index, axes, outcomes, announced, key_bits)
 
@@ -426,10 +433,11 @@ def _run_chunks(
     attack = config.attack
     source = w_state() if attack is None else attacked_w_state(attack.phi, attack.target)
     dist = outcome_distribution(source)
-    thresholds, announce = _walk_thresholds(dist), _threshold(config.announce_rate)
-    bits = np.random.Philox(key=config.seed, counter=first >> 1)
-    bits.random_raw(2 * (first & 1))  # an odd first trial starts its block's second half
-    for start, raw in _chunks(bits, count, 2):
+    announce = _threshold(config.announce_rate)
+    thresholds = _walk_thresholds(dist, announce)
+    bits = np.random.Philox(key=config.seed, counter=first >> 2)
+    bits.random_raw(first & 3)  # a first trial inside a block skips its block's earlier words
+    for start, raw in _chunks(bits, count):
         yield first + start, _trial_cells(thresholds, raw, announce)
 
 
@@ -498,7 +506,7 @@ def _event_frequency(
     }
     threshold = _threshold(p_bar)
     events = 0
-    for _, raw in _chunks(bits, trials, 1):
+    for _, raw in _chunks(bits, trials):
         events += int(np.count_nonzero(raw >> _DRAW_SHIFT < threshold))
     return events / trials
 
@@ -512,12 +520,13 @@ def key_accounting(
 ) -> float:
     """Nominal qubit cost of distributing ``key_bits`` key bits.
 
-    The resource formula is q * K / (P_s * (1 + M/N)); its (1 + M/N)
-    discount is the first-order form of the exact (1 - M/N) divisor, and
-    the two agree as M/N -> 0.  The literal consumption q * N is the
-    report's ``qubits_consumed``.  With three qubits per trial and no
-    announcements the nominal cost per key bit is 12 for QKD, 24 for PQSS,
-    and 8 for the synthesis protocol.
+    The resource formula is q * K / (P_s * (1 + M/N)).  It is not the
+    exact cost q * K / (P_s * (1 - M/N)), whose factor 1 / (1 - M/N) is 1 +
+    M/N to first order: the formula divides by that factor where the exact
+    form multiplies, so it undercounts, and the two agree only as M/N -> 0.
+    The literal consumption q * N is the report's ``qubits_consumed``.
+    With three qubits per trial and no announcements the nominal cost per
+    key bit is 12 for QKD, 24 for PQSS, and 8 for the synthesis protocol.
     """
     key_bits = integer_argument("key_bits", key_bits, 0)
     success_probability = real_argument("success_probability", success_probability)
@@ -540,7 +549,7 @@ _COUNT_FIELDS = (
     "pqss_reconstruction_failures", "announced_qkd_trials", "security_events",
 )
 
-_CELLS = len(ALL_AXIS_SETS) * len(OUTCOME_STRINGS) * 2  # index 16s + 2o + announced
+_CELLS = len(ALL_AXIS_SETS) * 2 * len(OUTCOME_STRINGS)  # index 16s + 8u + o, u = unannounced
 
 
 def _cell_fields(
@@ -593,8 +602,8 @@ def _cell_fields(
 def _weights(mode: ProtocolMode, dealer: Party) -> np.ndarray:
     """The report's weight matrix, shape (len(_COUNT_FIELDS), 128), read-only.
 
-    Entry ``[f, 16s + 2o + a]`` is 1 iff a trial on axis set ``s``, outcome
-    string ``o`` and announcement ``a`` adds 1 to ``_COUNT_FIELDS[f]``, so a
+    Entry ``[f, 16s + 8u + o]`` is 1 iff a trial on axis set ``s``, outcome
+    string ``o`` and announced iff ``u`` is 0 adds 1 to ``_COUNT_FIELDS[f]``, so a
     run's count columns are this matrix times its 128 cell counts.  It is
     built on first use for each (mode, dealer), not at import.
     """
@@ -602,9 +611,9 @@ def _weights(mode: ProtocolMode, dealer: Party) -> np.ndarray:
     weights = np.zeros((len(_COUNT_FIELDS), _CELLS), dtype=np.int64)
     for set_index, axes in enumerate(ALL_AXIS_SETS):
         for outcome_index, outcomes in enumerate(OUTCOME_STRINGS):
-            for announced in (0, 1):
-                cell = 16 * set_index + 2 * outcome_index + announced
-                for name in _cell_fields(mode, dealer, axes, outcomes, bool(announced)):
+            for unannounced in (0, 1):
+                cell = 16 * set_index + 8 * unannounced + outcome_index
+                for name in _cell_fields(mode, dealer, axes, outcomes, not unannounced):
                     weights[rows[name], cell] = 1
     weights.flags.writeable = False
     return weights

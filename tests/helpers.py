@@ -87,18 +87,24 @@ def unit(word) -> float:
     return (int(word) >> 11) * 2.0**-53
 
 
-TREE_SPAN = 2**53  # the interval a run trial's measurement draw walks down
+TREE_SPAN = 2**53  # the interval a run trial's draw walks down
 
 
-def oracle_intervals(row) -> list[tuple[int, int]]:
-    """The interval ``[lo, hi)`` of each outcome string, for one row of an outcome distribution.
+def announce_split(announce_rate: float) -> int:
+    """``ceil(r * 2**53)``: the first split of every set's tree, in Python integers."""
+    return math.ceil(announce_rate * TREE_SPAN)
+
+
+def oracle_intervals(row, lo: int = 0, hi: int = TREE_SPAN) -> list[tuple[int, int]]:
+    """The interval of each outcome string in one distribution row's tree rooted at ``[lo, hi)``.
 
     A recursive, scalar statement of the run's tree rule in Python
     integers.  A node is the outcome strings that share a prefix of party
     bits (A first, plus first), and its mass is its plus half's plus its
     minus half's.  It splits ``[lo, hi)`` at ``lo + ceil(p * (hi - lo))``,
     ``p`` being its plus half's mass over its own, or at ``lo`` if its mass
-    is 0.  The root is ``[0, 2**53)``.
+    is 0.  A run's trees are rooted at the announced half ``[0, ann)`` and
+    the unannounced half ``[ann, 2**53)``.
     """
 
     def mass(cells):
@@ -115,21 +121,27 @@ def oracle_intervals(row) -> list[tuple[int, int]]:
         mid = lo + math.ceil(p * (hi - lo))
         return split(plus, lo, mid) + split(minus, mid, hi)
 
-    return split(list(row), 0, TREE_SPAN)
+    return split(list(row), lo, hi)
 
 
-def kernel_intervals(source: StateVector) -> np.ndarray:
-    """The engine's ``[lo, hi)`` of each (axis set, outcome string), shape (8, 8, 2).
+def kernel_intervals(source: StateVector, announce_rate: float) -> np.ndarray:
+    """The engine's ``[lo, hi)`` of each (axis set, half, outcome string), shape (8, 2, 8, 2).
 
-    Read by descending the split points the engine builds for ``source``;
-    each split must lie inside its node.
+    Half 0 is the announced half ``[0, ann)``, half 1 the unannounced
+    ``[ann, 2**53)``.  Read by descending, from each set's announcement
+    split, the split points the engine builds for ``source``; each split
+    must lie inside its node.
     """
-    splits = protocol._walk_thresholds(outcome_distribution(source)).tolist()
-    intervals = np.zeros((8, 8, 2), dtype=np.int64)
+    ann = announce_split(announce_rate)
+    splits = protocol._walk_thresholds(
+        outcome_distribution(source), protocol._threshold(announce_rate)
+    ).tolist()
+    intervals = np.zeros((8, 2, 8, 2), dtype=np.int64)
 
     def descend(position: int, lo: int, hi: int) -> None:
-        if position >= 64:
-            intervals[divmod(position - 64, 8)] = lo, hi
+        if position >= 128:
+            set_half, string = divmod(position - 128, 8)
+            intervals[divmod(set_half, 2) + (string,)] = lo, hi
             return
         mid = splits[position]
         assert lo <= mid <= hi
@@ -137,26 +149,31 @@ def kernel_intervals(source: StateVector) -> np.ndarray:
         descend(2 * position + 1, mid, hi)
 
     for set_index in range(8):
-        descend(8 + set_index, 0, TREE_SPAN)
+        descend(16 + 2 * set_index, 0, ann)
+        descend(17 + 2 * set_index, ann, TREE_SPAN)
     return intervals
 
 
-def oracle_trial(source: StateVector, words, announce_rate: float):
-    """One run trial from its 2 raw Philox words, by :func:`oracle_intervals`.
+def oracle_trial(source: StateVector, word, announce_rate: float):
+    """One run trial from its raw Philox word, by :func:`oracle_intervals`.
 
-    Word 1 announces when its uniform (:func:`unit`) lies below
+    The word announces when its uniform (:func:`unit`) lies below
     ``announce_rate``, and its low 3 bits choose the axes of A, B and C, A
-    the highest, a 0 selecting z.  Word 0's draw ``x >> 11`` picks the
-    outcome string whose interval holds it in the chosen set's row of
-    ``outcome_distribution(source)``.  Returns (axes, outcomes, announced).
+    the highest, a 0 selecting z.  Its draw ``x >> 11`` picks the outcome
+    string whose interval holds it in the chosen set's tree over its half:
+    ``[0, ann)`` if announced, else ``[ann, 2**53)``, with ``ann =
+    ceil(announce_rate * 2**53)``.  Returns (axes, outcomes, announced).
     """
-    set_bits = int(words[1]) & 7
+    set_bits = int(word) & 7
     axes = AxisSet(*(Axis.X if set_bits >> shift & 1 else Axis.Z for shift in (2, 1, 0)))
-    k = int(words[0]) >> 11
-    intervals = oracle_intervals(outcome_distribution(source)[set_bits])
+    k = int(word) >> 11
+    announced = unit(word) < announce_rate
+    ann = announce_split(announce_rate)
+    root = (0, ann) if announced else (ann, TREE_SPAN)
+    intervals = oracle_intervals(outcome_distribution(source)[set_bits], *root)
     string = next(o for o, (lo, hi) in enumerate(intervals) if lo <= k < hi)
     outcomes = tuple(Outcome(string >> shift & 1) for shift in (2, 1, 0))
-    return axes, outcomes, unit(words[1]) < announce_rate
+    return axes, outcomes, announced
 
 
 # The smallest and largest uniform draws: they select PLUS and MINUS

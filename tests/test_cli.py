@@ -49,6 +49,17 @@ class TestRunCommand:
         report = parse_report_json(out.read_text())
         assert report.security_verdict.value == "compromised"
 
+    # The workflow's degenerate-halves step: rate 0 leaves every set's
+    # announced half empty, so nothing is checked (exit 3); the largest rate
+    # below 1 leaves the unannounced half 1 unit wide, so every trial is
+    # announced and the attack is caught (exit 2).
+    @pytest.mark.parametrize("rate,code,announced", [("0", 3, 0), ("0.9999999999999999", 2, 2000)])
+    def test_degenerate_announcement_halves(self, tmp_path, rate, code, announced):
+        out = tmp_path / "report.json"
+        assert run_cli("run", "--mode", "qkd", "--trials", "2000", "--seed", "7",
+                       "--phi", HALF_PI_TEXT, "--announce-rate", rate, "--output", str(out)) == code
+        assert parse_report_json(out.read_text()).announced_trials == announced
+
     def test_zero_trials_is_usage_error(self, capsys):
         assert run_cli("run", "--mode", "qkd", "--trials", "0", "--seed", "7") == 1
         assert "trials" in capsys.readouterr().err

@@ -22,18 +22,18 @@ ATTACK_FLAGS = ("--phi", HALF_PI_TEXT, "--target", "C")
 
 # (mode, format, attacked) -> (exit code, SHA-256 of the report bytes)
 RUN_DIGESTS = {
-    ("qkd", "json", False): (0, "c4e00fbf6fa0b09e44303b9ae1203b0346db0f55def06a625d8d6f9a9c9fc3f1"),
-    ("qkd", "csv", False): (0, "7a415546a1ed4973880f3678078dab5dfc63145f1bae9c7ba5b20100f7e9925f"),
-    ("pqss", "json", False): (0, "20524e6c7ab727190aeffef66bde3c86861ef0ee78120d219ea481de3913a8f3"),
-    ("pqss", "csv", False): (0, "9bf245da932da605d732dd21975593dc2caa837cc2d4d7adc474a30ff0c07094"),
-    ("synth", "json", False): (0, "4b8153acf63e6dffb5201a867cc9a6e2ae00199b38b6ecba8353dd8c79b30d1a"),
-    ("synth", "csv", False): (0, "fd3e4ddc13e8c678751ea1f5c0956b0456f6da5ba07aa2977a7d17aaf5e3cf00"),
-    ("qkd", "json", True): (2, "733000c1fb2fe0a01736d7ee72be1ec10b0b41df92dbef41c1fa2908772355e8"),
-    ("qkd", "csv", True): (2, "498e4bf1e461775291797723f58edc2e1e89c77612e776037afcf3ea95c4f778"),
-    ("pqss", "json", True): (2, "d1df0c77a3c24bd2bf710303d0a4f6d27608320b131bad1b9aa845fb8b9cda9b"),
-    ("pqss", "csv", True): (2, "651106cbc0a59f2f0562f67ad871fe9c5427bb4176e4df4a6714c1ee31779a3b"),
-    ("synth", "json", True): (2, "d28b0281931b50da6dc44c2d96991db392b2f99da31ae43609df3ec0e6c894d7"),
-    ("synth", "csv", True): (2, "8e176f731f5c334061fe7a8506848dc9130a5c4665a7fb4bb6cdc79f3c9ac5e8"),
+    ("qkd", "json", False): (0, "2850696798c520b5f071765d1bf13661164df1e69694f3c050915d34b0d3561a"),
+    ("qkd", "csv", False): (0, "5ca2faabda70cb073309bf2c9c9a6c25c950be826f7000d637fa8dbe336be943"),
+    ("pqss", "json", False): (0, "f807b47f7c4efc1cce43a93068bbab0c1a176d73e2fd70d64da218e089c93d12"),
+    ("pqss", "csv", False): (0, "e882edfce719b13f674000d23ada7b8773e1dc2a4bd670c0a8c0c77cab6b0bc9"),
+    ("synth", "json", False): (0, "de8fc0b3a6722841c9edfb306f870014c043576ce9bca5662a8a01e4f470763f"),
+    ("synth", "csv", False): (0, "f2a025b7bd13bb9b2356ab09498f3c8029245c4d9bbec37ce0fd19f83a34873e"),
+    ("qkd", "json", True): (2, "76d177abb4bb228d0bd402a1ec14681334b87e6bc09139128c02d7f25ffbb459"),
+    ("qkd", "csv", True): (2, "2f2a6b4ad8dfe53e61eeaa404a1ad60070c835937c7f7ff5de3a1666c0e8763c"),
+    ("pqss", "json", True): (2, "154f854c02037c4252e53afa3203c0e468572cc3717b3335355b0421986f1f89"),
+    ("pqss", "csv", True): (2, "30ce779ea5d02a3c05c2cd73c8403cd00f1bdfcfef111c3206038568afa98de7"),
+    ("synth", "json", True): (2, "297f95cdc1d1edd4842e3e3542981bc08ec2a98a906cf7b1887daf5f1c5557f2"),
+    ("synth", "csv", True): (2, "87a8347123b517f227ed9edc9b8f4b1ba5ee6233688644146f414dba5e647570"),
 }
 
 SWEEP_FLAGS = ("--grid", f"0,0.7853981633974483,{HALF_PI_TEXT}", "--trials", "300", "--seed", "11")

@@ -1,25 +1,36 @@
 """The interval-tree trial kernel against its scalar oracle and the statevector.
 
-The kernel samples each run trial from one draw walked down an integer
-interval tree over ``[0, 2**53)``, built from the source's exact outcome
-distribution, on a counter-based Philox stream.  These tests check that it
-lands, word for word, where the scalar oracle's intervals put it, on both
-sides of every split; that the trees' widths are the distribution's masses
-and their unreachable cells exactly those of the chain-rule walk over the
-statevector; and that neither the chunk size nor the order in which trials
-are computed changes a result.
+The kernel samples each run trial from one word of a counter-based Philox
+stream: its draw first meets the announcement split ``ann``, then walks an
+integer interval tree over its half, ``[0, ann)`` or ``[ann, 2**53)``,
+built from the source's exact outcome distribution.  These tests check that
+it lands, word for word, where the scalar oracle's intervals put it, on
+both sides of every split; that the trees' widths are the distribution's
+masses, within a derived bound, and that cells unreachable in the
+chain-rule walk over the statevector are unreachable in both halves; and
+that neither the chunk size nor the order in which trials are computed
+changes a result.
 """
 
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TREE_SPAN, kernel_intervals, oracle_intervals, oracle_table, oracle_trial, unit
+from helpers import (
+    TREE_SPAN,
+    announce_split,
+    kernel_intervals,
+    oracle_intervals,
+    oracle_table,
+    oracle_trial,
+    unit,
+)
 from wqsc import (
     QKD_AXIS_SETS,
     Party,
@@ -30,6 +41,7 @@ from wqsc import (
     attacked_w_state,
     iter_trials,
     outcome_distribution,
+    run_protocol,
     run_trial,
     security_event_probability,
     w_state,
@@ -46,11 +58,16 @@ def source_for(phi, target):
     return apply_attack(w_state(), attack)
 
 
-def kernel_trial(source, words, announce_rate):
-    raw = np.array([words], dtype=np.uint64)
-    thresholds = protocol._walk_thresholds(outcome_distribution(source))
-    cell = int(protocol._trial_cells(thresholds, raw, protocol._threshold(announce_rate))[0])
-    return cell >> 4, cell >> 1 & 7, bool(cell & 1)
+def kernel_cells(source, words, announce_rate):
+    """The engine's cell ``16s + 8u + o`` of each raw word, ``u`` 1 if unannounced."""
+    announce = protocol._threshold(announce_rate)
+    thresholds = protocol._walk_thresholds(outcome_distribution(source), announce)
+    return protocol._trial_cells(thresholds, np.array(words, dtype=np.uint64), announce).tolist()
+
+
+def kernel_trial(source, word, announce_rate):
+    cell = kernel_cells(source, [word], announce_rate)[0]
+    return cell >> 4, cell & 7, not cell & 8
 
 
 def word(k, low_bits=0):
@@ -58,9 +75,9 @@ def word(k, low_bits=0):
     return k << 11 | low_bits
 
 
-def assert_cell_matches_oracle(source, words, announce_rate):
-    set_index, outcome_index, announced = kernel_trial(source, words, announce_rate)
-    axes, outcomes, oracle_announced = oracle_trial(source, words, announce_rate)
+def assert_cell_matches_oracle(source, word, announce_rate):
+    set_index, outcome_index, announced = kernel_trial(source, word, announce_rate)
+    axes, outcomes, oracle_announced = oracle_trial(source, word, announce_rate)
     assert bell.ALL_AXIS_SETS[set_index] == axes
     assert bell.OUTCOME_STRINGS[outcome_index] == outcomes
     assert announced == oracle_announced
@@ -80,7 +97,7 @@ def zero_branch_cells(table):
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 raw_words = st.integers(min_value=0, max_value=2**64 - 1)
-HALF = 2**52  # the draw of the uniform 1/2
+# Announced halves from empty (0) to all but 1 unit (the largest rate below 1).
 ANNOUNCE_RATES = (0.0, 0.05, 0.1, 0.2, 0.3, float(np.nextafter(1.0, 0.0)))
 # Attack strengths with branches of subnormal mass (8.4e-161, 5e-324), of
 # mass far below 2**-53 (1e-12, pi/2, where cos(phi) = 6.1e-17) and none (0).
@@ -92,66 +109,75 @@ class TestOracleAgreement:
     @given(
         phi=st.floats(min_value=0.0, max_value=HALF_PI),
         target=st.sampled_from(TARGETS),
-        words=st.lists(raw_words, min_size=2, max_size=2),
+        word=raw_words,
         announce_rate=unit_floats,
     )
     # Branches of subnormal mass, beside draws of exactly 0 and the largest draw.
-    @example(phi=8.4e-161, target=Party.ALICE, words=[0, 0], announce_rate=0.5)
-    @example(phi=8.4e-161, target=Party.ALICE, words=[0, 7], announce_rate=0.5)
-    @example(phi=8.4e-161, target=Party.ALICE, words=[2**64 - 1, 7], announce_rate=0.5)
-    def test_kernel_cell_equals_oracle(self, phi, target, words, announce_rate):
-        assert_cell_matches_oracle(source_for(phi, target), words, announce_rate)
+    @example(phi=8.4e-161, target=Party.ALICE, word=0, announce_rate=0.5)
+    @example(phi=8.4e-161, target=Party.ALICE, word=7, announce_rate=0.5)
+    @example(phi=8.4e-161, target=Party.ALICE, word=2**64 - 1, announce_rate=0.5)
+    def test_kernel_cell_equals_oracle(self, phi, target, word, announce_rate):
+        assert_cell_matches_oracle(source_for(phi, target), word, announce_rate)
 
     @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("phi", [0.0, 0.4, HALF_PI])
     def test_draws_at_each_threshold(self, phi, target):
-        # Every split of a set's tree is the bound of a leaf interval.  A
-        # draw k equal to a split K lies in the minus child, k = K - 1 in the
-        # plus child; an announcement draw splits the same way at its rate's
-        # threshold.  Kernel and oracle must agree at both sides of every
-        # split.  The low bits of the measurement word, which the shift
-        # drops, are set to check that they are dropped.
+        # Every split of a set's two trees is the bound of a leaf interval.
+        # A draw k equal to a split K lies in the minus child, k = K - 1 in
+        # the plus child; the announcement split ann, the bound between the
+        # halves, splits the same way at each rate.  Kernel and oracle must
+        # agree at both sides of every split.  The word's bits 3 to 10,
+        # which the shift drops and the axis set does not read, are set to
+        # check that they are dropped.
         source = source_for(phi, target)
         dist = outcome_distribution(source)
+        rate = 0.3
+        ann = announce_split(rate)
         for set_index in range(8):
-            splits = {bound for interval in oracle_intervals(dist[set_index]) for bound in interval}
+            splits = {
+                bound
+                for root in ((0, ann), (ann, TREE_SPAN))
+                for interval in oracle_intervals(dist[set_index], *root)
+                for bound in interval
+            }
             for split in splits:
                 for k in (split - 1, split):
                     if 0 <= k < TREE_SPAN:
-                        words = [word(k, 0x7FF), word(HALF, set_index)]
-                        assert_cell_matches_oracle(source, words, 0.5)
+                        assert_cell_matches_oracle(source, word(k, 0x7F8 | set_index), rate)
         for rate, set_index in itertools.product(ANNOUNCE_RATES, range(8)):
             threshold = int(protocol._threshold(rate))
             for k in (threshold - 1, threshold):
                 if 0 <= k < TREE_SPAN:
-                    assert_cell_matches_oracle(source, [word(HALF), word(k, set_index)], rate)
+                    assert_cell_matches_oracle(source, word(k, set_index), rate)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3, math.nextafter(1.0, 0.0)])
-    def test_unshifted_announcement_compare_at_its_threshold(self, rate):
-        # The kernel compares the announcement word, low bits and all, with
-        # the threshold shifted up by 11 bits; the draw ``x >> 11`` must
-        # still decide.  The largest rate below 1 has the largest threshold,
-        # 2**53 - 1, whose shift still fits in 64 bits.
+    def test_announcement_compare_at_its_threshold(self, rate):
+        # The kernel compares the draw ``x >> 11`` with the threshold, so the
+        # word's low bits, the axis set's among them, must not decide.  The
+        # largest rate below 1 has the largest threshold, 2**53 - 1.
         threshold = int(protocol._threshold(rate))
         assert threshold < TREE_SPAN
         words = [word(k, low) for k in (threshold - 1, threshold) if k >= 0 for low in (0, 2047)]
-        raw = np.array([[word(HALF), w] for w in words], dtype=np.uint64)
-        thresholds = protocol._walk_thresholds(outcome_distribution(w_state()))
-        cells = protocol._trial_cells(thresholds, raw, protocol._threshold(rate)).tolist()
-        assert [bool(cell & 1) for cell in cells] == [w >> 11 < threshold for w in words]
+        cells = kernel_cells(w_state(), words, rate)
+        assert [not cell & 8 for cell in cells] == [w >> 11 < threshold for w in words]
 
 
 class TestTreeConstruction:
     @settings(max_examples=40, deadline=None)
-    @given(phi=st.floats(min_value=0.0, max_value=HALF_PI))
-    @example(phi=HALF_PI)
-    @example(phi=8.4e-161)  # a branch of subnormal mass
-    @example(phi=0.0)
+    @given(phi=st.floats(min_value=0.0, max_value=HALF_PI), rate=st.sampled_from(ANNOUNCE_RATES))
+    @example(phi=HALF_PI, rate=0.1)
+    @example(phi=8.4e-161, rate=0.1)  # a branch of subnormal mass
+    @example(phi=0.0, rate=0.1)
     @pytest.mark.parametrize("target", TARGETS)
-    def test_tree_equals_oracle_intervals(self, target, phi):
+    def test_tree_equals_oracle_intervals(self, target, phi, rate):
+        ann = announce_split(rate)
+        roots = ((0, ann), (ann, TREE_SPAN))
         for source in (source_for(phi, target), attacked_w_state(phi)):
-            oracle = [oracle_intervals(row) for row in outcome_distribution(source)]
-            assert kernel_intervals(source).tolist() == [list(map(list, row)) for row in oracle]
+            oracle = [
+                [list(map(list, oracle_intervals(row, *root))) for root in roots]
+                for row in outcome_distribution(source)
+            ]
+            assert kernel_intervals(source, rate).tolist() == oracle
 
     @settings(max_examples=60, deadline=None)
     @given(phi=st.floats(min_value=0.0, max_value=HALF_PI), target=st.sampled_from(TARGETS))
@@ -160,32 +186,88 @@ class TestTreeConstruction:
     def test_widths_are_the_distribution(self, phi, target):
         source = source_for(phi, target)
         dist = outcome_distribution(source)
-        intervals = kernel_intervals(source)
-        widths = intervals[..., 1] - intervals[..., 0]
-        assert (widths.sum(axis=1) == TREE_SPAN).all()
-        assert (widths[dist == 0.0] == 0).all()
-        assert np.max(np.abs(widths / TREE_SPAN - dist)) <= 1e-12
+        ann = announce_split(protocol.DEFAULT_ANNOUNCE_RATE)
+        intervals = kernel_intervals(source, protocol.DEFAULT_ANNOUNCE_RATE)
+        for half, span in enumerate((ann, TREE_SPAN - ann)):
+            widths = intervals[:, half, :, 1] - intervals[:, half, :, 0]
+            assert (widths.sum(axis=1) == span).all()
+            assert (widths[dist == 0.0] == 0).all()
+            assert np.max(np.abs(widths / span - dist)) <= 1e-12
 
     @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("phi", PINNED_PHIS)
     def test_unreachable_cells_are_the_chain_rule_walks(self, phi, target):
         # A cell of nonzero mass can still get width 0: its share of a node
-        # rounds away.  Such cells are exactly those whose sequential
-        # measurement path has a branch of probability exactly 0.
+        # rounds away.  At rate 0 the unannounced half is the whole of
+        # [0, 2**53), and its unreachable cells are exactly those whose
+        # sequential measurement path has a branch of probability exactly 0.
+        # A narrower half can round more away, but at every rate each such
+        # cell has width 0 in both halves.
         source = source_for(phi, target)
-        intervals = kernel_intervals(source)
-        unreachable = intervals[..., 1] == intervals[..., 0]
-        assert np.array_equal(unreachable, zero_branch_cells(oracle_table(source)))
+        zero_branch = zero_branch_cells(oracle_table(source))
+        for rate in ANNOUNCE_RATES:
+            intervals = kernel_intervals(source, rate)
+            unreachable = intervals[..., 1] == intervals[..., 0]
+            assert unreachable[:, 0][zero_branch].all() and unreachable[:, 1][zero_branch].all()
+            if rate == 0.0:
+                assert np.array_equal(unreachable[:, 1], zero_branch)
 
     def test_cells_of_nonzero_mass_can_be_unreachable(self):
         # At 8.4e-161 on A, cells of mass 5.9e-322 sit beside a sibling of
-        # mass 1/3, so their node's p rounds to 1 and they get width 0.
+        # mass 1/3, so their node's p rounds to 1 and they get width 0 in
+        # both halves.
         source = source_for(8.4e-161, Party.ALICE)
         dist = outcome_distribution(source)
-        intervals = kernel_intervals(source)
-        rounded_away = (intervals[..., 1] == intervals[..., 0]) & (dist > 0.0)
-        assert rounded_away.any()
-        assert np.max(dist[rounded_away]) < 1e-320
+        intervals = kernel_intervals(source, protocol.DEFAULT_ANNOUNCE_RATE)
+        for half in (0, 1):
+            rounded_away = (intervals[:, half, :, 1] == intervals[:, half, :, 0]) & (dist > 0.0)
+            assert rounded_away.any()
+            assert np.max(dist[rounded_away]) < 1e-320
+
+    @pytest.mark.parametrize(
+        "target,phi", [(None, 0.0)] + list(itertools.product(Party, PINNED_PHIS))
+    )
+    def test_halves_keep_the_announcement_exact_and_bound_each_leaf(self, target, phi):
+        """What one word per trial gives up: resolution within each half, not P(announced).
+
+        Each set's announced leaves tile ``[0, ann)`` and its unannounced
+        leaves ``[ann, 2**53)``, so P(announced) is ``ann * 2**-53`` on
+        every set.  A leaf's width ``w`` lies within ``B`` of ``dist[s, o] *
+        H``, ``H`` its half's width.  The bound: a node of width ``w_d``
+        gives its plus child ``ceil(fl(fl(plus / total) * w_d))``.  On
+        party ``d``'s node (0 for A), ``plus`` is a float sum of ``2 - d``
+        roundings over the row's cells and ``total`` of ``3 - d``, and the
+        quotient and the product round once each, so ``fl(...)`` is ``p *
+        w_d * (1 + eta)``, ``p`` the exact ratio, with ``|eta| <=
+        gamma(7 - 2d)``, ``gamma(n) = n u / (1 - n u)``, ``u = 2**-53``
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.3).
+        The ``ceil`` adds less than 1, and the minus child, ``w_d`` minus
+        the plus child, takes the same error with its sign flipped, so each
+        child's width is its exact share of ``w_d`` within ``1 + gamma(7 -
+        2d) * H``.  The three levels' errors add, each scaled by exact
+        ratios of at most 1, and the exact ratios multiply to ``dist[s, o] /
+        S``, ``S`` the exact sum of the row.  So ``|w - dist[s, o] * H| <=
+        3 + (gamma(7) + gamma(5) + gamma(3)) * H + dist[s, o] * H * |S - 1| /
+        S``, about 18 units at most.  A subnormal quotient errs by at most
+        ``2**-1075`` absolute instead, which times ``H`` is far below
+        ``gamma(3) * H``.
+        """
+        source = source_for(phi, target)
+        dist = outcome_distribution(source)
+        u = Fraction(1, 2**53)
+        gamma = sum(n * u / (1 - n * u) for n in (7, 5, 3))
+        for rate in ANNOUNCE_RATES:
+            ann = announce_split(rate)
+            intervals = kernel_intervals(source, rate)
+            widths = (intervals[..., 1] - intervals[..., 0]).tolist()
+            for s, row in enumerate(dist.tolist()):
+                row_sum = sum(map(Fraction, row))
+                for half, span in enumerate((ann, TREE_SPAN - ann)):
+                    assert sum(widths[s][half]) == span
+                    for o, mass in enumerate(row):
+                        ideal = Fraction(mass) * span
+                        bound = 3 + gamma * span + ideal * abs(row_sum - 1) / row_sum
+                        assert abs(widths[s][half][o] - ideal) <= bound, (rate, s, half, o)
 
 
 class TestChunking:
@@ -235,21 +317,45 @@ class TestStreamContract:
     """The documented key and word layout, replayed through the oracles."""
 
     def test_run_trial_words(self):
-        # Trial i reads raw words 2i and 2i + 1 of key seed, which are half
-        # i & 1 of the block at counter i >> 1.
+        # Trial i reads raw word i of key seed, which is position i & 3 of
+        # the block at counter i >> 2.
         config = ProtocolConfig(
             ProtocolMode.SYNTH, trials=300, seed=2**64 - 5, announce_rate=0.3,
             attack=UnitaryCouplingAttack(1.1, Party.ALICE),
         )
         source = source_for(1.1, Party.ALICE)
-        stream = np.random.Philox(key=config.seed).random_raw(2 * config.trials)
+        stream = np.random.Philox(key=config.seed).random_raw(config.trials)
         for record in iter_trials(config):
             i = record.index
-            words = stream[2 * i : 2 * i + 2]
-            block = np.random.Philox(key=config.seed, counter=i >> 1).random_raw(4)
-            assert block[2 * (i & 1) :][:2].tolist() == words.tolist()
-            expected = oracle_trial(source, words, config.announce_rate)
+            block = np.random.Philox(key=config.seed, counter=i >> 2).random_raw(4)
+            assert int(block[i & 3]) == int(stream[i])
+            expected = oracle_trial(source, stream[i], config.announce_rate)
             assert (record.axes, record.outcomes, record.announced) == expected
+
+    def test_interleaved_runs_yield_their_solo_records(self, monkeypatch):
+        # iter_trials holds its Philox stream across yields, so each call
+        # needs its own.  Two generators stepped in turn, with a whole
+        # run_protocol call between steps, must each yield what they yield
+        # alone.  Chunks of 7 make every generator draw new words while the
+        # others are part-way through theirs.
+        monkeypatch.setattr(protocol, "_CHUNK_TRIALS", 7)
+        configs = [
+            ProtocolConfig(ProtocolMode.SYNTH, trials=40, seed=3, announce_rate=0.3),
+            ProtocolConfig(
+                ProtocolMode.QKD, trials=40, seed=4, announce_rate=0.5,
+                attack=UnitaryCouplingAttack(HALF_PI, Party.BOB),
+            ),
+        ]
+        other = ProtocolConfig(ProtocolMode.PQSS, trials=30, seed=5, announce_rate=0.2)
+        solo = [list(iter_trials(config)) for config in configs]
+        report = run_protocol(other)
+        generators = [iter_trials(config) for config in configs]
+        interleaved = [[], []]
+        for _ in range(40):
+            for records, generator in zip(interleaved, generators):
+                records.append(next(generator))
+                assert run_protocol(other) == report
+        assert interleaved == solo
 
     def test_sweep_point_words(self):
         # Point k reads key seed + (k + 1) * 2**64; sample j is raw word j, an

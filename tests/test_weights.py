@@ -1,7 +1,7 @@
 """The report's weight matrix against the per-trial fold and exact means.
 
 ``run_protocol`` computes a report's count columns as a (mode, dealer)
-weight matrix times the run's 128 (axis set, outcome string, announced)
+weight matrix times the run's 128 (axis set, announced, outcome string)
 cell counts.  These tests check each cell's column against the per-trial
 rules, check the matrix against ``oracle_report``, which folds the run's
 trial records one at a time, and check that the same matrix times the
@@ -10,7 +10,6 @@ probabilities of the cells the engine samples gives the closed-form means.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -57,7 +56,7 @@ class TestCellWeights:
             for o, outcomes in enumerate(bell.OUTCOME_STRINGS):
                 kept = protocol._kept_bits(mode, axes, outcomes)
                 for announced in (False, True):
-                    cell = weights[:, 16 * s + 2 * o + announced]
+                    cell = weights[:, 16 * s + 8 * (not announced) + o]
                     w = dict(zip(protocol._COUNT_FIELDS, cell.tolist()))
                     assert w["announced_trials"] + w["total_key_bits"] + w["discarded_trials"] == 1
                     assert w["announced_trials"] == announced
@@ -108,16 +107,15 @@ class TestReportOracle:
             weights[0, 0] = 2
 
 
-def set_cell_probabilities(source):
-    """P(axis set s, outcome string o) as the engine samples it: leaf width / 2**53 / 8."""
-    intervals = kernel_intervals(source)
-    return (intervals[..., 1] - intervals[..., 0]) / TREE_SPAN / len(ALL_AXIS_SETS)
-
-
 def cell_probabilities(source, announce_rate):
-    """P(cell) in the engine's ``16s + 2o + announced`` order."""
-    joint = set_cell_probabilities(source)
-    return np.stack([joint * (1.0 - announce_rate), joint * announce_rate], axis=-1).reshape(-1)
+    """P(cell) as the engine samples it, leaf width / 2**53 / 8, in its ``16s + 8u + o`` order."""
+    intervals = kernel_intervals(source, announce_rate)
+    return ((intervals[..., 1] - intervals[..., 0]) / TREE_SPAN / len(ALL_AXIS_SETS)).reshape(-1)
+
+
+def set_cell_probabilities(source, announce_rate):
+    """P(axis set s, outcome string o) as the engine samples it: both halves' cells summed."""
+    return cell_probabilities(source, announce_rate).reshape(8, 2, 8).sum(axis=1)
 
 
 class TestExactMeans:
@@ -126,12 +124,13 @@ class TestExactMeans:
     def test_cells_match_joint_probability(self, phi, target):
         attack = None if target is None else UnitaryCouplingAttack(phi, target)
         source = apply_attack(w_state(), attack)
-        joint = set_cell_probabilities(source)
+        joints = [set_cell_probabilities(source, rate) for rate in ANNOUNCE_RATES]
         for s, axes in enumerate(ALL_AXIS_SETS):
             for o, outcomes in enumerate(bell.OUTCOME_STRINGS):
                 constraints = [(p, axes.axis_of(p), outcomes[p]) for p in Party]
                 expected = joint_probability(source, constraints) / len(ALL_AXIS_SETS)
-                assert joint[s, o] == pytest.approx(expected, abs=1e-12)
+                for joint in joints:
+                    assert joint[s, o] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("announce_rate", ANNOUNCE_RATES)
     @pytest.mark.parametrize("mode", list(ProtocolMode))
