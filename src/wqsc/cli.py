@@ -3,16 +3,22 @@
 Every flag is mirrored by an environment variable with the ``WQSC_`` prefix
 (``--announce-rate`` by ``WQSC_ANNOUNCE_RATE`` and so on).  Each one that is
 set enters the invoked command as ``--flag=value`` ahead of the command's
-own words, so argparse checks it like any flag and an explicit flag,
-parsed later, wins; an error in such a value starts with the variable's
-name.  All randomness flows from ``--seed``, which is required, so a
-repeated invocation with identical flags produces byte-identical output.
+own words, so it is checked like any flag and an explicit flag, read
+later, wins; an error in such a value starts with the variable's name.
+All randomness flows from ``--seed``, which is required, so a repeated
+invocation with identical flags produces byte-identical output.
 
-The parsers hold no environment; they are built once per process.  When
-the first word names a command, the rest is parsed by that command's own
-parser alone, which gives the same namespace and error texts as the
-top-level parser at a fraction of its cost; any other first word (none,
-an unknown command, ``--help``) goes to the top-level parser.
+When the first word names a command, the words after it (environment
+values first) are read straight from the flag table if each is
+``--flag=value`` or ``--flag value`` with an exact flag of that command,
+the value not starting with ``-`` in the second form, every value passes
+its type and choices, and every required flag is given.  That gives the
+namespace argparse would, without building a parser.  Anything else (an
+abbreviation, ``--help``, ``--``, a stray word, a bad or missing value)
+goes to argparse, the only source of error texts and help: to that
+command's own parser, and for any other first word (none, an unknown
+command, ``--help``) to the top-level parser.  The parsers hold no
+environment; they are built once per process, on first use.
 
 Exit codes: 0 success / channel secure, 1 usage error (bad flags or an
 unopenable output, caught before any simulation), 2 verification failure /
@@ -135,27 +141,81 @@ def _environment(command: str) -> dict[str, str]:
     }
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse ``argv``: after a command word, on that command's parser, environment values first.
+def _read_words(command: str, words: Sequence[str]) -> argparse.Namespace | None:
+    """``command``'s parser's namespace for ``words``, or None where argparse must read them.
 
-    Anything else (no words, an unknown command, ``--help``) goes to the
-    top-level parser, and its error names a leading flag, which belongs
-    after the command word.  The environment values come first, so a bad
-    one fails as it does when they are parsed alone; that error is prefixed
-    with the variable's name.
+    Each word must be ``--flag=value`` or ``--flag value``, ``--flag`` an
+    exact name of the command's and, in the second form, ``value`` not
+    starting with ``-``.  Each value goes through the flag's ``type`` and
+    ``choices`` and the last one wins; unset flags take their defaults, a
+    ``str`` default through its ``type``, as argparse does.  Anything else
+    (an abbreviation, ``--help``, ``--``, a stray word, a flag with no
+    value, a bad value, a missing required flag) gives None.
     """
-    parser, commands = build_parser()
-    if not argv or argv[0] not in commands:
+    flags = dict(_COMMANDS[command][1])
+    given = {}
+    rest = iter(words)
+    for word in rest:
+        if word in flags:
+            flag, text = word, next(rest, "-")  # no value at all fails as "-" does
+            if text.startswith("-"):
+                return None
+        else:
+            flag, equals, text = word.partition("=")
+            # argparse drops a "--" value, so "--flag=--" reads as an empty list.
+            if not equals or flag not in flags or text == "--":
+                return None
+        kwargs = flags[flag]
         try:
-            return parser.parse_args(argv)
+            value = kwargs["type"](text) if "type" in kwargs else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    values = {}
+    for flag, kwargs in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+            if isinstance(value, str) and "type" in kwargs:
+                value = kwargs["type"](value)
+        values[flag[2:].replace("-", "_")] = value
+    values["command"] = command
+    namespace = argparse.Namespace()
+    vars(namespace).update(values)  # Namespace(**values) without its setattr per flag
+    return namespace
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` as argparse would, environment values ahead of a command's own words.
+
+    Well-formed words after a command word are read by :func:`_read_words`
+    without building any parser.  Anything else goes to argparse: the
+    words after a command word to that command's own parser, and the rest
+    (no words, an unknown command, ``--help``) to the top-level parser,
+    whose error names a leading flag, which belongs after the command word.
+    The environment values come first, so a bad one fails as it does when
+    they are parsed alone; that error is prefixed with the variable's name.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        try:
+            return build_parser()[0].parse_args(argv)
         except _UsageError:
             if argv and argv[0].startswith("-") and argv[0] not in ("-", "--"):
                 raise _UsageError(f"flag {argv[0]} comes before the command word; flags go "
                                   "after the command word, as in 'wqsc run --seed 1'") from None
             raise
-    command_parser, env = commands[argv[0]], _environment(argv[0])
+    env = _environment(argv[0])
+    words = [*env.values(), *argv[1:]]
+    if (args := _read_words(argv[0], words)) is not None:
+        return args
+    command_parser = build_parser()[1][argv[0]]
     try:
-        return command_parser.parse_args([*env.values(), *argv[1:]])
+        return command_parser.parse_args(words)
     except _UsageError as exc:
         message = str(exc)
         for name, flag in env.items():

@@ -20,7 +20,8 @@ random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 words.  A
 word ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
 ``Generator.random()`` computes, and is compared with integers only.  Every
 probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`:
-one per ``run`` call, and for ``sweep-phi`` one stacked
+the unattacked source's, built once per process, or one per attacked
+``run`` call, and for ``sweep-phi`` one stacked
 :func:`~wqsc.qcore.outcome_distributions` pass over every grid point.
 
 * ``run`` (stream v5): key ``seed``.  Trial ``i`` reads raw word ``i``,
@@ -426,13 +427,23 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     return _record(config.mode, index, int(cells[0]))
 
 
+@functools.cache
+def _w_distribution() -> np.ndarray:
+    """The unattacked source's outcome distribution, built on first use, read-only."""
+    dist = outcome_distribution(w_state())
+    dist.flags.writeable = False
+    return dist
+
+
 def _run_chunks(
     config: ProtocolConfig, first: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
     attack = config.attack
-    source = w_state() if attack is None else attacked_w_state(attack.phi, attack.target)
-    dist = outcome_distribution(source)
+    if attack is None:
+        dist = _w_distribution()
+    else:
+        dist = outcome_distribution(attacked_w_state(attack.phi, attack.target))
     announce = _threshold(config.announce_rate)
     thresholds = _walk_thresholds(dist, announce)
     bits = np.random.Philox(key=config.seed, counter=first >> 2)

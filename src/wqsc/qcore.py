@@ -120,11 +120,14 @@ class Party(IntEnum):
 
     @classmethod
     def from_letter(cls, text: str) -> "Party":
-        key = text.strip().upper()
-        for party in cls:
-            if key in (party.letter, party.name):
-                return party
-        raise ValueError(f"unknown party {text!r}; expected one of A, B, C")
+        try:
+            return _PARTY_KEYS[text.strip().upper()]
+        except KeyError:
+            raise ValueError(f"unknown party {text!r}; expected one of A, B, C") from None
+
+
+# Each party by its letter and by its name.
+_PARTY_KEYS = {key: party for party in Party for key in (party.letter, party.name)}
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ render to the same bytes.  CSV is UTF-8, comma delimited, '.' decimal point,
 one header row and rows as wide as it; a missing value is an empty cell or null.
 
 Decoding follows the field's annotation: only a ``| None`` field may be
-null or an empty cell; text (every CSV cell) is read with ``int()``,
-``float()`` or as an enum's scalar; a JSON int field takes an int, a float
-field an int or float, never a bool.  Else a ValueError names the field.
+null (JSON) or an empty cell (CSV).  A CSV cell is text, read with
+``int()``, ``float()`` or as an enum's scalar.  A JSON value is never
+text for a number: an int field takes an int, a float field an int or
+float, never a bool, and an enum field its scalar.  Else a ValueError
+names the field.
 """
 
 from __future__ import annotations
@@ -48,23 +50,24 @@ def _scalar(member: Enum) -> object:
 
 
 # By field annotation (text, as annotations are postponed) less any "| None":
-# the types a value may have, never bool, and how it is read.
+# the types a JSON value may have, never bool, and how a value is read.
 _DECODERS = {
-    "int": ((str, int), int),
-    "float": ((str, int, float), float),
+    "int": ((int,), int),
+    "float": ((int, float), float),
     **{enum.__name__: ((str,), {_scalar(m): m for m in enum}.__getitem__) for enum in _ENUMS},
 }
 
 
-def _decode(field, value: object) -> object:
+def _decode(field, value: object, text: bool) -> object:
+    """``value``, a CSV cell if ``text`` else a JSON value, read by ``field``'s annotation."""
     base = field.type.removesuffix(" | None")
-    if base != field.type and value in (None, ""):
+    if base != field.type and (value == "" if text else value is None):
         return None
     types, read = _DECODERS[base]
-    if isinstance(value, types) and not isinstance(value, bool):
+    if isinstance(value, str if text else types) and not isinstance(value, bool):
         try:
             return read(value)
-        except (KeyError, ValueError):
+        except (KeyError, OverflowError, ValueError):
             pass
     raise ValueError(f"{field.name} cannot be {value!r}")
 
@@ -77,12 +80,12 @@ def _to_dict(row) -> dict:
     }
 
 
-def _from_dict(row_type: type, data: dict):
+def _from_dict(row_type: type, data: dict, text: bool = False):
     if not isinstance(data, dict):
         raise ValueError(f"{row_type.__name__} must be an object, got {data!r}")
     if missing := set(_COLUMNS[row_type]) - set(data):
         raise ValueError(f"{row_type.__name__} is missing fields: {sorted(missing)}")
-    return row_type(**{field.name: _decode(field, data[field.name]) for field in fields(row_type)})
+    return row_type(**{f.name: _decode(f, data[f.name], text) for f in fields(row_type)})
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -121,7 +124,7 @@ def _read_csv(row_type: type, text: str) -> list:
     for cells in rows:
         if len(cells) != len(columns):
             raise ValueError(f"CSV row has {len(cells)} cells, expected {len(columns)}: {cells!r}")
-    return [_from_dict(row_type, dict(zip(columns, cells))) for cells in rows]
+    return [_from_dict(row_type, dict(zip(columns, cells)), text=True) for cells in rows]
 
 
 def render_report_csv(report: RunReport) -> str:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import pathlib
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wqsc.bell
 import wqsc.cli
@@ -316,6 +320,155 @@ class TestDispatch:
             main(["run", "--help"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: wqsc run ")
+
+
+# Values each flag's type and choices accept, and values that probe where the
+# argv reader must leave the words to argparse.
+GOOD_VALUES = {
+    "--mode": ["qkd", "synth"],
+    "--trials": ["10", "5_0"],
+    "--seed": ["1", "0"],
+    "--announce-rate": ["0.2", "1e-3"],
+    "--phi": ["0.5", "nan"],
+    "--target": ["B", "alice", " c "],
+    "--epsilon": ["1e-3"],
+    "--dealer": ["C"],
+    "--format": ["csv", "json"],
+    "--output": ["out.json", "x y"],
+    "--grid": ["0.5,1", "0"],
+}
+ODD_VALUES = ["-0.5", "-3", "", "nan", "5_0", " c ", "alice", "xml", "-", "--", "-h", "x y"]
+ALL_FLAGS = sorted(GOOD_VALUES)
+ODD_FORMS = ["space", "equals", "abbreviated", "abbreviated", "bare", "stray", "help"]
+
+
+def flags_of(command):
+    return wqsc.cli._COMMANDS[command][1]
+
+
+@st.composite
+def word_group(draw, command, clean):
+    """A flag and its value, spelled ``--flag value`` or ``--flag=value`` if ``clean``.
+
+    Else the flag may be another command's, the value odd, and the spelling
+    abbreviated, the flag alone, a stray word or ``--help``.
+    """
+    own = [flag for flag, _ in flags_of(command)]
+    if clean and not own:
+        return []
+    flag = draw(st.sampled_from(own if clean or own and draw(st.booleans()) else ALL_FLAGS))
+    good = st.sampled_from(GOOD_VALUES[flag])
+    value = draw(good if clean else good | st.sampled_from(ODD_VALUES))
+    form = draw(st.sampled_from(["space", "equals"] if clean else ODD_FORMS))
+    if form == "abbreviated":
+        flag = flag[: draw(st.integers(3, len(flag) - 1))]
+        form = draw(st.sampled_from(["space", "equals"]))
+    return {
+        "space": [flag, value],
+        "equals": [f"{flag}={value}"],
+        "bare": [flag],
+        "stray": [value],
+        "help": ["--help"],
+    }[form]
+
+
+@st.composite
+def command_words(draw):
+    """A command word and the words after it, often with its required flags well formed."""
+    command = draw(st.sampled_from(["run", "sweep-phi", "verify"]))
+    groups = draw(st.lists(word_group(command, clean=True), max_size=3))
+    groups += draw(st.lists(word_group(command, clean=False), max_size=2))
+    if draw(st.booleans()):
+        groups += [[flag, draw(st.sampled_from(GOOD_VALUES[flag]))]
+                   for flag, kwargs in flags_of(command) if kwargs.get("required")]
+    return command, [word for group in draw(st.permutations(groups)) for word in group]
+
+
+def namespace_items(namespace):
+    # repr tells a float from an int and makes nan equal to itself.
+    return type(namespace), sorted((name, repr(value)) for name, value in vars(namespace).items())
+
+
+class TestArgvReader:
+    @settings(max_examples=500, deadline=None)
+    @given(case=command_words())
+    @example(case=("run", ["--mode", "qkd", "--trials", "10", "--seed", "1", "--output=--"]))
+    @example(case=("run", ["--mode", "qkd", "--tri", "10", "--seed", "1"]))
+    @example(case=("run", ["--mode", "qkd", "--t", "10", "--seed", "1"]))  # --trials or --target
+    @example(case=("run", ["--mode", "qkd", "--trials", "10", "--seed", "1", "--phi", "-0.5"]))
+    @example(case=("run", ["--mode", "qkd", "--trials", "10", "--seed", "1", "--output", "-h"]))
+    @example(case=("run", ["--mode=qkd", "--trials=5_0", "--seed=1", "--phi=-0.5", "--output="]))
+    @example(case=("sweep-phi", ["--grid", "0.5", "--seed", "1", "--", "--trials", "3"]))
+    @example(case=("verify", []))
+    def test_reader_equals_argparse(self, case):
+        # The reader gives argparse's namespace or None, and None whenever
+        # argparse rejects the words.
+        command, words = case
+        read = wqsc.cli._read_words(command, words)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):  # --help prints
+                expected = wqsc.cli.build_parser()[1][command].parse_args(words)
+        except (wqsc.cli._UsageError, SystemExit):
+            assert read is None
+        else:
+            assert read is None or namespace_items(read) == namespace_items(expected)
+
+    @pytest.mark.parametrize("words", [
+        ["--mode", "qkd", "--trials", "10", "--seed", "1"],
+        ["--mode=qkd", "--trials=10", "--seed=1", "--phi=-0.5", "--target= c "],
+        ["--mode", "pqss", "--trials", "10", "--seed", "1", "--seed", "2", "--dealer", "bob"],
+    ])
+    def test_well_formed_words_are_read(self, words):
+        expected = wqsc.cli.build_parser()[1]["run"].parse_args(words)
+        assert namespace_items(wqsc.cli._read_words("run", words)) == namespace_items(expected)
+
+
+class TestFastPath:
+    """Well-formed words after a command word are read without building any parser."""
+
+    RUN = ["run", "--mode", "synth", "--trials", "300", "--seed", "5", "--announce-rate", "0.3",
+           "--phi", "0.7", "--target", "b", "--epsilon", "0.01", "--dealer", "bob",
+           "--format", "csv"]
+    SWEEP = ["sweep-phi", "--grid", "0.3,1.2", "--trials", "500", "--seed", "4",
+             "--epsilon", "0.01"]
+    ENVIRONMENT = {"WQSC_MODE": "pqss", "WQSC_TRIALS": "400", "WQSC_SEED": "8",
+                   "WQSC_PHI": "1.1", "WQSC_DEALER": "C"}
+
+    @pytest.fixture(autouse=True)
+    def clean_environment(self, monkeypatch):
+        for name in [name for name in os.environ if name.startswith("WQSC_")]:
+            monkeypatch.delenv(name)
+
+    @staticmethod
+    def call(argv, out, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    @pytest.mark.parametrize("case", ["run", "sweep-phi", "verify", "run-from-environment"])
+    def test_calls_build_no_parser(self, case, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        argv = {
+            "run": [*self.RUN, "--output", str(out)],
+            "sweep-phi": [*self.SWEEP, "--output", str(out)],
+            "verify": ["verify"],
+            "run-from-environment": ["run"],
+        }[case]
+        if case == "run-from-environment":
+            for name, value in {**self.ENVIRONMENT, "WQSC_OUTPUT": str(out)}.items():
+                monkeypatch.setenv(name, value)
+        unpatched = self.call(argv, out, capsys)
+        with monkeypatch.context() as patch:  # every word to argparse
+            patch.setattr(wqsc.cli, "_read_words", lambda command, words: None)
+            assert self.call(argv, out, capsys) == unpatched
+
+        def forbidden():
+            raise AssertionError("a well-formed call built the parsers")
+
+        monkeypatch.setattr(wqsc.cli, "build_parser", forbidden)
+        assert self.call(argv, out, capsys) == unpatched
 
 
 class TestVerifyCommand:

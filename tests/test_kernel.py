@@ -269,6 +269,13 @@ class TestTreeConstruction:
                         bound = 3 + gamma * span + ideal * abs(row_sum - 1) / row_sum
                         assert abs(widths[s][half][o] - ideal) <= bound, (rate, s, half, o)
 
+    def test_unattacked_distribution_is_built_once_and_read_only(self):
+        # Every unattacked run reads this one array; a write would change them all.
+        cached = protocol._w_distribution()
+        assert cached is protocol._w_distribution()
+        assert not cached.flags.writeable
+        assert cached.tobytes() == outcome_distribution(w_state()).tobytes()
+
 
 class TestChunking:
     RUN = ("run", "--mode", "synth", "--trials", "1000", "--seed", "77",

@@ -184,6 +184,13 @@ class TestTypeRule:
         ("epsilon", True),
         ("mode", "qkd2"),
         ("dealer", 0),
+        # Only a CSV cell is text: a JSON number field takes no string, and
+        # only null (not "") is a missing JSON value.
+        ("trials", "400"),
+        ("epsilon", "1e-09"),
+        ("announce_rate", " 0.1 "),
+        ("security_event_frequency", ""),
+        pytest.param("epsilon", 10**400, id="epsilon-too-large-for-a-float"),
     ])
     def test_json_value_of_wrong_type(self, plain_report, name, value):
         payload = json.loads(render_report_json(plain_report))
