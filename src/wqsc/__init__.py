@@ -19,11 +19,10 @@ from .bell import (
     StrictPair,
     averaged_security_probability,
     ch_middle_term,
+    event_masses,
     is_event,
-    prob_two_z_plus,
-    prob_x_all_equal,
-    prob_z_plus_x_unequal,
-    security_event_probability,
+    two_z_plus,
+    x_all_equal,
 )
 from .protocol import (
     DEFAULT_ANNOUNCE_RATE,

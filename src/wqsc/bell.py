@@ -2,14 +2,14 @@
 
 All probabilities here are exact (never sampled): each is a sum of entries
 of the state's :func:`~wqsc.qcore.outcome_distribution`, the joint outcome
-probabilities of the three party qubits under all eight axis sets.  The
-private ``_``-prefixed readers take that array, so a caller that needs
-several events of one state (``wqsc.golden``) builds it once.  The module
-also gives each axis set its role, a lone z measurer (its *decider*) or the
-all-z ``PQSS_AXIS_SET``, and defines the security-check event that exposes
-the ancilla-coupling attack once: :func:`is_event`, tabulated as
-``EVENT_CELLS``, from which both the sampled event counts and the exact
-event probabilities are read.
+probabilities of the three party qubits under all eight axis sets.  Every
+reader takes that array (:func:`event_masses` also a stack of them), so a
+caller that needs several events of one state (``wqsc.golden``) builds it
+once.  The module also gives each axis set its role, a lone z measurer
+(its *decider*) or the all-z ``PQSS_AXIS_SET``, and defines the
+security-check event that exposes the ancilla-coupling attack once:
+:func:`is_event`, which the sampled event counts read, tabulated as
+``EVENT_CELLS``, which :func:`event_masses` reads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .qcore import Axis, Outcome, Party, StateVector, integer_argument, outcome_distribution
+from .qcore import Axis, Outcome, Party, integer_argument
 from .states import validate_attack_angle
 
 # Tolerance used when flagging a CH bound violation, so floating-point dust
@@ -151,9 +151,13 @@ def _party(name: str, value: object) -> Party:
     return Party(integer_argument(name, value, 0, 2))
 
 
-def _require_three_qubits(state: StateVector) -> None:
-    if state.num_qubits != 3:
-        raise ValueError("this probability is defined on three-qubit states")
+def _distribution(dist: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``dist`` as an array if shaped (8, 8), or (..., 8, 8) with ``stack``; else ValueError."""
+    shape = np.shape(dist)
+    if shape[-2:] != (8, 8) or (len(shape) != 2 and not stack):
+        expected = "(..., 8, 8)" if stack else "(8, 8)"
+        raise ValueError(f"outcome distribution must have shape {expected}, got {shape}")
+    return np.asarray(dist)
 
 
 # Outcome strings o = 0..7 of an outcome_distribution row, as party bits
@@ -163,8 +167,15 @@ _BITS = np.array([[(o >> (2 - p)) & 1 for o in range(8)] for p in Party])
 _MINUS_COUNT = _BITS.sum(axis=0)
 
 
-def _two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
-    zzz = dist[0]
+def two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
+    """Probability of the two-plus z event under the chosen interpretation.
+
+    ``dist`` is one state's :func:`~wqsc.qcore.outcome_distribution`.
+    StrictPair gives the marginal P(z_i = +, z_j = +).  AtLeastTwo gives
+    P(at least two of the three z outcomes are plus), the reading under
+    which the symmetric W state attains probability 1.
+    """
+    zzz = _distribution(dist)[0]
     if isinstance(interp, StrictPair):
         return float(zzz[(_BITS[interp.first] == 0) & (_BITS[interp.second] == 0)].sum())
     if isinstance(interp, AtLeastTwo):
@@ -172,67 +183,33 @@ def _two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
     raise TypeError(f"unsupported pair interpretation: {interp!r}")
 
 
-def _z_plus_x_unequal(dist: np.ndarray, z_qubit: Party) -> float:
-    """P(z_qubit measures z and gets plus, the other two measure x and disagree)."""
-    s = _QKD_SET_INDEX[z_qubit]
-    return float(dist[s, EVENT_CELLS[s]].sum())
+def event_masses(dist: np.ndarray) -> np.ndarray:
+    """Exact security-event probability of each QKD axis set, indexed by its decider.
+
+    ``dist`` is an :func:`~wqsc.qcore.outcome_distribution` or any stack of
+    them, ``(..., 8, 8)``; the result is ``(..., 3)``, entry ``k`` the
+    probability that party ``k`` measures z and gets plus while the other
+    two measure x and disagree.  It is zero on the unattacked W state, and
+    under the ancilla coupling of strength phi it evaluates to sin(phi)^2 /
+    6 when Charlie measures z and (1 - cos(phi)) / 3 when Charlie measures
+    x.  Each event covers two cells of its row and every other cell summed
+    is exactly 0.0, so an entry is those two cells' sum whatever else is
+    stacked with ``dist``.
+    """
+    return (_distribution(dist, stack=True) * EVENT_CELLS).sum(axis=-1)[..., _QKD_SET_INDEX]
 
 
-def _x_all_equal(dist: np.ndarray) -> float:
+def x_all_equal(dist: np.ndarray) -> float:
+    """P(all three x outcomes coincide); 3/4 on the symmetric W state.
+
+    ``dist`` is one state's :func:`~wqsc.qcore.outcome_distribution`.
+    """
+    dist = _distribution(dist)
     return float(dist[7, 0] + dist[7, 7])
 
 
-def _ch_middle_term(
-    dist: np.ndarray, interp: PairInterpretation, roles: tuple[Party, Party, Party]
-) -> ChBellResult:
-    i, j, _k = roles
-    a11 = _two_z_plus(dist, interp)
-    a12 = _z_plus_x_unequal(dist, i)
-    a21 = _z_plus_x_unequal(dist, j)
-    a22 = _x_all_equal(dist)
-    value = a11 - a12 - a21 - a22
-    violation = value > CH_BOUND_ATOL or value < -1.0 - CH_BOUND_ATOL
-    return ChBellResult(value, violation, a11, a12, a21, a22)
-
-
-def prob_two_z_plus(state: StateVector, interp: PairInterpretation) -> float:
-    """Probability of the two-plus z event under the chosen interpretation.
-
-    StrictPair gives the marginal P(z_i = +, z_j = +).  AtLeastTwo gives
-    P(at least two of the three z outcomes are plus), the reading under
-    which the symmetric W state attains probability 1.
-    """
-    _require_three_qubits(state)
-    return _two_z_plus(outcome_distribution(state), interp)
-
-
-def prob_z_plus_x_unequal(
-    state: StateVector, z_qubit: Party, x_qubits: tuple[Party, Party]
-) -> float:
-    """P(z outcome of one qubit is plus and the two x outcomes disagree).
-
-    Defined for three- or four-qubit states; only the three party qubits
-    may be named (each a :class:`Party` or its index, read by
-    :func:`~wqsc.qcore.integer_argument`), so an attached ancilla is always
-    marginalized.
-    """
-    if state.num_qubits not in (3, 4):
-        raise ValueError("state must have three or four qubits")
-    z_qubit = _party("z_qubit", z_qubit)
-    x1, x2 = (_party("x_qubits", q) for q in x_qubits)
-    if len({z_qubit, x1, x2}) != 3:
-        raise ValueError("the z qubit and the two x qubits must be distinct")
-    return _z_plus_x_unequal(outcome_distribution(state), z_qubit)
-
-
-def prob_x_all_equal(state: StateVector) -> float:
-    """P(all three x outcomes coincide); 3/4 on the symmetric W state."""
-    _require_three_qubits(state)
-    return _x_all_equal(outcome_distribution(state))
-
-
 def ch_middle_term(
-    state: StateVector,
+    dist: np.ndarray,
     interp: PairInterpretation,
     roles: tuple[Party, Party, Party] = (Party.ALICE, Party.BOB, Party.CHARLIE),
 ) -> ChBellResult:
@@ -243,31 +220,21 @@ def ch_middle_term(
     two-plus probability under ``interp``.  A strict-pair interpretation
     must name the parties playing i and j.  Each role is a :class:`Party`
     or its index, read by :func:`~wqsc.qcore.integer_argument`.  All four
-    terms are read from one :func:`outcome_distribution` of the state.
+    terms are read from ``dist``, one state's
+    :func:`~wqsc.qcore.outcome_distribution`.
     """
-    _require_three_qubits(state)
     roles = tuple(_party("roles", role) for role in roles)
     if sorted(roles) != list(Party):
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
     i, j, _k = roles
     if isinstance(interp, StrictPair) and {interp.first, interp.second} != {i, j}:
         raise ValueError("strict pair must match the first two roles")
-    return _ch_middle_term(outcome_distribution(state), interp, roles)
-
-
-def security_event_probability(state: StateVector, axes: AxisSet) -> float:
-    """Exact probability of the security-check event for a QKD axis set.
-
-    The event: the z measurer obtains plus while the two x measurers
-    disagree.  It has probability zero on the unattacked W state, and under
-    the ancilla coupling of strength phi it evaluates to sin(phi)^2 / 6
-    when Charlie measures z and (1 - cos(phi)) / 3 when Charlie measures x.
-    """
-    if state.num_qubits != 4:
-        raise ValueError("security events are evaluated on the four-qubit attacked state")
-    if axes.decider is None:
-        raise ValueError(f"axis set {axes.label!r} has no defined security event")
-    return _z_plus_x_unequal(outcome_distribution(state), axes.decider)
+    a11 = two_z_plus(dist, interp)
+    a12, a21 = event_masses(dist)[[i, j]].tolist()
+    a22 = x_all_equal(dist)
+    value = a11 - a12 - a21 - a22
+    violation = value > CH_BOUND_ATOL or value < -1.0 - CH_BOUND_ATOL
+    return ChBellResult(value, violation, a11, a12, a21, a22)
 
 
 def averaged_security_probability(phi: float) -> float:

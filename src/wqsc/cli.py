@@ -200,6 +200,8 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     whose error names a leading flag, which belongs after the command word.
     The environment values come first, so a bad one fails as it does when
     they are parsed alone; that error is prefixed with the variable's name.
+    A ``--`` value, which argparse returns as an empty list, is refused as
+    a flag with no value.
     """
     if not argv or argv[0] not in _COMMANDS:
         try:
@@ -213,9 +215,15 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     words = [*env.values(), *argv[1:]]
     if (args := _read_words(argv[0], words)) is not None:
         return args
+    # argparse drops a "--" value ("--flag=--" reads as an empty list).  A
+    # variable set to it fails first, as any bad environment value does.
+    for name, word in env.items():
+        flag, _, value = word.partition("=")
+        if value == "--":
+            raise _UsageError(f"{name}: argument {flag}: expected one argument")
     command_parser = build_parser()[1][argv[0]]
     try:
-        return command_parser.parse_args(words)
+        args = command_parser.parse_args(words)
     except _UsageError as exc:
         message = str(exc)
         for name, flag in env.items():
@@ -226,6 +234,10 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
                     if str(alone) == message:
                         raise _UsageError(f"{name}: {message}") from None
         raise
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            raise _UsageError(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return args
 
 
 def _open_output(path: str) -> ContextManager[TextIO]:

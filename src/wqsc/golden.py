@@ -2,11 +2,11 @@
 
 Every closed-form quantity the package must reproduce is evaluated here by
 exact projection or closed formula (never by sampling) and compared against
-its expected value.  Boolean claims are encoded as 1.0/0.0.  The events of
-each state are read from its slice of a stacked
-:func:`~wqsc.qcore.outcome_distributions` pass, one pass for the two
-three-qubit states and one for the fourteen attacked states, built anew on
-every call.
+its expected value.  Boolean claims are encoded as 1.0/0.0.  Each state's
+events are read by ``wqsc.bell``'s readers from its slice of a stacked
+:func:`~wqsc.qcore.outcome_distributions` pass, built anew on every call:
+one for the two three-qubit states, and one for the fourteen attacked
+states, whose security events are one :func:`~wqsc.bell.event_masses` call.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .bell import (
     AxisSet,
     QKD_AXIS_SETS,
     StrictPair,
-    _ch_middle_term,
-    _two_z_plus,
-    _x_all_equal,
-    _z_plus_x_unequal,
     averaged_security_probability,
+    ch_middle_term,
+    event_masses,
+    two_z_plus,
+    x_all_equal,
 )
 from .protocol import (
     MODE_SUCCESS_PROBABILITY,
@@ -103,20 +103,19 @@ def golden_checks() -> list[GoldenCheck]:
 
     # Event probabilities on the W and GHZ states, read from one stacked pass.
     w_dist, ghz_dist = outcome_distributions([w, ghz])
-    add("two-z-plus-at-least-two-on-w", _two_z_plus(w_dist, AT_LEAST_TWO), 1.0)
-    add("two-z-plus-strict-pair-on-w", _two_z_plus(w_dist, StrictPair(_A, _B)), 1.0 / 3.0)
+    add("two-z-plus-at-least-two-on-w", two_z_plus(w_dist, AT_LEAST_TWO), 1.0)
+    add("two-z-plus-strict-pair-on-w", two_z_plus(w_dist, StrictPair(_A, _B)), 1.0 / 3.0)
     # The event is symmetric in the two x measurers, so the z measurer
     # names each of the six role assignments' values.
-    worst = max(_z_plus_x_unequal(w_dist, z) for z in (_A, _B, _C))
-    add("z-plus-x-unequal-on-w-all-roles", worst, 0.0)
-    add("x-all-equal-on-w", _x_all_equal(w_dist), 0.75)
-    add("x-all-equal-on-ghz", _x_all_equal(ghz_dist), 0.25)
+    add("z-plus-x-unequal-on-w-all-roles", max(event_masses(w_dist).tolist()), 0.0)
+    add("x-all-equal-on-w", x_all_equal(w_dist), 0.75)
+    add("x-all-equal-on-ghz", x_all_equal(ghz_dist), 0.25)
 
     # CH middle term.
-    existential = _ch_middle_term(w_dist, AT_LEAST_TWO, (_A, _B, _C))
+    existential = ch_middle_term(w_dist, AT_LEAST_TWO)
     add("ch-middle-term-at-least-two-on-w", existential.value, 0.25)
     add("ch-violation-flag-at-least-two", 1.0 if existential.violation else 0.0, 1.0)
-    strict = _ch_middle_term(w_dist, StrictPair(_A, _B), (_A, _B, _C))
+    strict = ch_middle_term(w_dist, StrictPair(_A, _B))
     add("ch-middle-term-strict-pair-on-w", strict.value, -5.0 / 12.0)
     add("ch-no-violation-strict-pair", 1.0 if strict.violation else 0.0, 0.0)
 
@@ -145,26 +144,20 @@ def golden_checks() -> list[GoldenCheck]:
     xxz = AxisSet.from_label("xxz")
     zxx = AxisSet.from_label("zxx")
     grid = np.linspace(0.0, math.pi / 2.0, 11).tolist()
-    quarter, third, untouched, *swept = outcome_distributions(
+    quarter, third, untouched, *swept = event_masses(outcome_distributions(
         [attacked_w_state(phi) for phi in (math.pi / 4.0, math.pi / 3.0, 0.0, *grid)]
-    )
-    add(
-        "security-event-charlie-z-quarter-pi", _z_plus_x_unequal(quarter, xxz.decider), 1.0 / 12.0
-    )
-    add("security-event-charlie-x-third-pi", _z_plus_x_unequal(third, zxx.decider), 1.0 / 6.0)
-    add(
-        "security-event-no-attack",
-        max(_z_plus_x_unequal(untouched, axes.decider) for axes in QKD_AXIS_SETS),
-        0.0,
-    )
+    )).tolist()
+    add("security-event-charlie-z-quarter-pi", quarter[xxz.decider], 1.0 / 12.0)
+    add("security-event-charlie-x-third-pi", third[zxx.decider], 1.0 / 6.0)
+    add("security-event-no-attack", max(untouched), 0.0)
     add("averaged-security-probability-half-pi",
         averaged_security_probability(math.pi / 2.0), 5.0 / 18.0)
     add("averaged-security-probability-third-pi",
         averaged_security_probability(math.pi / 3.0), 11.0 / 72.0)
     add("averaged-security-probability-zero", averaged_security_probability(0.0), 0.0)
     mismatch = 0.0
-    for phi, dist in zip(grid, swept):
-        weighted = sum(_z_plus_x_unequal(dist, axes.decider) for axes in QKD_AXIS_SETS) / 3.0
+    for phi, masses in zip(grid, swept):
+        weighted = sum(masses) / 3.0
         mismatch = max(mismatch, abs(weighted - averaged_security_probability(phi)))
     add("averaged-matches-per-set-mean", mismatch, 0.0)
 

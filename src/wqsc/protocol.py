@@ -45,8 +45,8 @@ the unattacked source's, built once per process, or one per attacked
 * ``sweep-phi``: grid point ``k`` has key ``seed + (k + 1) * 2**64`` (key
   words ``(seed, k + 1)``, disjoint from every ``run`` key).  Sample ``j``
   is raw word ``j``, an event iff its draw lies below ``p_bar``, the mean
-  event mass of the three QKD axis sets in ``attacked_w_state(phi)``, the
-  closed form of the attack on Charlie.
+  of the three QKD axis sets' :func:`~wqsc.bell.event_masses` in
+  ``attacked_w_state(phi)``, the closed form of the attack on Charlie.
 
 A draw ``k`` lies below a probability ``p`` iff ``k < ceil(p * 2**53)``,
 exact because ``p * 2**53`` is; a cell of mass 0 gets an interval of width
@@ -68,15 +68,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .adversary import UnitaryCouplingAttack
-from .bell import (
-    _QKD_SET_INDEX,
-    ALL_AXIS_SETS,
-    EVENT_CELLS,
-    OUTCOME_STRINGS,
-    PQSS_AXIS_SET,
-    AxisSet,
-    is_event,
-)
+from .bell import ALL_AXIS_SETS, OUTCOME_STRINGS, PQSS_AXIS_SET, AxisSet, event_masses, is_event
 from .qcore import (
     Outcome,
     Party,
@@ -485,16 +477,17 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
     channel (target Charlie), and draws only whether it is a security
     event: its draw lies below ``p_bar``, the mean over the three QKD axis
     sets of the event mass in the point's
-    :func:`~wqsc.states.attacked_w_state`.  All points' masses are read from
-    one stacked :func:`~wqsc.qcore.outcome_distributions` pass.  Point ``k``
-    draws from its own Philox key, ``seed + (k + 1) * 2**64``, so its
-    frequency depends on its index and not on the rest of the grid.  Every
-    value is checked by :func:`check_sweep_arguments` before any state is
-    built or any draw is made.
+    :func:`~wqsc.states.attacked_w_state`.  All points' masses are read by
+    one :func:`~wqsc.bell.event_masses` call from one stacked
+    :func:`~wqsc.qcore.outcome_distributions` pass.  Point ``k`` draws from
+    its own Philox key, ``seed + (k + 1) * 2**64``, so its frequency depends
+    on its index and not on the rest of the grid.  Every value is checked by
+    :func:`check_sweep_arguments` before any state is built or any draw is
+    made.
     """
     grid, trials, seed = check_sweep_arguments(grid, trials, seed)
     dists = outcome_distributions([attacked_w_state(phi) for phi in grid])
-    row_masses = (dists * EVENT_CELLS).sum(axis=2)[:, _QKD_SET_INDEX].tolist()
+    row_masses = event_masses(dists).tolist()
     bits = np.random.Philox(key=seed)  # re-keyed per point: a constructor costs an entropy draw
     return [
         _event_frequency(sum(masses) / len(masses), bits, (seed, point + 1), trials)

@@ -26,18 +26,18 @@ from wqsc import (
     binomial_sigma,
     ch_middle_term,
     eigenvalues_hermitian,
+    event_masses,
     ghz_state,
     iter_trials,
     key_accounting,
+    outcome_distribution,
     partial_inference,
     partial_transpose,
-    prob_two_z_plus,
-    prob_x_all_equal,
-    prob_z_plus_x_unequal,
     reduced_density,
-    security_event_probability,
     three_tangle,
+    two_z_plus,
     w_state,
+    x_all_equal,
 )
 from wqsc.cli import main as cli_main
 from wqsc.reporting import parse_report_json
@@ -80,13 +80,12 @@ def mode_runs():
 
 def test_c01_golden_probabilities_on_w():
     start = time.perf_counter()
-    w = w_state()
+    w = outcome_distribution(w_state())
     tol = 1e-12
-    ok = abs(prob_two_z_plus(w, AT_LEAST_TWO) - 1.0) <= tol
-    ok &= abs(prob_two_z_plus(w, StrictPair(A, B)) - 1.0 / 3.0) <= tol
-    for z_party, x1, x2 in ROLE_ASSIGNMENTS:
-        ok &= abs(prob_z_plus_x_unequal(w, z_party, (x1, x2))) <= tol
-    ok &= abs(prob_x_all_equal(w) - 0.75) <= tol
+    ok = abs(two_z_plus(w, AT_LEAST_TWO) - 1.0) <= tol
+    ok &= abs(two_z_plus(w, StrictPair(A, B)) - 1.0 / 3.0) <= tol
+    ok &= all(abs(mass) <= tol for mass in event_masses(w).tolist())
+    ok &= abs(x_all_equal(w) - 0.75) <= tol
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     criterion(1, "analytic event probabilities on the W state (1e-12, <1s)", ok)
@@ -94,8 +93,8 @@ def test_c01_golden_probabilities_on_w():
 
 def test_c02_ch_bell_middle_term():
     tol = 1e-12
-    existential = ch_middle_term(w_state(), AT_LEAST_TWO)
-    strict = ch_middle_term(w_state(), StrictPair(A, B))
+    existential = ch_middle_term(outcome_distribution(w_state()), AT_LEAST_TWO)
+    strict = ch_middle_term(outcome_distribution(w_state()), StrictPair(A, B))
     ok = abs(existential.value - 0.25) <= tol and existential.violation
     ok &= abs(strict.value + 5.0 / 12.0) <= tol and not strict.violation
     criterion(2, "CH middle term: 1/4 flagged violation, -5/12 local (1e-12)", ok)
@@ -116,10 +115,10 @@ def test_c04_attack_statistics():
     ok = True
     for phi in np.linspace(0.0, HALF_PI, 50):
         phi = float(phi)
-        state = attacked_w_state(phi)
+        masses = event_masses(outcome_distribution(attacked_w_state(phi)))
         per_set = {}
         for axis_set in QKD_AXIS_SETS:
-            p = security_event_probability(state, axis_set)
+            p = float(masses[axis_set.decider])
             per_set[axis_set.label] = p
             expected = (
                 math.sin(phi) ** 2 / 6.0
@@ -246,35 +245,37 @@ def test_c10_oracle_equivalence():
     three_qubit_states = [w_state(), ghz_state()]
     three_qubit_states += [random_state(rng, 3) for _ in range(20)]
     for state in three_qubit_states:
+        dist = outcome_distribution(state)
         expected = enumerate_event_probability(
             state,
             [(A, Axis.Z), (B, Axis.Z), (C, Axis.Z)],
             lambda bits: sum(1 for o in bits.values() if o is PLUS) >= 2,
         )
-        ok &= abs(prob_two_z_plus(state, AT_LEAST_TWO) - expected) <= tol
+        ok &= abs(two_z_plus(dist, AT_LEAST_TWO) - expected) <= tol
         expected = enumerate_event_probability(
             state,
             [(A, Axis.Z), (B, Axis.Z)],
             lambda bits: bits[A] is PLUS and bits[B] is PLUS,
         )
-        ok &= abs(prob_two_z_plus(state, StrictPair(A, B)) - expected) <= tol
+        ok &= abs(two_z_plus(dist, StrictPair(A, B)) - expected) <= tol
         for z_party, x1, x2 in ROLE_ASSIGNMENTS:
             expected = enumerate_event_probability(
                 state,
                 [(z_party, Axis.Z), (x1, Axis.X), (x2, Axis.X)],
                 lambda bits: bits[z_party] is PLUS and bits[x1] is not bits[x2],
             )
-            ok &= abs(prob_z_plus_x_unequal(state, z_party, (x1, x2)) - expected) <= tol
+            ok &= abs(event_masses(dist)[z_party] - expected) <= tol
         expected = enumerate_event_probability(
             state,
             [(A, Axis.X), (B, Axis.X), (C, Axis.X)],
             lambda bits: bits[A] is bits[B] is bits[C],
         )
-        ok &= abs(prob_x_all_equal(state) - expected) <= tol
+        ok &= abs(x_all_equal(dist) - expected) <= tol
 
     four_qubit_states = [attacked_w_state(float(phi)) for phi in (0.0, 0.6, HALF_PI)]
     four_qubit_states += [random_state(rng, 4) for _ in range(10)]
     for state in four_qubit_states:
+        masses = event_masses(outcome_distribution(state))
         for axis_set in QKD_AXIS_SETS:
             decider = axis_set.decider
             x1, x2 = axis_set.x_parties
@@ -283,5 +284,5 @@ def test_c10_oracle_equivalence():
                 [(decider, Axis.Z), (x1, Axis.X), (x2, Axis.X), (3, Axis.Z)],
                 lambda bits: bits[decider] is PLUS and bits[x1] is not bits[x2],
             )
-            ok &= abs(security_event_probability(state, axis_set) - expected) <= tol
+            ok &= abs(masses[decider] - expected) <= tol
     criterion(10, "closed-form probabilities match brute-force enumeration (1e-12)", ok)

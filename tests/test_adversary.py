@@ -11,14 +11,14 @@ from wqsc import (
     Axis,
     Outcome,
     Party,
-    QKD_AXIS_SETS,
     UnitaryCouplingAttack,
     apply_attack,
     attacked_w_state,
     eve_ancilla_statistics,
+    event_masses,
     joint_probability,
+    outcome_distribution,
     reduced_density,
-    security_event_probability,
     w_state,
 )
 
@@ -101,9 +101,8 @@ class TestNoSignaling:
 
 class TestAttackPerturbs:
     @pytest.mark.parametrize("phi", [0.05, 0.5, 1.2, HALF_PI])
-    def test_some_security_event_probability_is_positive(self, phi):
-        state = attacked_w_state(phi)
-        assert max(security_event_probability(state, s) for s in QKD_AXIS_SETS) > 0.0
+    def test_some_security_event_mass_is_positive(self, phi):
+        assert max(event_masses(outcome_distribution(attacked_w_state(phi)))) > 0.0
 
 
 class TestEveAncillaStatistics:

@@ -25,7 +25,7 @@ from wqsc import (
     key_accounting,
     make_basis_state,
     measure_qubit,
-    prob_z_plus_x_unequal,
+    outcome_distribution,
     reduced_density,
     sample_security_frequency,
     w_state,
@@ -60,12 +60,9 @@ W = w_state()
         (binomial_sigma, (0.5, 2.5), "n"),
         (binomial_sigma, (10**400, 3), "p"),
         (sample_security_frequency, ([10**400], 10, 1), "phi"),
-        (prob_z_plus_x_unequal, (W, True, (0, 2)), "z_qubit"),
-        (prob_z_plus_x_unequal, (W, 1.0, (0, 2)), "z_qubit"),
-        (prob_z_plus_x_unequal, (W, 1, (0, 2.0)), "x_qubits"),
         (StrictPair, (True, 0), "first"),
         (StrictPair, (0, 1.0), "second"),
-        (ch_middle_term, (W, AT_LEAST_TWO, (True, 0, 2)), "roles"),
+        (ch_middle_term, (outcome_distribution(W), AT_LEAST_TWO, (True, 0, 2)), "roles"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -19,19 +19,21 @@ from wqsc import (
     attacked_w_state,
     averaged_security_probability,
     ch_middle_term,
+    event_masses,
     ghz_state,
     make_basis_state,
-    prob_two_z_plus,
-    prob_x_all_equal,
-    prob_z_plus_x_unequal,
-    security_event_probability,
+    outcome_distribution,
+    outcome_distributions,
+    two_z_plus,
     w_state,
+    x_all_equal,
 )
 from wqsc import bell
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
 HALF_PI = math.pi / 2.0
+W = outcome_distribution(w_state())
 
 ROLE_ASSIGNMENTS = [
     (A, B, C), (A, C, B), (B, A, C), (B, C, A), (C, A, B), (C, B, A)
@@ -59,8 +61,8 @@ class TestAxisSet:
             assert (axis_set == PQSS_AXIS_SET) is pqss, axis_set.label
 
     def test_qkd_set_k_is_decided_by_party_k(self):
-        # The sweep's floor(3u) draw and the exact event readers index the
-        # QKD sets by the deciding party.
+        # event_masses, which the sweep and verify read, indexes the QKD
+        # sets by the deciding party.
         assert [axis_set.label for axis_set in QKD_AXIS_SETS] == ["zxx", "xzx", "xxz"]
         for k, axis_set in enumerate(QKD_AXIS_SETS):
             assert axis_set.decider is Party(k)
@@ -88,55 +90,78 @@ class TestWStateEventSuite:
     """The four closed-form event probabilities on the symmetric W state."""
 
     def test_at_least_two_plus_is_certain(self):
-        assert prob_two_z_plus(w_state(), AT_LEAST_TWO) == pytest.approx(1.0, abs=1e-12)
+        assert two_z_plus(W, AT_LEAST_TWO) == pytest.approx(1.0, abs=1e-12)
 
     def test_strict_pair_reading_gives_one_third(self):
         for pair in (StrictPair(A, B), StrictPair(B, C), StrictPair(A, C)):
-            assert prob_two_z_plus(w_state(), pair) == pytest.approx(1.0 / 3.0, abs=1e-12)
+            assert two_z_plus(W, pair) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_mixed_axis_events_vanish_for_every_role_assignment(self):
-        for z_party, x1, x2 in ROLE_ASSIGNMENTS:
-            assert prob_z_plus_x_unequal(w_state(), z_party, (x1, x2)) == 0.0
+        # The event is symmetric in the two x measurers, so the z measurer
+        # names each of the six role assignments' values.
+        assert event_masses(W).tolist() == [0.0, 0.0, 0.0]
 
     def test_all_x_equal(self):
-        assert prob_x_all_equal(w_state()) == pytest.approx(0.75, abs=1e-12)
+        assert x_all_equal(W) == pytest.approx(0.75, abs=1e-12)
 
     def test_ghz_and_product_values(self):
-        assert prob_two_z_plus(ghz_state(), StrictPair(A, B)) == pytest.approx(0.5, abs=1e-12)
-        assert prob_x_all_equal(ghz_state()) == pytest.approx(0.25, abs=1e-12)
-        product = make_basis_state(3, [PLUS, PLUS, PLUS])
-        assert prob_x_all_equal(product) == pytest.approx(0.25, abs=1e-12)
+        ghz = outcome_distribution(ghz_state())
+        assert two_z_plus(ghz, StrictPair(A, B)) == pytest.approx(0.5, abs=1e-12)
+        assert x_all_equal(ghz) == pytest.approx(0.25, abs=1e-12)
+        product = outcome_distribution(make_basis_state(3, [PLUS, PLUS, PLUS]))
+        assert x_all_equal(product) == pytest.approx(0.25, abs=1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            prob_z_plus_x_unequal(w_state(), A, (A, B))
-        with pytest.raises(ValueError):
             StrictPair(A, A)
-        with pytest.raises(ValueError):
-            prob_two_z_plus(attacked_w_state(0.1), AT_LEAST_TWO)
+
+
+class TestReaderShapes:
+    """Each reader takes outcome distributions, and names any other shape it gets."""
+
+    SINGLE = [
+        lambda dist: two_z_plus(dist, AT_LEAST_TWO),
+        x_all_equal,
+        lambda dist: ch_middle_term(dist, AT_LEAST_TWO),
+    ]
+
+    @pytest.mark.parametrize("reader", SINGLE + [event_masses])
+    def test_every_reader_refuses_a_short_row(self, reader):
+        with pytest.raises(ValueError, match=r"got \(8, 7\)$"):
+            reader(np.zeros((8, 7)))
+
+    @pytest.mark.parametrize("reader", SINGLE)
+    def test_single_distribution_readers_refuse_a_stack(self, reader):
+        with pytest.raises(ValueError, match=r"shape \(8, 8\), got \(3, 8, 8\)$"):
+            reader(outcome_distributions([w_state()] * 3))
+
+    def test_event_masses_keeps_the_stack_shape(self):
+        dists = outcome_distributions([attacked_w_state(phi) for phi in (0.0, 0.5)])
+        assert event_masses(dists).shape == (2, 3)
+        assert event_masses(dists.reshape(1, 2, 8, 8)).shape == (1, 2, 3)
 
 
 class TestChMiddleTerm:
     def test_existential_reading_violates_upper_bound(self):
         for roles in ROLE_ASSIGNMENTS:
-            result = ch_middle_term(w_state(), AT_LEAST_TWO, roles)
+            result = ch_middle_term(W, AT_LEAST_TWO, roles)
             assert result.value == pytest.approx(0.25, abs=1e-12)
             assert result.violation
 
     def test_strict_reading_stays_local(self):
         for roles in ROLE_ASSIGNMENTS:
-            result = ch_middle_term(w_state(), StrictPair(roles[0], roles[1]), roles)
+            result = ch_middle_term(W, StrictPair(roles[0], roles[1]), roles)
             assert result.value == pytest.approx(-5.0 / 12.0, abs=1e-12)
             assert not result.violation
 
     def test_product_state_value(self):
-        product = make_basis_state(3, [PLUS, PLUS, PLUS])
+        product = outcome_distribution(make_basis_state(3, [PLUS, PLUS, PLUS]))
         result = ch_middle_term(product, StrictPair(A, B))
         assert result.value == pytest.approx(-0.25, abs=1e-12)
         assert not result.violation
 
     def test_components_are_reported(self):
-        result = ch_middle_term(w_state(), AT_LEAST_TWO)
+        result = ch_middle_term(W, AT_LEAST_TWO)
         assert result.a11 == pytest.approx(1.0, abs=1e-12)
         assert result.a12 == pytest.approx(0.0, abs=1e-12)
         assert result.a21 == pytest.approx(0.0, abs=1e-12)
@@ -144,9 +169,9 @@ class TestChMiddleTerm:
 
     def test_role_validation(self):
         with pytest.raises(ValueError):
-            ch_middle_term(w_state(), AT_LEAST_TWO, (A, A, B))
+            ch_middle_term(W, AT_LEAST_TWO, (A, A, B))
         with pytest.raises(ValueError):
-            ch_middle_term(w_state(), StrictPair(A, C), (A, B, C))
+            ch_middle_term(W, StrictPair(A, C), (A, B, C))
 
     def test_local_states_respect_the_bound(self):
         # Product states admit a local model, so the middle term must stay
@@ -154,21 +179,21 @@ class TestChMiddleTerm:
         rng = np.random.default_rng(404)
         for _ in range(200):
             state = random_product_state(rng)
-            result = ch_middle_term(state, StrictPair(A, B))
+            result = ch_middle_term(outcome_distribution(state), StrictPair(A, B))
             assert -1.0 - 1e-12 <= result.value <= 1e-12
             assert not result.violation
 
 
 class TestSecurityEventProbability:
     def test_charlie_z_case(self):
-        state = attacked_w_state(math.pi / 4.0)
-        p = security_event_probability(state, AxisSet.from_label("xxz"))
+        masses = event_masses(outcome_distribution(attacked_w_state(math.pi / 4.0)))
+        p = masses[AxisSet.from_label("xxz").decider]
         assert p == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_charlie_x_cases(self):
-        state = attacked_w_state(math.pi / 3.0)
+        masses = event_masses(outcome_distribution(attacked_w_state(math.pi / 3.0)))
         for label in ("zxx", "xzx"):
-            p = security_event_probability(state, AxisSet.from_label(label))
+            p = masses[AxisSet.from_label(label).decider]
             assert p == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_no_attack_means_no_event(self):
@@ -177,15 +202,7 @@ class TestSecurityEventProbability:
         states = [attacked_w_state(0.0)]
         states += [apply_attack(w_state(), UnitaryCouplingAttack(0.0, t)) for t in (A, B, C)]
         for state in states:
-            for axis_set in QKD_AXIS_SETS:
-                assert security_event_probability(state, axis_set) == 0.0
-
-    def test_rejects_non_qkd_sets_and_plain_states(self):
-        state = attacked_w_state(0.5)
-        with pytest.raises(ValueError):
-            security_event_probability(state, AxisSet.from_label("zzz"))
-        with pytest.raises(ValueError):
-            security_event_probability(w_state(), AxisSet.from_label("xxz"))
+            assert event_masses(outcome_distribution(state)).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestAveragedSecurityProbability:
@@ -201,7 +218,7 @@ class TestAveragedSecurityProbability:
         # per-axis-set probabilities.
         for phi in np.linspace(0.0, HALF_PI, 50):
             state = attacked_w_state(float(phi))
-            per_set = [security_event_probability(state, s) for s in QKD_AXIS_SETS]
+            per_set = event_masses(outcome_distribution(state)).tolist()
             weighted = sum(per_set) / 3.0
             assert averaged_security_probability(float(phi)) == pytest.approx(
                 weighted, abs=1e-12
@@ -219,19 +236,20 @@ class TestBruteForceOracleAgreement:
         rng = np.random.default_rng(1234)
         states = [w_state(), ghz_state()] + [random_state(rng, 3) for _ in range(20)]
         for state in states:
+            dist = outcome_distribution(state)
             expected = enumerate_event_probability(
                 state,
                 [(A, Axis.Z), (B, Axis.Z), (C, Axis.Z)],
                 lambda bits: sum(1 for o in bits.values() if o is PLUS) >= 2,
             )
-            assert prob_two_z_plus(state, AT_LEAST_TWO) == pytest.approx(expected, abs=1e-12)
+            assert two_z_plus(dist, AT_LEAST_TWO) == pytest.approx(expected, abs=1e-12)
 
             expected = enumerate_event_probability(
                 state,
                 [(A, Axis.Z), (B, Axis.Z)],
                 lambda bits: bits[A] is PLUS and bits[B] is PLUS,
             )
-            assert prob_two_z_plus(state, StrictPair(A, B)) == pytest.approx(
+            assert two_z_plus(dist, StrictPair(A, B)) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -241,7 +259,7 @@ class TestBruteForceOracleAgreement:
                     [(z_party, Axis.Z), (x1, Axis.X), (x2, Axis.X)],
                     lambda bits: bits[z_party] is PLUS and bits[x1] is not bits[x2],
                 )
-                assert prob_z_plus_x_unequal(state, z_party, (x1, x2)) == pytest.approx(
+                assert event_masses(dist)[z_party] == pytest.approx(
                     expected, abs=1e-12
                 )
 
@@ -250,13 +268,16 @@ class TestBruteForceOracleAgreement:
                 [(A, Axis.X), (B, Axis.X), (C, Axis.X)],
                 lambda bits: bits[A] is bits[B] is bits[C],
             )
-            assert prob_x_all_equal(state) == pytest.approx(expected, abs=1e-12)
+            assert x_all_equal(dist) == pytest.approx(expected, abs=1e-12)
 
     def test_security_event_on_random_four_qubit_states(self):
         rng = np.random.default_rng(4321)
         states = [attacked_w_state(float(phi)) for phi in (0.0, 0.4, 1.1, HALF_PI)]
         states += [random_state(rng, 4) for _ in range(10)]
+        singles = []
         for state in states:
+            masses = event_masses(outcome_distribution(state))
+            singles.append(masses)
             for axis_set in QKD_AXIS_SETS:
                 decider = axis_set.decider
                 x1, x2 = axis_set.x_parties
@@ -265,15 +286,18 @@ class TestBruteForceOracleAgreement:
                     [(decider, Axis.Z), (x1, Axis.X), (x2, Axis.X), (3, Axis.Z)],
                     lambda bits: bits[decider] is PLUS and bits[x1] is not bits[x2],
                 )
-                assert security_event_probability(state, axis_set) == pytest.approx(
-                    expected, abs=1e-12
-                )
+                assert masses[decider] == pytest.approx(expected, abs=1e-12)
+        # The sweep and verify read a stacked pass: each state's row has the
+        # bytes of its own reading.
+        stacked = event_masses(outcome_distributions(states))
+        assert stacked.shape == (len(states), 3)
+        assert stacked.tobytes() == np.array(singles).tobytes()
 
     def test_ch_components_against_enumeration(self):
         rng = np.random.default_rng(5678)
         for _ in range(10):
             state = random_state(rng, 3)
-            result = ch_middle_term(state, StrictPair(A, B))
+            result = ch_middle_term(outcome_distribution(state), StrictPair(A, B))
             a22 = enumerate_event_probability(
                 state,
                 [(A, Axis.X), (B, Axis.X), (C, Axis.X)],

@@ -479,21 +479,17 @@ class TestVerifyCommand:
         assert output.count("PASS") >= 40
 
     def test_one_distribution_per_state_and_none_kept_between_calls(self, monkeypatch):
-        # Every event of a state is read from one outcome distribution, so a
-        # call distributes each checked state once (16, the sum of its
-        # stacks' sizes).  The second call distributes as many again:
-        # nothing is cached across calls.
+        # Every event of a state is read from one outcome distribution (the
+        # bell readers take it, and build none), so a call distributes each
+        # checked state once (16, the sum of its stacks' sizes).  The second
+        # call distributes as many again: nothing is cached across calls.
         builds = []
-
-        def single(state, build=wqsc.bell.outcome_distribution):
-            builds.append(state)
-            return build(state)
 
         def stacked(states, build=wqsc.golden.outcome_distributions):
             builds.extend(states)
             return build(states)
 
-        monkeypatch.setattr(wqsc.bell, "outcome_distribution", single)
+        assert not hasattr(wqsc.bell, "outcome_distribution")
         monkeypatch.setattr(wqsc.golden, "outcome_distributions", stacked)
         counts = []
         for _ in range(2):
@@ -639,6 +635,26 @@ WORKFLOW_BAD_INPUTS = {
     "epsilon-sweep": (
         {}, ["sweep-phi", "--grid", "0.5", "--seed", "1", "--epsilon", "0", "--output", "eps.csv"],
         EPSILON_ERROR,
+    ),
+    # argparse drops a "--" value, so "--flag=--" would hand the command an
+    # empty list; it is refused as a flag with no value.
+    "dashes-output": (
+        {}, ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--output=--"],
+        "error: argument --output: expected one argument",
+    ),
+    "dashes-output-variable": (
+        {"WQSC_OUTPUT": "--"}, ["run", "--mode", "qkd", "--trials", "10", "--seed", "1"],
+        "error: WQSC_OUTPUT: argument --output: expected one argument",
+    ),
+    # A bad environment value fails even when a flag overrides it.
+    "dashes-output-variable-overridden": (
+        {"WQSC_OUTPUT": "--"},
+        ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--output", "dashes.json"],
+        "error: WQSC_OUTPUT: argument --output: expected one argument",
+    ),
+    "dashes-grid": (
+        {}, ["sweep-phi", "--seed", "1", "--grid=--"],
+        "error: argument --grid: expected one argument",
     ),
 }
 

@@ -32,18 +32,17 @@ from helpers import (
     unit,
 )
 from wqsc import (
-    QKD_AXIS_SETS,
     Party,
     ProtocolConfig,
     ProtocolMode,
     UnitaryCouplingAttack,
     apply_attack,
     attacked_w_state,
+    event_masses,
     iter_trials,
     outcome_distribution,
     run_protocol,
     run_trial,
-    security_event_probability,
     w_state,
 )
 from wqsc import bell, protocol
@@ -371,8 +370,7 @@ class TestStreamContract:
         seed, grid, samples = 19, [0.4, HALF_PI, 1.3], 400
         expected = []
         for point, phi in enumerate(grid):
-            source = attacked_w_state(phi)
-            p_bar = sum(security_event_probability(source, axes) for axes in QKD_AXIS_SETS) / 3
+            p_bar = sum(event_masses(outcome_distribution(attacked_w_state(phi))).tolist()) / 3
             words = np.random.Philox(key=seed + ((point + 1) << 64)).random_raw(samples)
             expected.append(sum(unit(w) < p_bar for w in words) / samples)
         assert protocol.sample_security_frequency(grid, samples, seed) == expected

@@ -124,11 +124,10 @@ class TestAttackedWState:
 
     @pytest.mark.parametrize("phi", [0.3, 1.0, HALF_PI])
     def test_attacked_state_is_asymmetric(self, phi):
-        from wqsc import prob_z_plus_x_unequal
+        from wqsc import event_masses, outcome_distribution
 
-        state = attacked_w_state(phi)
-        charlie_z = prob_z_plus_x_unequal(state, C, (A, B))
-        alice_z = prob_z_plus_x_unequal(state, A, (B, C))
+        masses = event_masses(outcome_distribution(attacked_w_state(phi)))
+        charlie_z, alice_z = masses[C], masses[A]
         assert charlie_z == pytest.approx(math.sin(phi) ** 2 / 6.0, abs=1e-12)
         assert alice_z == pytest.approx((1.0 - math.cos(phi)) / 3.0, abs=1e-12)
         assert abs(charlie_z - alice_z) > 1e-6
