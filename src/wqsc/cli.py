@@ -132,13 +132,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
+# Per command, built at import: its keywords by flag, and each flag's (WQSC_ name, flag).
+_FLAGS = {command: dict(flags) for command, (_, flags) in _COMMANDS.items()}
+_ENV_NAMES = {command: [(ENV_PREFIX + flag[2:].upper().replace("-", "_"), flag) for flag in flags]
+              for command, flags in _FLAGS.items()}
+
+
 def _environment(command: str) -> dict[str, str]:
     """``{WQSC_<FLAG>: --flag=value}`` for each set variable of ``command``'s flags."""
-    return {
-        name: f"{flag}={os.environ[name]}"
-        for flag, _ in _COMMANDS[command][1]
-        if (name := ENV_PREFIX + flag[2:].upper().replace("-", "_")) in os.environ
-    }
+    return {name: f"{flag}={os.environ[name]}" for name, flag in _ENV_NAMES[command]
+            if name in os.environ}
 
 
 def _read_words(command: str, words: Sequence[str]) -> argparse.Namespace | None:
@@ -152,7 +155,7 @@ def _read_words(command: str, words: Sequence[str]) -> argparse.Namespace | None
     (an abbreviation, ``--help``, ``--``, a stray word, a flag with no
     value, a bad value, a missing required flag) gives None.
     """
-    flags = dict(_COMMANDS[command][1])
+    flags = _FLAGS[command]
     given = {}
     rest = iter(words)
     for word in rest:

@@ -22,7 +22,8 @@ word ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
 probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`:
 the unattacked source's, built once per process, or one per attacked
 ``run`` call, and for ``sweep-phi`` one stacked
-:func:`~wqsc.qcore.outcome_distributions` pass over every grid point.
+:func:`~wqsc.qcore.outcome_distributions` pass over every grid point.  The
+unattacked source's interval trees are built once per announce rate.
 
 * ``run`` (stream v5): key ``seed``.  Trial ``i`` reads raw word ``i``,
   position ``i & 3`` of ``Philox(key=seed, counter=i >> 2)``, so any trial
@@ -321,15 +322,15 @@ _DRAW_SHIFT = np.uint64(11)  # word x draws k = x >> 11, the uniform k * 2**-53
 _SET_MASK = np.uint64(7)  # run: the word's axis-set bits
 
 
-def _threshold(p: np.ndarray | float) -> np.ndarray:
-    """``ceil(p * 2**53)`` as uint64: a draw ``k`` lies below ``p`` iff below this.
+def _threshold(p: float) -> int:
+    """``ceil(p * 2**53)``: a draw ``k`` lies below ``p`` iff below this.
 
     ``p * 2**53`` is exact for every ``p`` in [0, 1], so the rule is exact.
     """
-    return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    return math.ceil(math.ldexp(p, 53))
 
 
-def _walk_thresholds(dist: np.ndarray, announce: np.uint64) -> np.ndarray:
+def _walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
     """Split points of each axis set's two interval trees, by walk position.
 
     ``dist`` is an :func:`~wqsc.qcore.outcome_distribution` and ``announce``
@@ -355,7 +356,7 @@ def _walk_thresholds(dist: np.ndarray, announce: np.uint64) -> np.ndarray:
     plus = children[:, None, 0::2]
     total = plus + children[:, None, 1::2]
     ratio = plus / np.where(total > 0.0, total, 1.0)  # (8, 1, 7): A's node, B's 2, C's 4
-    ann = float(announce)  # numpy builds the roots faster from a float than from a uint64
+    ann = float(announce)  # numpy builds the roots faster from a float than from an int
     lo, width = np.array([[[0.0], [ann]]]), np.array([[[ann], [2.0**53 - ann]]])
     splits = np.zeros(128)
     for depth in range(len(Party)):
@@ -371,7 +372,7 @@ def _walk_thresholds(dist: np.ndarray, announce: np.uint64) -> np.ndarray:
     return splits.astype(np.uint64)
 
 
-def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: np.uint64) -> np.ndarray:
+def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: int) -> np.ndarray:
     """Each trial's cell ``16s + 8u + o``, ``u`` 1 for an unannounced trial.
 
     ``raw`` holds the trials' words, one each; ``announce`` is the announce
@@ -410,9 +411,9 @@ def _record(mode: ProtocolMode, index: int, cell: int) -> TrialRecord:
 def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     """Replay one trial from its counter alone; deterministic in (config.seed, index).
 
-    The source state is prepared (with the attack applied when one is
-    configured), each party measures its qubit along its chosen axis, and
-    the announcement flag is drawn.  Announced trials carry no key bits.
+    Trial ``index`` reads its one Philox word, whose draw walks the run's
+    interval trees: the announcement split, then each party's outcome on
+    the axis set its low bits chose.  Announced trials carry no key bits.
     """
     index = integer_argument("trial index", index, 0)
     _, cells = next(_run_chunks(config, index, 1))
@@ -427,19 +428,29 @@ def _w_distribution() -> np.ndarray:
     return dist
 
 
+@functools.lru_cache(maxsize=64)
+def _w_trees(announce_rate: float) -> tuple[int, np.ndarray]:
+    """The unattacked source's ``(ann, splits)`` at this announce rate, built once, read-only."""
+    announce = _threshold(announce_rate)
+    splits = _walk_thresholds(_w_distribution(), announce)
+    splits.flags.writeable = False
+    return announce, splits
+
+
 def _run_chunks(
     config: ProtocolConfig, first: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
     attack = config.attack
     if attack is None:
-        dist = _w_distribution()
+        announce, thresholds = _w_trees(config.announce_rate)
     else:
+        announce = _threshold(config.announce_rate)
         dist = outcome_distribution(attacked_w_state(attack.phi, attack.target))
-    announce = _threshold(config.announce_rate)
-    thresholds = _walk_thresholds(dist, announce)
+        thresholds = _walk_thresholds(dist, announce)
     bits = np.random.Philox(key=config.seed, counter=first >> 2)
-    bits.random_raw(first & 3)  # a first trial inside a block skips its block's earlier words
+    if first & 3:  # a first trial inside a block skips its block's earlier words
+        bits.random_raw(first & 3)
     for start, raw in _chunks(bits, count):
         yield first + start, _trial_cells(thresholds, raw, announce)
 

@@ -60,6 +60,8 @@ def integer_argument(name: str, value: object, low: int, high: int | None = None
     A value out of range too long for ``str`` (an int of more than 4300
     digits) is named by its type and the bound only.
     """
+    if type(value) is int and value >= low and (high is None or value <= high):
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:

@@ -13,6 +13,7 @@ from wqsc import (
     AT_LEAST_TWO,
     Axis,
     Outcome,
+    Party,
     ProtocolConfig,
     ProtocolMode,
     StrictPair,
@@ -108,3 +109,26 @@ def test_numpy_numbers_pass_as_their_python_values():
     assert UnitaryCouplingAttack(angle, np.int64(1)) == UnitaryCouplingAttack(0.5, 1)
     assert np.array_equal(attacked_w_state(angle).amplitudes, attacked_w_state(0.5).amplitudes)
     assert averaged_security_probability(angle) == averaged_security_probability(0.5)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), Party.CHARLIE], ids=["int", "int64", "Party"])
+def test_integers_come_back_as_exactly_int(value):
+    result = integer_argument("n", value, 0, 2)
+    assert type(result) is int and result == 2
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "n must be an integer, got True"),
+        (-1, "n must be at least 0, got -1"),
+        (3, "n must be at most 2, got 3"),
+        (10**5000, "n must be at most 2, got int beyond that bound"),
+    ],
+    ids=["bool", "below", "above", "huge"],
+)
+def test_integer_rule_messages_at_the_bounds(value, message):
+    # A Python int in range returns at once; every other value keeps its message.
+    with pytest.raises(ValueError) as info:
+        integer_argument("n", value, 0, 2)
+    assert str(info.value) == message

@@ -46,6 +46,7 @@ from wqsc import (
     w_state,
 )
 from wqsc import bell, protocol
+from test_determinism import ATTACK_FLAGS, RUN_DIGESTS, RUN_FLAGS, digest
 from wqsc.cli import main
 
 HALF_PI = math.pi / 2.0
@@ -274,6 +275,31 @@ class TestTreeConstruction:
         assert cached is protocol._w_distribution()
         assert not cached.flags.writeable
         assert cached.tobytes() == outcome_distribution(w_state()).tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.1, 0.3, math.nextafter(1.0, 0.0)])
+    def test_unattacked_trees_are_built_once_per_rate_and_read_only(self, rate):
+        # Every unattacked run at this rate reads these splits; a write would change them all.
+        cached = protocol._w_trees(rate)
+        assert cached is protocol._w_trees(rate)
+        announce, splits = cached
+        assert not splits.flags.writeable
+        assert announce == protocol._threshold(rate)
+        built = protocol._walk_thresholds(
+            outcome_distribution(w_state()), protocol._threshold(rate)
+        )
+        assert splits.tobytes() == built.tobytes()
+
+    def test_pinned_runs_read_the_same_bytes_in_either_order(self, tmp_path):
+        # The 12 pinned runs, forward and then backward in one process, each
+        # beside an unattacked run at another rate: each still gives its
+        # pinned digest, so no rate or attack leaks through the cached trees.
+        configs = list(RUN_DIGESTS)
+        for mode, fmt, attacked in configs + configs[::-1]:
+            argv = ["run", "--mode", mode, *RUN_FLAGS, "--format", fmt]
+            argv += ATTACK_FLAGS if attacked else []
+            assert digest(tmp_path, *argv) == RUN_DIGESTS[mode, fmt, attacked]
+            other = ("--trials", "50", "--seed", "1", "--announce-rate", "0.6")
+            assert digest(tmp_path, "run", "--mode", mode, *other)[0] == 0
 
 
 class TestChunking:
