@@ -8,18 +8,6 @@ later, wins; an error in such a value starts with the variable's name.
 All randomness flows from ``--seed``, which is required, so a repeated
 invocation with identical flags produces byte-identical output.
 
-When the first word names a command, the words after it (environment
-values first) are read straight from the flag table if each is
-``--flag=value`` or ``--flag value`` with an exact flag of that command,
-the value not starting with ``-`` in the second form, every value passes
-its type and choices, and every required flag is given.  That gives the
-namespace argparse would, without building a parser.  Anything else (an
-abbreviation, ``--help``, ``--``, a stray word, a bad or missing value)
-goes to argparse, the only source of error texts and help: to that
-command's own parser, and for any other first word (none, an unknown
-command, ``--help``) to the top-level parser.  The parsers hold no
-environment; they are built once per process, on first use.
-
 Exit codes: 0 success / channel secure, 1 usage error (bad flags or an
 unopenable output, caught before any simulation), 2 verification failure /
 channel compromised, 3 inconclusive security check.
@@ -201,7 +189,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     words after a command word to that command's own parser, and the rest
     (no words, an unknown command, ``--help``) to the top-level parser,
     whose error names a leading flag, which belongs after the command word.
-    The environment values come first, so a bad one fails as it does when
+    argparse is the only source of error texts and help; its parsers hold
+    no environment and are built once per process, on first use.  The
+    environment values come first, so a bad one fails as it does when
     they are parsed alone; that error is prefixed with the variable's name.
     A ``--`` value, which argparse returns as an empty list, is refused as
     a flag with no value.
@@ -253,7 +243,7 @@ def _open_output(path: str) -> ContextManager[TextIO]:
 def _cmd_run(args: argparse.Namespace) -> int:
     attack = None if args.phi is None else UnitaryCouplingAttack(args.phi, args.target)
     config = ProtocolConfig(
-        mode=ProtocolMode(args.mode),
+        mode=args.mode,
         trials=args.trials,
         seed=args.seed,
         announce_rate=args.announce_rate,

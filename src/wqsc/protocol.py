@@ -20,10 +20,9 @@ random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 words.  A
 word ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
 ``Generator.random()`` computes, and is compared with integers only.  Every
 probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`:
-the unattacked source's, built once per process, or one per attacked
-``run`` call, and for ``sweep-phi`` one stacked
-:func:`~wqsc.qcore.outcome_distributions` pass over every grid point.  The
-unattacked source's interval trees are built once per announce rate.
+for ``run`` the source's, with its interval trees built once per (attack,
+announce rate) key, and for ``sweep-phi`` one stacked
+:func:`~wqsc.qcore.outcome_distributions` pass over every grid point.
 
 * ``run`` (stream v5): key ``seed``.  Trial ``i`` reads raw word ``i``,
   position ``i & 3`` of ``Philox(key=seed, counter=i >> 2)``, so any trial
@@ -414,25 +413,23 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     Trial ``index`` reads its one Philox word, whose draw walks the run's
     interval trees: the announcement split, then each party's outcome on
     the axis set its low bits chose.  Announced trials carry no key bits.
+    ``index`` runs from 0 to ``2**258 - 1``, the stream's last word.
     """
-    index = integer_argument("trial index", index, 0)
+    index = integer_argument("trial index", index, 0, 2**258 - 1)
     _, cells = next(_run_chunks(config, index, 1))
     return _record(config.mode, index, int(cells[0]))
 
 
-@functools.cache
-def _w_distribution() -> np.ndarray:
-    """The unattacked source's outcome distribution, built on first use, read-only."""
-    dist = outcome_distribution(w_state())
-    dist.flags.writeable = False
-    return dist
-
-
 @functools.lru_cache(maxsize=64)
-def _w_trees(announce_rate: float) -> tuple[int, np.ndarray]:
-    """The unattacked source's ``(ann, splits)`` at this announce rate, built once, read-only."""
+def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> tuple[int, np.ndarray]:
+    """The run source's ``(ann, splits)`` at this announce rate, built once per key, read-only.
+
+    The source is ``w_state()``, or under ``attack`` the closed form
+    ``attacked_w_state(phi, target)``; the 64 keys last used are kept.
+    """
+    source = w_state() if attack is None else attacked_w_state(attack.phi, attack.target)
     announce = _threshold(announce_rate)
-    splits = _walk_thresholds(_w_distribution(), announce)
+    splits = _walk_thresholds(outcome_distribution(source), announce)
     splits.flags.writeable = False
     return announce, splits
 
@@ -441,13 +438,7 @@ def _run_chunks(
     config: ProtocolConfig, first: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
-    attack = config.attack
-    if attack is None:
-        announce, thresholds = _w_trees(config.announce_rate)
-    else:
-        announce = _threshold(config.announce_rate)
-        dist = outcome_distribution(attacked_w_state(attack.phi, attack.target))
-        thresholds = _walk_thresholds(dist, announce)
+    announce, thresholds = _trees(config.attack, config.announce_rate)
     bits = np.random.Philox(key=config.seed, counter=first >> 2)
     if first & 3:  # a first trial inside a block skips its block's earlier words
         bits.random_raw(first & 3)

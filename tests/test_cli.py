@@ -315,6 +315,13 @@ class TestDispatch:
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: wqsc ")
 
+    def test_help_shows_usage_not_implementation_notes(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "Exit codes" in out and "argparse" not in out
+
     def test_command_help_is_the_commands_own(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--help"])

@@ -12,6 +12,7 @@ that neither the chunk size nor the order in which trials are computed
 changes a result.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -269,25 +270,40 @@ class TestTreeConstruction:
                         bound = 3 + gamma * span + ideal * abs(row_sum - 1) / row_sum
                         assert abs(widths[s][half][o] - ideal) <= bound, (rate, s, half, o)
 
-    def test_unattacked_distribution_is_built_once_and_read_only(self):
-        # Every unattacked run reads this one array; a write would change them all.
-        cached = protocol._w_distribution()
-        assert cached is protocol._w_distribution()
-        assert not cached.flags.writeable
-        assert cached.tobytes() == outcome_distribution(w_state()).tobytes()
-
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda t: "W" if t is None else t.letter)
     @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.1, 0.3, math.nextafter(1.0, 0.0)])
-    def test_unattacked_trees_are_built_once_per_rate_and_read_only(self, rate):
-        # Every unattacked run at this rate reads these splits; a write would change them all.
-        cached = protocol._w_trees(rate)
-        assert cached is protocol._w_trees(rate)
+    def test_trees_are_built_once_per_key_and_read_only(self, rate, target):
+        # Every run with this attack and rate reads these splits; a write would change them all.
+        attack = None if target is None else UnitaryCouplingAttack(0.7, target)
+        cached = protocol._trees(attack, rate)
+        assert cached is protocol._trees(attack, rate)
         announce, splits = cached
         assert not splits.flags.writeable
         assert announce == protocol._threshold(rate)
-        built = protocol._walk_thresholds(
-            outcome_distribution(w_state()), protocol._threshold(rate)
-        )
+        built = protocol._walk_thresholds(outcome_distribution(source_for(0.7, target)), announce)
         assert splits.tobytes() == built.tobytes()
+
+    def test_interleaved_targets_read_their_own_trees(self):
+        # One (phi, rate) on each target and unattacked, in one process and in
+        # both orders: each report is the one its config gives alone, so no
+        # target's trees are handed to another through the cache.
+        configs = [
+            ProtocolConfig(ProtocolMode.SYNTH, trials=3000, seed=9, announce_rate=0.4,
+                           attack=None if target is None else UnitaryCouplingAttack(1.1, target))
+            for target in TARGETS
+        ]
+        alone = []
+        for config in configs:
+            protocol._trees.cache_clear()
+            alone.append(run_protocol(config))
+        counts = {dataclasses.replace(r, attack_phi=None, attack_target=None) for r in alone}
+        assert len(counts) == len(configs)  # the four sources give four different reports
+        protocol._trees.cache_clear()
+        assert [run_protocol(config) for config in configs] == alone
+        assert [run_protocol(config) for config in configs[::-1]] == alone[::-1]
+        protocol._trees.cache_clear()
+        assert [run_protocol(config) for config in configs[::-1]] == alone[::-1]
+        assert [run_protocol(config) for config in configs] == alone
 
     def test_pinned_runs_read_the_same_bytes_in_either_order(self, tmp_path):
         # The 12 pinned runs, forward and then backward in one process, each

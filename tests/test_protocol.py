@@ -162,6 +162,14 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(config, -1)
 
+    def test_index_is_bounded_by_the_stream(self):
+        # 2**258 words: four per value of Philox's 256-bit counter.
+        config = ProtocolConfig(ProtocolMode.QKD, trials=10, seed=7)
+        last = run_trial(config, 2**258 - 1)
+        assert last.index == 2**258 - 1 and last == run_trial(config, 2**258 - 1)
+        with pytest.raises(ValueError, match="^trial index must be at most "):
+            run_trial(config, 2**258)
+
     @pytest.mark.parametrize("index", [1.5, True, 1.0, "1"])
     def test_non_integer_index_rejected(self, index):
         config = ProtocolConfig(ProtocolMode.QKD, trials=10, seed=7)
