@@ -1,12 +1,11 @@
 """Command-line driver: run protocols, verify golden values, sweep the attack.
 
 Every flag is mirrored by an environment variable with the ``WQSC_`` prefix
-(``--announce-rate`` by ``WQSC_ANNOUNCE_RATE`` and so on).  Each one that is
-set enters the invoked command as ``--flag=value`` ahead of the command's
-own words, so it is checked like any flag and an explicit flag, read
-later, wins; an error in such a value starts with the variable's name.
-All randomness flows from ``--seed``, which is required, so a repeated
-invocation with identical flags produces byte-identical output.
+(``--announce-rate`` by ``WQSC_ANNOUNCE_RATE`` and so on).  Set variables
+are read before the command's own words and checked as flags are, so an
+explicit flag wins; an error in such a value starts with the variable's
+name.  All randomness flows from ``--seed``, which is required, so a
+repeated invocation with identical flags produces byte-identical output.
 
 Exit codes: 0 success / channel secure, 1 usage error (bad flags or an
 unopenable output, caught before any simulation), 2 verification failure /
@@ -15,12 +14,12 @@ channel compromised, 3 inconclusive security check.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import os
+import re
 import sys
-from typing import ContextManager, Sequence, TextIO
+from types import SimpleNamespace
+from typing import ContextManager, Mapping, Sequence, TextIO
 
 from .adversary import UnitaryCouplingAttack
 from .bell import averaged_security_probability
@@ -58,20 +57,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; remap to the usage code.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
-def _party(text: str) -> Party:
-    """A party flag's letter or name as a :class:`Party`, as argparse converts it."""
-    try:
-        return Party.from_letter(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 _SEED = ("--seed", dict(required=True, type=int, help="root RNG seed"))
 _EPSILON = ("--epsilon", dict(type=float, default=DEFAULT_EPSILON,
                               help="permitted security-event frequency"))
@@ -87,10 +72,11 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
                                  help="per-trial probability of a public outcome announcement")),
         ("--phi", dict(type=float, default=None,
                        help="attack coupling strength in radians, [0, pi/2]; omit for no attack")),
-        ("--target", dict(type=_party, default="C",
+        ("--target", dict(type=Party.from_letter, default=Party.CHARLIE,
                           help="attacked party (A, B, or C); meaningful only with --phi")),
         _EPSILON,
-        ("--dealer", dict(type=_party, default="A", help="secret-sharing dealer")),
+        ("--dealer", dict(type=Party.from_letter, default=Party.ALICE,
+                          help="secret-sharing dealer")),
         ("--format", dict(choices=REPORT_FORMATS, default="json", help="report format")),
         ("--output", dict(default="-", help="report path, '-' for stdout")),
     )),
@@ -105,132 +91,145 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
     )),
 }
 
-
-@functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own, built on first use and shared."""
-    parser = _Parser(prog="wqsc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for command, (help_text, flags) in _COMMANDS.items():
-        command_parser = commands[command] = sub.add_parser(command, help=help_text)
-        command_parser.set_defaults(command=command)
-        for flag, kwargs in flags:
-            command_parser.add_argument(flag, **kwargs)
-    return parser, commands
+# Per command: each flag's namespace name, WQSC_ variable and keywords; the unset flags' values.
+_FLAGS = {command: {flag: (dest, ENV_PREFIX + dest.upper(), kwargs) for flag, kwargs in flags
+                    for dest in [flag[2:].replace("-", "_")]}
+          for command, (_, flags) in _COMMANDS.items()}
+_DEFAULTS = {command: {"command": command, **{dest: kwargs.get("default")
+                                               for dest, _, kwargs in flags.values()}}
+             for command, flags in _FLAGS.items()}
+_HELP = ("-h", "--help")
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-# Per command, built at import: its keywords by flag, and each flag's (WQSC_ name, flag).
-_FLAGS = {command: dict(flags) for command, (_, flags) in _COMMANDS.items()}
-_ENV_NAMES = {command: [(ENV_PREFIX + flag[2:].upper().replace("-", "_"), flag) for flag in flags]
-              for command, flags in _FLAGS.items()}
-
-
-def _environment(command: str) -> dict[str, str]:
-    """``{WQSC_<FLAG>: --flag=value}`` for each set variable of ``command``'s flags."""
-    return {name: f"{flag}={os.environ[name]}" for name, flag in _ENV_NAMES[command]
-            if name in os.environ}
-
-
-def _read_words(command: str, words: Sequence[str]) -> argparse.Namespace | None:
-    """``command``'s parser's namespace for ``words``, or None where argparse must read them.
-
-    Each word must be ``--flag=value`` or ``--flag value``, ``--flag`` an
-    exact name of the command's and, in the second form, ``value`` not
-    starting with ``-``.  Each value goes through the flag's ``type`` and
-    ``choices`` and the last one wins; unset flags take their defaults, a
-    ``str`` default through its ``type``, as argparse does.  Anything else
-    (an abbreviation, ``--help``, ``--``, a stray word, a flag with no
-    value, a bad value, a missing required flag) gives None.
-    """
-    flags = _FLAGS[command]
-    given = {}
-    rest = iter(words)
-    for word in rest:
-        if word in flags:
-            flag, text = word, next(rest, "-")  # no value at all fails as "-" does
-            if text.startswith("-"):
-                return None
-        else:
-            flag, equals, text = word.partition("=")
-            # argparse drops a "--" value, so "--flag=--" reads as an empty list.
-            if not equals or flag not in flags or text == "--":
-                return None
-        kwargs = flags[flag]
-        try:
-            value = kwargs["type"](text) if "type" in kwargs else text
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
-            return None
-        given[flag] = value
-    values = {}
-    for flag, kwargs in flags.items():
-        if flag in given:
-            value = given[flag]
-        elif kwargs.get("required"):
-            return None
-        else:
-            value = kwargs.get("default")
-            if isinstance(value, str) and "type" in kwargs:
-                value = kwargs["type"](value)
-        values[flag[2:].replace("-", "_")] = value
-    values["command"] = command
-    namespace = argparse.Namespace()
-    vars(namespace).update(values)  # Namespace(**values) without its setattr per flag
-    return namespace
-
-
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse ``argv`` as argparse would, environment values ahead of a command's own words.
-
-    Well-formed words after a command word are read by :func:`_read_words`
-    without building any parser.  Anything else goes to argparse: the
-    words after a command word to that command's own parser, and the rest
-    (no words, an unknown command, ``--help``) to the top-level parser,
-    whose error names a leading flag, which belongs after the command word.
-    argparse is the only source of error texts and help; its parsers hold
-    no environment and are built once per process, on first use.  The
-    environment values come first, so a bad one fails as it does when
-    they are parsed alone; that error is prefixed with the variable's name.
-    A ``--`` value, which argparse returns as an empty list, is refused as
-    a flag with no value.
-    """
-    if not argv or argv[0] not in _COMMANDS:
-        try:
-            return build_parser()[0].parse_args(argv)
-        except _UsageError:
-            if argv and argv[0].startswith("-") and argv[0] not in ("-", "--"):
-                raise _UsageError(f"flag {argv[0]} comes before the command word; flags go "
-                                  "after the command word, as in 'wqsc run --seed 1'") from None
-            raise
-    env = _environment(argv[0])
-    words = [*env.values(), *argv[1:]]
-    if (args := _read_words(argv[0], words)) is not None:
-        return args
-    # argparse drops a "--" value ("--flag=--" reads as an empty list).  A
-    # variable set to it fails first, as any bad environment value does.
-    for name, word in env.items():
-        flag, _, value = word.partition("=")
-        if value == "--":
-            raise _UsageError(f"{name}: argument {flag}: expected one argument")
-    command_parser = build_parser()[1][argv[0]]
+def _value(flag: str, kwargs: dict, text: str) -> object:
+    """``text`` as ``flag``'s value: through its ``type``, then checked against its ``choices``."""
+    if text == "--":
+        raise _UsageError(f"argument {flag}: expected one argument")
+    kind = kwargs.get("type", str)
     try:
-        args = command_parser.parse_args(words)
-    except _UsageError as exc:
-        message = str(exc)
-        for name, flag in env.items():
-            if message.startswith(f"argument {flag.partition('=')[0]}: "):
-                try:
-                    command_parser.parse_args([*env.values()])
-                except _UsageError as alone:
-                    if str(alone) == message:
-                        raise _UsageError(f"{name}: {message}") from None
-        raise
-    for dest, value in vars(args).items():
-        if isinstance(value, list):
-            raise _UsageError(f"argument --{dest.replace('_', '-')}: expected one argument")
-    return args
+        text = kind(text)
+    except ValueError as exc:
+        reason = f"invalid {kind.__name__} value: {text!r}" if kind in (int, float) else exc
+        raise _UsageError(f"argument {flag}: {reason}") from None
+    if "choices" in kwargs and text not in kwargs["choices"]:
+        choices = ", ".join(map(repr, kwargs["choices"]))
+        raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _option(flags: dict, word: str) -> tuple[str, str | None] | None:
+    """The flag ``word`` (``-`` and more, not ``--`` or a flag) names, and its ``=`` value.
+
+    The flag, one of ``flags`` or a help flag, is named before an ``=`` or
+    by a prefix of it alone (``-h`` also by ``-hh``); a prefix of two flags
+    is an error.  Else ``word`` is a value (None) if it is ``-``, a negative
+    number or holds a space, and an unknown flag if not.
+    """
+    head, equals, tail = word.partition("=")
+    if equals and (head in flags or head in _HELP):
+        return head, tail
+    if word[1:2] == "-":
+        matches = [flag for flag in ("--help", *flags) if flag.startswith(head)]
+        explicit = tail if equals else None
+    else:
+        matches, explicit = ["-h"] if word[:2] == "-h" else [], word[2:] or None
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {word} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], explicit
+    return None if word == "-" or _NUMBER.match(word) or " " in word else (word, None)
+
+
+def _help(command: str | None, option: str, explicit: str | None) -> None:
+    """Print ``wqsc --help`` (``command`` None) or ``wqsc <command> --help`` and exit 0."""
+    if option == "-h" and explicit:
+        explicit = explicit.lstrip("h") or None  # "-hh" is "-h -h"
+    if explicit is not None:
+        raise _UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+    if command is None:
+        usage, text = f"[-h] {{{','.join(_COMMANDS)}}} ...", __doc__
+        rows = [(name, summary) for name, (summary, _) in _COMMANDS.items()]
+    else:
+        (text, _), usage = _COMMANDS[command], f"{command} [-h] [flags]"
+        rows = [("-h, --help", "show this help and exit")]
+        for flag, (dest, _, kwargs) in _FLAGS[command].items():
+            name = "{%s}" % ",".join(kwargs["choices"]) if "choices" in kwargs else dest.upper()
+            note = " (required)" if kwargs.get("required") else ""
+            rows.append((f"{flag} {name}", kwargs["help"] + note))
+    width = max(len(left) for left, _ in rows) + 2
+    print(f"usage: wqsc {usage}\n\n{text.replace('``', '').strip()}\n")
+    print("\n".join(f"  {left:<{width}}{right}" for left, right in rows))
+    sys.exit(EXIT_OK)
+
+
+def _read(command: str, words: Sequence[str], environ: Mapping[str, str]) -> SimpleNamespace:
+    """``command``'s namespace for its ``WQSC_*`` variables in ``environ``, then ``words``.
+
+    A flag is ``--flag value`` or ``--flag=value`` (not ``--flag=--``), the
+    last one wins, and a spaced value starting with ``-`` must be ``-``, a
+    negative number or hold a space.  A variable's error starts with its
+    name; then come a prefix of two flags before any ``--``, each value or
+    help in order, the missing required flags, and unrecognized words.
+    """
+    flags, given = _FLAGS[command], {}
+    for flag, (dest, name, kwargs) in flags.items():
+        if name in environ:
+            try:
+                given[dest] = _value(flag, kwargs, environ[name])
+            except _UsageError as exc:
+                raise _UsageError(f"{name}: {exc}") from None
+    end = words.index("--") if "--" in words else len(words)
+    # A word is an exact flag, a value, or (rarely) what _option reads it as.
+    options = [(word, None) if word in flags else None if word[:1] != "-" else _option(flags, word)
+               for word in words[:end]]
+    extras, positions = [], iter(range(end))
+    for index in positions:
+        flag, text = options[index] or (None, None)
+        if flag in flags:
+            if text is None:
+                index = next(positions, end)
+                if index == end or options[index] is not None:
+                    raise _UsageError(f"argument {flag}: expected one argument")
+                text = words[index]
+            dest, _, kwargs = flags[flag]
+            given[dest] = _value(flag, kwargs, text)
+        elif flag in _HELP:
+            _help(command, flag, text)
+        else:
+            extras.append(words[index])
+    if missing := [flag for flag, (dest, _, kwargs) in flags.items()
+                   if kwargs.get("required") and dest not in given]:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras or end < len(words):
+        raise _UsageError(f"unrecognized arguments: {' '.join([*extras, *words[end:]])}")
+    return SimpleNamespace(**{**_DEFAULTS[command], **given})
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace for ``argv``, read by :func:`_read` after a leading command word.
+
+    Else a help flag among the leading flags prints help, or an error names
+    a leading flag, which goes after the command word.
+    """
+    if argv and argv[0] in _COMMANDS:
+        return _read(argv[0], argv[1:], os.environ)
+    if argv and argv[0].startswith("-") and argv[0] not in ("-", "--"):
+        with contextlib.suppress(_UsageError):
+            for index, word in enumerate(argv):
+                option = _option({}, word) if word[:1] == "-" and word != "--" else None
+                if option is None:
+                    if word in _COMMANDS:
+                        _read(word, argv[index + 1:], {})  # its help or error
+                    break
+                if option[0] in _HELP:
+                    _help(None, *option)
+        raise _UsageError(f"flag {argv[0]} comes before the command word; flags go after "
+                          "the command word, as in 'wqsc run --seed 1'")
+    if list(argv) in ([], ["--"]):
+        raise _UsageError("the following arguments are required: command")
+    choices = ", ".join(map(repr, _COMMANDS))
+    raise _UsageError(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
 
 
 def _open_output(path: str) -> ContextManager[TextIO]:
@@ -240,7 +239,7 @@ def _open_output(path: str) -> ContextManager[TextIO]:
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: SimpleNamespace) -> int:
     attack = None if args.phi is None else UnitaryCouplingAttack(args.phi, args.target)
     config = ProtocolConfig(
         mode=args.mode,
@@ -266,7 +265,7 @@ def _cmd_verify() -> int:
     return EXIT_OK if passed else EXIT_COMPROMISED
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     # A blank grid is the empty grid, which the sampler's check names; a
     # blank item among values would silently shorten the sweep.
     items = [item.strip() for item in args.grid.split(",")]

@@ -291,8 +291,6 @@ def measure_qubit(
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
     axis = Axis(axis)
     qubit = integer_argument("qubit", qubit, 0, state.num_qubits - 1)
-    if abs(state.squared_norm() - 1.0) > NORM_ATOL:
-        raise InvalidStateError("cannot measure an unnormalized state")
     components = np.stack(_axis_components(_split_on_qubit(state.amplitudes, qubit), axis))
     masses = _masses(components)
     p_plus = float(masses[Outcome.PLUS] / (masses[Outcome.PLUS] + masses[Outcome.MINUS]))

@@ -114,6 +114,8 @@ class TestWStateEventSuite:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             StrictPair(A, A)
+        with pytest.raises(TypeError, match="^unsupported pair interpretation: 'both'$"):
+            two_z_plus(W, "both")
 
 
 class TestReaderShapes:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -5,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -164,6 +166,13 @@ class TestFailFast:
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep-phi", "--grid", grid, "--seed", "1", "--output", str(out)) == 1
         assert capsys.readouterr().err == f"error: bad phi grid {grid!r}: item {item} is empty\n"
+        assert not out.exists()
+
+    def test_grid_item_that_is_not_a_number_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-phi", "--grid", "0.5,abc", "--seed", "1", "--output", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: bad phi grid: could not convert string to float: 'abc'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,grid,samples,seed,named", [
@@ -329,8 +338,29 @@ class TestDispatch:
         assert capsys.readouterr().out.startswith("usage: wqsc run ")
 
 
-# Values each flag's type and choices accept, and values that probe where the
-# argv reader must leave the words to argparse.
+class TestHelp:
+    @staticmethod
+    def help_of(argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    def test_help_prints_the_docstring_paragraphs_as_written(self, capsys):
+        out = self.help_of(["--help"], capsys)
+        assert any(line.startswith("Exit codes:") for line in out.splitlines())
+        assert "``" not in out
+
+    @pytest.mark.parametrize("command", list(wqsc.cli._COMMANDS))
+    def test_command_help_lists_every_flag_with_its_help(self, command, capsys):
+        lines = self.help_of([command, "--he"], capsys).splitlines()
+        assert lines[0].startswith(f"usage: wqsc {command} ")
+        for flag, kwargs in flags_of(command):
+            assert any(line.split()[:1] == [flag] and kwargs["help"] in line for line in lines)
+
+
+# Values each flag's type and choices accept, and values that probe the
+# reader's rules for odd words.
 GOOD_VALUES = {
     "--mode": ["qkd", "synth"],
     "--trials": ["10", "5_0"],
@@ -344,9 +374,10 @@ GOOD_VALUES = {
     "--output": ["out.json", "x y"],
     "--grid": ["0.5,1", "0"],
 }
-ODD_VALUES = ["-0.5", "-3", "", "nan", "5_0", " c ", "alice", "xml", "-", "--", "-h", "x y"]
+ODD_VALUES = ["-0.5", "-3", "", "nan", "5_0", " c ", "alice", "xml", "-", "--", "-h", "x y", "-x y"]
 ALL_FLAGS = sorted(GOOD_VALUES)
 ODD_FORMS = ["space", "equals", "abbreviated", "abbreviated", "bare", "stray", "help"]
+HELP_WORDS = ["--help", "-h", "--he", "-hh", "-hx", "--help=x"]
 
 
 def flags_of(command):
@@ -358,7 +389,7 @@ def word_group(draw, command, clean):
     """A flag and its value, spelled ``--flag value`` or ``--flag=value`` if ``clean``.
 
     Else the flag may be another command's, the value odd, and the spelling
-    abbreviated, the flag alone, a stray word or ``--help``.
+    abbreviated, the flag alone, a stray word or a help word.
     """
     own = [flag for flag, _ in flags_of(command)]
     if clean and not own:
@@ -375,7 +406,7 @@ def word_group(draw, command, clean):
         "equals": [f"{flag}={value}"],
         "bare": [flag],
         "stray": [value],
-        "help": ["--help"],
+        "help": [draw(st.sampled_from(HELP_WORDS))],
     }[form]
 
 
@@ -391,12 +422,94 @@ def command_words(draw):
     return command, [word for group in draw(st.permutations(groups)) for word in group]
 
 
-def namespace_items(namespace):
+class ArgparseError(Exception):
+    pass
+
+
+class ArgparseParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseError(message)
+
+
+class StoreOne(argparse.Action):
+    """argparse's store, refusing the empty list that a ``--flag=--`` word gives it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
+def argparse_type(kind):
+    """``kind`` as argparse's ``type``: a party's own message, argparse's text for a number."""
+    if kind in (int, float):
+        return kind
+
+    def convert(text):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def add_flags(parser, command):
+    parser.set_defaults(command=command)
+    for flag, kwargs in flags_of(command):
+        if "type" in kwargs:
+            kwargs = dict(kwargs, type=argparse_type(kwargs["type"]))
+        parser.add_argument(flag, action=StoreOne, **kwargs)
+    return parser
+
+
+def argparse_top_level():
+    """The argparse reader of a whole argv: ``wqsc``, and each command as a subparser."""
+    parser = ArgparseParser(prog="wqsc")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _) in wqsc.cli._COMMANDS.items():
+        add_flags(commands.add_parser(command, help=help_text), command)
+    return parser
+
+
+def outcome(read, argv):
+    """What ``read(argv)`` does: exits, fails with a message, or gives a namespace."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                unittest.mock.patch.dict(os.environ, {}, clear=False):
+            for name in [name for name in os.environ if name.startswith("WQSC_")]:
+                del os.environ[name]
+            namespace = read(argv)
+    except SystemExit as exit_info:
+        return "exit", exit_info.code
+    except (wqsc.cli._UsageError, ArgparseError) as exc:
+        return "error", str(exc)
     # repr tells a float from an int and makes nan equal to itself.
-    return type(namespace), sorted((name, repr(value)) for name, value in vars(namespace).items())
+    return "namespace", sorted((name, repr(value)) for name, value in vars(namespace).items())
+
+
+def argparse_words(command):
+    return add_flags(ArgparseParser(prog=f"wqsc {command}"), command).parse_args
+
+
+def argparse_argv(argv):
+    # A leading flag's error is named as the flag, as the reader names it.
+    try:
+        return argparse_top_level().parse_args(argv)
+    except ArgparseError:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-", "--"):
+            raise ArgparseError(f"flag {argv[0]} comes before the command word; flags go "
+                                "after the command word, as in 'wqsc run --seed 1'") from None
+        raise
 
 
 class TestArgvReader:
+    """The reader accepts what argparse accepts, with argparse's namespace and error text.
+
+    argparse is the reference: one parser per command, built from the same
+    table, whose store action refuses a ``--flag=--`` word as the reader does.
+    """
+
     @settings(max_examples=500, deadline=None)
     @given(case=command_words())
     @example(case=("run", ["--mode", "qkd", "--trials", "10", "--seed", "1", "--output=--"]))
@@ -407,75 +520,54 @@ class TestArgvReader:
     @example(case=("run", ["--mode=qkd", "--trials=5_0", "--seed=1", "--phi=-0.5", "--output="]))
     @example(case=("sweep-phi", ["--grid", "0.5", "--seed", "1", "--", "--trials", "3"]))
     @example(case=("verify", []))
+    @example(case=("run", ["--mode", "qkd", "--trials", "10", "--seed", "1"]))
+    @example(case=("run", ["--mode=qkd", "--trials=10", "--seed=1", "--phi=-0.5", "--target= c "]))
+    @example(case=("run", ["--mode", "pqss", "--trials", "10", "--seed", "1", "--seed", "2",
+                           "--dealer", "bob"]))
+    @example(case=("run", ["--mode", "qkd", "--trials", "x", "--seed", "1", "--t=B"]))
+    @example(case=("run", ["--announce-rate", "--t", "10"]))
+    @example(case=("sweep-phi", ["--seed", "1", "--grid", "--output=x y"]))
+    @example(case=("run", ["--mode", "nope", "--he"]))
+    @example(case=("run", ["--he", "--mode", "nope"]))
+    @example(case=("sweep-phi", ["--grid", "0.5", "--seed", "1", "--output=--", "--output", "x"]))
+    @example(case=("verify", ["-hh"]))
+    @example(case=("verify", ["-hhx"]))
+    @example(case=("verify", ["-h="]))
+    @example(case=("verify", ["--=1"]))
+    @example(case=("run", ["--=1"]))
+    @example(case=("run", ["--mode", "qkd", "--trials", "10", "--seed", "1", "-x", "-3", "-x y"]))
+    @example(case=("run", ["--mode", "qkd", "--trials", "10", "--seed", "1", "--output", "-x y"]))
     def test_reader_equals_argparse(self, case):
-        # The reader gives argparse's namespace or None, and None whenever
-        # argparse rejects the words.
         command, words = case
-        read = wqsc.cli._read_words(command, words)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):  # --help prints
-                expected = wqsc.cli.build_parser()[1][command].parse_args(words)
-        except (wqsc.cli._UsageError, SystemExit):
-            assert read is None
-        else:
-            assert read is None or namespace_items(read) == namespace_items(expected)
+        assert outcome(wqsc.cli._parse, [command, *words]) == outcome(
+            argparse_words(command), words)
 
-    @pytest.mark.parametrize("words", [
-        ["--mode", "qkd", "--trials", "10", "--seed", "1"],
-        ["--mode=qkd", "--trials=10", "--seed=1", "--phi=-0.5", "--target= c "],
-        ["--mode", "pqss", "--trials", "10", "--seed", "1", "--seed", "2", "--dealer", "bob"],
-    ])
-    def test_well_formed_words_are_read(self, words):
-        expected = wqsc.cli.build_parser()[1]["run"].parse_args(words)
-        assert namespace_items(wqsc.cli._read_words("run", words)) == namespace_items(expected)
+    @settings(max_examples=200, deadline=None)
+    @given(lead=st.lists(st.sampled_from(["--seed", "-x", "1", "-3", "--", "-", "bogus", "run",
+                                          "verify", *HELP_WORDS]), max_size=3),
+           case=command_words())
+    @example(lead=[], case=("verify", []))
+    @example(lead=["--"], case=("verify", []))
+    @example(lead=["-x"], case=("run", ["--help"]))
+    def test_argv_without_a_leading_command_equals_argparse(self, lead, case):
+        command, words = case
+        argv = [*lead, command, *words] if lead else []
+        assert outcome(wqsc.cli._parse, argv) == outcome(argparse_argv, argv)
 
-
-class TestFastPath:
-    """Well-formed words after a command word are read without building any parser."""
-
-    RUN = ["run", "--mode", "synth", "--trials", "300", "--seed", "5", "--announce-rate", "0.3",
-           "--phi", "0.7", "--target", "b", "--epsilon", "0.01", "--dealer", "bob",
-           "--format", "csv"]
-    SWEEP = ["sweep-phi", "--grid", "0.3,1.2", "--trials", "500", "--seed", "4",
-             "--epsilon", "0.01"]
-    ENVIRONMENT = {"WQSC_MODE": "pqss", "WQSC_TRIALS": "400", "WQSC_SEED": "8",
-                   "WQSC_PHI": "1.1", "WQSC_DEALER": "C"}
-
-    @pytest.fixture(autouse=True)
-    def clean_environment(self, monkeypatch):
-        for name in [name for name in os.environ if name.startswith("WQSC_")]:
-            monkeypatch.delenv(name)
-
-    @staticmethod
-    def call(argv, out, capsys):
-        code = main(argv)
-        captured = capsys.readouterr()
-        written = out.read_bytes() if out.exists() else None
-        out.unlink(missing_ok=True)
-        return code, captured.out, captured.err, written
-
-    @pytest.mark.parametrize("case", ["run", "sweep-phi", "verify", "run-from-environment"])
-    def test_calls_build_no_parser(self, case, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "out"
-        argv = {
-            "run": [*self.RUN, "--output", str(out)],
-            "sweep-phi": [*self.SWEEP, "--output", str(out)],
-            "verify": ["verify"],
-            "run-from-environment": ["run"],
-        }[case]
-        if case == "run-from-environment":
-            for name, value in {**self.ENVIRONMENT, "WQSC_OUTPUT": str(out)}.items():
-                monkeypatch.setenv(name, value)
-        unpatched = self.call(argv, out, capsys)
-        with monkeypatch.context() as patch:  # every word to argparse
-            patch.setattr(wqsc.cli, "_read_words", lambda command, words: None)
-            assert self.call(argv, out, capsys) == unpatched
-
-        def forbidden():
-            raise AssertionError("a well-formed call built the parsers")
-
-        monkeypatch.setattr(wqsc.cli, "build_parser", forbidden)
-        assert self.call(argv, out, capsys) == unpatched
+    def test_import_leaves_argparse_out(self):
+        # Reading argv, well formed or not, and printing help need no argparse.
+        code = ("import sys, wqsc.cli\n"
+                "wqsc.cli._parse(['run', '--mode', 'qkd', '--trials', '10', '--seed', '1'])\n"
+                "for argv in (['run', '--tri', 'x'], ['--help'], ['run', '-h']):\n"
+                "    try:\n"
+                "        wqsc.cli._parse(argv)\n"
+                "    except (wqsc.cli._UsageError, SystemExit):\n"
+                "        pass\n"
+                "assert 'argparse' not in sys.modules, 'argparse imported'\n")
+        environ = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", code], env=environ,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestVerifyCommand:

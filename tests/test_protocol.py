@@ -304,6 +304,13 @@ class TestSecurityVerdict:
             security_verdict(frequency, 0.5)
 
 
+class TestBinomialSigma:
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_p_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p}$"):
+            binomial_sigma(p, 10)
+
+
 class TestKeyAccounting:
     def test_per_protocol_costs(self):
         assert key_accounting(100, 0.25, 400, 0) / 100 == pytest.approx(12.0)

@@ -63,6 +63,8 @@ class TestStateVector:
             StateVector(np.array([1.0], dtype=complex))
         with pytest.raises(ValueError):
             StateVector(np.zeros(64, dtype=complex))  # six qubits
+        with pytest.raises(ValueError, match="one-dimensional"):
+            StateVector(np.eye(2, dtype=complex) / math.sqrt(2.0))
 
     def test_amplitudes_are_frozen(self):
         state = w_state()
@@ -387,6 +389,8 @@ class TestReducedDensity:
             reduced_density(w_state(), (A, B, C))
         with pytest.raises(ValueError):
             reduced_density(w_state(), (5,))
+        with pytest.raises(ValueError, match="at most two qubits"):
+            reduced_density(make_basis_state(4, [PLUS] * 4), (0, 1, 2))
 
 
 class TestPartialTranspose:
@@ -452,6 +456,8 @@ class TestEigenvaluesHermitian:
             eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             eigenvalues_hermitian(np.eye(3))
+        with pytest.raises(ValueError, match="square"):
+            eigenvalues_hermitian(np.zeros((2, 4)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, value):

@@ -109,6 +109,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             report_from_dict(data)
 
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_csv_must_hold_one_report(self, plain_report, rows):
+        header, row = render_report_csv(plain_report).splitlines()
+        with pytest.raises(ValueError, match=f"^report CSV must have one data row, got {rows}$"):
+            parse_report_csv("\n".join([header, *[row] * rows]) + "\n")
+
     def test_csv_row_width_must_match_header(self, plain_report):
         header, row = render_report_csv(plain_report).splitlines()
         for bad_row in (row + ",7", row.rsplit(",", 1)[0]):
