@@ -40,11 +40,10 @@ def _apply_two_qubit_unitary(
     amps: np.ndarray, unitary: np.ndarray, qubits: tuple[int, int], num_qubits: int
 ) -> np.ndarray:
     """Apply a 4x4 unitary to the ordered qubit pair of a dense state."""
-    tensor = amps.reshape((2,) * num_qubits)
-    moved = np.moveaxis(tensor, qubits, (0, 1))
-    flat = moved.reshape(4, -1)
-    updated = unitary @ flat
-    return np.moveaxis(updated.reshape(moved.shape), (0, 1), qubits).reshape(-1)
+    order = (*qubits, *(q for q in range(num_qubits) if q not in qubits))
+    moved = amps.reshape((2,) * num_qubits).transpose(order)
+    updated = (unitary @ moved.reshape(4, -1)).reshape(moved.shape)
+    return updated.transpose(np.argsort(order)).reshape(-1)
 
 
 def apply_attack(source: StateVector, attack: UnitaryCouplingAttack | None) -> StateVector:

@@ -258,10 +258,11 @@ def _cmd_run(args: SimpleNamespace) -> int:
 
 def _cmd_verify() -> int:
     passed, checks = run_verification()
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{status} {check.item}: value={check.value!r} expected={check.expected!r}")
-    print(f"{sum(c.passed for c in checks)}/{len(checks)} golden values verified")
+    statuses = ["PASS" if check.passed else "FAIL" for check in checks]
+    lines = [f"{status} {check.item}: value={check.value!r} expected={check.expected!r}"
+             for status, check in zip(statuses, checks)]
+    lines.append(f"{statuses.count('PASS')}/{len(checks)} golden values verified")
+    print("\n".join(lines))
     return EXIT_OK if passed else EXIT_COMPROMISED
 
 

@@ -2,8 +2,9 @@
 
 Every closed-form quantity the package must reproduce is evaluated here by
 exact projection or closed formula (never by sampling) and compared against
-its expected value.  Boolean claims are encoded as 1.0/0.0.  Each state's
-events are read by ``wqsc.bell``'s readers from its slice of a stacked
+its expected value.  Boolean claims are encoded as 1.0/0.0.  Each distinct
+state is built once per call, and each state's events are read by
+``wqsc.bell``'s readers from its slice of a stacked
 :func:`~wqsc.qcore.outcome_distributions` pass, built anew on every call:
 one for the two three-qubit states, and one for the fourteen attacked
 states, whose security events are one :func:`~wqsc.bell.event_masses` call.
@@ -57,6 +58,10 @@ VERIFY_TOL = 1e-9
 
 _A, _B, _C = Party.ALICE, Party.BOB, Party.CHARLIE
 _PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
+_AB = StrictPair(_A, _B)
+_XXZ, _ZXX = AxisSet.from_label("xxz"), AxisSet.from_label("zxx")
+# The sweep of attack angles: pi/4 is its middle point and pi/2, the maximal coupling, its last.
+_GRID = tuple(np.linspace(0.0, math.pi / 2.0, 11).tolist())
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class GoldenCheck:
 
 def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     """The largest absolute difference of two amplitude arrays."""
-    return float(np.max(np.abs(a - b)))
+    return float(np.abs(a - b).max())
 
 
 def golden_checks() -> list[GoldenCheck]:
@@ -104,7 +109,7 @@ def golden_checks() -> list[GoldenCheck]:
     # Event probabilities on the W and GHZ states, read from one stacked pass.
     w_dist, ghz_dist = outcome_distributions([w, ghz])
     add("two-z-plus-at-least-two-on-w", two_z_plus(w_dist, AT_LEAST_TWO), 1.0)
-    add("two-z-plus-strict-pair-on-w", two_z_plus(w_dist, StrictPair(_A, _B)), 1.0 / 3.0)
+    add("two-z-plus-strict-pair-on-w", two_z_plus(w_dist, _AB), 1.0 / 3.0)
     # The event is symmetric in the two x measurers, so the z measurer
     # names each of the six role assignments' values.
     add("z-plus-x-unequal-on-w-all-roles", max(event_masses(w_dist).tolist()), 0.0)
@@ -115,7 +120,7 @@ def golden_checks() -> list[GoldenCheck]:
     existential = ch_middle_term(w_dist, AT_LEAST_TWO)
     add("ch-middle-term-at-least-two-on-w", existential.value, 0.25)
     add("ch-violation-flag-at-least-two", 1.0 if existential.violation else 0.0, 1.0)
-    strict = ch_middle_term(w_dist, StrictPair(_A, _B))
+    strict = ch_middle_term(w_dist, _AB)
     add("ch-middle-term-strict-pair-on-w", strict.value, -5.0 / 12.0)
     add("ch-no-violation-strict-pair", 1.0 if strict.violation else 0.0, 0.0)
 
@@ -127,8 +132,10 @@ def golden_checks() -> list[GoldenCheck]:
         transposed = partial_transpose(reduced_density(w, keep), "second")
         add(f"ppt-min-eigenvalue-w-pair-{pair}", eigenvalues_hermitian(transposed)[0], ppt_floor)
 
-    # Attacked channel state.
-    maximal = attacked_w_state(math.pi / 2.0)
+    # Attacked channel states, each angle built once: 0 and pi/4 are also grid points.
+    angles = (math.pi / 4.0, math.pi / 3.0, 0.0, *_GRID)
+    built = {phi: attacked_w_state(phi) for phi in dict.fromkeys(angles)}
+    quarter_pi, maximal = built[math.pi / 4.0], built[math.pi / 2.0]
     expected = np.zeros(16, dtype=complex)
     expected[[0b1000, 0b0100, 0b0001]] = inv_sqrt3
     add("attacked-state-maximal-coupling-pattern", _distance(maximal.amplitudes, expected), 0.0)
@@ -141,14 +148,10 @@ def golden_checks() -> list[GoldenCheck]:
     )
 
     # Security-check event under attack, every attacked state in one pass.
-    xxz = AxisSet.from_label("xxz")
-    zxx = AxisSet.from_label("zxx")
-    grid = np.linspace(0.0, math.pi / 2.0, 11).tolist()
-    quarter, third, untouched, *swept = event_masses(outcome_distributions(
-        [attacked_w_state(phi) for phi in (math.pi / 4.0, math.pi / 3.0, 0.0, *grid)]
-    )).tolist()
-    add("security-event-charlie-z-quarter-pi", quarter[xxz.decider], 1.0 / 12.0)
-    add("security-event-charlie-x-third-pi", third[zxx.decider], 1.0 / 6.0)
+    stack = [built[phi] for phi in angles]
+    quarter, third, untouched, *swept = event_masses(outcome_distributions(stack)).tolist()
+    add("security-event-charlie-z-quarter-pi", quarter[_XXZ.decider], 1.0 / 12.0)
+    add("security-event-charlie-x-third-pi", third[_ZXX.decider], 1.0 / 6.0)
     add("security-event-no-attack", max(untouched), 0.0)
     add("averaged-security-probability-half-pi",
         averaged_security_probability(math.pi / 2.0), 5.0 / 18.0)
@@ -156,14 +159,14 @@ def golden_checks() -> list[GoldenCheck]:
         averaged_security_probability(math.pi / 3.0), 11.0 / 72.0)
     add("averaged-security-probability-zero", averaged_security_probability(0.0), 0.0)
     mismatch = 0.0
-    for phi, masses in zip(grid, swept):
+    for phi, masses in zip(_GRID, swept):
         weighted = sum(masses) / 3.0
         mismatch = max(mismatch, abs(weighted - averaged_security_probability(phi)))
     add("averaged-matches-per-set-mean", mismatch, 0.0)
 
     # Eavesdropper's ancilla.
-    add("eve-minus-rate-half-pi", eve_ancilla_statistics(attacked_w_state(math.pi / 2)), 1.0 / 3.0)
-    add("eve-minus-rate-quarter-pi", eve_ancilla_statistics(attacked_w_state(math.pi / 4)), 1.0 / 6.0)
+    add("eve-minus-rate-half-pi", eve_ancilla_statistics(maximal), 1.0 / 3.0)
+    add("eve-minus-rate-quarter-pi", eve_ancilla_statistics(quarter_pi), 1.0 / 6.0)
 
     # The success probabilities the engine reports, against exact projection.
     decider_plus = joint_probability(w, [(_C, Axis.Z, _PLUS)])
@@ -185,12 +188,12 @@ def golden_checks() -> list[GoldenCheck]:
         key_accounting(1, 0.5, 1, 0), 6.0)
 
     # Decider table rows.
-    bits = decider_step(xxz, (_PLUS, _PLUS, _PLUS))
+    bits = decider_step(_XXZ, (_PLUS, _PLUS, _PLUS))
     add("decider-row-charlie-plus-keeps-pair",
         1.0 if bits == {_A: _PLUS, _B: _PLUS} else 0.0, 1.0)
-    bits = decider_step(xxz, (_PLUS, _MINUS, _MINUS))
+    bits = decider_step(_XXZ, (_PLUS, _MINUS, _MINUS))
     add("decider-row-charlie-minus-discards", 1.0 if bits is None else 0.0, 1.0)
-    bits = decider_step(zxx, (_PLUS, _MINUS, _MINUS))
+    bits = decider_step(_ZXX, (_PLUS, _MINUS, _MINUS))
     add("decider-row-alice-decides-for-bc",
         1.0 if bits is not None and set(bits) == {_B, _C} else 0.0, 1.0)
 

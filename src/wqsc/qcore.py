@@ -62,7 +62,11 @@ def integer_argument(name: str, value: object, low: int, high: int | None = None
     """
     if type(value) is int and value >= low and (high is None or value <= high):
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # Other ints but bool (IntEnum members such as Party) skip the slower Integral ABC check.
+    if type(value) is not bool and isinstance(value, int):
+        if value >= low and (high is None or value <= high):
+            return int(value)
+    elif type(value) is bool or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         bound = f"at least {low}"
@@ -186,7 +190,7 @@ class DensityMatrix:
         if dim not in (2, 4):
             raise ValueError(f"density matrix dimension must be 2 or 4, got {dim}")
         _check_hermitian(m, "density matrix")
-        trace = complex(np.trace(m))
+        trace = complex(m.trace())
         if abs(trace - 1.0) > HERMITICITY_ATOL:
             raise ValueError(f"density matrix trace {trace!r} deviates from 1")
         if _hermitian_eigenvalues(m)[0] < -PSD_ATOL:
@@ -204,7 +208,7 @@ def _check_hermitian(m: np.ndarray, name: str) -> None:
     # Checked first: every tolerance comparison with NaN is False.
     if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+    if np.abs(m - m.conj().T).max() > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within tolerance")
 
 
@@ -291,7 +295,7 @@ def measure_qubit(
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
     axis = Axis(axis)
     qubit = integer_argument("qubit", qubit, 0, state.num_qubits - 1)
-    components = np.stack(_axis_components(_split_on_qubit(state.amplitudes, qubit), axis))
+    components = np.array(_axis_components(_split_on_qubit(state.amplitudes, qubit), axis))
     masses = _masses(components)
     p_plus = float(masses[Outcome.PLUS] / (masses[Outcome.PLUS] + masses[Outcome.MINUS]))
     if u < p_plus:
@@ -404,11 +408,9 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep must be a strict subset of the qubits")
     if len(kept) > 2:
         raise ValueError("at most two qubits can be kept")
-    discard = [q for q in range(n) if q not in kept]
-    tensor = state.amplitudes.reshape((2,) * n)
-    rho = np.tensordot(tensor, tensor.conj(), axes=(discard, discard))
-    dim = 1 << len(kept)
-    return DensityMatrix(rho.reshape(dim, dim))
+    order = kept + [q for q in range(n) if q not in kept]
+    rows = state.amplitudes.reshape((2,) * n).transpose(order).reshape(1 << len(kept), -1)
+    return DensityMatrix(rows @ rows.conj().T)
 
 
 def partial_transpose(dm: DensityMatrix, subsystem: str) -> np.ndarray:
@@ -460,26 +462,15 @@ def three_tangle(state: StateVector) -> float:
     """
     if state.num_qubits != 3:
         raise ValueError("three_tangle requires exactly three qubits")
-    a = state.amplitudes
-
-    def amp(i: int, j: int, k: int) -> complex:
-        return complex(a[(i << 2) | (j << 1) | k])
-
-    d1 = (
-        amp(0, 0, 0) ** 2 * amp(1, 1, 1) ** 2
-        + amp(0, 0, 1) ** 2 * amp(1, 1, 0) ** 2
-        + amp(0, 1, 0) ** 2 * amp(1, 0, 1) ** 2
-        + amp(1, 0, 0) ** 2 * amp(0, 1, 1) ** 2
-    )
+    a000, a001, a010, a011, a100, a101, a110, a111 = state.amplitudes.tolist()
+    d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
     d2 = (
-        amp(0, 0, 0) * amp(1, 1, 1) * amp(0, 1, 1) * amp(1, 0, 0)
-        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 0, 1) * amp(0, 1, 0)
-        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 1, 0) * amp(0, 0, 1)
-        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 0, 1) * amp(0, 1, 0)
-        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 1, 0) * amp(0, 0, 1)
-        + amp(1, 0, 1) * amp(0, 1, 0) * amp(1, 1, 0) * amp(0, 0, 1)
+        a000 * a111 * a011 * a100
+        + a000 * a111 * a101 * a010
+        + a000 * a111 * a110 * a001
+        + a011 * a100 * a101 * a010
+        + a011 * a100 * a110 * a001
+        + a101 * a010 * a110 * a001
     )
-    d3 = amp(0, 0, 0) * amp(1, 1, 0) * amp(1, 0, 1) * amp(0, 1, 1) + amp(1, 1, 1) * amp(
-        0, 0, 1
-    ) * amp(0, 1, 0) * amp(1, 0, 0)
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))

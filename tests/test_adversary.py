@@ -14,6 +14,7 @@ from wqsc import (
     UnitaryCouplingAttack,
     apply_attack,
     attacked_w_state,
+    coupling_unitary,
     eve_ancilla_statistics,
     event_masses,
     joint_probability,
@@ -21,10 +22,19 @@ from wqsc import (
     reduced_density,
     w_state,
 )
+from wqsc.adversary import _apply_two_qubit_unitary
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
 HALF_PI = math.pi / 2.0
+
+
+def moveaxis_two_qubit_unitary(amps, unitary, qubits, num_qubits):
+    """The former formulation, kept as the reference: the pair moved to the front and back."""
+    tensor = amps.reshape((2,) * num_qubits)
+    moved = np.moveaxis(tensor, qubits, (0, 1))
+    updated = unitary @ moved.reshape(4, -1)
+    return np.moveaxis(updated.reshape(moved.shape), (0, 1), qubits).reshape(-1)
 
 
 class TestApplyAttack:
@@ -51,6 +61,29 @@ class TestApplyAttack:
         circuit = apply_attack(w_state(), UnitaryCouplingAttack(phi, target))
         closed = attacked_w_state(phi, target)
         assert closed.amplitudes.tobytes() == circuit.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("target", [A, B, C])
+    def test_equals_the_moveaxis_formulation_byte_for_byte(self, target):
+        rng = np.random.default_rng(2710 + target)
+        for _ in range(50):
+            source = random_state(rng, 3)
+            phi = float(rng.uniform(0.0, HALF_PI))
+            extended = np.zeros(16, dtype=complex)
+            extended[::2] = source.amplitudes
+            expected = moveaxis_two_qubit_unitary(extended, coupling_unitary(phi), (target, 3), 4)
+            attacked = apply_attack(source, UnitaryCouplingAttack(phi, target))
+            assert attacked.amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5])
+    def test_every_ordered_pair_equals_the_moveaxis_formulation(self, num_qubits):
+        rng = np.random.default_rng(2720 + num_qubits)
+        unitary = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        for _ in range(10):
+            amps = random_state(rng, num_qubits).amplitudes
+            for pair in itertools.permutations(range(num_qubits), 2):
+                result = _apply_two_qubit_unitary(amps, unitary, pair, num_qubits)
+                expected = moveaxis_two_qubit_unitary(amps, unitary, pair, num_qubits)
+                assert result.tobytes() == expected.tobytes()
 
     def test_identity_coupling_leaves_party_statistics_unchanged(self):
         attacked = apply_attack(w_state(), UnitaryCouplingAttack(0.0, C))

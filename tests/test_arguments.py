@@ -111,10 +111,13 @@ def test_numpy_numbers_pass_as_their_python_values():
     assert averaged_security_probability(angle) == averaged_security_probability(0.5)
 
 
-@pytest.mark.parametrize("value", [2, np.int64(2), Party.CHARLIE], ids=["int", "int64", "Party"])
+@pytest.mark.parametrize(
+    "value", [2, np.int64(2), Party.CHARLIE, Outcome.MINUS, Party.ALICE],
+    ids=["int", "int64", "Party", "Outcome", "Party-at-low-bound"],
+)
 def test_integers_come_back_as_exactly_int(value):
     result = integer_argument("n", value, 0, 2)
-    assert type(result) is int and result == 2
+    assert type(result) is int and result == int(value)
 
 
 @pytest.mark.parametrize(
@@ -132,3 +135,15 @@ def test_integer_rule_messages_at_the_bounds(value, message):
     with pytest.raises(ValueError) as info:
         integer_argument("n", value, 0, 2)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, low, high, bound",
+    [(Party.ALICE, 1, 2, "at least 1"), (Party.CHARLIE, 0, 1, "at most 1")],
+    ids=["below", "above"],
+)
+def test_intenum_out_of_range_keeps_its_message(value, low, high, bound):
+    # An IntEnum member is shown by its own str, which differs across Python versions.
+    with pytest.raises(ValueError) as info:
+        integer_argument("n", value, low, high)
+    assert str(info.value) == f"n must be {bound}, got {value}"

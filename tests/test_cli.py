@@ -251,8 +251,8 @@ class TestEnvironmentMirroring:
         assert parse_report_json(out.read_text()).trials == 800
 
     def test_parser_follows_environment_between_calls(self, tmp_path, capsys, monkeypatch):
-        # The parser is built once per process; each call must still see
-        # the environment as it is when the call is made.
+        # The flag tables are built once per process; each call must still
+        # read the environment as it is when the call is made.
         out = tmp_path / "report.json"
         argv = ("run", "--mode", "qkd", "--trials", "2000", "--output", str(out))
         monkeypatch.setenv("WQSC_SEED", "21")
@@ -285,8 +285,8 @@ class TestConsoleScript:
 
 
 class TestDispatch:
-    # A command word hands the rest to that command's own parser; these
-    # texts are the ones the top-level parser printed for the same words.
+    # The words after a leading command word are read against that
+    # command's flags; each text is the one argparse printed for the same words.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -605,6 +605,24 @@ class TestVerifyCommand:
             "qkd-success-probability", "qubits-per-key-bit-qkd"}
 
 
+class TestVerifyStateBuilds:
+    def test_each_distinct_attacked_state_is_built_once_per_call(self, monkeypatch):
+        # The stacked pass holds 14 attacked states over 12 angles (0 and
+        # pi/4 twice); the pi/2 and pi/4 checks read its states, and the
+        # circuit check adds one more angle.
+        angles = []
+
+        def counted(phi, *args, build=wqsc.golden.attacked_w_state):
+            angles.append(phi)
+            return build(phi, *args)
+
+        monkeypatch.setattr(wqsc.golden, "attacked_w_state", counted)
+        for _ in range(2):
+            angles.clear()
+            assert run_verification()[0]
+            assert len(angles) == len(set(angles)) == 13
+
+
 class TestSweepCommand:
     def test_zero_strength_point_is_exactly_zero(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -735,8 +753,8 @@ WORKFLOW_BAD_INPUTS = {
         {}, ["sweep-phi", "--grid", "0.5", "--seed", "1", "--epsilon", "0", "--output", "eps.csv"],
         EPSILON_ERROR,
     ),
-    # argparse drops a "--" value, so "--flag=--" would hand the command an
-    # empty list; it is refused as a flag with no value.
+    # A "--" value, from "--flag=--" or a WQSC_* variable, is refused as a
+    # flag with no value, with argparse's text for it.
     "dashes-output": (
         {}, ["run", "--mode", "qkd", "--trials", "10", "--seed", "1", "--output=--"],
         "error: argument --output: expected one argument",

@@ -45,6 +45,45 @@ PPT_MIN_EIG = (1.0 - math.sqrt(5.0)) / 6.0
 HALF_PI = math.pi / 2.0
 
 
+# The former formulations, kept as references: the current code must give
+# their results byte for byte.
+def tensordot_reduced_density(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace onto the ascending ``keep`` by ``np.tensordot`` over the rest."""
+    n = state.num_qubits
+    discard = [q for q in range(n) if q not in keep]
+    tensor = state.amplitudes.reshape((2,) * n)
+    rho = np.tensordot(tensor, tensor.conj(), axes=(discard, discard))
+    dim = 1 << len(keep)
+    return rho.reshape(dim, dim)
+
+
+def per_amplitude_three_tangle(state: StateVector) -> float:
+    """The hyperdeterminant with each amplitude read by its own ``complex(a[i])``."""
+    a = state.amplitudes
+
+    def amp(i: int, j: int, k: int) -> complex:
+        return complex(a[(i << 2) | (j << 1) | k])
+
+    d1 = (
+        amp(0, 0, 0) ** 2 * amp(1, 1, 1) ** 2
+        + amp(0, 0, 1) ** 2 * amp(1, 1, 0) ** 2
+        + amp(0, 1, 0) ** 2 * amp(1, 0, 1) ** 2
+        + amp(1, 0, 0) ** 2 * amp(0, 1, 1) ** 2
+    )
+    d2 = (
+        amp(0, 0, 0) * amp(1, 1, 1) * amp(0, 1, 1) * amp(1, 0, 0)
+        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 0, 1) * amp(0, 1, 0)
+        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 1, 0) * amp(0, 0, 1)
+        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 0, 1) * amp(0, 1, 0)
+        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 1, 0) * amp(0, 0, 1)
+        + amp(1, 0, 1) * amp(0, 1, 0) * amp(1, 1, 0) * amp(0, 0, 1)
+    )
+    d3 = amp(0, 0, 0) * amp(1, 1, 0) * amp(1, 0, 1) * amp(0, 1, 1) + amp(1, 1, 1) * amp(
+        0, 0, 1
+    ) * amp(0, 1, 0) * amp(1, 0, 0)
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+
+
 class TestStateVector:
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(InvalidStateError):
@@ -82,6 +121,28 @@ class TestDensityMatrix:
         entries[1, 2] = entries[2, 1] = value
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(entries)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (np.full((2, 4), 0.25), "must be square"),
+            (np.full(4, 0.25), "must be square"),
+            (np.eye(3) / 3.0, "dimension must be 2 or 4, got 3"),
+            (np.eye(8) / 8.0, "dimension must be 2 or 4, got 8"),
+            (np.eye(2), "trace .* deviates from 1"),
+            (np.eye(4) / 2.0, "trace .* deviates from 1"),
+            (np.diag([1.5, -0.5]), "eigenvalue below the positivity tolerance"),
+            (np.diag([1.0 + 2e-9, 0.0, 0.0, -2e-9]), "eigenvalue below the positivity tolerance"),
+        ],
+        ids=["2x4", "1-d", "dim-3", "dim-8", "trace-2", "trace-2-dim-4", "negative",
+             "just-below-tolerance"],
+    )
+    def test_rejects_each_contract_breach(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(entries)
+
+    def test_accepts_a_negative_eigenvalue_within_tolerance(self):
+        assert DensityMatrix(np.diag([1.0 + 5e-10, 0.0, 0.0, -5e-10])).dim == 4
 
 
 class TestMakeBasisState:
@@ -382,6 +443,17 @@ class TestReducedDensity:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(rho - partial_trace_oracle(state, tuple(sorted(keep))))) < 1e-10
 
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5])
+    def test_equals_the_tensordot_formulation_byte_for_byte(self, num_qubits):
+        rng = np.random.default_rng(2700 + num_qubits)
+        keep_sets = [keep for size in (1, 2)
+                     for keep in itertools.combinations(range(num_qubits), size)]
+        for _ in range(20):
+            state = random_state(rng, num_qubits)
+            for keep in keep_sets:
+                rho = reduced_density(state, keep).entries
+                assert rho.tobytes() == tensordot_reduced_density(state, keep).tobytes()
+
     def test_invalid_keep_sets(self):
         with pytest.raises(ValueError):
             reduced_density(w_state(), ())
@@ -506,6 +578,14 @@ class TestThreeTangle:
                 assert three_tangle(permute_qubits(state, perm)) == pytest.approx(
                     reference, abs=1e-10
                 )
+
+    def test_equals_the_per_amplitude_formulation_byte_for_byte(self):
+        rng = np.random.default_rng(2703)
+        states = [random_state(rng, 3) for _ in range(200)] + [w_state(), ghz_state()]
+        for state in states:
+            tangle = three_tangle(state)
+            assert type(tangle) is float
+            assert tangle.hex() == per_amplitude_three_tangle(state).hex()
 
     def test_requires_three_qubits(self):
         with pytest.raises(ValueError):
