@@ -60,13 +60,11 @@ def integer_argument(name: str, value: object, low: int, high: int | None = None
     A value out of range too long for ``str`` (an int of more than 4300
     digits) is named by its type and the bound only.
     """
-    if type(value) is int and value >= low and (high is None or value <= high):
-        return value
-    # Other ints but bool (IntEnum members such as Party) skip the slower Integral ABC check.
-    if type(value) is not bool and isinstance(value, int):
-        if value >= low and (high is None or value <= high):
-            return int(value)
-    elif type(value) is bool or not isinstance(value, numbers.Integral):
+    # Any int but bool (IntEnum members such as Party too) skips the slower Integral ABC check.
+    if (type(value) is not bool and isinstance(value, int)
+            and value >= low and (high is None or value <= high)):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         bound = f"at least {low}"
