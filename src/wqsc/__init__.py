@@ -9,14 +9,11 @@ secret sharing, and their synthesis.
 
 from .adversary import UnitaryCouplingAttack, apply_attack, eve_ancilla_statistics
 from .bell import (
-    AT_LEAST_TWO,
     ALL_AXIS_SETS,
-    AtLeastTwo,
     AxisSet,
     ChBellResult,
     PQSS_AXIS_SET,
     QKD_AXIS_SETS,
-    StrictPair,
     averaged_security_probability,
     ch_middle_term,
     event_masses,
@@ -27,7 +24,6 @@ from .bell import (
 from .protocol import (
     DEFAULT_ANNOUNCE_RATE,
     DEFAULT_EPSILON,
-    Inference,
     InconsistentSharesError,
     ProtocolConfig,
     ProtocolMode,

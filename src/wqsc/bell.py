@@ -9,7 +9,8 @@ once.  The module also gives each axis set its role, a lone z measurer
 (its *decider*) or the all-z ``PQSS_AXIS_SET``, and defines the
 security-check event that exposes the ancilla-coupling attack once:
 :func:`is_event`, which the sampled event counts read, tabulated as
-``EVENT_CELLS``, which :func:`event_masses` reads.
+``EVENT_CELLS``, which :func:`event_masses` reads.  The CH middle term's
+two-plus event is read for a given pair of parties, or for any two.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Union
 
 import numpy as np
 
@@ -90,44 +90,17 @@ def is_event(axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]) -> bool:
     """Security-check event: the z measurer saw plus, the x measurers disagree.
 
     Defined only on axis sets with a decider; its probability is exactly
-    zero without an attack, so any occurrence indicates tampering.
+    zero without an attack, so any occurrence indicates tampering.  Each
+    outcome read is coerced to its enum, so 0 and 1 act as PLUS and MINUS.
     """
-    if axes.decider is None:
+    if axes.decider is None or Outcome(outcomes[axes.decider]) is not Outcome.PLUS:
         return False
     x1, x2 = axes.x_parties  # type: ignore[misc]
-    return outcomes[axes.decider] is Outcome.PLUS and outcomes[x1] is not outcomes[x2]
+    return Outcome(outcomes[x1]) is not Outcome(outcomes[x2])
 
 
 # EVENT_CELLS[s, o]: whether axis set s with outcome string o is an event.
 EVENT_CELLS = np.array([[is_event(axes, o) for o in OUTCOME_STRINGS] for axes in ALL_AXIS_SETS])
-
-
-@dataclass(frozen=True)
-class StrictPair:
-    """Fixed-pair reading of the two-plus event: P(z_i = +, z_j = +).
-
-    Each party is a :class:`Party` or its index, read by
-    :func:`~wqsc.qcore.integer_argument`.
-    """
-
-    first: Party
-    second: Party
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "first", _party("first", self.first))
-        object.__setattr__(self, "second", _party("second", self.second))
-        if self.first == self.second:
-            raise ValueError("strict pair must name two distinct parties")
-
-
-@dataclass(frozen=True)
-class AtLeastTwo:
-    """Existential reading: at least two of the three z outcomes are plus."""
-
-
-AT_LEAST_TWO = AtLeastTwo()
-
-PairInterpretation = Union[StrictPair, AtLeastTwo]
 
 
 @dataclass(frozen=True)
@@ -151,6 +124,14 @@ def _party(name: str, value: object) -> Party:
     return Party(integer_argument(name, value, 0, 2))
 
 
+def _pair(pair: object) -> tuple[Party, Party]:
+    """``pair``, a tuple or list of two distinct parties, as two :class:`Party`, else ValueError."""
+    parties = tuple(_party("pair", p) for p in pair) if isinstance(pair, (tuple, list)) else ()
+    if len(parties) != 2 or parties[0] == parties[1]:
+        raise ValueError(f"pair must name two distinct parties, got {pair!r}")
+    return parties  # type: ignore[return-value]
+
+
 def _distribution(dist: np.ndarray, stack: bool = False) -> np.ndarray:
     """``dist`` as an array if shaped (8, 8), or (..., 8, 8) with ``stack``; else ValueError."""
     shape = np.shape(dist)
@@ -167,20 +148,20 @@ _BITS = np.array([[(o >> (2 - p)) & 1 for o in range(8)] for p in Party])
 _MINUS_COUNT = _BITS.sum(axis=0)
 
 
-def two_z_plus(dist: np.ndarray, interp: PairInterpretation) -> float:
-    """Probability of the two-plus z event under the chosen interpretation.
+def two_z_plus(dist: np.ndarray, pair: tuple[Party, Party] | None = None) -> float:
+    """Probability of the two-plus z event, for a fixed pair or for any two.
 
-    ``dist`` is one state's :func:`~wqsc.qcore.outcome_distribution`.
-    StrictPair gives the marginal P(z_i = +, z_j = +).  AtLeastTwo gives
-    P(at least two of the three z outcomes are plus), the reading under
-    which the symmetric W state attains probability 1.
+    ``dist`` is one state's :func:`~wqsc.qcore.outcome_distribution`.  A
+    ``pair`` ``(i, j)``, each a :class:`Party` or its index, gives the
+    marginal P(z_i = +, z_j = +).  Without one it is P(at least two of the
+    three z outcomes are plus), the reading under which the symmetric W
+    state attains probability 1.
     """
     zzz = _distribution(dist)[0]
-    if isinstance(interp, StrictPair):
-        return float(zzz[(_BITS[interp.first] == 0) & (_BITS[interp.second] == 0)].sum())
-    if isinstance(interp, AtLeastTwo):
+    if pair is None:
         return float(zzz[_MINUS_COUNT <= 1].sum())
-    raise TypeError(f"unsupported pair interpretation: {interp!r}")
+    first, second = _pair(pair)
+    return float(zzz[(_BITS[first] == 0) & (_BITS[second] == 0)].sum())
 
 
 def event_masses(dist: np.ndarray) -> np.ndarray:
@@ -210,26 +191,24 @@ def x_all_equal(dist: np.ndarray) -> float:
 
 def ch_middle_term(
     dist: np.ndarray,
-    interp: PairInterpretation,
+    *,
+    strict: bool = False,
     roles: tuple[Party, Party, Party] = (Party.ALICE, Party.BOB, Party.CHARLIE),
 ) -> ChBellResult:
     """Middle term of the CH inequality, -1 <= A11 - A12 - A21 - A22 <= 0.
 
     ``roles = (i, j, k)`` assigns the parties: A12 = P(z_i=+, x_j != x_k),
-    A21 = P(z_j=+, x_i != x_k), A22 = P(x_i = x_j = x_k), and A11 is the
-    two-plus probability under ``interp``.  A strict-pair interpretation
-    must name the parties playing i and j.  Each role is a :class:`Party`
-    or its index, read by :func:`~wqsc.qcore.integer_argument`.  All four
-    terms are read from ``dist``, one state's
-    :func:`~wqsc.qcore.outcome_distribution`.
+    A21 = P(z_j=+, x_i != x_k), A22 = P(x_i = x_j = x_k), and A11 is
+    :func:`two_z_plus`: for the pair ``(i, j)`` if ``strict``, else for any
+    two of the three parties.  Each role is a :class:`Party` or its index,
+    read by :func:`~wqsc.qcore.integer_argument`.  All four terms are read
+    from ``dist``, one state's :func:`~wqsc.qcore.outcome_distribution`.
     """
     roles = tuple(_party("roles", role) for role in roles)
     if sorted(roles) != list(Party):
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
     i, j, _k = roles
-    if isinstance(interp, StrictPair) and {interp.first, interp.second} != {i, j}:
-        raise ValueError("strict pair must match the first two roles")
-    a11 = two_z_plus(dist, interp)
+    a11 = two_z_plus(dist, (i, j) if strict else None)
     a12, a21 = event_masses(dist)[[i, j]].tolist()
     a22 = x_all_equal(dist)
     value = a11 - a12 - a21 - a22

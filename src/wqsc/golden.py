@@ -20,10 +20,8 @@ import numpy as np
 from .adversary import UnitaryCouplingAttack, apply_attack, eve_ancilla_statistics
 from .bell import (
     ALL_AXIS_SETS,
-    AT_LEAST_TWO,
     AxisSet,
     QKD_AXIS_SETS,
-    StrictPair,
     averaged_security_probability,
     ch_middle_term,
     event_masses,
@@ -32,7 +30,6 @@ from .bell import (
 )
 from .protocol import (
     MODE_SUCCESS_PROBABILITY,
-    Inference,
     ProtocolMode,
     decider_step,
     key_accounting,
@@ -58,7 +55,6 @@ VERIFY_TOL = 1e-9
 
 _A, _B, _C = Party.ALICE, Party.BOB, Party.CHARLIE
 _PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
-_AB = StrictPair(_A, _B)
 _XXZ, _ZXX = AxisSet.from_label("xxz"), AxisSet.from_label("zxx")
 # The sweep of attack angles: pi/4 is its middle point and pi/2, the maximal coupling, its last.
 _GRID = tuple(np.linspace(0.0, math.pi / 2.0, 11).tolist())
@@ -108,8 +104,8 @@ def golden_checks() -> list[GoldenCheck]:
 
     # Event probabilities on the W and GHZ states, read from one stacked pass.
     w_dist, ghz_dist = outcome_distributions([w, ghz])
-    add("two-z-plus-at-least-two-on-w", two_z_plus(w_dist, AT_LEAST_TWO), 1.0)
-    add("two-z-plus-strict-pair-on-w", two_z_plus(w_dist, _AB), 1.0 / 3.0)
+    add("two-z-plus-at-least-two-on-w", two_z_plus(w_dist), 1.0)
+    add("two-z-plus-strict-pair-on-w", two_z_plus(w_dist, (_A, _B)), 1.0 / 3.0)
     # The event is symmetric in the two x measurers, so the z measurer
     # names each of the six role assignments' values.
     add("z-plus-x-unequal-on-w-all-roles", max(event_masses(w_dist).tolist()), 0.0)
@@ -117,10 +113,10 @@ def golden_checks() -> list[GoldenCheck]:
     add("x-all-equal-on-ghz", x_all_equal(ghz_dist), 0.25)
 
     # CH middle term.
-    existential = ch_middle_term(w_dist, AT_LEAST_TWO)
+    existential = ch_middle_term(w_dist)
     add("ch-middle-term-at-least-two-on-w", existential.value, 0.25)
     add("ch-violation-flag-at-least-two", 1.0 if existential.violation else 0.0, 1.0)
-    strict = ch_middle_term(w_dist, _AB)
+    strict = ch_middle_term(w_dist, strict=True)
     add("ch-middle-term-strict-pair-on-w", strict.value, -5.0 / 12.0)
     add("ch-no-violation-strict-pair", 1.0 if strict.violation else 0.0, 0.0)
 
@@ -203,7 +199,7 @@ def golden_checks() -> list[GoldenCheck]:
     add("reconstruct-equal-plus-shares-gives-minus",
         1.0 if reconstruct_dealer_bit(_PLUS, _PLUS) is _MINUS else 0.0, 1.0)
     add("partial-inference-minus-certifies-plus",
-        1.0 if partial_inference(_MINUS) is Inference.DEALER_IS_PLUS else 0.0, 1.0)
+        1.0 if partial_inference(_MINUS) is _PLUS else 0.0, 1.0)
     add("partial-inference-certifying-share-rate",
         joint_probability(w, [(_B, Axis.Z, _MINUS)]), 1.0 / 3.0)
 

@@ -9,7 +9,9 @@ machinery and differ only in the steps they try:
   measurer, the decider, a plus outcome makes the two x measurers keep their
   (equal) x outcomes as a shared pair key bit;
 * partial secret sharing (PQSS), :func:`pqss_step`: on the all-z set the
-  dealer's outcome is the secret bit and the other two are the shares;
+  dealer's outcome is the secret bit and the other two are the shares,
+  which :func:`reconstruct_dealer_bit` combines; one minus share alone
+  fixes the dealer's bit as PLUS (:func:`partial_inference`);
 * synthesis (SYNTH): both, the first step that keeps a trial deciding it.
 
 Randomness and its draw order are part of the output contract: a change to
@@ -104,13 +106,6 @@ MODE_SUCCESS_PROBABILITY: dict[ProtocolMode, float] = {
     ProtocolMode.PQSS: 0.125,
     ProtocolMode.SYNTH: 0.375,
 }
-
-
-class Inference(Enum):
-    """What a single secret share reveals about the dealer's bit."""
-
-    DEALER_IS_PLUS = "dealer_is_plus"
-    UNKNOWN = "unknown"
 
 
 class SecurityVerdict(Enum):
@@ -225,12 +220,14 @@ def decider_step(
     key bit for their pair, returned keyed by the pair in party order; a
     minus outcome leaves the pair in a product state with uncorrelated x
     outcomes, so the trial is discarded.  Any other axis set is discarded.
+    Each outcome read is coerced to its enum, so 0 and 1 act as PLUS and
+    MINUS.
     """
     decider = axes.decider
-    if decider is None or outcomes[decider] is not Outcome.PLUS:
+    if decider is None or Outcome(outcomes[decider]) is not Outcome.PLUS:
         return None
     x1, x2 = axes.x_parties  # type: ignore[misc]
-    return {x1: outcomes[x1], x2: outcomes[x2]}
+    return {x1: Outcome(outcomes[x1]), x2: Outcome(outcomes[x2])}
 
 
 def pqss_step(
@@ -240,11 +237,11 @@ def pqss_step(
 
     The dealer's outcome is the secret bit; the other two parties record
     their outcomes as shares.  Returns all three outcomes keyed by party,
-    or None when the trial is discarded.
+    each coerced to its enum, or None when the trial is discarded.
     """
     if axes != PQSS_AXIS_SET:
         return None
-    return {p: outcomes[p] for p in Party}
+    return {p: Outcome(outcomes[p]) for p in Party}
 
 
 def reconstruct_dealer_bit(share_b: Outcome, share_c: Outcome) -> Outcome:
@@ -252,8 +249,10 @@ def reconstruct_dealer_bit(share_b: Outcome, share_c: Outcome) -> Outcome:
 
     Equal plus shares mean the dealer measured minus; unequal shares mean
     plus.  Two minus shares cannot arise on the W channel (the all-minus
-    and double-minus strings have amplitude zero) and raise.
+    and double-minus strings have amplitude zero) and raise.  Each share is
+    coerced to its enum, so 0 and 1 act as PLUS and MINUS.
     """
+    share_b, share_c = Outcome(share_b), Outcome(share_c)
     if share_b is Outcome.MINUS and share_c is Outcome.MINUS:
         raise InconsistentSharesError("two minus shares cannot occur on the W channel")
     if share_b is share_c:
@@ -261,16 +260,15 @@ def reconstruct_dealer_bit(share_b: Outcome, share_c: Outcome) -> Outcome:
     return Outcome.PLUS
 
 
-def partial_inference(own_share: Outcome) -> Inference:
-    """What one share alone tells its holder about the dealer's bit.
+def partial_inference(own_share: Outcome) -> Outcome | None:
+    """The dealer's bit when one share alone fixes it, else None.
 
     A minus share certifies that the dealer (and the other holder) measured
-    plus; a plus share is uninformative on its own.  Over many trials the
-    certifying share occurs with probability 1/3.
+    plus, so it gives ``Outcome.PLUS``; a plus share is uninformative on
+    its own.  Over many trials the certifying share occurs with probability
+    1/3.  The share is coerced to its enum, so 0 and 1 act as PLUS and MINUS.
     """
-    if own_share is Outcome.MINUS:
-        return Inference.DEALER_IS_PLUS
-    return Inference.UNKNOWN
+    return Outcome.PLUS if Outcome(own_share) is Outcome.MINUS else None
 
 
 def security_verdict(frequency: float | None, epsilon: float) -> SecurityVerdict:
@@ -458,11 +456,13 @@ def check_sweep_arguments(
 ) -> tuple[list[float], int, int]:
     """:func:`sample_security_frequency`'s arguments, checked and coerced.
 
-    ``grid`` must be a non-empty sequence (or numpy array) of real numbers,
-    not bool, each a valid attack angle; ``trials`` (samples per point) and
-    ``seed`` follow the integer rule.  A bad value raises ValueError.
+    ``grid`` must be a non-empty sequence (or numpy array of at least one
+    dimension) of real numbers, not bool, each a valid attack angle;
+    ``trials`` (samples per point) and ``seed`` follow the integer rule.  A
+    bad value raises ValueError.
     """
-    if isinstance(grid, (str, bytes)) or not isinstance(grid, (Sequence, np.ndarray)) or any(
+    sequence = isinstance(grid, Sequence) and not isinstance(grid, (str, bytes))
+    if not (sequence or isinstance(grid, np.ndarray) and grid.ndim) or any(
         isinstance(phi, bool) or not isinstance(phi, numbers.Real) for phi in grid
     ):
         raise ValueError(f"the phi grid must be a sequence of numbers, got {grid!r}")

@@ -366,25 +366,10 @@ def outcome_distributions(states: Sequence[StateVector]) -> np.ndarray:
         raise ValueError("outcome distributions need at least one state")
     if len(counts) > 1:
         raise ValueError(f"stacked states must share a qubit count, got {sorted(counts)}")
-    totals = np.array([state.squared_norm() for state in states]).reshape(-1, 1, 1)
-    return _stack_distributions(np.array([state.amplitudes for state in states]), totals)
-
-
-def outcome_distribution(state: StateVector) -> np.ndarray:
-    """The 8x8 :func:`outcome_distributions` of one state, as a stack of one."""
-    return _stack_distributions(state.amplitudes[np.newaxis], state.squared_norm())[0]
-
-
-def _stack_distributions(amplitudes: np.ndarray, totals: np.ndarray | float) -> np.ndarray:
-    """The butterfly of :func:`outcome_distributions` over amplitude rows ``(n, 2**q)``.
-
-    Row ``i``'s masses are divided by ``totals[i]``, shaped ``(n, 1, 1)``,
-    or by ``totals`` itself for one row.
-    """
-    n, size = amplitudes.shape
-    if size < 8:
+    if counts.pop() < 3:
         raise ValueError("outcome distribution needs at least three qubits")
-    rotated = amplitudes
+    n = len(states)
+    rotated = np.array([state.amplitudes for state in states])
     for party in Party:
         # (prefixes, leading, 2, trailing) -> (prefixes, z|x, ...), a prefix
         # being a state and its axis bits so far: the z half is the view
@@ -393,7 +378,13 @@ def _stack_distributions(amplitudes: np.ndarray, totals: np.ndarray | float) -> 
         rotated = np.empty((n << party, 2) + view.shape[1:], dtype=np.complex128)
         rotated[:, 0] = view
         rotated[:, 1, ..., 0, :], rotated[:, 1, ..., 1, :] = _axis_components(view, Axis.X)
+    totals = np.array([state.squared_norm() for state in states]).reshape(-1, 1, 1)
     return _masses(rotated.reshape(n, 8, 8, 1, -1)) / totals
+
+
+def outcome_distribution(state: StateVector) -> np.ndarray:
+    """The 8x8 :func:`outcome_distributions` of one state, as a stack of one."""
+    return outcome_distributions([state])[0]
 
 
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:

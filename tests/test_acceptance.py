@@ -12,15 +12,12 @@ import pytest
 
 from helpers import enumerate_event_probability, random_state
 from wqsc import (
-    AT_LEAST_TWO,
     Axis,
-    Inference,
     Outcome,
     Party,
     ProtocolConfig,
     ProtocolMode,
     QKD_AXIS_SETS,
-    StrictPair,
     attacked_w_state,
     averaged_security_probability,
     binomial_sigma,
@@ -82,8 +79,8 @@ def test_c01_golden_probabilities_on_w():
     start = time.perf_counter()
     w = outcome_distribution(w_state())
     tol = 1e-12
-    ok = abs(two_z_plus(w, AT_LEAST_TWO) - 1.0) <= tol
-    ok &= abs(two_z_plus(w, StrictPair(A, B)) - 1.0 / 3.0) <= tol
+    ok = abs(two_z_plus(w) - 1.0) <= tol
+    ok &= abs(two_z_plus(w, (A, B)) - 1.0 / 3.0) <= tol
     ok &= all(abs(mass) <= tol for mass in event_masses(w).tolist())
     ok &= abs(x_all_equal(w) - 0.75) <= tol
     elapsed = time.perf_counter() - start
@@ -93,8 +90,8 @@ def test_c01_golden_probabilities_on_w():
 
 def test_c02_ch_bell_middle_term():
     tol = 1e-12
-    existential = ch_middle_term(outcome_distribution(w_state()), AT_LEAST_TWO)
-    strict = ch_middle_term(outcome_distribution(w_state()), StrictPair(A, B))
+    existential = ch_middle_term(outcome_distribution(w_state()))
+    strict = ch_middle_term(outcome_distribution(w_state()), strict=True)
     ok = abs(existential.value - 0.25) <= tol and existential.violation
     ok &= abs(strict.value + 5.0 / 12.0) <= tol and not strict.violation
     criterion(2, "CH middle term: 1/4 flagged violation, -5/12 local (1e-12)", ok)
@@ -181,7 +178,7 @@ def test_c07_key_material_correctness(mode_runs):
         if record.key_bits is None:
             continue
         kept += 1
-        if partial_inference(record.key_bits[B]) is Inference.DEALER_IS_PLUS:
+        if partial_inference(record.key_bits[B]) is PLUS:
             certifying += 1
     ok &= kept == pqss_report.pqss_secret_bits
     ok &= within_3_sigma(certifying / kept, 1.0 / 3.0, kept)
@@ -251,13 +248,13 @@ def test_c10_oracle_equivalence():
             [(A, Axis.Z), (B, Axis.Z), (C, Axis.Z)],
             lambda bits: sum(1 for o in bits.values() if o is PLUS) >= 2,
         )
-        ok &= abs(two_z_plus(dist, AT_LEAST_TWO) - expected) <= tol
+        ok &= abs(two_z_plus(dist) - expected) <= tol
         expected = enumerate_event_probability(
             state,
             [(A, Axis.Z), (B, Axis.Z)],
             lambda bits: bits[A] is PLUS and bits[B] is PLUS,
         )
-        ok &= abs(two_z_plus(dist, StrictPair(A, B)) - expected) <= tol
+        ok &= abs(two_z_plus(dist, (A, B)) - expected) <= tol
         for z_party, x1, x2 in ROLE_ASSIGNMENTS:
             expected = enumerate_event_probability(
                 state,

@@ -6,17 +6,17 @@ other type, and a refused value raises ValueError whose message starts
 with the argument's name.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from wqsc import (
-    AT_LEAST_TWO,
     Axis,
     Outcome,
     Party,
     ProtocolConfig,
     ProtocolMode,
-    StrictPair,
     UnitaryCouplingAttack,
     attacked_w_state,
     averaged_security_probability,
@@ -29,6 +29,7 @@ from wqsc import (
     outcome_distribution,
     reduced_density,
     sample_security_frequency,
+    two_z_plus,
     w_state,
 )
 from wqsc.qcore import integer_argument, real_argument
@@ -61,9 +62,11 @@ W = w_state()
         (binomial_sigma, (0.5, 2.5), "n"),
         (binomial_sigma, (10**400, 3), "p"),
         (sample_security_frequency, ([10**400], 10, 1), "phi"),
-        (StrictPair, (True, 0), "first"),
-        (StrictPair, (0, 1.0), "second"),
-        (ch_middle_term, (outcome_distribution(W), AT_LEAST_TWO, (True, 0, 2)), "roles"),
+        (two_z_plus, (outcome_distribution(W), (True, 0)), "pair"),
+        (two_z_plus, (outcome_distribution(W), (0, 1.0)), "pair"),
+        # roles is a keyword; the partial keeps ch_middle_term's name as its id.
+        (functools.update_wrapper(functools.partial(ch_middle_term, roles=(True, 0, 2)),
+                                  ch_middle_term), (outcome_distribution(W),), "roles"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

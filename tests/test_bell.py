@@ -5,7 +5,6 @@ import pytest
 
 from helpers import enumerate_event_probability, random_product_state, random_state
 from wqsc import (
-    AT_LEAST_TWO,
     ALL_AXIS_SETS,
     Axis,
     AxisSet,
@@ -13,7 +12,6 @@ from wqsc import (
     PQSS_AXIS_SET,
     Party,
     QKD_AXIS_SETS,
-    StrictPair,
     UnitaryCouplingAttack,
     apply_attack,
     attacked_w_state,
@@ -21,6 +19,7 @@ from wqsc import (
     ch_middle_term,
     event_masses,
     ghz_state,
+    is_event,
     make_basis_state,
     outcome_distribution,
     outcome_distributions,
@@ -86,14 +85,33 @@ class TestAxisSet:
             AxisSet.from_label("xx")
 
 
+class TestIsEvent:
+    """The z measurer saw plus and the x measurers disagree; plain bits act as outcomes."""
+
+    @pytest.mark.parametrize("label, outcomes, event", [
+        ("xxz", (MINUS, PLUS, PLUS), True),
+        ("xxz", (0, 1, 0), True),
+        ("xxz", (0, 0, 0), False),
+        ("xxz", (1, 0, 1), False),
+        ("zxx", (0, 0, 1), True),
+        ("zzz", (0, 1, 0), False),
+    ])
+    def test_event_rows(self, label, outcomes, event):
+        assert is_event(AxisSet.from_label(label), outcomes) is event
+
+    def test_an_outcome_that_is_not_a_bit_is_refused(self):
+        with pytest.raises(ValueError, match="is not a valid Outcome$"):
+            is_event(AxisSet.from_label("xxz"), (0, 0, 2))
+
+
 class TestWStateEventSuite:
     """The four closed-form event probabilities on the symmetric W state."""
 
     def test_at_least_two_plus_is_certain(self):
-        assert two_z_plus(W, AT_LEAST_TWO) == pytest.approx(1.0, abs=1e-12)
+        assert two_z_plus(W) == pytest.approx(1.0, abs=1e-12)
 
     def test_strict_pair_reading_gives_one_third(self):
-        for pair in (StrictPair(A, B), StrictPair(B, C), StrictPair(A, C)):
+        for pair in ((A, B), (B, C), (A, C), [C, A], (0, 2)):
             assert two_z_plus(W, pair) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_mixed_axis_events_vanish_for_every_role_assignment(self):
@@ -106,25 +124,26 @@ class TestWStateEventSuite:
 
     def test_ghz_and_product_values(self):
         ghz = outcome_distribution(ghz_state())
-        assert two_z_plus(ghz, StrictPair(A, B)) == pytest.approx(0.5, abs=1e-12)
+        assert two_z_plus(ghz, (A, B)) == pytest.approx(0.5, abs=1e-12)
         assert x_all_equal(ghz) == pytest.approx(0.25, abs=1e-12)
         product = outcome_distribution(make_basis_state(3, [PLUS, PLUS, PLUS]))
         assert x_all_equal(product) == pytest.approx(0.25, abs=1e-12)
 
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            StrictPair(A, A)
-        with pytest.raises(TypeError, match="^unsupported pair interpretation: 'both'$"):
-            two_z_plus(W, "both")
+    @pytest.mark.parametrize(
+        "pair", [(A, A), (A,), (A, B, C), "both"], ids=["A-A", "A", "A-B-C", "both"]
+    )
+    def test_argument_validation(self, pair):
+        with pytest.raises(ValueError, match=r"^pair must name two distinct parties, got "):
+            two_z_plus(W, pair)
 
 
 class TestReaderShapes:
     """Each reader takes outcome distributions, and names any other shape it gets."""
 
     SINGLE = [
-        lambda dist: two_z_plus(dist, AT_LEAST_TWO),
+        two_z_plus,
         x_all_equal,
-        lambda dist: ch_middle_term(dist, AT_LEAST_TWO),
+        ch_middle_term,
     ]
 
     @pytest.mark.parametrize("reader", SINGLE + [event_masses])
@@ -146,24 +165,24 @@ class TestReaderShapes:
 class TestChMiddleTerm:
     def test_existential_reading_violates_upper_bound(self):
         for roles in ROLE_ASSIGNMENTS:
-            result = ch_middle_term(W, AT_LEAST_TWO, roles)
+            result = ch_middle_term(W, roles=roles)
             assert result.value == pytest.approx(0.25, abs=1e-12)
             assert result.violation
 
     def test_strict_reading_stays_local(self):
         for roles in ROLE_ASSIGNMENTS:
-            result = ch_middle_term(W, StrictPair(roles[0], roles[1]), roles)
+            result = ch_middle_term(W, strict=True, roles=roles)
             assert result.value == pytest.approx(-5.0 / 12.0, abs=1e-12)
             assert not result.violation
 
     def test_product_state_value(self):
         product = outcome_distribution(make_basis_state(3, [PLUS, PLUS, PLUS]))
-        result = ch_middle_term(product, StrictPair(A, B))
+        result = ch_middle_term(product, strict=True)
         assert result.value == pytest.approx(-0.25, abs=1e-12)
         assert not result.violation
 
     def test_components_are_reported(self):
-        result = ch_middle_term(W, AT_LEAST_TWO)
+        result = ch_middle_term(W)
         assert result.a11 == pytest.approx(1.0, abs=1e-12)
         assert result.a12 == pytest.approx(0.0, abs=1e-12)
         assert result.a21 == pytest.approx(0.0, abs=1e-12)
@@ -171,9 +190,10 @@ class TestChMiddleTerm:
 
     def test_role_validation(self):
         with pytest.raises(ValueError):
-            ch_middle_term(W, AT_LEAST_TWO, (A, A, B))
-        with pytest.raises(ValueError):
-            ch_middle_term(W, StrictPair(A, C), (A, B, C))
+            ch_middle_term(W, roles=(A, A, B))
+        # strict and roles are keywords, so a pair cannot pass for either.
+        with pytest.raises(TypeError):
+            ch_middle_term(W, (A, C))
 
     def test_local_states_respect_the_bound(self):
         # Product states admit a local model, so the middle term must stay
@@ -181,7 +201,7 @@ class TestChMiddleTerm:
         rng = np.random.default_rng(404)
         for _ in range(200):
             state = random_product_state(rng)
-            result = ch_middle_term(outcome_distribution(state), StrictPair(A, B))
+            result = ch_middle_term(outcome_distribution(state), strict=True)
             assert -1.0 - 1e-12 <= result.value <= 1e-12
             assert not result.violation
 
@@ -244,14 +264,14 @@ class TestBruteForceOracleAgreement:
                 [(A, Axis.Z), (B, Axis.Z), (C, Axis.Z)],
                 lambda bits: sum(1 for o in bits.values() if o is PLUS) >= 2,
             )
-            assert two_z_plus(dist, AT_LEAST_TWO) == pytest.approx(expected, abs=1e-12)
+            assert two_z_plus(dist) == pytest.approx(expected, abs=1e-12)
 
             expected = enumerate_event_probability(
                 state,
                 [(A, Axis.Z), (B, Axis.Z)],
                 lambda bits: bits[A] is PLUS and bits[B] is PLUS,
             )
-            assert two_z_plus(dist, StrictPair(A, B)) == pytest.approx(
+            assert two_z_plus(dist, (A, B)) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -299,7 +319,7 @@ class TestBruteForceOracleAgreement:
         rng = np.random.default_rng(5678)
         for _ in range(10):
             state = random_state(rng, 3)
-            result = ch_middle_term(outcome_distribution(state), StrictPair(A, B))
+            result = ch_middle_term(outcome_distribution(state), strict=True)
             a22 = enumerate_event_probability(
                 state,
                 [(A, Axis.X), (B, Axis.X), (C, Axis.X)],

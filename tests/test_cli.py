@@ -679,7 +679,7 @@ class TestSweepCommand:
         with pytest.raises(ValueError):
             sample_security_frequency(grid, 100, 1)
 
-    @pytest.mark.parametrize("grid", [0.9, "01", [True], [[0.5]], None])
+    @pytest.mark.parametrize("grid", [0.9, "01", [True], [[0.5]], None, np.array(0.5)])
     def test_sampler_rejects_a_grid_that_is_not_numbers(self, grid, no_state_built):
         with pytest.raises(ValueError, match="phi grid must be a sequence of numbers"):
             sample_security_frequency(grid, 100, 1)

@@ -7,7 +7,6 @@ import pytest
 from wqsc import (
     ALL_AXIS_SETS,
     AxisSet,
-    Inference,
     InconsistentSharesError,
     Outcome,
     Party,
@@ -70,6 +69,15 @@ class TestDeciderStep:
 
     def test_decider_minus_discards(self):
         assert decider_step(AxisSet.from_label("xxz"), (PLUS, MINUS, MINUS)) is None
+        assert decider_step(AxisSet.from_label("xxz"), (0, 1, 1)) is None
+
+    def test_plain_bits_act_as_their_outcomes(self):
+        bits = decider_step(AxisSet.from_label("xxz"), (0, 0, 0))
+        assert bits == {A: PLUS, B: PLUS}
+        assert all(type(bit) is Outcome for bit in bits.values())
+        assert decider_step(AxisSet.from_label("zxx"), (0, 1, 0)) == {B: MINUS, C: PLUS}
+        with pytest.raises(ValueError, match="is not a valid Outcome$"):
+            decider_step(AxisSet.from_label("xxz"), (0, 0, 2))
 
     def test_non_qkd_sets_discard(self):
         for label in ("zzx", "zzz", "xxx"):
@@ -93,6 +101,13 @@ class TestPqssStep:
     def test_other_sets_discard(self):
         assert pqss_step(AxisSet.from_label("zzx"), (PLUS, PLUS, PLUS)) is None
 
+    def test_plain_bits_act_as_their_outcomes(self):
+        bits = pqss_step(AxisSet.from_label("zzz"), (0, 1, 0))
+        assert bits == {A: PLUS, B: MINUS, C: PLUS}
+        assert all(type(bit) is Outcome for bit in bits.values())
+        with pytest.raises(ValueError, match="is not a valid Outcome$"):
+            pqss_step(AxisSet.from_label("zzz"), (0, 1, 2))
+
 
 class TestModeRouting:
     KEPT = {
@@ -115,18 +130,32 @@ class TestModeRouting:
 
 
 class TestSecretReconstruction:
+    # Plain bits act as their outcomes: 0 is PLUS and 1 is MINUS.
     def test_share_combinations(self):
-        assert reconstruct_dealer_bit(PLUS, MINUS) is PLUS
-        assert reconstruct_dealer_bit(MINUS, PLUS) is PLUS
-        assert reconstruct_dealer_bit(PLUS, PLUS) is MINUS
+        for b, c, dealer in ((PLUS, MINUS, PLUS), (MINUS, PLUS, PLUS), (PLUS, PLUS, MINUS),
+                             (0, 1, PLUS), (1, 0, PLUS), (0, 0, MINUS)):
+            assert reconstruct_dealer_bit(b, c) is dealer
 
-    def test_double_minus_is_impossible(self):
+    @pytest.mark.parametrize("shares", [(MINUS, MINUS), (1, 1), (1, MINUS)])
+    def test_double_minus_is_impossible(self, shares):
         with pytest.raises(InconsistentSharesError):
-            reconstruct_dealer_bit(MINUS, MINUS)
+            reconstruct_dealer_bit(*shares)
 
     def test_partial_inference_mapping(self):
-        assert partial_inference(MINUS) is Inference.DEALER_IS_PLUS
-        assert partial_inference(PLUS) is Inference.UNKNOWN
+        assert partial_inference(MINUS) is PLUS
+        assert partial_inference(1) is PLUS
+        assert partial_inference(PLUS) is None
+        assert partial_inference(0) is None
+
+    @pytest.mark.parametrize("function, args", [
+        (reconstruct_dealer_bit, (2, PLUS)),
+        (reconstruct_dealer_bit, (PLUS, None)),
+        (partial_inference, (2,)),
+        (partial_inference, ("-",)),
+    ])
+    def test_a_share_that_is_not_a_bit_is_refused(self, function, args):
+        with pytest.raises(ValueError, match="is not a valid Outcome$"):
+            function(*args)
 
 
 class TestRunTrial:
@@ -260,7 +289,7 @@ class TestRunProtocol:
             secret = record.key_bits[A]
             recovered = reconstruct_dealer_bit(record.key_bits[B], record.key_bits[C])
             assert recovered is secret
-            if partial_inference(record.key_bits[B]) is Inference.DEALER_IS_PLUS:
+            if partial_inference(record.key_bits[B]) is PLUS:
                 certifying += 1
                 assert secret is PLUS
         assert within_3_sigma(certifying / kept, 1.0 / 3.0, kept)
