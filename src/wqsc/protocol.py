@@ -19,7 +19,10 @@ either changes report bytes for a given seed.
 
 Draws come from a counter-based Philox stream (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011), read as uint64 words.  A
-word ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
+stream is an idle Philox instance re-keyed through its state to the
+stream's key and first counter, the state the constructor would set; one
+is built only when none is idle, and it is idle again once its stream
+ends.  A word ``x`` draws ``k = x >> 11``, the uniform ``k * 2**-53`` that
 ``Generator.random()`` computes, and is compared with integers only.  Every
 probability sampled is read from :func:`~wqsc.qcore.outcome_distribution`:
 for ``run`` the source's, with its interval trees built once per (attack,
@@ -28,17 +31,18 @@ announce rate) key, and for ``sweep-phi`` one stacked
 
 * ``run`` (stream v5): key ``seed``.  Trial ``i`` reads raw word ``i``,
   position ``i & 3`` of ``Philox(key=seed, counter=i >> 2)``, so any trial
-  replays in isolation from its counter and contiguous trials are one
-  contiguous read.  The word's low 3 bits, which the shift drops, choose
-  the axes of A, B and C, A the highest (0 selects z), each exactly 1/2 and
-  independent of the draw.  A draw below ``ann = ceil(r * 2**53)``, ``r``
-  the announce rate, announces; it then walks its axis set's interval tree
-  over its half, ``[0, ann)`` or ``[ann, 2**53)``, through A, B and C, and
-  the leaf it lands in is the outcome string.  A node ``[lo, hi)`` splits
-  at ``lo + ceil(p * (hi - lo))``, ``p`` being the node's plus mass over its
-  total in the set's distribution row.  So P(announced) is exact on every
-  set, and an outcome's mass is resolved to one unit of its half: ``1 / (r
-  * 2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.
+  replays in isolation from its counter (an idle instance re-keyed to
+  ``(seed, i >> 2)``) and contiguous trials are one contiguous read.  The
+  word's low 3 bits, which the shift drops, choose the axes of A, B and C,
+  A the highest (0 selects z), each exactly 1/2 and independent of the
+  draw.  A draw below ``ann = ceil(r * 2**53)``, ``r`` the announce rate,
+  announces; it then walks its axis set's interval tree over its half,
+  ``[0, ann)`` or ``[ann, 2**53)``, through A, B and C, and the leaf it
+  lands in is the outcome string.  A node ``[lo, hi)`` splits at ``lo +
+  ceil(p * (hi - lo))``, ``p`` being the node's plus mass over its total in
+  the set's distribution row.  So P(announced) is exact on every set, and
+  an outcome's mass is resolved to one unit of its half: ``1 / (r *
+  2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.
   The source is ``w_state()``, or under an attack the closed form
   ``attacked_w_state(phi, target)``; the attack circuit
   :func:`~wqsc.adversary.apply_attack` is its check, equal byte for byte.
@@ -327,6 +331,38 @@ def _threshold(p: float) -> int:
     return math.ceil(math.ldexp(p, 53))
 
 
+def _walk_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gathers and the scatter of :func:`_walk_thresholds`, built at import, read-only.
+
+    The walk keeps one flat row per depth ``d`` of ``16 * 2**d`` nodes: the
+    roots are the 16 trees in the order ``t = 2s + u``, and each later row
+    holds the row before's plus children, then its minus children.  The node
+    masses are one array, depth by depth from A's nodes to the outcome
+    strings and set by set within a depth: node ``i`` of set ``s`` at depth
+    ``d`` is at ``8 * (2**d - 1) + s * 2**d + i``.  Returns, per walk place,
+    the index of its node's plus child's mass and of its own mass; and, per
+    split position, the walk place of its split, counted after a leading
+    0.0 that positions 0 to 15 read.
+    """
+    node, tree = np.zeros(16, dtype=np.intp), np.arange(16)
+    plus, total, position = [], [], []
+    for depth in range(len(Party)):
+        set_index = tree >> 1
+        total.append(8 * ((1 << depth) - 1) + (set_index << depth) + node)
+        plus.append(8 * ((2 << depth) - 1) + (set_index << (depth + 1)) + 2 * node)
+        position.append((16 << depth) + (tree << depth) + node)
+        node, tree = np.concatenate((2 * node, 2 * node + 1)), np.concatenate((tree, tree))
+    order = np.zeros(128, dtype=np.intp)
+    order[np.concatenate(position)] = np.arange(1, 113)
+    plan = np.concatenate(plus), np.concatenate(total), order
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+_PLUS_MASSES, _NODE_MASSES, _SPLIT_ORDER = _walk_plan()
+
+
 def _walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
     """Split points of each axis set's two interval trees, by walk position.
 
@@ -341,32 +377,36 @@ def _walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
     mass 0 gets width 0 (``p`` is 0 or exactly 1).  A plus child of nonzero
     mass keeps at least width 1 of a node that has any; a minus child whose
     share is lost in rounding ``p * (hi - lo)`` up to ``hi - lo`` gets width
-    0.  All 16 trees are built at once.  Position ``2**d * (16 + 2s + u) +
-    i`` holds the split of half ``u`` (1 unannounced), so party ``d``'s
-    splits are positions ``16 << d`` to ``32 << d`` (see
-    :func:`_trial_cells`); positions 0 to 15 are never read.
+    0.  Position ``2**d * (16 + 2s + u) + i`` holds the split of half ``u``
+    (1 unannounced), so party ``d``'s splits are positions ``16 << d`` to
+    ``32 << d`` (see :func:`_trial_cells`); positions 0 to 15 are never read
+    and hold 0.
+
+    The node masses are three levels of pairwise sums over ``dist``, read
+    into walk order by two gathers (:func:`_walk_plan`).  All 16 trees are
+    then walked at once, one depth at a time, over flat rows of ``lo`` and
+    ``width``: the children's row is the plus children ``[lo, split)``,
+    then the minus children ``[split, lo + width)``.  Every bound and width
+    is an integer below ``2**53``, exact in a float, so only ``ceil(p *
+    width)`` rounds, on the same operands in any order of the walk.
     """
-    children = np.empty((8, 14))  # per set: A's 2 children, B's 4, C's 8, plus child first
-    children[:, 6:] = dist
-    np.add(dist[:, 0::2], dist[:, 1::2], out=children[:, 2:6])
-    np.add(children[:, 2:6:2], children[:, 3:6:2], out=children[:, :2])
-    plus = children[:, None, 0::2]
-    total = plus + children[:, None, 1::2]
-    ratio = plus / np.where(total > 0.0, total, 1.0)  # (8, 1, 7): A's node, B's 2, C's 4
-    ann = float(announce)  # numpy builds the roots faster from a float than from an int
-    lo, width = np.array([[[0.0], [ann]]]), np.array([[[ann], [2.0**53 - ann]]])
-    splits = np.zeros(128)
-    for depth in range(len(Party)):
-        nodes = 1 << depth
-        plus_width = np.ceil(ratio[..., nodes - 1 : 2 * nodes - 1] * width)
-        split = splits[16 << depth : 32 << depth].reshape(8, 2, nodes)
-        np.add(lo, plus_width, out=split)
-        if depth < 2:  # the children's nodes, plus child first
-            lo_next, width_next = np.empty((8, 2, 2 * nodes)), np.empty((8, 2, 2 * nodes))
-            lo_next[..., 0::2], lo_next[..., 1::2] = lo, split
-            width_next[..., 0::2], width_next[..., 1::2] = plus_width, width - plus_width
-            lo, width = lo_next, width_next
-    return splits.astype(np.uint64)
+    leaves = dist.ravel()  # the outcome strings' masses, set by set
+    c_nodes = leaves[0::2] + leaves[1::2]
+    b_nodes = c_nodes[0::2] + c_nodes[1::2]
+    masses = np.concatenate((b_nodes[0::2] + b_nodes[1::2], b_nodes, c_nodes, leaves))
+    # The smallest subnormal stands in for a mass of 0, whose plus child is 0 too.
+    ratio = masses.take(_PLUS_MASSES) / np.maximum(masses.take(_NODE_MASSES), 5e-324)
+    ann = float(announce)
+    lo, width = np.array([0.0, ann] * 8), np.array([ann, 2.0**53 - ann] * 8)
+    splits = np.zeros(113)  # 0.0, then each depth's splits in walk order
+    for start in (0, 16, 48):
+        end = 2 * start + 16
+        plus_width = np.ceil(ratio[start:end] * width)
+        split = np.add(lo, plus_width, out=splits[start + 1 : end + 1])
+        if end < 112:
+            lo = np.concatenate((lo, split))
+            width = np.concatenate((plus_width, width - plus_width))
+    return splits.take(_SPLIT_ORDER).astype(np.uint64)
 
 
 def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: int) -> np.ndarray:
@@ -391,10 +431,43 @@ def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: int) -> np.n
     return cells
 
 
-def _chunks(bits: np.random.Philox, count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first item, raw words)`` for ``count`` items of one word each, in chunks."""
-    for start in range(0, count, _CHUNK_TRIALS):
-        yield start, bits.random_raw(min(_CHUNK_TRIALS, count - start))
+# Philox instances no stream holds.  A stream takes one, or builds one when
+# none is idle (a constructor costs an entropy draw that the key overrides),
+# and gives it back when it ends, so each instance serves one stream at a
+# time: interleaved generators and threads never share one.
+_IDLE_STREAMS: list[np.random.Philox] = []
+
+_WORD = 2**64 - 1
+
+
+def _chunks(key: int, first: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(offset, raw words)`` per chunk of ``count`` words of Philox ``key`` from word ``first``.
+
+    Word ``w`` is position ``w & 3`` of ``Philox(key=key, counter=w >> 2)``.
+    An idle instance is re-keyed through its state: the key's two words, the
+    256-bit counter ``first >> 2`` as four words (low first) and an empty
+    buffer, as the constructor sets them.  It is idle again once the
+    generator ends, is closed or is collected.
+    """
+    counter = first >> 2
+    try:
+        bits = _IDLE_STREAMS.pop()
+    except IndexError:
+        bits = np.random.Philox(key=key, counter=counter)
+    else:
+        words = [counter & _WORD, counter >> 64 & _WORD, counter >> 128 & _WORD, counter >> 192]
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": words, "key": [key & _WORD, key >> 64]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+    try:
+        if first & 3:  # a first word inside a block skips its block's earlier words
+            bits.random_raw(first & 3)
+        for start in range(0, count, _CHUNK_TRIALS):
+            yield start, bits.random_raw(min(_CHUNK_TRIALS, count - start))
+    finally:
+        _IDLE_STREAMS.append(bits)
 
 
 def _record(mode: ProtocolMode, index: int, cell: int) -> TrialRecord:
@@ -437,10 +510,7 @@ def _run_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
     announce, thresholds = _trees(config.attack, config.announce_rate)
-    bits = np.random.Philox(key=config.seed, counter=first >> 2)
-    if first & 3:  # a first trial inside a block skips its block's earlier words
-        bits.random_raw(first & 3)
-    for start, raw in _chunks(bits, count):
+    for start, raw in _chunks(config.seed, first, count):
         yield first + start, _trial_cells(thresholds, raw, announce)
 
 
@@ -489,30 +559,20 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
     """
     grid, trials, seed = check_sweep_arguments(grid, trials, seed)
     dists = outcome_distributions([attacked_w_state(phi) for phi in grid])
-    row_masses = event_masses(dists).tolist()
-    bits = np.random.Philox(key=seed)  # re-keyed per point: a constructor costs an entropy draw
     return [
-        _event_frequency(sum(masses) / len(masses), bits, (seed, point + 1), trials)
-        for point, masses in enumerate(row_masses)
+        _event_frequency(sum(masses) / len(masses), seed + ((point + 1) << 64), trials)
+        for point, masses in enumerate(event_masses(dists).tolist())
     ]
 
 
-def _event_frequency(
-    p_bar: float, bits: np.random.Philox, key: tuple[int, int], trials: int
-) -> float:
-    """Event frequency over ``trials`` sweep samples drawn from ``bits`` re-keyed to ``key``.
+def _event_frequency(p_bar: float, key: int, trials: int) -> float:
+    """Event frequency over ``trials`` sweep samples, words 0 on of Philox ``key``.
 
-    ``key`` is the key's two words, low first; the stream starts at counter
-    0.  Its chunks are released on return, so a sweep holds one at a time.
+    Its chunks are released as they are counted, so a sweep holds one at a time.
     """
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.array(key, np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
     threshold = _threshold(p_bar)
     events = 0
-    for _, raw in _chunks(bits, trials):
+    for _, raw in _chunks(key, 0, trials):
         events += int(np.count_nonzero(raw >> _DRAW_SHIFT < threshold))
     return events / trials
 

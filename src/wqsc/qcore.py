@@ -12,7 +12,10 @@ renormalized post-state.
 
 :func:`outcome_distributions` gives every joint outcome probability of the
 three party qubits, for all eight axis sets, for a stack of states of one
-qubit count, from one pass of the same elementwise x-basis butterfly;
+qubit count.  Each party doubles the stack's rows by an index plan built at
+import, one per qubit count from 3 to 5: a gather of two rows, a signed sum
+and a scale, the same IEEE operations as the x-basis butterfly of
+:func:`measure_qubit`, so the masses have that butterfly's bytes;
 :func:`outcome_distribution` is its stack of one.  They are the one
 probability source from which ``wqsc.protocol`` samples: one state per
 ``run`` call, every grid point of a sweep in one stack.
@@ -346,6 +349,41 @@ def joint_probability(
     return mass / total
 
 
+def _level_plan(qubits: int, party: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(I, J, S, R)``: one party's level of :func:`outcome_distributions` on ``qubits`` qubits.
+
+    The level maps a row per (axis bits so far, amplitude index) to two,
+    inserting the party's axis bit: output row ``o`` is ``(v[I] + v[J] * S)
+    * R``.  A z row keeps its amplitude, ``I = J`` and ``(S, R) = (0, 1)``;
+    an x row is the butterfly of the party's two amplitudes ``a0`` and
+    ``a1``, ``I`` and ``J`` pointing at them, ``S`` the sign of ``a1`` in
+    the row's outcome and ``R = _SQRT1_2``.  ``S`` and ``R`` are complex
+    columns, so they broadcast over a stack and multiply as a complex array
+    times a Python float does.
+    """
+    rows = np.arange(2 << (party + qubits))
+    x = rows >> qubits & 1
+    amp = rows & ((1 << qubits) - 1)
+    bit = 1 << (qubits - 1 - party)
+    block = (rows >> (qubits + 1)) << qubits  # the same axis bits so far, z and x alike
+    levels = (
+        block | np.where(x, amp & ~bit, amp),
+        block | np.where(x, amp | bit, amp),
+        np.where(x, np.where(amp & bit, -1.0, 1.0), 0.0).astype(np.complex128)[:, np.newaxis],
+        np.where(x, _SQRT1_2, 1.0).astype(np.complex128)[:, np.newaxis],
+    )
+    for array in levels:
+        array.flags.writeable = False
+    return levels
+
+
+# The three party levels of each qubit count, A first, built at import, read-only.
+_LEVEL_PLANS = {
+    qubits: tuple(_level_plan(qubits, party) for party in Party)
+    for qubits in range(len(Party), MAX_QUBITS + 1)
+}
+
+
 def outcome_distributions(states: Sequence[StateVector]) -> np.ndarray:
     """Exact joint outcome probabilities of the three party qubits, per axis set, per state.
 
@@ -353,10 +391,16 @@ def outcome_distributions(states: Sequence[StateVector]) -> np.ndarray:
     8)`` array ``P[i, s, o]``: ``i`` is the state's place in ``states``; row
     ``s`` is the axis set with bits (A, B, C), z as 0 and x as 1; column
     ``o`` is the outcome string with bits (A, B, C), PLUS as 0.  Any further
-    qubit (an attached ancilla) is marginalized.  Each party qubit is
-    rotated into both eigenbases by the elementwise butterfly of
-    :func:`_axis_components`, so an outcome whose amplitudes cancel exactly
-    has probability exactly 0.0, as under :func:`joint_probability`; each
+    qubit (an attached ancilla) is marginalized.
+
+    The amplitudes are a column per state, and each party in turn doubles
+    the rows by its index plan (:func:`_level_plan`): ``v = (v[I] + v[J] *
+    S) * R``.  A z row is ``(a + a * 0) * 1``, which is ``a`` up to the sign
+    of a zero; an x row is ``(a0 + a1) * _SQRT1_2`` or ``(a0 - a1) *
+    _SQRT1_2``, the same IEEE operations on the same operands as the
+    butterfly of :func:`_axis_components`.  So every mass has the bytes of
+    that butterfly's, and an outcome whose amplitudes cancel exactly has
+    probability exactly 0.0, as under :func:`joint_probability`.  Each
     state's masses are divided by its own total.  Every operation is
     elementwise or sums within one state, so a state's slice has the same
     bytes whatever else is stacked with it.
@@ -366,20 +410,14 @@ def outcome_distributions(states: Sequence[StateVector]) -> np.ndarray:
         raise ValueError("outcome distributions need at least one state")
     if len(counts) > 1:
         raise ValueError(f"stacked states must share a qubit count, got {sorted(counts)}")
-    if counts.pop() < 3:
+    qubits = counts.pop()
+    if qubits < 3:
         raise ValueError("outcome distribution needs at least three qubits")
-    n = len(states)
-    rotated = np.array([state.amplitudes for state in states])
-    for party in Party:
-        # (prefixes, leading, 2, trailing) -> (prefixes, z|x, ...), a prefix
-        # being a state and its axis bits so far: the z half is the view
-        # itself, the x half its butterfly.
-        view = rotated.reshape(n << party, 1 << party, 2, -1)
-        rotated = np.empty((n << party, 2) + view.shape[1:], dtype=np.complex128)
-        rotated[:, 0] = view
-        rotated[:, 1, ..., 0, :], rotated[:, 1, ..., 1, :] = _axis_components(view, Axis.X)
+    rows = np.array([state.amplitudes for state in states]).T
+    for i, j, s, r in _LEVEL_PLANS[qubits]:
+        rows = (rows.take(i, 0) + rows.take(j, 0) * s) * r
     totals = np.array([state.squared_norm() for state in states]).reshape(-1, 1, 1)
-    return _masses(rotated.reshape(n, 8, 8, 1, -1)) / totals
+    return _masses(rows.T.reshape(len(states), 8, 8, 1, -1)) / totals
 
 
 def outcome_distribution(state: StateVector) -> np.ndarray:

@@ -11,8 +11,9 @@ Decoding follows the field's annotation: only a ``| None`` field may be
 null (JSON) or an empty cell (CSV).  A CSV cell is text, read with
 ``int()``, ``float()`` or as an enum's scalar.  A JSON value is never
 text for a number: an int field takes an int, a float field an int or
-float, never a bool, and an enum field its scalar.  Else a ValueError
-names the field.
+float, never a bool, and an enum field its scalar.  A float field takes
+no NaN or infinity (JSON's ``NaN`` and ``Infinity``, CSV's ``nan`` and
+``inf``), which no renderer writes.  Else a ValueError names the field.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -49,11 +51,19 @@ def _scalar(member: Enum) -> object:
     return member.letter if isinstance(member, Party) else member.value
 
 
+def _finite(value: object) -> float:
+    """``float(value)``, refusing NaN and the infinities with ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number!r} is not finite")
+    return number
+
+
 # By field annotation (text, as annotations are postponed) less any "| None":
 # the types a JSON value may have, never bool, and how a value is read.
 _DECODERS = {
     "int": ((int,), int),
-    "float": ((int, float), float),
+    "float": ((int, float), _finite),
     **{enum.__name__: ((str,), {_scalar(m): m for m in enum}.__getitem__) for enum in _ENUMS},
 }
 

@@ -10,6 +10,10 @@ engine's vectorised trees, the chain-rule outcome table by sequential
 statevector measurement (against which the trees' unreachable cells are
 checked), and a run's report by folding its trial records one at a time
 instead of multiplying the engine's weight matrix by its cell counts.
+
+Two former formulations are kept as byte references: the per-party
+reshape-and-assign butterfly of ``outcome_distributions`` and the nested
+per-set walk of ``_walk_thresholds``, which the index plans replaced.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from wqsc import (
     reconstruct_dealer_bit,
     security_verdict,
 )
-from wqsc import protocol
+from wqsc import protocol, qcore
 from wqsc.protocol import MODE_SUCCESS_PROBABILITY, QUBITS_PER_TRIAL
 
 
@@ -80,6 +84,49 @@ def enumerate_event_probability(state, qubit_axes, predicate) -> float:
             constraints = [(q, axis, assignment[q]) for q, axis in qubit_axes]
             total += joint_probability(state, constraints)
     return total
+
+
+def butterfly_outcome_distributions(states) -> np.ndarray:
+    """The former ``outcome_distributions``: a reshape/empty/assign butterfly per party.
+
+    Each party's rows are the view itself (z) and its
+    ``qcore._axis_components`` along x, assigned into a new array; the
+    masses and the division by each state's total are the live code's.
+    """
+    n = len(states)
+    rotated = np.array([state.amplitudes for state in states])
+    for party in Party:
+        view = rotated.reshape(n << party, 1 << party, 2, -1)
+        rotated = np.empty((n << party, 2) + view.shape[1:], dtype=np.complex128)
+        rotated[:, 0] = view
+        rotated[:, 1, ..., 0, :], rotated[:, 1, ..., 1, :] = qcore._axis_components(view, Axis.X)
+    totals = np.array([state.squared_norm() for state in states]).reshape(-1, 1, 1)
+    return qcore._masses(rotated.reshape(n, 8, 8, 1, -1)) / totals
+
+
+def nested_walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
+    """The former ``_walk_thresholds``: per-set arrays of nodes, regrown at each depth."""
+    children = np.empty((8, 14))  # per set: A's 2 children, B's 4, C's 8, plus child first
+    children[:, 6:] = dist
+    np.add(dist[:, 0::2], dist[:, 1::2], out=children[:, 2:6])
+    np.add(children[:, 2:6:2], children[:, 3:6:2], out=children[:, :2])
+    plus = children[:, None, 0::2]
+    total = plus + children[:, None, 1::2]
+    ratio = plus / np.where(total > 0.0, total, 1.0)  # (8, 1, 7): A's node, B's 2, C's 4
+    ann = float(announce)
+    lo, width = np.array([[[0.0], [ann]]]), np.array([[[ann], [2.0**53 - ann]]])
+    splits = np.zeros(128)
+    for depth in range(len(Party)):
+        nodes = 1 << depth
+        plus_width = np.ceil(ratio[..., nodes - 1 : 2 * nodes - 1] * width)
+        split = splits[16 << depth : 32 << depth].reshape(8, 2, nodes)
+        np.add(lo, plus_width, out=split)
+        if depth < 2:  # the children's nodes, plus child first
+            lo_next, width_next = np.empty((8, 2, 2 * nodes)), np.empty((8, 2, 2 * nodes))
+            lo_next[..., 0::2], lo_next[..., 1::2] = lo, split
+            width_next[..., 0::2], width_next[..., 1::2] = plus_width, width - plus_width
+            lo, width = lo_next, width_next
+    return splits.astype(np.uint64)
 
 
 def unit(word) -> float:

@@ -16,6 +16,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from helpers import (
     TREE_SPAN,
     announce_split,
     kernel_intervals,
+    nested_walk_thresholds,
     oracle_intervals,
     oracle_table,
     oracle_trial,
@@ -40,6 +43,7 @@ from wqsc import (
     apply_attack,
     attacked_w_state,
     event_masses,
+    ghz_state,
     iter_trials,
     outcome_distribution,
     run_protocol,
@@ -318,6 +322,38 @@ class TestTreeConstruction:
             assert digest(tmp_path, "run", "--mode", mode, *other)[0] == 0
 
 
+# Attack angles with subnormal or vanishing squares, exact zeros and the
+# maximal coupling, then 300 seeded angles.
+WALK_PHIS = [0.0, 5e-324, 8.4e-161, 1e-160, math.pi / 4, HALF_PI] + (
+    np.random.default_rng(2929).uniform(0.0, HALF_PI, 300).tolist()
+)
+WALK_RATES = (0.0, 1e-300, 0.05, 0.1, 0.2, 0.3, math.nextafter(1.0, 0.0))
+
+
+class TestFlatWalk:
+    """The flat walk gives the former nested walk's bytes (``helpers``)."""
+
+    @pytest.mark.parametrize("target", list(Party), ids=lambda party: party.letter)
+    def test_attacked_states(self, target):
+        for phi in WALK_PHIS:
+            dist = outcome_distribution(attacked_w_state(phi, target))
+            for rate in WALK_RATES:
+                announce = protocol._threshold(rate)
+                live = protocol._walk_thresholds(dist, announce)
+                assert live.tobytes() == nested_walk_thresholds(dist, announce).tobytes(), phi
+
+    def test_w_and_ghz(self):
+        for state, rate in itertools.product((w_state(), ghz_state()), WALK_RATES):
+            dist, announce = outcome_distribution(state), protocol._threshold(rate)
+            live = protocol._walk_thresholds(dist, announce)
+            assert live.tobytes() == nested_walk_thresholds(dist, announce).tobytes()
+
+    def test_walk_plan_is_read_only(self):
+        # Every tree build reads these; a write would move every split.
+        for array in (protocol._PLUS_MASSES, protocol._NODE_MASSES, protocol._SPLIT_ORDER):
+            assert not array.flags.writeable
+
+
 class TestChunking:
     RUN = ("run", "--mode", "synth", "--trials", "1000", "--seed", "77",
            "--announce-rate", "0.3", "--phi", "1.0", "--target", "B", "--format", "csv")
@@ -404,6 +440,82 @@ class TestStreamContract:
                 records.append(next(generator))
                 assert run_protocol(other) == report
         assert interleaved == solo
+
+    @pytest.mark.parametrize("idle", [False, True], ids=["built", "re-keyed"])
+    @pytest.mark.parametrize("index", [6, 2**66 + 5, 2**130 + 3, 2**194 + 2, 2**258 - 1])
+    def test_run_trial_reads_its_counter_in_every_word(self, monkeypatch, index, idle):
+        # The counter i >> 2 fills one more of its four 64-bit words at each
+        # index; a built and a re-keyed instance both read the word that a
+        # fresh Philox(key=seed, counter=i >> 2) gives at position i & 3.
+        spent = np.random.Philox(key=1, counter=2**200)
+        spent.random_raw(3)  # mid-block, so a stale buffer would show
+        monkeypatch.setattr(protocol, "_IDLE_STREAMS", [spent] if idle else [])
+        config = ProtocolConfig(
+            ProtocolMode.SYNTH, trials=1, seed=2**64 - 3, announce_rate=0.3,
+            attack=UnitaryCouplingAttack(0.9, Party.BOB),
+        )
+        word = np.random.Philox(key=config.seed, counter=index >> 2).random_raw(4)[index & 3]
+        record = run_trial(config, index)
+        expected = oracle_trial(source_for(0.9, Party.BOB), word, config.announce_rate)
+        assert (record.axes, record.outcomes, record.announced) == expected
+        assert len(protocol._IDLE_STREAMS) == 1  # the stream is idle again
+
+    def test_threads_give_their_solo_results(self, monkeypatch):
+        # Four threads, each running one seed's run_protocol and iter_trials
+        # again and again at once, with a switch interval of 1 us and chunks of
+        # 7 words, so that streams are taken and given back while others
+        # are in flight.  Each thread must see its solo results every time.
+        monkeypatch.setattr(protocol, "_CHUNK_TRIALS", 7)
+        configs = [
+            ProtocolConfig(
+                mode, trials=60, seed=seed, announce_rate=0.4,
+                attack=None if seed % 2 else UnitaryCouplingAttack(1.2, Party(seed % 3)),
+            )
+            for seed, mode in zip((11, 12, 13, 14), itertools.cycle(ProtocolMode))
+        ]
+        solo = [(run_protocol(config), list(iter_trials(config))) for config in configs]
+        start = threading.Barrier(len(configs))
+        seen = [[] for _ in configs]
+
+        def work(config, results):
+            start.wait(timeout=60)
+            for _ in range(15):
+                results.append((run_protocol(config), list(iter_trials(config))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=pair) for pair in zip(configs, seen)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for alone, results in zip(solo, seen):
+            assert results == [alone] * 15
+
+    def test_closed_generator_and_replayed_trial_leave_the_next_run_unchanged(self):
+        config = ProtocolConfig(ProtocolMode.QKD, trials=500, seed=21, announce_rate=0.2)
+        other = ProtocolConfig(
+            ProtocolMode.SYNTH, trials=500, seed=22, announce_rate=0.3,
+            attack=UnitaryCouplingAttack(0.6, Party.ALICE),
+        )
+        report, records = run_protocol(config), list(iter_trials(config))
+        idle = len(protocol._IDLE_STREAMS)
+        generator = iter_trials(other)
+        for _ in range(3):
+            next(generator)
+        assert len(protocol._IDLE_STREAMS) == idle - 1  # the generator holds one
+        generator.close()
+        assert len(protocol._IDLE_STREAMS) == idle
+        run_trial(other, 2**130 + 3)
+        assert len(protocol._IDLE_STREAMS) == idle
+        assert run_protocol(config) == report
+        assert list(iter_trials(config)) == records
 
     def test_sweep_point_words(self):
         # Point k reads key seed + (k + 1) * 2**64; sample j is raw word j, an

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    butterfly_outcome_distributions,
     enumerate_event_probability,
     partial_trace_oracle,
     permute_qubits,
@@ -36,6 +37,7 @@ from wqsc import (
     three_tangle,
     w_state,
 )
+from wqsc import qcore
 from wqsc.qcore import _axis_components, _masses, _split_on_qubit
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -411,6 +413,64 @@ class TestOutcomeDistributions:
     def test_bad_stacks_raise_value_error(self, states):
         with pytest.raises(ValueError):
             outcome_distributions(states)
+
+
+def edge_stack(rng: np.random.Generator, num_qubits: int, count: int) -> list[StateVector]:
+    """Seeded random states with exact zeros, exact x cancellations and 1e-160 entries."""
+    size = 1 << num_qubits
+    states = []
+    for _ in range(count):
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps[rng.random(size) < 0.2] = 0.0
+        amps[rng.random(size) < 0.2] *= 1e-160
+        # a1 = +-a0 on a party qubit, then on one pair of any qubit: x components cancel exactly.
+        halves = amps.reshape(1 << int(rng.integers(3)), 2, -1)
+        halves[:, 1] = halves[:, 0] * rng.choice([1.0, -1.0])
+        bit = 1 << int(rng.integers(num_qubits))
+        low = int(rng.integers(size)) & ~bit
+        amps[low | bit] = amps[low] * rng.choice([1.0, -1.0])
+        amps /= np.abs(amps).max()  # so that the norm is not tiny itself
+        states.append(StateVector(amps / np.linalg.norm(amps)))
+    return states
+
+
+# Attack angles with subnormal or vanishing squares, exact zeros and the
+# maximal coupling, then 300 seeded angles.
+PLAN_PHIS = [0.0, 5e-324, 8.4e-161, 1e-160, math.pi / 4, HALF_PI] + (
+    np.random.default_rng(29).uniform(0.0, HALF_PI, 300).tolist()
+)
+
+
+class TestIndexPlans:
+    """The index plans give the former butterfly's bytes (``helpers``)."""
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5])
+    def test_random_stacks_with_zeros_cancellations_and_tiny_entries(self, num_qubits):
+        states = edge_stack(np.random.default_rng(290 + num_qubits), num_qubits, 60)
+        for stack in (states, states[:1], states[7:8]):
+            live = outcome_distributions(stack)
+            assert live.tobytes() == butterfly_outcome_distributions(stack).tobytes()
+
+    def test_w_and_ghz(self):
+        for state in (w_state(), ghz_state()):
+            live = outcome_distribution(state)
+            assert live.tobytes() == butterfly_outcome_distributions([state])[0].tobytes()
+
+    @pytest.mark.parametrize("target", list(Party), ids=lambda party: party.letter)
+    def test_attacked_states(self, target):
+        states = [attacked_w_state(phi, target) for phi in PLAN_PHIS]
+        stacked = outcome_distributions(states)
+        assert stacked.tobytes() == butterfly_outcome_distributions(states).tobytes()
+        for index in (0, 1, 2, 3, 5, 100):
+            assert outcome_distribution(states[index]).tobytes() == stacked[index].tobytes()
+
+    def test_plans_are_read_only_constants(self):
+        # Every call reads these; a write would change every distribution.
+        assert sorted(qcore._LEVEL_PLANS) == [3, 4, 5]
+        for levels in qcore._LEVEL_PLANS.values():
+            assert len(levels) == len(Party)
+            for array in itertools.chain.from_iterable(levels):
+                assert not array.flags.writeable
 
 
 class TestReducedDensity:

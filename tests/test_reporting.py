@@ -216,6 +216,35 @@ class TestTypeRule:
         with pytest.raises(ValueError, match="dealer"):
             parse_report_csv(f"{header}\n{','.join(cells)}\n")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("name", ["epsilon", "announce_rate", "formula_qubits",
+                                      "security_event_frequency", "attack_phi"])
+    def test_json_non_finite_float(self, attacked_report, name, token):
+        # json.loads reads these tokens as floats; no renderer writes them.
+        text = render_report_json(attacked_report)
+        line = next(line for line in text.splitlines() if line.startswith(f'  "{name}": '))
+        edited = text.replace(line, f'  "{name}": {token}' + ("," if line.endswith(",") else ""))
+        assert json.loads(edited)[name] != json.loads(text)[name]
+        with pytest.raises(ValueError, match=name):
+            parse_report_json(edited)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("name", ["epsilon", "formula_qubits", "security_event_frequency"])
+    def test_csv_non_finite_float(self, attacked_report, name, cell):
+        header, row = render_report_csv(attacked_report).splitlines()
+        cells = row.split(",")
+        cells[REPORT_COLUMNS.index(name)] = cell
+        with pytest.raises(ValueError, match=name):
+            parse_report_csv(f"{header}\n{','.join(cells)}\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("name", ["phi", "p_bar", "empirical", "sigma"])
+    def test_sweep_non_finite_float(self, name, cell):
+        cells = ["0.5", "0.03", "0.028", "0.002", "compromised"]
+        cells[SWEEP_COLUMNS.index(name)] = cell
+        with pytest.raises(ValueError, match=name):
+            parse_sweep_csv(f"phi,p_bar,empirical,sigma,verdict\n{','.join(cells)}\n")
+
     def test_sweep_unknown_verdict(self):
         with pytest.raises(ValueError, match="verdict"):
             parse_sweep_csv("phi,p_bar,empirical,sigma,verdict\n0,0,0,0,maybe\n")

@@ -55,10 +55,8 @@ def shim_path(tmp_path_factory):
     return bin_dir
 
 
-@pytest.mark.parametrize(
-    "step", [step for step in STEPS if step_name(step) not in SKIPPED], ids=step_name
-)
-def test_step_passes(step, shim_path, tmp_path):
+def replay(step: dict, shim_path: Path, tmp_path: Path) -> tuple[subprocess.CompletedProcess, Path]:
+    """Run one step as CI runs it; returns the process and the step summary's path."""
     assert step.get("shell") == "bash"
     script = tmp_path / "step.sh"
     script.write_text(step["run"])
@@ -75,4 +73,22 @@ def test_step_passes(step, shim_path, tmp_path):
         ["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
+    return result, Path(env["GITHUB_STEP_SUMMARY"])
+
+
+@pytest.mark.parametrize(
+    "step", [step for step in STEPS if step_name(step) not in SKIPPED], ids=step_name
+)
+def test_step_passes(step, shim_path, tmp_path):
+    result, _ = replay(step, shim_path, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_summary_reports_the_import_self_times(shim_path, tmp_path):
+    step = next(step for step in STEPS if step_name(step) == "Source size and toolchain versions")
+    result, summary = replay(step, shim_path, tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = summary.read_text(encoding="utf-8").splitlines()
+    for module in ("wqsc", "wqsc.qcore", "wqsc.protocol", "wqsc.cli"):
+        assert any(line.startswith(f"import {module}: ") and line.endswith(" us self")
+                   for line in lines), (module, lines)
