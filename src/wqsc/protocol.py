@@ -396,7 +396,7 @@ def _walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
     masses = np.concatenate((b_nodes[0::2] + b_nodes[1::2], b_nodes, c_nodes, leaves))
     # The smallest subnormal stands in for a mass of 0, whose plus child is 0 too.
     ratio = masses.take(_PLUS_MASSES) / np.maximum(masses.take(_NODE_MASSES), 5e-324)
-    ann = float(announce)
+    ann = float(announce)  # numpy builds the roots faster from a float than from an int
     lo, width = np.array([0.0, ann] * 8), np.array([ann, 2.0**53 - ann] * 8)
     splits = np.zeros(113)  # 0.0, then each depth's splits in walk order
     for start in (0, 16, 48):
@@ -566,7 +566,7 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
 
 
 def _event_frequency(p_bar: float, key: int, trials: int) -> float:
-    """Event frequency over ``trials`` sweep samples, words 0 on of Philox ``key``.
+    """Event frequency over ``trials`` sweep samples, read from word 0 of Philox ``key``.
 
     Its chunks are released as they are counted, so a sweep holds one at a time.
     """
