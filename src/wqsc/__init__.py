@@ -56,9 +56,17 @@ from .qcore import (
     outcome_distribution,
     outcome_distributions,
     partial_transpose,
+    reduced_densities,
     reduced_density,
     three_tangle,
 )
-from .states import attacked_w_state, coupling_unitary, ghz_state, validate_attack_angle, w_state
+from .states import (
+    attacked_w_amplitudes,
+    attacked_w_state,
+    coupling_unitary,
+    ghz_state,
+    validate_attack_angle,
+    w_state,
+)
 
 __version__ = "0.1.0"

@@ -2,18 +2,23 @@
 
 Every closed-form quantity the package must reproduce is evaluated here by
 exact projection or closed formula (never by sampling) and compared against
-its expected value.  Boolean claims are encoded as 1.0/0.0.  Each distinct
-state is built once per call, and each state's events are read by
+its expected value.  Boolean claims are encoded as 1.0/0.0.  Everything is
+built anew on every call, and each distinct state once: the attacked
+states are the rows of one :func:`~wqsc.states.attacked_w_amplitudes`
+stack, one row per distinct angle.  Each state's events are read by
 ``wqsc.bell``'s readers from its slice of a stacked
-:func:`~wqsc.qcore.outcome_distributions` pass, built anew on every call:
-one for the two three-qubit states, and one for the fourteen attacked
-states, whose security events are one :func:`~wqsc.bell.event_masses` call.
+:func:`~wqsc.qcore.outcome_distributions` pass: one for the two
+three-qubit states, and one for the fourteen rows of the attacked pass, whose
+security events are one :func:`~wqsc.bell.event_masses` call.  The W
+state's three pairs are one :func:`~wqsc.qcore.reduced_densities` stack,
+whose partial transposes are one
+:func:`~wqsc.qcore.eigenvalues_hermitian` call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,28 +45,29 @@ from .qcore import (
     Axis,
     Outcome,
     Party,
+    StateVector,
     eigenvalues_hermitian,
     joint_probability,
     make_basis_state,
     measure_qubit,
     outcome_distributions,
     partial_transpose,
-    reduced_density,
+    reduced_densities,
     three_tangle,
 )
-from .states import attacked_w_state, ghz_state, w_state
+from .states import attacked_w_amplitudes, ghz_state, w_state
 
 VERIFY_TOL = 1e-9
 
 _A, _B, _C = Party.ALICE, Party.BOB, Party.CHARLIE
 _PLUS, _MINUS = Outcome.PLUS, Outcome.MINUS
 _XXZ, _ZXX = AxisSet.from_label("xxz"), AxisSet.from_label("zxx")
+_PAIRS = {"ab": (_A, _B), "ac": (_A, _C), "bc": (_B, _C)}
 # The sweep of attack angles: pi/4 is its middle point and pi/2, the maximal coupling, its last.
 _GRID = tuple(np.linspace(0.0, math.pi / 2.0, 11).tolist())
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
+class GoldenCheck(NamedTuple):
     item: str
     value: float
     expected: float
@@ -124,27 +130,28 @@ def golden_checks() -> list[GoldenCheck]:
     add("three-tangle-ghz", three_tangle(ghz), 1.0)
     add("three-tangle-w", three_tangle(w), 0.0)
     ppt_floor = (1.0 - math.sqrt(5.0)) / 6.0
-    for pair, keep in (("ab", (_A, _B)), ("ac", (_A, _C)), ("bc", (_B, _C))):
-        transposed = partial_transpose(reduced_density(w, keep), "second")
-        add(f"ppt-min-eigenvalue-w-pair-{pair}", eigenvalues_hermitian(transposed)[0], ppt_floor)
+    transposed = [partial_transpose(dm, "second") for dm in reduced_densities(w, _PAIRS.values())]
+    for pair, eigenvalues in zip(_PAIRS, eigenvalues_hermitian(np.array(transposed))):
+        add(f"ppt-min-eigenvalue-w-pair-{pair}", eigenvalues[0], ppt_floor)
 
-    # Attacked channel states, each angle built once: 0 and pi/4 are also grid points.
+    # Attacked channel states, one row per distinct angle: 0 and pi/4 are also grid points.
     angles = (math.pi / 4.0, math.pi / 3.0, 0.0, *_GRID)
-    built = {phi: attacked_w_state(phi) for phi in dict.fromkeys(angles)}
-    quarter_pi, maximal = built[math.pi / 4.0], built[math.pi / 2.0]
+    phi_probe = 0.77
+    rows = {phi: row for row, phi in enumerate(dict.fromkeys((*angles, phi_probe)))}
+    attacked = attacked_w_amplitudes(rows)
+    maximal = attacked[rows[math.pi / 2.0]]
     expected = np.zeros(16, dtype=complex)
     expected[[0b1000, 0b0100, 0b0001]] = inv_sqrt3
-    add("attacked-state-maximal-coupling-pattern", _distance(maximal.amplitudes, expected), 0.0)
-    phi_probe = 0.77
+    add("attacked-state-maximal-coupling-pattern", _distance(maximal, expected), 0.0)
     circuit = apply_attack(w, UnitaryCouplingAttack(phi_probe, _C))
     add(
         "attacked-state-circuit-equivalence",
-        _distance(attacked_w_state(phi_probe).amplitudes, circuit.amplitudes),
+        _distance(attacked[rows[phi_probe]], circuit.amplitudes),
         0.0,
     )
 
-    # Security-check event under attack, every attacked state in one pass.
-    stack = [built[phi] for phi in angles]
+    # Security-check event under attack: the pass reads fourteen rows (0 and pi/4 twice).
+    stack = attacked[[rows[phi] for phi in angles]]
     quarter, third, untouched, *swept = event_masses(outcome_distributions(stack)).tolist()
     add("security-event-charlie-z-quarter-pi", quarter[_XXZ.decider], 1.0 / 12.0)
     add("security-event-charlie-x-third-pi", third[_ZXX.decider], 1.0 / 6.0)
@@ -161,7 +168,8 @@ def golden_checks() -> list[GoldenCheck]:
     add("averaged-matches-per-set-mean", mismatch, 0.0)
 
     # Eavesdropper's ancilla.
-    add("eve-minus-rate-half-pi", eve_ancilla_statistics(maximal), 1.0 / 3.0)
+    quarter_pi = StateVector(attacked[rows[math.pi / 4.0]])
+    add("eve-minus-rate-half-pi", eve_ancilla_statistics(StateVector(maximal)), 1.0 / 3.0)
     add("eve-minus-rate-quarter-pi", eve_ancilla_statistics(quarter_pi), 1.0 / 6.0)
 
     # The success probabilities the engine reports, against exact projection.

@@ -44,7 +44,8 @@ announce rate) key, and for ``sweep-phi`` one stacked
   an outcome's mass is resolved to one unit of its half: ``1 / (r *
   2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.
   The source is ``w_state()``, or under an attack the closed form
-  ``attacked_w_state(phi, target)``; the attack circuit
+  ``attacked_w_state(phi, target)``, read as its one amplitude row
+  ``attacked_w_amplitudes([phi], target)``; the attack circuit
   :func:`~wqsc.adversary.apply_attack` is its check, equal byte for byte.
   The eavesdropper's ancilla is never sampled: it is measured after the
   parties, so its outcome cannot change theirs.
@@ -52,7 +53,8 @@ announce rate) key, and for ``sweep-phi`` one stacked
   words ``(seed, k + 1)``, disjoint from every ``run`` key).  Sample ``j``
   is raw word ``j``, an event iff its draw lies below ``p_bar``, the mean
   of the three QKD axis sets' :func:`~wqsc.bell.event_masses` in
-  ``attacked_w_state(phi)``, the closed form of the attack on Charlie.
+  ``attacked_w_state(phi)``, the closed form of the attack on Charlie; the
+  grid is one amplitude stack, ``attacked_w_amplitudes(grid)``.
 
 A draw ``k`` lies below a probability ``p`` iff ``k < ceil(p * 2**53)``,
 exact because ``p * 2**53`` is; a cell of mass 0 gets an interval of width
@@ -83,7 +85,7 @@ from .qcore import (
     outcome_distributions,
     real_argument,
 )
-from .states import attacked_w_state, validate_attack_angle, w_state
+from .states import attacked_w_amplitudes, validate_attack_angle, w_state
 
 DEFAULT_ANNOUNCE_RATE = 0.1
 DEFAULT_EPSILON = 1e-9
@@ -495,12 +497,16 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
 def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> tuple[int, np.ndarray]:
     """The run source's ``(ann, splits)`` at this announce rate, built once per key, read-only.
 
-    The source is ``w_state()``, or under ``attack`` the closed form
-    ``attacked_w_state(phi, target)``; the 64 keys last used are kept.
+    The source is ``w_state()``, or under ``attack`` the closed form's one
+    row ``attacked_w_amplitudes([phi], target)``; the 64 keys last used are
+    kept.
     """
-    source = w_state() if attack is None else attacked_w_state(attack.phi, attack.target)
+    if attack is None:
+        dist = outcome_distribution(w_state())
+    else:
+        dist = outcome_distributions(attacked_w_amplitudes([attack.phi], attack.target))[0]
     announce = _threshold(announce_rate)
-    splits = _walk_thresholds(outcome_distribution(source), announce)
+    splits = _walk_thresholds(dist, announce)
     splits.flags.writeable = False
     return announce, splits
 
@@ -550,15 +556,16 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
     event: its draw lies below ``p_bar``, the mean over the three QKD axis
     sets of the event mass in the point's
     :func:`~wqsc.states.attacked_w_state`.  All points' masses are read by
-    one :func:`~wqsc.bell.event_masses` call from one stacked
-    :func:`~wqsc.qcore.outcome_distributions` pass.  Point ``k`` draws from
-    its own Philox key, ``seed + (k + 1) * 2**64``, so its frequency depends
-    on its index and not on the rest of the grid.  Every value is checked by
-    :func:`check_sweep_arguments` before any state is built or any draw is
-    made.
+    one :func:`~wqsc.bell.event_masses` call from one
+    :func:`~wqsc.qcore.outcome_distributions` pass over the grid's
+    amplitude stack, :func:`~wqsc.states.attacked_w_amplitudes`.  Point
+    ``k`` draws from its own Philox key, ``seed + (k + 1) * 2**64``, so its
+    frequency depends on its index and not on the rest of the grid.  Every
+    value is checked by :func:`check_sweep_arguments` before any state is
+    built or any draw is made.
     """
     grid, trials, seed = check_sweep_arguments(grid, trials, seed)
-    dists = outcome_distributions([attacked_w_state(phi) for phi in grid])
+    dists = outcome_distributions(attacked_w_amplitudes(grid))
     return [
         _event_frequency(sum(masses) / len(masses), seed + ((point + 1) << 64), trials)
         for point, masses in enumerate(event_masses(dists).tolist())

@@ -5,6 +5,14 @@ states, projective measurement, joint outcome probabilities, partial
 traces, partial transposition, eigenvalues of the small Hermitian matrices
 that arise here (by LAPACK), and the three-qubit residual tangle.
 
+A stack is the unit of the exact math, and the one-object form is its stack
+of one.  The :class:`StateVector` and :class:`DensityMatrix` gates are
+private checks that run on one array or on a stack at once;
+:func:`reduced_densities` builds and checks all its kept sets as one
+``(k, d, d)`` stack, :func:`eigenvalues_hermitian` diagonalizes a whole
+stack in one LAPACK call, and :func:`outcome_distributions` takes a
+sequence of states or an amplitude stack, one state per row.
+
 :func:`measure_qubit` is the one measurement: it splits one qubit into its
 components along the axis, weighs them, compares a caller's uniform draw
 with the plus branch's share of the mass, and returns the outcome with its
@@ -18,7 +26,7 @@ and a scale, the same IEEE operations as the x-basis butterfly of
 :func:`measure_qubit`, so the masses have that butterfly's bytes;
 :func:`outcome_distribution` is its stack of one.  They are the one
 probability source from which ``wqsc.protocol`` samples: one state per
-``run`` call, every grid point of a sweep in one stack.
+``run`` call, every grid point of a sweep in one amplitude stack.
 :func:`joint_probability` projects one event at a time and is kept as their
 independent check.
 
@@ -152,19 +160,8 @@ class StateVector:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a one-dimensional array")
-        size = amps.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"amplitude count must be a power of two, got {size}")
-        n = size.bit_length() - 1
-        if not MIN_QUBITS <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}")
-        # Squares are non-negative, so any inf/nan component makes the norm
-        # non-finite; one scalar check covers finiteness and normalization.
-        sq_norm = float(np.vdot(amps, amps).real)
-        if not math.isfinite(sq_norm):
-            raise InvalidStateError("amplitudes must be finite")
-        if abs(sq_norm - 1.0) > NORM_ATOL:
-            raise InvalidStateError(f"squared norm {sq_norm!r} deviates from 1 beyond {NORM_ATOL}")
+        _qubit_count(amps.size)
+        _state_norms(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -190,12 +187,7 @@ class DensityMatrix:
         dim = m.shape[0]
         if dim not in (2, 4):
             raise ValueError(f"density matrix dimension must be 2 or 4, got {dim}")
-        _check_hermitian(m, "density matrix")
-        trace = complex(m.trace())
-        if abs(trace - 1.0) > HERMITICITY_ATOL:
-            raise ValueError(f"density matrix trace {trace!r} deviates from 1")
-        if _hermitian_eigenvalues(m)[0] < -PSD_ATOL:
-            raise ValueError("density matrix has an eigenvalue below the positivity tolerance")
+        _check_densities(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -204,18 +196,68 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def _qubit_count(size: int) -> int:
+    """The qubit count of ``size`` amplitudes: a power of two, 1 to 5 qubits, else ValueError."""
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"amplitude count must be a power of two, got {size}")
+    n = size.bit_length() - 1
+    if not MIN_QUBITS <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}")
+    return n
+
+
+def _state_norms(amps: np.ndarray) -> list[float]:
+    """The :class:`StateVector` gate on ``amps`` or each row of a stack: the squared norms.
+
+    Each norm is read by ``np.vdot`` on its row, which must be contiguous
+    (on a strided row BLAS sums in another order).  Raises
+    :class:`InvalidStateError` unless every norm is finite and within
+    ``NORM_ATOL`` of 1.
+    """
+    norms = [float(np.vdot(row, row).real) for row in ((amps,) if amps.ndim == 1 else amps)]
+    for sq_norm in norms:
+        # Squares are non-negative, so any inf/nan component makes the norm
+        # non-finite; one scalar check covers finiteness and normalization.
+        if not math.isfinite(sq_norm):
+            raise InvalidStateError("amplitudes must be finite")
+        if abs(sq_norm - 1.0) > NORM_ATOL:
+            raise InvalidStateError(f"squared norm {sq_norm!r} deviates from 1 beyond {NORM_ATOL}")
+    return norms
+
+
 def _check_hermitian(m: np.ndarray, name: str) -> None:
-    """Raise ``ValueError`` unless ``m`` is finite and Hermitian within tolerance."""
+    """Raise ``ValueError`` unless ``m``, a matrix or a stack of them, is finite and Hermitian."""
     # Checked first: every tolerance comparison with NaN is False.
     if not np.isfinite(m).all():
         raise ValueError(f"{name} entries must be finite")
-    if np.abs(m - m.conj().T).max() > HERMITICITY_ATOL:
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within tolerance")
 
 
 def _hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``m``, once it passed the check."""
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    """Ascending eigenvalues of the Hermitian part of ``m`` (or of each matrix of a stack)."""
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def _check_densities(m: np.ndarray) -> None:
+    """The :class:`DensityMatrix` gate on a matrix or a stack ``(..., d, d)``.
+
+    Raises ``ValueError`` unless every matrix is finite, Hermitian, of unit
+    trace and positive, each within its tolerance.
+    """
+    _check_hermitian(m, "density matrix")
+    for trace in m.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
+        if abs(trace - 1.0) > HERMITICITY_ATOL:
+            raise ValueError(f"density matrix trace {trace!r} deviates from 1")
+    if _hermitian_eigenvalues(m)[..., 0].min() < -PSD_ATOL:
+        raise ValueError("density matrix has an eigenvalue below the positivity tolerance")
+
+
+def _checked_density(entries: np.ndarray) -> DensityMatrix:
+    """A :class:`DensityMatrix` of read-only ``entries`` that already passed its gate."""
+    dm = object.__new__(DensityMatrix)
+    object.__setattr__(dm, "entries", entries)
+    return dm
 
 
 def make_basis_state(num_qubits: int, bits: Sequence[Outcome]) -> StateVector:
@@ -384,14 +426,17 @@ _LEVEL_PLANS = {
 }
 
 
-def outcome_distributions(states: Sequence[StateVector]) -> np.ndarray:
+def outcome_distributions(states: Sequence[StateVector] | np.ndarray) -> np.ndarray:
     """Exact joint outcome probabilities of the three party qubits, per axis set, per state.
 
-    ``states`` share one qubit count of at least 3.  Returns the ``(n, 8,
-    8)`` array ``P[i, s, o]``: ``i`` is the state's place in ``states``; row
-    ``s`` is the axis set with bits (A, B, C), z as 0 and x as 1; column
-    ``o`` is the outcome string with bits (A, B, C), PLUS as 0.  Any further
-    qubit (an attached ancilla) is marginalized.
+    ``states`` share one qubit count of at least 3: a sequence of
+    :class:`StateVector`, or an amplitude stack, a 2-D array with one state
+    per row.  Either is stacked into contiguous rows, and the
+    :class:`StateVector` gate runs on each row.  Returns the
+    ``(n, 8, 8)`` array ``P[i, s, o]``: ``i`` is the state's place in
+    ``states``; row ``s`` is the axis set with bits (A, B, C), z as 0 and x
+    as 1; column ``o`` is the outcome string with bits (A, B, C), PLUS as 0.
+    Any further qubit (an attached ancilla) is marginalized.
 
     The amplitudes are a column per state, and each party in turn doubles
     the rows by its index plan (:func:`_level_plan`): ``v = (v[I] + v[J] *
@@ -401,23 +446,30 @@ def outcome_distributions(states: Sequence[StateVector]) -> np.ndarray:
     butterfly of :func:`_axis_components`.  So every mass has the bytes of
     that butterfly's, and an outcome whose amplitudes cancel exactly has
     probability exactly 0.0, as under :func:`joint_probability`.  Each
-    state's masses are divided by its own total.  Every operation is
-    elementwise or sums within one state, so a state's slice has the same
-    bytes whatever else is stacked with it.
+    state's masses are divided by its own total, ``np.vdot`` of its
+    contiguous amplitudes, so a stack's row and the state built from it
+    give the same bytes.  Every operation is elementwise or sums within one
+    state, so a state's slice has the same bytes whatever else is stacked
+    with it.
     """
-    counts = {state.num_qubits for state in states}
-    if not counts:
+    if not isinstance(states, np.ndarray):
+        counts = {state.num_qubits for state in states}
+        if len(counts) > 1:
+            raise ValueError(f"stacked states must share a qubit count, got {sorted(counts)}")
+        states = [state.amplitudes for state in states]
+    amps = np.ascontiguousarray(states, dtype=np.complex128)
+    if not len(amps):
         raise ValueError("outcome distributions need at least one state")
-    if len(counts) > 1:
-        raise ValueError(f"stacked states must share a qubit count, got {sorted(counts)}")
-    qubits = counts.pop()
+    if amps.ndim != 2:
+        raise ValueError("an amplitude stack must be a two-dimensional array")
+    qubits = _qubit_count(amps.shape[1])
     if qubits < 3:
         raise ValueError("outcome distribution needs at least three qubits")
-    rows = np.array([state.amplitudes for state in states]).T
+    totals = _state_norms(amps)
+    rows = amps.T
     for i, j, s, r in _LEVEL_PLANS[qubits]:
         rows = (rows.take(i, 0) + rows.take(j, 0) * s) * r
-    totals = np.array([state.squared_norm() for state in states]).reshape(-1, 1, 1)
-    return _masses(rows.T.reshape(len(states), 8, 8, 1, -1)) / totals
+    return _masses(rows.T.reshape(len(totals), 8, 8, 1, -1)) / np.array(totals).reshape(-1, 1, 1)
 
 
 def outcome_distribution(state: StateVector) -> np.ndarray:
@@ -425,19 +477,55 @@ def outcome_distribution(state: StateVector) -> np.ndarray:
     return outcome_distributions([state])[0]
 
 
-def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace onto the kept qubits (at most two, ascending order)."""
-    n = state.num_qubits
-    kept = sorted({integer_argument("keep", q, 0, n - 1) for q in keep})
+def _kept_qubits(keep: Iterable[int], num_qubits: int) -> list[int]:
+    """One kept set of :func:`reduced_densities`: one or two of the qubits, ascending."""
+    kept = sorted({integer_argument("keep", q, 0, num_qubits - 1) for q in keep})
     if not kept:
         raise ValueError("keep must name at least one qubit")
-    if len(kept) >= n:
+    if len(kept) >= num_qubits:
         raise ValueError("keep must be a strict subset of the qubits")
     if len(kept) > 2:
         raise ValueError("at most two qubits can be kept")
-    order = kept + [q for q in range(n) if q not in kept]
-    rows = state.amplitudes.reshape((2,) * n).transpose(order).reshape(1 << len(kept), -1)
-    return DensityMatrix(rows @ rows.conj().T)
+    return kept
+
+
+def reduced_densities(state: StateVector, keeps: Iterable[Iterable[int]]) -> list[DensityMatrix]:
+    """Partial traces onto each kept set of ``keeps``, built and checked as one stack.
+
+    Each kept set names one or two qubits (ascending order, at most two,
+    a strict subset), and all name the same number.  Every set's ``rows @
+    rows^H`` is one ``(k, d, d)`` product whose slices have the bytes of
+    ``np.tensordot`` over the traced qubits, and the :class:`DensityMatrix`
+    gate runs once on the stack; the matrices returned are its read-only
+    slices.  A state whose squared norm lies off 1 by more than the trace
+    tolerance (``StateVector`` admits up to ``NORM_ATOL``) has its stack
+    divided by that norm; any other stack is left as built, so a state
+    normalized to rounding keeps its bytes.
+    """
+    n = state.num_qubits
+    kept_sets = [_kept_qubits(keep, n) for keep in keeps]
+    if not kept_sets:
+        raise ValueError("keeps must name at least one kept set")
+    size = len(kept_sets[0])
+    if any(len(kept) != size for kept in kept_sets):
+        raise ValueError("every kept set must name the same number of qubits")
+    tensor = state.amplitudes.reshape((2,) * n)
+    rows = np.array([
+        tensor.transpose(kept + [q for q in range(n) if q not in kept]).reshape(1 << size, -1)
+        for kept in kept_sets
+    ])
+    rho = rows @ rows.conj().swapaxes(-1, -2)
+    total = state.squared_norm()
+    if abs(total - 1.0) > HERMITICITY_ATOL:
+        rho /= total
+    _check_densities(rho)
+    rho.flags.writeable = False
+    return [_checked_density(entries) for entries in rho]
+
+
+def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
+    """Partial trace onto the kept qubits (at most two, ascending order), a stack of one."""
+    return reduced_densities(state, [keep])[0]
 
 
 def partial_transpose(dm: DensityMatrix, subsystem: str) -> np.ndarray:
@@ -459,19 +547,24 @@ def partial_transpose(dm: DensityMatrix, subsystem: str) -> np.ndarray:
     return np.ascontiguousarray(swapped.reshape(4, 4))
 
 
-def eigenvalues_hermitian(matrix: np.ndarray) -> list[float]:
-    """All eigenvalues of a small Hermitian matrix, ascending.
+def eigenvalues_hermitian(matrix: np.ndarray) -> list[float] | list[list[float]]:
+    """All eigenvalues of a small Hermitian matrix, ascending, or of each matrix of a stack.
 
-    Supports dim 2 and 4 only, which covers every reduced state and partial
-    transpose in this package.  The Hermitian part is diagonalized by
-    LAPACK (``numpy.linalg.eigvalsh``).
+    ``matrix`` is ``(d, d)`` or a stack ``(k, d, d)`` of at least one, with
+    ``d`` 2 or 4, which covers every reduced state and partial transpose in
+    this package; a stack gives one list per matrix.  Every matrix must be
+    finite and Hermitian within tolerance.  The Hermitian parts are
+    diagonalized by one LAPACK call (``numpy.linalg.eigvalsh``), and a
+    stack's rows have the bytes of one call per matrix.
     """
     a = np.array(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("input must be a square matrix")
-    dim = a.shape[0]
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("input must be a square matrix or a stack of square matrices")
+    dim = a.shape[-1]
     if dim not in (2, 4):
         raise ValueError(f"supported dimensions are 2 and 4, got {dim}")
+    if not a.size:
+        raise ValueError("an input stack must hold at least one matrix")
     _check_hermitian(a, "input matrix")
     return _hermitian_eigenvalues(a).tolist()
 

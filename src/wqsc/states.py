@@ -2,12 +2,14 @@
 
 Builds the symmetric three-qubit W state, the GHZ comparison state, the
 ancilla-coupling unitary used by the eavesdropping model, and the
-post-attack four-qubit state (parties A, B, C plus the ancilla E).
+post-attack four-qubit state (parties A, B, C plus the ancilla E), one
+state or a stack of amplitude rows, one per coupling strength.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -73,6 +75,28 @@ def coupling_unitary(phi: float) -> np.ndarray:
     )
 
 
+def attacked_w_amplitudes(
+    phis: Iterable[float], target: Party | int = Party.CHARLIE
+) -> np.ndarray:
+    """The amplitudes of :func:`attacked_w_state` at each strength of ``phis``, one row each.
+
+    Returns the ``(n, 16)`` array whose row ``i`` is the closed form at
+    ``phis[i]``: the target's single-minus amplitude is ``cos(phi) /
+    sqrt(3)``, ``|+++->`` is ``sin(phi) / sqrt(3)`` and the other two stay
+    ``1/sqrt(3)``.  Every angle is checked by :func:`validate_attack_angle`
+    and ``target`` by :func:`~wqsc.qcore.integer_argument` before anything
+    is built.  The rows are not checked as states here: an amplitude stack
+    passed to :func:`~wqsc.qcore.outcome_distributions` is, row by row.
+    """
+    phis = [validate_attack_angle(phi) for phi in phis]
+    target = integer_argument("target", target, 0, 2)
+    amps = np.zeros((len(phis), 16), dtype=np.complex128)
+    amps[:, 0b1000] = amps[:, 0b0100] = amps[:, 0b0010] = _INV_SQRT3
+    amps[:, 0b1000 >> target] = [_INV_SQRT3 * math.cos(phi) for phi in phis]
+    amps[:, 0b0001] = [_INV_SQRT3 * math.sin(phi) for phi in phis]
+    return amps
+
+
 def attacked_w_state(phi: float, target: Party | int = Party.CHARLIE) -> StateVector:
     """Four-qubit state (A, B, C, E) after coupling of strength phi on ``target``'s qubit.
 
@@ -88,12 +112,7 @@ def attacked_w_state(phi: float, target: Party | int = Party.CHARLIE) -> StateVe
     tests pin the two equal byte for byte for every target).  ``target``
     is a :class:`Party` or its qubit index and follows
     :func:`~wqsc.qcore.integer_argument`.  At phi = 0 the channel is
-    untouched and the state factorizes as W tensor |z+>.
+    untouched and the state factorizes as W tensor |z+>.  It is the stack
+    of one of :func:`attacked_w_amplitudes`.
     """
-    phi = validate_attack_angle(phi)
-    target = integer_argument("target", target, 0, 2)
-    amps = np.zeros(16, dtype=np.complex128)
-    amps[0b1000] = amps[0b0100] = amps[0b0010] = _INV_SQRT3
-    amps[0b1000 >> target] = _INV_SQRT3 * math.cos(phi)
-    amps[0b0001] = _INV_SQRT3 * math.sin(phi)
-    return StateVector(amps)
+    return StateVector(attacked_w_amplitudes([phi], target)[0])

@@ -195,6 +195,32 @@ class TestChMiddleTerm:
         with pytest.raises(TypeError):
             ch_middle_term(W, (A, C))
 
+    # CH_BOUND_ATOL is 1e-12: a value 1e-6 outside [-1, 0] is flagged on
+    # either side, and the bounds themselves are not.  Each distribution is
+    # built directly, one term set: zzz row, cell +++ gives A11; xxx row,
+    # cell +++ gives A22.
+    @pytest.mark.parametrize("a11, a22, flagged", [
+        (1e-6, 0.0, True),
+        (0.0, 1.0 + 1e-6, True),
+        (0.0, 0.0, False),
+        (0.0, 1.0, False),
+    ], ids=["above-0", "below-minus-1", "at-0", "at-minus-1"])
+    def test_flags_a_value_just_outside_the_bounds(self, a11, a22, flagged):
+        dist = np.zeros((8, 8))
+        dist[0, 0], dist[7, 0] = a11, a22
+        result = ch_middle_term(dist)
+        assert result.value == a11 - a22
+        assert result.violation is flagged
+
+    @pytest.mark.parametrize("a11, a22", [(1e-6, 0.0), (0.0, 1.0 + 1e-6)],
+                             ids=["above-0", "below-minus-1"])
+    def test_flags_only_the_last_slice_of_a_stack(self, a11, a22):
+        stack = np.zeros((4, 8, 8))
+        stack[:, 7, 0] = [0.25, 0.5, 1.0, 0.0]  # values -0.25, -0.5, -1 and 0
+        stack[-1, 0, 0], stack[-1, 7, 0] = a11, a22
+        flags = [ch_middle_term(dist).violation for dist in stack]
+        assert flags == [False, False, False, True]
+
     def test_local_states_respect_the_bound(self):
         # Product states admit a local model, so the middle term must stay
         # inside [-1, 0] for every strict-pair evaluation.

@@ -570,6 +570,11 @@ class TestArgvReader:
         assert result.returncode == 0, result.stderr
 
 
+def failed_items(output: str) -> list[str]:
+    """The items of the FAIL lines that ``wqsc verify`` printed."""
+    return [line.split()[1].rstrip(":") for line in output.splitlines() if line.startswith("FAIL")]
+
+
 class TestVerifyCommand:
     def test_all_golden_values_pass(self, capsys):
         assert run_cli("verify") == 0
@@ -580,22 +585,65 @@ class TestVerifyCommand:
     def test_one_distribution_per_state_and_none_kept_between_calls(self, monkeypatch):
         # Every event of a state is read from one outcome distribution (the
         # bell readers take it, and build none), so a call distributes each
-        # checked state once (16, the sum of its stacks' sizes).  The second
-        # call distributes as many again: nothing is cached across calls.
-        builds = []
+        # checked state once (16, the sum of its stacks' sizes): a list of
+        # the W and GHZ states, then the 14 attacked angles' amplitude
+        # rows.  The second call distributes as many again: nothing is
+        # cached across calls.
+        stacks = []
 
         def stacked(states, build=wqsc.golden.outcome_distributions):
-            builds.extend(states)
+            stacks.append((type(states), len(states)))
             return build(states)
 
         assert not hasattr(wqsc.bell, "outcome_distribution")
         monkeypatch.setattr(wqsc.golden, "outcome_distributions", stacked)
-        counts = []
         for _ in range(2):
-            builds.clear()
+            stacks.clear()
             assert run_verification()[0]
-            counts.append(len(builds))
-        assert counts[0] == counts[1] == 16
+            assert stacks == [(list, 2), (np.ndarray, 14)]
+
+    # VERIFY_TOL is 1e-9: one value 2e-9 off its expected value fails the
+    # call, exit 2, and 5e-10 off passes.
+    @pytest.mark.parametrize("offset, code", [(2e-9, 2), (5e-10, 0)])
+    def test_one_value_off_by_more_than_the_tolerance_fails(self, monkeypatch, capsys,
+                                                             offset, code):
+        tangle = wqsc.golden.three_tangle
+        monkeypatch.setattr(wqsc.golden, "three_tangle",
+                            lambda state: tangle(state) + (offset if state.amplitudes[7] else 0.0))
+        assert run_cli("verify") == code
+        assert failed_items(capsys.readouterr().out) == (
+            ["three-tangle-ghz"] if code else [])
+
+    @pytest.mark.parametrize("offset, code", [(2e-9, 2), (5e-10, 0)])
+    def test_the_last_slice_of_the_eigensolve_off(self, monkeypatch, capsys, offset, code):
+        solve = wqsc.golden.eigenvalues_hermitian
+
+        def shifted(stack):
+            values = solve(stack)
+            values[-1] = [value + offset for value in values[-1]]
+            return values
+
+        monkeypatch.setattr(wqsc.golden, "eigenvalues_hermitian", shifted)
+        assert run_cli("verify") == code
+        assert failed_items(capsys.readouterr().out) == (
+            ["ppt-min-eigenvalue-w-pair-bc"] if code else [])
+
+    @pytest.mark.parametrize("offset, code", [(2e-9, 2), (5e-10, 0)])
+    def test_the_last_row_of_the_attacked_pass_off(self, monkeypatch, capsys, offset, code):
+        # The pass's last row is the grid's pi/2: each of its three event
+        # masses moves by the offset, so its mean over the sets does too.
+        masses = wqsc.golden.event_masses
+
+        def shifted(dist):
+            values = masses(dist)
+            if values.ndim == 2:
+                values[-1] += offset
+            return values
+
+        monkeypatch.setattr(wqsc.golden, "event_masses", shifted)
+        assert run_cli("verify") == code
+        assert failed_items(capsys.readouterr().out) == (
+            ["averaged-matches-per-set-mean"] if code else [])
 
     def test_checks_the_success_probabilities_run_reports(self, monkeypatch):
         monkeypatch.setitem(MODE_SUCCESS_PROBABILITY, ProtocolMode.QKD, 0.26)
@@ -606,21 +654,43 @@ class TestVerifyCommand:
 
 
 class TestVerifyStateBuilds:
+    """What one ``verify`` call builds; the second call builds it all again."""
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+
+        def counted(*args, build=getattr(wqsc.golden, name)):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(wqsc.golden, name, counted)
+        return calls
+
     def test_each_distinct_attacked_state_is_built_once_per_call(self, monkeypatch):
-        # The stacked pass holds 14 attacked states over 12 angles (0 and
-        # pi/4 twice); the pi/2 and pi/4 checks read its states, and the
-        # circuit check adds one more angle.
-        angles = []
-
-        def counted(phi, *args, build=wqsc.golden.attacked_w_state):
-            angles.append(phi)
-            return build(phi, *args)
-
-        monkeypatch.setattr(wqsc.golden, "attacked_w_state", counted)
+        # One amplitude stack holds every distinct angle once: the security
+        # pass's 12 (0 and pi/4 are grid points too) and the circuit
+        # check's.  The pass, the pi/2 and pi/4 checks and the circuit check
+        # all read its rows.
+        calls = self.count_calls(monkeypatch, "attacked_w_amplitudes")
+        assert not hasattr(wqsc.golden, "attacked_w_state")
         for _ in range(2):
-            angles.clear()
+            calls.clear()
             assert run_verification()[0]
+            assert len(calls) == 1
+            angles = list(calls[0][0])
             assert len(angles) == len(set(angles)) == 13
+
+    def test_the_ppt_checks_are_one_density_stack_and_one_eigensolve(self, monkeypatch):
+        densities = self.count_calls(monkeypatch, "reduced_densities")
+        eigensolves = self.count_calls(monkeypatch, "eigenvalues_hermitian")
+        assert not hasattr(wqsc.golden, "reduced_density")
+        for _ in range(2):
+            densities.clear()
+            eigensolves.clear()
+            assert run_verification()[0]
+            assert [[sorted(keep) for keep in keeps] for _, keeps in densities] == [
+                [[0, 1], [0, 2], [1, 2]]]
+            assert [np.shape(stack) for stack, in eigensolves] == [(3, 4, 4)]
 
 
 class TestSweepCommand:
@@ -666,7 +736,7 @@ class TestSweepCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a state was built before the arguments were checked")
 
-        monkeypatch.setattr(wqsc.protocol, "attacked_w_state", forbidden)
+        monkeypatch.setattr(wqsc.protocol, "attacked_w_amplitudes", forbidden)
         monkeypatch.setattr(wqsc.protocol, "outcome_distributions", forbidden)
 
     @pytest.mark.parametrize("samples,seed", [(100, 1.5), (True, 1), (100.5, 1), (0, 1), (100, -1)])

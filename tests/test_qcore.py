@@ -33,11 +33,13 @@ from wqsc import (
     outcome_distribution,
     outcome_distributions,
     partial_transpose,
+    reduced_densities,
     reduced_density,
     three_tangle,
     w_state,
 )
 from wqsc import qcore
+from wqsc.states import attacked_w_amplitudes
 from wqsc.qcore import _axis_components, _masses, _split_on_qubit
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -112,6 +114,66 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
+    # NORM_ATOL is 1e-6: a squared norm 5e-7 off 1 is admitted, 2e-6 off is not.
+    @pytest.mark.parametrize("excess", [5e-7, -5e-7])
+    def test_admits_a_squared_norm_within_tolerance(self, excess):
+        state = StateVector(w_state().amplitudes * math.sqrt(1.0 + excess))
+        assert state.squared_norm() == pytest.approx(1.0 + excess, abs=1e-15)
+
+    @pytest.mark.parametrize("excess", [2e-6, -2e-6])
+    def test_refuses_a_squared_norm_beyond_tolerance(self, excess):
+        with pytest.raises(InvalidStateError, match="squared norm"):
+            StateVector(w_state().amplitudes * math.sqrt(1.0 + excess))
+
+
+def off_norm_stack(excess: float) -> np.ndarray:
+    """Four attacked amplitude rows, the last scaled to squared norm 1 + ``excess``."""
+    stack = attacked_w_amplitudes([0.0, 0.4, 1.1, HALF_PI])
+    stack[-1] *= math.sqrt(1.0 + excess)
+    return stack
+
+
+class TestAmplitudeStackGate:
+    """``outcome_distributions`` runs the StateVector gate on each row of an amplitude stack."""
+
+    @pytest.mark.parametrize("excess", [5e-7, -5e-7])
+    def test_admits_a_last_row_within_tolerance(self, excess):
+        stack = off_norm_stack(excess)
+        live = outcome_distributions(stack)
+        for row, dist in zip(stack, live):
+            assert dist.tobytes() == outcome_distribution(StateVector(row)).tobytes()
+
+    @pytest.mark.parametrize("excess", [2e-6, -2e-6])
+    def test_refuses_a_last_row_beyond_tolerance(self, excess):
+        with pytest.raises(InvalidStateError, match="squared norm"):
+            outcome_distributions(off_norm_stack(excess))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refuses_a_last_row_that_is_not_finite(self, value):
+        stack = off_norm_stack(0.0)
+        stack[-1, 3] = value
+        with pytest.raises(InvalidStateError, match="finite"):
+            outcome_distributions(stack)
+
+    @pytest.mark.parametrize("amps, message", [
+        (np.zeros(16, dtype=complex), "two-dimensional"),
+        (np.zeros((2, 2, 16), dtype=complex), "two-dimensional"),
+        (np.zeros((0, 16), dtype=complex), "at least one state"),
+        (np.zeros((2, 12), dtype=complex), "power of two"),
+        (np.zeros((2, 64), dtype=complex), "qubit count"),
+        (np.eye(4, dtype=complex), "at least three qubits"),
+    ], ids=["1-d", "3-d", "empty", "12-amplitudes", "six-qubits", "two-qubits"])
+    def test_refuses_a_malformed_stack(self, amps, message):
+        with pytest.raises(ValueError, match=message):
+            outcome_distributions(amps)
+
+    def test_reads_each_total_from_a_contiguous_row(self):
+        # A column-major stack is copied to rows first: np.vdot on a strided
+        # row sums in another order and would move the quotients' bytes.
+        stack = attacked_w_amplitudes(PLAN_PHIS[:40])
+        strided = np.asfortranarray(stack)
+        assert outcome_distributions(strided).tobytes() == outcome_distributions(stack).tobytes()
+
 
 class TestDensityMatrix:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -145,6 +207,25 @@ class TestDensityMatrix:
 
     def test_accepts_a_negative_eigenvalue_within_tolerance(self):
         assert DensityMatrix(np.diag([1.0 + 5e-10, 0.0, 0.0, -5e-10])).dim == 4
+
+    # HERMITICITY_ATOL is 1e-9: one off-diagonal entry 2e-9 from the
+    # conjugate of its mirror is refused, 5e-10 is admitted.
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_refuses_a_hermiticity_defect_beyond_tolerance(self, dim):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(hermiticity_defect(np.eye(dim) / dim, 2e-9))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_admits_a_hermiticity_defect_within_tolerance(self, dim):
+        assert DensityMatrix(hermiticity_defect(np.eye(dim) / dim, 5e-10)).dim == dim
+
+
+def hermiticity_defect(matrices: np.ndarray, defect: float) -> np.ndarray:
+    """A complex copy of a matrix or stack, ``defect`` added to its last matrix's entry (0, 1)."""
+    defective = np.array(matrices, dtype=np.complex128)
+    dim = defective.shape[-1]
+    defective.reshape(-1, dim, dim)[-1, 0, 1] += defect
+    return defective
 
 
 class TestMakeBasisState:
@@ -525,6 +606,104 @@ class TestReducedDensity:
             reduced_density(make_basis_state(4, [PLUS] * 4), (0, 1, 2))
 
 
+class TestReducedDensities:
+    """One density stack per call, slice for slice the stack of one's bytes."""
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_each_slice_equals_the_tensordot_formulation_byte_for_byte(self, num_qubits, size):
+        rng = np.random.default_rng(3100 + 10 * num_qubits + size)
+        keep_sets = list(itertools.combinations(range(num_qubits), size))
+        for _ in range(20):
+            state = random_state(rng, num_qubits)
+            stack = reduced_densities(state, keep_sets)
+            assert len(stack) == len(keep_sets)
+            for keep, dm in zip(keep_sets, stack):
+                assert dm.entries.tobytes() == tensordot_reduced_density(state, keep).tobytes()
+                assert dm.entries.tobytes() == reduced_density(state, keep).entries.tobytes()
+
+    def test_w_pairs_in_one_stack(self):
+        pairs = reduced_densities(w_state(), [(A, B), (C, A), (B, C)])
+        assert [dm.dim for dm in pairs] == [4, 4, 4]
+        for keep, dm in zip([(A, B), (A, C), (B, C)], pairs):
+            assert np.array_equal(dm.entries, partial_trace_oracle(w_state(), keep))
+
+    def test_slices_are_read_only(self):
+        for dm in reduced_densities(w_state(), [(A,), (B,)]):
+            with pytest.raises(ValueError):
+                dm.entries[0, 0] = 1.0
+
+    @pytest.mark.parametrize("keeps, message", [
+        ([], "at least one kept set"),
+        ([(A,), (A, B)], "same number of qubits"),
+        ([(A, B), ()], "at least one qubit"),
+        ([(A, B), (A, B, C)], "strict subset"),
+        ([(A,), (5,)], "keep must be at most 2"),
+    ], ids=["none", "mixed-sizes", "empty-set", "every-qubit", "out-of-range"])
+    def test_bad_keep_sets(self, keeps, message):
+        with pytest.raises(ValueError, match=message):
+            reduced_densities(w_state(), keeps)
+
+    def test_the_density_gate_runs_once_on_the_whole_stack(self, monkeypatch):
+        # A Hermiticity defect of 2e-9 in the last slice alone is refused.
+        gate = qcore._check_densities
+        seen = []
+
+        def defective(m):
+            seen.append(m.shape)
+            return gate(hermiticity_defect(m, 2e-9))
+
+        monkeypatch.setattr(qcore, "_check_densities", defective)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            reduced_densities(w_state(), [(A, B), (A, C), (B, C)])
+        assert seen == [(3, 4, 4)]
+
+    def test_a_defect_within_tolerance_in_the_last_slice_is_admitted(self, monkeypatch):
+        gate = qcore._check_densities
+        monkeypatch.setattr(qcore, "_check_densities",
+                            lambda m: gate(hermiticity_defect(m, 5e-10)))
+        assert len(reduced_densities(w_state(), [(A,), (B,), (C,)])) == 3
+
+
+class TestReducedDensityNorm:
+    """A state that StateVector admits off unit norm reduces to unit trace."""
+
+    @pytest.mark.parametrize("excess", [5e-7, -5e-7])
+    @pytest.mark.parametrize("keep", [(A,), (B,), (C,), (A, B), (A, C), (B, C)],
+                             ids=["a", "b", "c", "ab", "ac", "bc"])
+    def test_admitted_state_reduces_to_its_normalized_trace(self, keep, excess):
+        state = StateVector(w_state().amplitudes * math.sqrt(1.0 + excess))
+        total = state.squared_norm()
+        rho = reduced_density(state, keep).entries
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - tensordot_reduced_density(state, keep) / total)) <= 1e-16
+
+    @pytest.mark.parametrize("excess", [5e-7, -5e-7])
+    def test_admitted_state_in_one_stack(self, excess):
+        rng = np.random.default_rng(3131)
+        amps = random_state(rng, 4).amplitudes * math.sqrt(1.0 + excess)
+        state = StateVector(amps)
+        for size in (1, 2):
+            keep_sets = list(itertools.combinations(range(4), size))
+            for keep, dm in zip(keep_sets, reduced_densities(state, keep_sets)):
+                assert abs(np.trace(dm.entries) - 1.0) <= 1e-12
+                assert dm.entries.tobytes() == reduced_density(state, keep).entries.tobytes()
+
+    @pytest.mark.parametrize("excess", [2e-6, -2e-6])
+    def test_a_state_beyond_tolerance_never_reaches_the_trace(self, excess):
+        with pytest.raises(InvalidStateError):
+            StateVector(w_state().amplitudes * math.sqrt(1.0 + excess))
+
+    def test_a_state_normalized_to_rounding_is_not_divided(self):
+        # W's squared norm is 1 + 2**-52: its pairs keep the undivided bytes,
+        # so the PPT values of ``verify`` do not move.
+        state = w_state()
+        assert state.squared_norm() != 1.0
+        for keep in [(A, B), (A, C), (B, C), (A,)]:
+            rho = reduced_density(state, keep).entries
+            assert rho.tobytes() == tensordot_reduced_density(state, keep).tobytes()
+
+
 class TestPartialTranspose:
     def test_w_pair_has_negative_eigenvalue(self):
         transposed = partial_transpose(reduced_density(w_state(), (A, B)), "second")
@@ -595,6 +774,80 @@ class TestEigenvaluesHermitian:
     def test_rejects_non_finite_entries(self, value):
         with pytest.raises(ValueError, match="finite"):
             eigenvalues_hermitian(np.full((2, 2), value))
+
+
+def hermitian_stack(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    raw = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return raw + raw.conj().swapaxes(-1, -2)
+
+
+class TestEigenvaluesHermitianStack:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_each_row_is_one_call_per_matrix_byte_for_byte(self, dim):
+        rng = np.random.default_rng(3140 + dim)
+        for count in (1, 3, 17):
+            stack = hermitian_stack(rng, count, dim)
+            stacked = eigenvalues_hermitian(stack)
+            single = [eigenvalues_hermitian(matrix) for matrix in stack]
+            assert np.array(stacked).tobytes() == np.array(single).tobytes()
+
+    def test_w_pair_partial_transposes(self):
+        transposed = np.array([partial_transpose(dm, "second")
+                               for dm in reduced_densities(w_state(), [(A, B), (A, C), (B, C)])])
+        for values in eigenvalues_hermitian(transposed):
+            assert values[0] == pytest.approx(PPT_MIN_EIG, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_refuses_a_hermiticity_defect_in_the_last_matrix(self, dim):
+        stack = hermitian_stack(np.random.default_rng(3150 + dim), 5, dim)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigenvalues_hermitian(hermiticity_defect(stack, 2e-9))
+        assert len(eigenvalues_hermitian(hermiticity_defect(stack, 5e-10))) == 5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refuses_a_last_matrix_that_is_not_finite(self, value):
+        stack = hermitian_stack(np.random.default_rng(3160), 3, 4)
+        stack[-1, 2, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_hermitian(stack)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.zeros((0, 4, 4)), "at least one matrix"),
+        (np.zeros((3, 4, 2)), "square"),
+        (np.zeros((2, 3, 3)), "dimensions are 2 and 4"),
+        (np.zeros((1, 2, 2, 2)), "square"),
+    ], ids=["empty", "not-square", "dim-3", "4-d"])
+    def test_refuses_a_malformed_stack(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_hermitian(matrix)
+
+
+# Attack angles with vanishing or subnormal squares, pi/4 and the maximal
+# coupling, then 100 seeded angles.
+STACK_PHIS = [0.0, 5e-324, 8.4e-161, math.pi / 4, HALF_PI] + (
+    np.random.default_rng(31).uniform(0.0, HALF_PI, 100).tolist()
+)
+
+
+class TestAttackedAmplitudeStack:
+    """``attacked_w_amplitudes`` rows are the StateVector path's states, byte for byte."""
+
+    @pytest.mark.parametrize("target", list(Party), ids=lambda party: party.letter)
+    def test_distributions_equal_the_state_path(self, target):
+        stack = attacked_w_amplitudes(STACK_PHIS, target)
+        states = [attacked_w_state(phi, target) for phi in STACK_PHIS]
+        assert stack.tobytes() == np.array([state.amplitudes for state in states]).tobytes()
+        live = outcome_distributions(stack)
+        assert live.tobytes() == outcome_distributions(states).tobytes()
+        for index, state in enumerate(states):
+            assert live[index].tobytes() == outcome_distribution(state).tobytes()
+
+    @pytest.mark.parametrize("target", list(Party), ids=lambda party: party.letter)
+    def test_rows_equal_the_attack_circuit(self, target):
+        stack = attacked_w_amplitudes(STACK_PHIS[:8], target)
+        for phi, row in zip(STACK_PHIS[:8], stack):
+            circuit = apply_attack(w_state(), UnitaryCouplingAttack(phi, target))
+            assert row.tobytes() == circuit.amplitudes.tobytes()
 
 
 class TestThreeTangle:

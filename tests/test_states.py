@@ -9,6 +9,7 @@ from wqsc import (
     Axis,
     Outcome,
     Party,
+    attacked_w_amplitudes,
     attacked_w_state,
     coupling_unitary,
     ghz_state,
@@ -153,3 +154,27 @@ class TestAttackedWState:
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             attacked_w_state(2.0)
+
+
+class TestAttackedWAmplitudes:
+    def test_one_row_per_angle_in_order(self):
+        phis = [HALF_PI, 0.0, math.pi / 5.0]
+        stack = attacked_w_amplitudes(phis, B)
+        assert stack.shape == (3, 16) and stack.dtype == np.complex128
+        for phi, row in zip(phis, stack):
+            assert row.tobytes() == attacked_w_state(phi, B).amplitudes.tobytes()
+
+    def test_takes_a_numpy_grid_and_a_target_index(self):
+        grid = np.linspace(0.0, HALF_PI, 5)
+        assert attacked_w_amplitudes(grid, 0).tobytes() == attacked_w_amplitudes(
+            grid.tolist(), A).tobytes()
+
+    def test_no_angles_is_an_empty_stack(self):
+        assert attacked_w_amplitudes([]).shape == (0, 16)
+
+    @pytest.mark.parametrize("phis, target", [
+        ([0.5, 2.0], C), ([0.1, float("nan")], C), ([True], C), ([0.5], 3), ([0.5], 1.0),
+    ], ids=["out-of-range", "nan", "bool", "target-3", "float-target"])
+    def test_refuses_a_bad_angle_or_target(self, phis, target):
+        with pytest.raises(ValueError):
+            attacked_w_amplitudes(phis, target)

@@ -92,3 +92,10 @@ def test_summary_reports_the_import_self_times(shim_path, tmp_path):
     for module in ("wqsc", "wqsc.qcore", "wqsc.protocol", "wqsc.cli"):
         assert any(line.startswith(f"import {module}: ") and line.endswith(" us self")
                    for line in lines), (module, lines)
+
+
+def test_verify_step_turns_warnings_into_errors():
+    # test_step_passes replays the step; this pins that the replay runs it under -W error.
+    name = "wqsc verify through the console script"
+    step = next(step for step in STEPS if step_name(step) == name)
+    assert "PYTHONWARNINGS=error wqsc verify" in step["run"]
