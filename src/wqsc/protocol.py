@@ -45,7 +45,7 @@ announce rate) key, and for ``sweep-phi`` one stacked
   2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.
   The source is ``w_state()``, or under an attack the closed form
   ``attacked_w_state(phi, target)``, read as its one amplitude row
-  ``attacked_w_amplitudes([phi], target)``; the attack circuit
+  ``attacked_w_amplitudes([phi], target)[0]``; the attack circuit
   :func:`~wqsc.adversary.apply_attack` is its check, equal byte for byte.
   The eavesdropper's ancilla is never sampled: it is measured after the
   parties, so its outcome cannot change theirs.
@@ -498,13 +498,14 @@ def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> tuple[
     """The run source's ``(ann, splits)`` at this announce rate, built once per key, read-only.
 
     The source is ``w_state()``, or under ``attack`` the closed form's one
-    row ``attacked_w_amplitudes([phi], target)``; the 64 keys last used are
-    kept.
+    row ``attacked_w_amplitudes([phi], target)[0]``, which
+    :func:`~wqsc.qcore.outcome_distribution` takes as it is; the 64 keys
+    last used are kept.
     """
     if attack is None:
         dist = outcome_distribution(w_state())
     else:
-        dist = outcome_distributions(attacked_w_amplitudes([attack.phi], attack.target))[0]
+        dist = outcome_distribution(attacked_w_amplitudes([attack.phi], attack.target)[0])
     announce = _threshold(announce_rate)
     splits = _walk_thresholds(dist, announce)
     splits.flags.writeable = False

@@ -20,13 +20,15 @@ renormalized post-state.
 
 :func:`outcome_distributions` gives every joint outcome probability of the
 three party qubits, for all eight axis sets, for a stack of states of one
-qubit count.  Each party doubles the stack's rows by an index plan built at
-import, one per qubit count from 3 to 5: a gather of two rows, a signed sum
-and a scale, the same IEEE operations as the x-basis butterfly of
-:func:`measure_qubit`, so the masses have that butterfly's bytes;
-:func:`outcome_distribution` is its stack of one.  They are the one
-probability source from which ``wqsc.protocol`` samples: one state per
-``run`` call, every grid point of a sweep in one amplitude stack.
+qubit count.  Each party level is one real matrix product and a scale,
+with matrices built for a qubit count the first time a state of that count
+is measured.  Every output sums at most two exact products, so the one
+rounding is that of the x-basis butterfly of :func:`measure_qubit`, and the
+masses have that butterfly's bytes whatever BLAS does;
+:func:`outcome_distribution` is its stack of one, and takes a state or one
+amplitude row.  They are the one probability source from which
+``wqsc.protocol`` samples: one row per ``run`` source, every grid point of
+a sweep in one amplitude stack.
 :func:`joint_probability` projects one event at a time and is kept as their
 independent check.
 
@@ -297,7 +299,11 @@ def _masses(components: np.ndarray) -> np.ndarray:
     row's mass is bit-identical to the same component's mass on its own
     (``np.vdot``'s BLAS summation order is matched by no batched sum).
     """
-    squares = components.real**2 + components.imag**2
+    return _sum_squares(components.real**2 + components.imag**2)
+
+
+def _sum_squares(squares: np.ndarray) -> np.ndarray:
+    """Each component's sum of ``squares``, a stack ``(..., leading, trailing)``."""
     return squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1)
 
 
@@ -391,60 +397,86 @@ def joint_probability(
     return mass / total
 
 
-def _level_plan(qubits: int, party: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(I, J, S, R)``: one party's level of :func:`outcome_distributions` on ``qubits`` qubits.
+def _level(qubits: int, party: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, R)``: one party's level of :func:`outcome_distributions` on ``qubits`` qubits.
 
-    The level maps a row per (axis bits so far, amplitude index) to two,
-    inserting the party's axis bit: output row ``o`` is ``(v[I] + v[J] * S)
-    * R``.  A z row keeps its amplitude, ``I = J`` and ``(S, R) = (0, 1)``;
-    an x row is the butterfly of the party's two amplitudes ``a0`` and
-    ``a1``, ``I`` and ``J`` pointing at them, ``S`` the sign of ``a1`` in
-    the row's outcome and ``R = _SQRT1_2``.  ``S`` and ``R`` are complex
-    columns, so they broadcast over a stack and multiply as a complex array
-    times a Python float does.
+    The parts of a state hold one entry per (axis bits so far, amplitude
+    index); the level doubles them, inserting the party's axis bit, as
+    ``parts = (parts @ M) * R``.  A z entry keeps its amplitude: its column
+    of ``M`` holds one 1, and ``R`` is 1.  An x entry is the butterfly of
+    the party's two amplitudes ``a0`` and ``a1``: its column holds a 1 at
+    ``a0`` and, at ``a1``, the sign of ``a1`` in the entry's outcome, and
+    ``R`` is ``_SQRT1_2``.  Built by index arithmetic, read-only.
     """
-    rows = np.arange(2 << (party + qubits))
-    x = rows >> qubits & 1
-    amp = rows & ((1 << qubits) - 1)
+    out = np.arange(2 << (party + qubits))
+    x = out >> qubits & 1
+    amp = out & ((1 << qubits) - 1)
     bit = 1 << (qubits - 1 - party)
-    block = (rows >> (qubits + 1)) << qubits  # the same axis bits so far, z and x alike
-    levels = (
-        block | np.where(x, amp & ~bit, amp),
-        block | np.where(x, amp | bit, amp),
-        np.where(x, np.where(amp & bit, -1.0, 1.0), 0.0).astype(np.complex128)[:, np.newaxis],
-        np.where(x, _SQRT1_2, 1.0).astype(np.complex128)[:, np.newaxis],
-    )
-    for array in levels:
-        array.flags.writeable = False
-    return levels
+    block = (out >> (qubits + 1)) << qubits  # the same axis bits so far, z and x alike
+    matrix = np.zeros((out.size >> 1, out.size))
+    matrix[block | amp & ~(bit * x), out] = 1.0
+    x_out = out[x == 1]
+    matrix[block[x_out] | amp[x_out] | bit, x_out] = np.where(amp[x_out] & bit, -1.0, 1.0)
+    scale = np.where(x, _SQRT1_2, 1.0)
+    matrix.flags.writeable = scale.flags.writeable = False
+    return matrix, scale
 
 
-# The three party levels of each qubit count, A first, built at import, read-only.
-_LEVEL_PLANS = {
-    qubits: tuple(_level_plan(qubits, party) for party in Party)
-    for qubits in range(len(Party), MAX_QUBITS + 1)
-}
+# The three party levels of each qubit count, A first, each built on first use.  Two
+# threads may both build a count's levels; the arrays they build are equal.
+_LEVELS: dict[int, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+
+
+def _distribution_masses(amps: np.ndarray, qubits: int) -> np.ndarray:
+    """The masses of :func:`outcome_distributions`, not yet divided by the totals.
+
+    ``amps`` is one contiguous row of ``2**qubits`` finite amplitudes, or a
+    stack of them; the masses are ``(8, 8)`` per row.  The parts are the
+    real parts alone if every imaginary part is zero; else each state has
+    two adjacent rows of parts, its real and its imaginary part.  Each party
+    level is one real matrix product (:func:`_level`).
+    """
+    levels = _LEVELS.get(qubits)
+    if levels is None:
+        levels = _LEVELS[qubits] = tuple(_level(qubits, party) for party in Party)
+    real = not np.count_nonzero(amps.imag)
+    if real:
+        parts = amps.real
+    else:
+        size = amps.shape[-1]
+        parts = amps.view(np.float64).reshape(-1, size, 2).swapaxes(1, 2).reshape(-1, size)
+    for matrix, scale in levels:
+        parts = (parts @ matrix) * scale
+    squares = parts**2 if real else parts[0::2] ** 2 + parts[1::2] ** 2
+    return _sum_squares(squares.reshape(amps.shape[:-1] + (8, 8, 1, -1)))
 
 
 def outcome_distributions(states: Sequence[StateVector] | np.ndarray) -> np.ndarray:
     """Exact joint outcome probabilities of the three party qubits, per axis set, per state.
 
     ``states`` share one qubit count of at least 3: a sequence of
-    :class:`StateVector`, or an amplitude stack, a 2-D array with one state
-    per row.  Either is stacked into contiguous rows, and the
-    :class:`StateVector` gate runs on each row.  Returns the
+    :class:`StateVector` or amplitude rows, or an amplitude stack, a 2-D
+    array with one state per row.  Either is stacked into contiguous rows,
+    and the :class:`StateVector` gate runs on each row.  Returns the
     ``(n, 8, 8)`` array ``P[i, s, o]``: ``i`` is the state's place in
     ``states``; row ``s`` is the axis set with bits (A, B, C), z as 0 and x
     as 1; column ``o`` is the outcome string with bits (A, B, C), PLUS as 0.
     Any further qubit (an attached ancilla) is marginalized.
 
-    The amplitudes are a column per state, and each party in turn doubles
-    the rows by its index plan (:func:`_level_plan`): ``v = (v[I] + v[J] *
-    S) * R``.  A z row is ``(a + a * 0) * 1``, which is ``a`` up to the sign
-    of a zero; an x row is ``(a0 + a1) * _SQRT1_2`` or ``(a0 - a1) *
+    The amplitudes' real parts (and imaginary parts, unless all are zero)
+    are a row each, and each party in turn doubles their entries by one
+    real matrix product (:func:`_level`): ``parts = (parts @ M) * R``.  A
+    column of ``M`` holds one 1, and an x column one more ±1, so each
+    output sums at most two nonzero products, each exact: a z entry is its
+    amplitude (up to the sign of a zero) and an x entry is ``(a0 ± a1) *
     _SQRT1_2``, the same IEEE operations on the same operands as the
-    butterfly of :func:`_axis_components`.  So every mass has the bytes of
-    that butterfly's, and an outcome whose amplitudes cancel exactly has
+    butterfly of :func:`_axis_components`.  The one rounding is that
+    butterfly's own, so neither BLAS's order of summation nor its fused
+    multiply-adds or threads can change a byte (the gate has refused every
+    amplitude that is not finite, and ``0 * inf`` would be NaN).  A part
+    of zero adds a square of zero, so the real parts alone give the bytes
+    of the complex amplitudes.  So every mass has the bytes of that
+    butterfly's, and an outcome whose amplitudes cancel exactly has
     probability exactly 0.0, as under :func:`joint_probability`.  Each
     state's masses are divided by its own total, ``np.vdot`` of its
     contiguous amplitudes, so a stack's row and the state built from it
@@ -453,10 +485,10 @@ def outcome_distributions(states: Sequence[StateVector] | np.ndarray) -> np.ndar
     with it.
     """
     if not isinstance(states, np.ndarray):
-        counts = {state.num_qubits for state in states}
-        if len(counts) > 1:
-            raise ValueError(f"stacked states must share a qubit count, got {sorted(counts)}")
-        states = [state.amplitudes for state in states]
+        states = [state.amplitudes if isinstance(state, StateVector) else np.asarray(state)
+                  for state in states]
+        if len(sizes := {row.size for row in states}) > 1:
+            raise ValueError(f"stacked states must share an amplitude count, got {sorted(sizes)}")
     amps = np.ascontiguousarray(states, dtype=np.complex128)
     if not len(amps):
         raise ValueError("outcome distributions need at least one state")
@@ -466,20 +498,38 @@ def outcome_distributions(states: Sequence[StateVector] | np.ndarray) -> np.ndar
     if qubits < 3:
         raise ValueError("outcome distribution needs at least three qubits")
     totals = _state_norms(amps)
-    rows = amps.T
-    for i, j, s, r in _LEVEL_PLANS[qubits]:
-        rows = (rows.take(i, 0) + rows.take(j, 0) * s) * r
-    return _masses(rows.T.reshape(len(totals), 8, 8, 1, -1)) / np.array(totals).reshape(-1, 1, 1)
+    return _distribution_masses(amps, qubits) / np.array(totals).reshape(-1, 1, 1)
 
 
-def outcome_distribution(state: StateVector) -> np.ndarray:
-    """The 8x8 :func:`outcome_distributions` of one state, as a stack of one."""
-    return outcome_distributions([state])[0]
+def outcome_distribution(state: StateVector | np.ndarray) -> np.ndarray:
+    """The 8x8 :func:`outcome_distributions` of one state, with the same bytes.
+
+    ``state`` is a :class:`StateVector` or one amplitude row, a 1-D array
+    that the :class:`StateVector` gate checks here.  The party levels run
+    on it as a stack of one, without a stack's bookkeeping.
+    """
+    amps = state.amplitudes if isinstance(state, StateVector) else state
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    if amps.ndim != 1:
+        raise ValueError("an amplitude row must be a one-dimensional array")
+    qubits = _qubit_count(amps.size)
+    if qubits < 3:
+        raise ValueError("outcome distribution needs at least three qubits")
+    (total,) = _state_norms(amps)
+    return _distribution_masses(amps, qubits) / total
 
 
 def _kept_qubits(keep: Iterable[int], num_qubits: int) -> list[int]:
-    """One kept set of :func:`reduced_densities`: one or two of the qubits, ascending."""
-    kept = sorted({integer_argument("keep", q, 0, num_qubits - 1) for q in keep})
+    """One kept set of :func:`reduced_densities`: one or two of the qubits, ascending.
+
+    A kept set that is not a collection (an int or a ``Party``, say)
+    raises ValueError naming ``keep``, as a bad qubit in it does.
+    """
+    try:
+        qubits = iter(keep)
+    except TypeError:
+        raise ValueError(f"keep must be a collection of qubits, got {keep!r}") from None
+    kept = sorted({integer_argument("keep", q, 0, num_qubits - 1) for q in qubits})
     if not kept:
         raise ValueError("keep must name at least one qubit")
     if len(kept) >= num_qubits:

@@ -6,6 +6,9 @@ Each row type's fields are its schema: the fields of ``RunReport`` and
 written as its letter, any other enum as its value, and the same rows always
 render to the same bytes.  CSV is UTF-8, comma delimited, '.' decimal point,
 one header row and rows as wide as it; a missing value is an empty cell or null.
+The writers fill a template built from the schema at import straight from a
+row's fields, with the bytes ``json`` (``indent=2``) and ``csv`` would
+write; ``json`` and ``csv`` parse.
 
 Decoding follows the field's annotation: only a ``| None`` field may be
 null (JSON) or an empty cell (CSV).  A CSV cell is text, read with
@@ -108,26 +111,59 @@ def report_from_dict(data: dict) -> RunReport:
     return _from_dict(RunReport, data)
 
 
-# The bytes of ``indent=2`` for a flat object, from CPython's C encoder,
-# which ``indent`` would bypass; one encoder serves every call.
-_JSON_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
+def _writer(row_type: type, json_text: bool) -> tuple[str, tuple[tuple[int, dict], ...]]:
+    """``(template, tables)``: how a row of ``row_type`` is written, built from its schema.
+
+    The template has one ``%s`` slot per field, in field order: a JSON
+    object with ``indent=2`` if ``json_text``, else one CSV line.  An int
+    or float fills its slot as its ``str``, which is its ``repr``, as
+    ``json`` and ``csv`` write it.  Each field that may hold anything else
+    has a table, by field index, of the texts of its other values: None
+    (``null``, or an empty cell) for a ``| None`` field and each member of
+    an enum field (its scalar, quoted as a JSON string).  No other value
+    needs quoting: names and scalars are plain ASCII words.
+    """
+    enums = {enum.__name__: enum for enum in _ENUMS}
+    tables = []
+    for index, field in enumerate(fields(row_type)):
+        base = field.type.removesuffix(" | None")
+        texts = {} if base == field.type else {None: "null" if json_text else ""}
+        for member in enums.get(base, ()):
+            texts[member] = json.dumps(_scalar(member)) if json_text else _scalar(member)
+        if texts:
+            tables.append((index, texts))
+    if json_text:
+        slots = ",\n".join(f"  {json.dumps(name)}: %s" for name in _COLUMNS[row_type])
+        template = "{\n" + slots + "\n}\n"
+    else:
+        template = ",".join(["%s"] * len(_COLUMNS[row_type])) + "\n"
+    return template, tuple(tables)
+
+
+def _write(writer: tuple[str, tuple[tuple[int, dict], ...]], row) -> str:
+    """``row`` written through ``writer``, a :func:`_writer` template and its tables."""
+    template, tables = writer
+    # A frozen dataclass's __dict__ holds its fields in field order.
+    values = list(vars(row).values())
+    for index, texts in tables:
+        value = values[index]
+        values[index] = texts.get(value, value)
+    return template % tuple(values)
+
+
+_REPORT_JSON = _writer(RunReport, json_text=True)
+_REPORT_CSV = _writer(RunReport, json_text=False)
+_SWEEP_CSV = _writer(SweepRow, json_text=False)
+_REPORT_HEADER = ",".join(REPORT_COLUMNS) + "\n"
+_SWEEP_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
 
 
 def render_report_json(report: RunReport) -> str:
-    body = _JSON_ENCODER.encode(report_to_dict(report))[1:-1]
-    return "{\n  " + body + "\n}\n"
+    return _write(_REPORT_JSON, report)
 
 
 def parse_report_json(text: str) -> RunReport:
     return report_from_dict(json.loads(text))
-
-
-def _write_csv(row_type: type, rows: list) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_COLUMNS[row_type])
-    writer.writerows(_to_dict(row).values() for row in rows)  # None: an empty cell
-    return buffer.getvalue()
 
 
 def _read_csv(row_type: type, text: str) -> list:
@@ -142,7 +178,7 @@ def _read_csv(row_type: type, text: str) -> list:
 
 
 def render_report_csv(report: RunReport) -> str:
-    return _write_csv(RunReport, [report])
+    return _REPORT_HEADER + _write(_REPORT_CSV, report)
 
 
 def parse_report_csv(text: str) -> RunReport:
@@ -163,7 +199,7 @@ def render_report(report: RunReport, fmt: str) -> str:
 
 
 def render_sweep_csv(rows: list[SweepRow]) -> str:
-    return _write_csv(SweepRow, rows)
+    return "".join([_SWEEP_HEADER, *(_write(_SWEEP_CSV, row) for row in rows)])
 
 
 def parse_sweep_csv(text: str) -> list[SweepRow]:

@@ -11,15 +11,21 @@ statevector measurement (against which the trees' unreachable cells are
 checked), and a run's report by folding its trial records one at a time
 instead of multiplying the engine's weight matrix by its cell counts.
 
-Two former formulations are kept as byte references: the per-party
-reshape-and-assign butterfly of ``outcome_distributions`` and the nested
-per-set walk of ``_walk_thresholds``, which the index plans replaced.
+Former formulations are kept as byte references: the per-party
+reshape-and-assign butterfly of ``outcome_distributions`` and the gather
+plans that replaced it and that the matrix levels replaced in turn; the
+nested per-set walk of ``_walk_thresholds``; and the ``json.JSONEncoder``
+and ``csv.writer`` renderers that the report templates replaced.
 """
 
 from __future__ import annotations
 
 import collections
+import csv
+import enum
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -48,6 +54,7 @@ from wqsc import (
 )
 from wqsc import protocol, qcore
 from wqsc.protocol import MODE_SUCCESS_PROBABILITY, QUBITS_PER_TRIAL
+from wqsc.reporting import report_to_dict
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -102,6 +109,63 @@ def butterfly_outcome_distributions(states) -> np.ndarray:
         rotated[:, 1, ..., 0, :], rotated[:, 1, ..., 1, :] = qcore._axis_components(view, Axis.X)
     totals = np.array([state.squared_norm() for state in states]).reshape(-1, 1, 1)
     return qcore._masses(rotated.reshape(n, 8, 8, 1, -1)) / totals
+
+
+def gather_level_plan(qubits: int, party: int) -> tuple[np.ndarray, ...]:
+    """``(I, J, S, R)``: one party's former gather level, row ``o`` being ``(v[I] + v[J] * S) * R``.
+
+    A z row keeps its amplitude, ``I = J`` and ``(S, R) = (0, 1)``; an x row
+    is the butterfly of the party's two amplitudes, ``I`` and ``J`` pointing
+    at them, ``S`` the sign of the second in the row's outcome and ``R =
+    1/sqrt(2)``, as complex columns.
+    """
+    rows = np.arange(2 << (party + qubits))
+    x = rows >> qubits & 1
+    amp = rows & ((1 << qubits) - 1)
+    bit = 1 << (qubits - 1 - party)
+    block = (rows >> (qubits + 1)) << qubits
+    return (
+        block | np.where(x, amp & ~bit, amp),
+        block | np.where(x, amp | bit, amp),
+        np.where(x, np.where(amp & bit, -1.0, 1.0), 0.0).astype(np.complex128)[:, np.newaxis],
+        np.where(x, qcore._SQRT1_2, 1.0).astype(np.complex128)[:, np.newaxis],
+    )
+
+
+def gather_outcome_distributions(amps) -> np.ndarray:
+    """The former ``outcome_distributions`` of an amplitude stack: a gather plan per party.
+
+    Rows are gated, and each total read, as the live code does.
+    """
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    qubits = qcore._qubit_count(amps.shape[1])
+    totals = qcore._state_norms(amps)
+    rows = amps.T
+    for party in Party:
+        i, j, s, r = gather_level_plan(qubits, party)
+        rows = (rows.take(i, 0) + rows.take(j, 0) * s) * r
+    masses = qcore._masses(rows.T.reshape(len(totals), 8, 8, 1, -1))
+    return masses / np.array(totals).reshape(-1, 1, 1)
+
+
+def encoder_report_json(report: RunReport) -> str:
+    """The former ``render_report_json``: ``json.JSONEncoder`` on the report's dict."""
+    body = json.JSONEncoder(separators=(",\n  ", ": ")).encode(report_to_dict(report))[1:-1]
+    return "{\n  " + body + "\n}\n"
+
+
+def writer_csv(columns, rows) -> str:
+    """The former CSV writer: ``csv.writer`` on a header and each row's scalars."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(
+            value.letter if isinstance(value, Party) else value.value
+            if isinstance(value, enum.Enum) else value
+            for value in vars(row).values()
+        )  # None: an empty cell
+    return buffer.getvalue()
 
 
 def nested_walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from helpers import (
     TREE_SPAN,
     announce_split,
+    gather_outcome_distributions,
     kernel_intervals,
     nested_walk_thresholds,
     oracle_intervals,
@@ -51,6 +52,7 @@ from wqsc import (
     w_state,
 )
 from wqsc import bell, protocol
+from wqsc.states import attacked_w_amplitudes
 from test_determinism import ATTACK_FLAGS, RUN_DIGESTS, RUN_FLAGS, digest
 from wqsc.cli import main
 
@@ -347,6 +349,24 @@ class TestFlatWalk:
             dist, announce = outcome_distribution(state), protocol._threshold(rate)
             live = protocol._walk_thresholds(dist, announce)
             assert live.tobytes() == nested_walk_thresholds(dist, announce).tobytes()
+
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda t: "W" if t is None else t.letter)
+    def test_tree_misses_match_the_reference_path(self, target):
+        # A _trees miss reads its source through outcome_distribution; the
+        # former gather levels and the nested walk give the same splits.
+        build = protocol._trees.__wrapped__  # the miss path, past the cache
+        phis = [None] if target is None else WALK_PHIS[:6] + WALK_PHIS[6::25]
+        for phi in phis:
+            if phi is None:
+                attack, row = None, w_state().amplitudes
+            else:
+                attack = UnitaryCouplingAttack(phi, target)
+                row = attacked_w_amplitudes([phi], target)[0]
+            dist = gather_outcome_distributions([row])[0]
+            for rate in WALK_RATES:
+                announce, splits = build(attack, rate)
+                assert announce == protocol._threshold(rate)
+                assert splits.tobytes() == nested_walk_thresholds(dist, announce).tobytes(), phi
 
     def test_walk_plan_is_read_only(self):
         # Every tree build reads these; a write would move every split.

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     butterfly_outcome_distributions,
     enumerate_event_probability,
+    gather_outcome_distributions,
     partial_trace_oracle,
     permute_qubits,
     random_state,
@@ -489,8 +493,9 @@ class TestOutcomeDistributions:
     @pytest.mark.parametrize("states", [
         [],
         [w_state(), attacked_w_state(0.5)],
+        [w_state().amplitudes, attacked_w_state(0.5).amplitudes],
         [make_basis_state(2, [PLUS, MINUS])],
-    ], ids=["empty", "mixed-qubit-counts", "two-qubits"])
+    ], ids=["empty", "mixed-qubit-counts", "mixed-row-lengths", "two-qubits"])
     def test_bad_stacks_raise_value_error(self, states):
         with pytest.raises(ValueError):
             outcome_distributions(states)
@@ -545,13 +550,119 @@ class TestIndexPlans:
         for index in (0, 1, 2, 3, 5, 100):
             assert outcome_distribution(states[index]).tobytes() == stacked[index].tobytes()
 
-    def test_plans_are_read_only_constants(self):
+
+
+def edge_rows(rng: np.random.Generator, num_qubits: int, count: int, kind: str) -> np.ndarray:
+    """:func:`edge_stack` as an amplitude stack: complex, real, imaginary or mixed rows.
+
+    A real row is a state's real part and an imaginary row its imaginary
+    part, each renormalized; exact zeros and cancellations survive both.  A
+    mixed stack has a real second row and an imaginary third row, as far
+    as it has them.
+    """
+    rows = np.array([state.amplitudes for state in edge_stack(rng, num_qubits, count)])
+    parts = {"real": rows.real + 0j, "imaginary": 1j * rows.imag}
+    if kind in parts:
+        rows = parts[kind]
+    elif kind == "mixed":
+        rows[1:2], rows[2:3] = parts["real"][1:2], parts["imaginary"][2:3]
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestMatrixLevels:
+    """The matrix levels give the former gather plans' bytes (``helpers``).
+
+    Rows with 1e-160 entries also fail here if BLAS flushes subnormals to zero.
+    """
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "imaginary", "mixed"])
+    @pytest.mark.parametrize("count", [1, 7, 14])
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5])
+    def test_random_stacks(self, num_qubits, count, kind):
+        rng = np.random.default_rng(3200 + 100 * num_qubits + count)
+        rows = edge_rows(rng, num_qubits, count, kind)
+        live = outcome_distributions(rows)
+        assert live.tobytes() == gather_outcome_distributions(rows).tobytes()
+        for row, dist in zip(rows, live):
+            assert outcome_distribution(row).tobytes() == dist.tobytes()
+
+    def test_w_and_ghz(self):
+        for state in (w_state(), ghz_state()):
+            reference = gather_outcome_distributions([state.amplitudes])[0]
+            assert outcome_distribution(state).tobytes() == reference.tobytes()
+            assert outcome_distributions([state])[0].tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("target", list(Party), ids=lambda party: party.letter)
+    def test_attacked_rows(self, target):
+        stack = attacked_w_amplitudes(PLAN_PHIS, target)
+        reference = gather_outcome_distributions(stack)
+        assert outcome_distributions(stack).tobytes() == reference.tobytes()
+        for row, dist in zip(stack, reference):
+            assert outcome_distribution(row).tobytes() == dist.tobytes()
+
+    def test_a_row_a_stack_of_one_and_a_state_agree(self):
+        rng = np.random.default_rng(3211)
+        rows = list(attacked_w_amplitudes(PLAN_PHIS[:12], B)) + list(edge_rows(rng, 4, 6, "mixed"))
+        for row in rows:
+            one = outcome_distribution(row).tobytes()
+            assert one == outcome_distributions([row])[0].tobytes()
+            assert one == outcome_distributions(np.array([row]))[0].tobytes()
+            assert one == outcome_distribution(StateVector(row)).tobytes()
+
+    @pytest.mark.parametrize("flaw", ["norm", "nan"])
+    def test_a_row_is_refused_with_the_gate_s_own_error(self, flaw):
+        row = attacked_w_amplitudes([0.4])[0]
+        if flaw == "norm":
+            row *= math.sqrt(1.0 + 2e-6)
+        else:
+            row[5] = np.nan
+        with pytest.raises(InvalidStateError) as from_state:
+            StateVector(row)
+        with pytest.raises(InvalidStateError) as from_row:
+            outcome_distribution(row)
+        assert str(from_row.value) == str(from_state.value)
+
+    @pytest.mark.parametrize("amps, message", [
+        (np.zeros((1, 16), dtype=complex), "one-dimensional"),
+        (np.zeros(12, dtype=complex), "power of two"),
+        (np.eye(4, dtype=complex)[0], "at least three qubits"),
+    ], ids=["2-d", "12-amplitudes", "two-qubits"])
+    def test_a_malformed_row_is_refused(self, amps, message):
+        with pytest.raises(ValueError, match=message):
+            outcome_distribution(amps)
+
+    def test_levels_are_read_only(self):
         # Every call reads these; a write would change every distribution.
-        assert sorted(qcore._LEVEL_PLANS) == [3, 4, 5]
-        for levels in qcore._LEVEL_PLANS.values():
+        outcome_distribution(make_basis_state(5, [PLUS] * 5))
+        for qubits, levels in qcore._LEVELS.items():
             assert len(levels) == len(Party)
-            for array in itertools.chain.from_iterable(levels):
-                assert not array.flags.writeable
+            for matrix, scale in levels:
+                assert not matrix.flags.writeable and not scale.flags.writeable
+                # Each output has one 1, and an x output (scale 1/sqrt(2)) one more +-1.
+                assert set(np.unique(matrix).tolist()) <= {-1.0, 0.0, 1.0}
+                assert (matrix.max(axis=0) == 1.0).all()
+                assert np.array_equal(np.count_nonzero(matrix, axis=0), np.where(scale == 1.0, 1, 2))
+
+    def test_levels_are_built_on_first_use(self):
+        # No run, sweep or verify measures a 5-qubit state, so none builds its levels.
+        code = """
+import contextlib, io
+from wqsc import cli, qcore
+assert qcore._LEVELS == {}, sorted(qcore._LEVELS)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify"]) == 0
+    cli.main(["run", "--mode", "qkd", "--trials", "50", "--seed", "1", "--phi", "0.5"])
+    cli.main(["run", "--mode", "pqss", "--trials", "50", "--seed", "1"])
+    cli.main(["sweep-phi", "--grid", "0.5", "--trials", "100", "--seed", "1"])
+assert sorted(qcore._LEVELS) == [3, 4], sorted(qcore._LEVELS)
+qcore.outcome_distribution(qcore.make_basis_state(5, [qcore.Outcome.PLUS] * 5))
+assert sorted(qcore._LEVELS) == [3, 4, 5], sorted(qcore._LEVELS)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestReducedDensity:
@@ -643,6 +754,15 @@ class TestReducedDensities:
     def test_bad_keep_sets(self, keeps, message):
         with pytest.raises(ValueError, match=message):
             reduced_densities(w_state(), keeps)
+
+    @pytest.mark.parametrize("call", [
+        lambda: reduced_density(w_state(), 0),
+        lambda: reduced_density(w_state(), A),
+        lambda: reduced_densities(w_state(), (A, B)),
+    ], ids=["int", "party", "flat-tuple-of-parties"])
+    def test_a_kept_set_that_is_not_a_collection(self, call):
+        with pytest.raises(ValueError, match="^keep must be a collection of qubits, got "):
+            call()
 
     def test_the_density_gate_runs_once_on_the_whole_stack(self, monkeypatch):
         # A Hermiticity defect of 2e-9 in the last slice alone is refused.

@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
 import json
 import math
 
 import pytest
 
+from helpers import encoder_report_json, writer_csv
 from wqsc import (
+    Party,
     ProtocolConfig,
     ProtocolMode,
     SecurityVerdict,
@@ -248,3 +252,39 @@ class TestTypeRule:
     def test_sweep_unknown_verdict(self):
         with pytest.raises(ValueError, match="verdict"):
             parse_sweep_csv("phi,p_bar,empirical,sigma,verdict\n0,0,0,0,maybe\n")
+
+
+# Floats whose shortest repr is the subnormal minimum, the largest double and
+# a sum that rounds, and the largest signed 64-bit seed.
+EDGE_FIELDS = dict(attack_phi=5e-324, epsilon=1.7976931348623157e308,
+                   announce_rate=0.30000000000000004, seed=2**63 - 1)
+
+
+class TestWritersGiveTheFormerBytes:
+    """The templates write what ``json.JSONEncoder`` and ``csv.writer`` wrote (``helpers``)."""
+
+    def assert_former_bytes(self, report):
+        assert render_report_json(report) == encoder_report_json(report)
+        assert render_report_csv(report) == writer_csv(REPORT_COLUMNS, [report])
+
+    def test_null_fields_and_edge_values(self, plain_report, attacked_report):
+        assert plain_report.attack_phi is None and plain_report.attack_target is None
+        self.assert_former_bytes(plain_report)
+        self.assert_former_bytes(dataclasses.replace(attacked_report, **EDGE_FIELDS))
+        self.assert_former_bytes(dataclasses.replace(
+            attacked_report, security_event_frequency=None, qubits_per_key_bit=None))
+
+    def test_every_enum_member(self, attacked_report):
+        for mode, dealer, target, verdict in itertools.product(
+                ProtocolMode, Party, [*Party, None], SecurityVerdict):
+            self.assert_former_bytes(dataclasses.replace(
+                attacked_report, mode=mode, dealer=dealer, attack_target=target,
+                security_verdict=verdict))
+
+    def test_sweep_rows(self):
+        rows = [SweepRow(0.0, 0.0, 0.0, 0.0, verdict) for verdict in SecurityVerdict] + [
+            SweepRow(math.pi / 2, 5e-324, 0.30000000000000004, 1.7976931348623157e308,
+                     SecurityVerdict.COMPROMISED),
+        ]
+        for stack in ([], rows[:1], rows):
+            assert render_sweep_csv(stack) == writer_csv(SWEEP_COLUMNS, stack)
