@@ -68,13 +68,12 @@ _GRID = tuple(np.linspace(0.0, math.pi / 2.0, 11).tolist())
 
 
 class GoldenCheck(NamedTuple):
+    """One check; ``passed`` is whether ``value`` lies within ``VERIFY_TOL`` of ``expected``."""
+
     item: str
     value: float
     expected: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.value - self.expected) <= VERIFY_TOL
+    passed: bool
 
 
 def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
@@ -86,7 +85,8 @@ def golden_checks() -> list[GoldenCheck]:
     checks: list[GoldenCheck] = []
 
     def add(item: str, value: float, expected: float) -> None:
-        checks.append(GoldenCheck(item, float(value), float(expected)))
+        value, expected = float(value), float(expected)
+        checks.append(GoldenCheck(item, value, expected, abs(value - expected) <= VERIFY_TOL))
 
     w = w_state()
     ghz = ghz_state()

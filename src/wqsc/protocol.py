@@ -42,7 +42,8 @@ announce rate) key, and for ``sweep-phi`` one stacked
   ceil(p * (hi - lo))``, ``p`` being the node's plus mass over its total in
   the set's distribution row.  So P(announced) is exact on every set, and
   an outcome's mass is resolved to one unit of its half: ``1 / (r *
-  2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.
+  2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.  The 16 trees
+  are held as the lower bounds of the run's 128 cells (:func:`_cell_bounds`).
   The source is ``w_state()``, or under an attack the closed form
   ``attacked_w_state(phi, target)``, read as its one amplitude row
   ``attacked_w_amplitudes([phi], target)[0]``; the attack circuit
@@ -333,101 +334,65 @@ def _threshold(p: float) -> int:
     return math.ceil(math.ldexp(p, 53))
 
 
-def _walk_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gathers and the scatter of :func:`_walk_thresholds`, built at import, read-only.
-
-    The walk keeps one flat row per depth ``d`` of ``16 * 2**d`` nodes: the
-    roots are the 16 trees in the order ``t = 2s + u``, and each later row
-    holds the row before's plus children, then its minus children.  The node
-    masses are one array, depth by depth from A's nodes to the outcome
-    strings and set by set within a depth: node ``i`` of set ``s`` at depth
-    ``d`` is at ``8 * (2**d - 1) + s * 2**d + i``.  Returns, per walk place,
-    the index of its node's plus child's mass and of its own mass; and, per
-    split position, the walk place of its split, counted after a leading
-    0.0 that positions 0 to 15 read.
-    """
-    node, tree = np.zeros(16, dtype=np.intp), np.arange(16)
-    plus, total, position = [], [], []
-    for depth in range(len(Party)):
-        set_index = tree >> 1
-        total.append(8 * ((1 << depth) - 1) + (set_index << depth) + node)
-        plus.append(8 * ((2 << depth) - 1) + (set_index << (depth + 1)) + 2 * node)
-        position.append((16 << depth) + (tree << depth) + node)
-        node, tree = np.concatenate((2 * node, 2 * node + 1)), np.concatenate((tree, tree))
-    order = np.zeros(128, dtype=np.intp)
-    order[np.concatenate(position)] = np.arange(1, 113)
-    plan = np.concatenate(plus), np.concatenate(total), order
-    for array in plan:
-        array.flags.writeable = False
-    return plan
-
-
-_PLUS_MASSES, _NODE_MASSES, _SPLIT_ORDER = _walk_plan()
-
-
-def _walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
-    """Split points of each axis set's two interval trees, by walk position.
+def _cell_bounds(dist: np.ndarray, announce: int) -> np.ndarray:
+    """Each run cell's lower bound at ``16s + 8u + o``, so set ``s``'s 16 cells tile ``[0, 2**53)``.
 
     ``dist`` is an :func:`~wqsc.qcore.outcome_distribution` and ``announce``
     the announce rate's threshold ``ann``.  Set ``s`` has a tree over the
-    announced half ``[0, ann)`` and one over the unannounced half ``[ann,
-    2**53)``.  Party ``d``'s node ``i`` of a tree (``i`` the outcome bits of
-    the parties before it) covers ``[lo, hi)`` and splits at ``lo + ceil(p *
-    (hi - lo))``, ``p`` being its plus child's mass over its own, or at
-    ``lo`` if its mass is 0; ``p`` is the same in both halves.  A node's
-    mass is summed as its plus child's plus its minus child's, so a child of
-    mass 0 gets width 0 (``p`` is 0 or exactly 1).  A plus child of nonzero
-    mass keeps at least width 1 of a node that has any; a minus child whose
-    share is lost in rounding ``p * (hi - lo)`` up to ``hi - lo`` gets width
-    0.  Position ``2**d * (16 + 2s + u) + i`` holds the split of half ``u``
-    (1 unannounced), so party ``d``'s splits are positions ``16 << d`` to
-    ``32 << d`` (see :func:`_trial_cells`); positions 0 to 15 are never read
-    and hold 0.
-
-    The node masses are three levels of pairwise sums over ``dist``, read
-    into walk order by two gathers (:func:`_walk_plan`).  All 16 trees are
-    then walked at once, one depth at a time, over flat rows of ``lo`` and
-    ``width``: the children's row is the plus children ``[lo, split)``,
-    then the minus children ``[split, lo + width)``.  Every bound and width
-    is an integer below ``2**53``, exact in a float, so only ``ceil(p *
-    width)`` rounds, on the same operands in any order of the walk.
+    announced half ``[0, ann)`` (``u`` 0) and one over the unannounced half
+    ``[ann, 2**53)``, its leaves the outcome strings ``o`` in order.  Tree
+    ``2s + u`` has nine edges, 0 and 8 its half's ends: A's node splits at
+    edge 4, B's nodes at edges 2 and 6, and C's at the odd edges, so edge
+    ``o`` is string ``o``'s lower bound.  A node ``[lo, hi)`` splits at ``lo
+    + ceil(p * (hi - lo))``, ``p`` being its plus child's mass over its own,
+    or at ``lo`` if its mass is 0; ``p`` is the same in both halves.  A
+    node's mass is summed as its plus child's plus its minus child's, so a
+    child of mass 0 gets width 0 (``p`` is 0 or exactly 1).  A plus child of
+    nonzero mass keeps at least width 1 of a node that has any; a minus
+    child whose share is lost in rounding ``p * (hi - lo)`` up to ``hi -
+    lo`` gets width 0.  Every edge is an integer no larger than ``2**53``,
+    exact in a float, so only ``ceil(p * (hi - lo))`` rounds, on the same
+    operands in any order of the walk.
     """
     leaves = dist.ravel()  # the outcome strings' masses, set by set
     c_nodes = leaves[0::2] + leaves[1::2]
     b_nodes = c_nodes[0::2] + c_nodes[1::2]
-    masses = np.concatenate((b_nodes[0::2] + b_nodes[1::2], b_nodes, c_nodes, leaves))
+    # Per set, each node's plus child, then its minus child: A's, B's 2, C's 4.
+    children = np.concatenate((b_nodes.reshape(8, 2), c_nodes.reshape(8, 4), dist), axis=1).ravel()
+    plus = children[0::2]
     # The smallest subnormal stands in for a mass of 0, whose plus child is 0 too.
-    ratio = masses.take(_PLUS_MASSES) / np.maximum(masses.take(_NODE_MASSES), 5e-324)
-    ann = float(announce)  # numpy builds the roots faster from a float than from an int
-    lo, width = np.array([0.0, ann] * 8), np.array([ann, 2.0**53 - ann] * 8)
-    splits = np.zeros(113)  # 0.0, then each depth's splits in walk order
-    for start in (0, 16, 48):
-        end = 2 * start + 16
-        plus_width = np.ceil(ratio[start:end] * width)
-        split = np.add(lo, plus_width, out=splits[start + 1 : end + 1])
-        if end < 112:
-            lo = np.concatenate((lo, split))
-            width = np.concatenate((plus_width, width - plus_width))
-    return splits.take(_SPLIT_ORDER).astype(np.uint64)
+    ratio = (plus / np.maximum(plus + children[1::2], 5e-324)).reshape(8, 7).T.repeat(2, axis=1)
+    edges = np.empty((9, 16))  # edge by tree 2s + u
+    edges[::8] = float(announce)  # numpy fills faster from a float than from an int
+    edges[0, 0::2] = 0.0
+    edges[8, 1::2] = 2.0**53
+    for step in (4, 2, 1):
+        lo, nodes = edges[: 8 : 2 * step], 4 // step
+        width = edges[2 * step :: 2 * step] - lo
+        width *= ratio[nodes - 1 : 2 * nodes - 1]
+        np.add(lo, np.ceil(width, out=width), out=edges[step :: 2 * step])
+    return edges[:8].T.astype(np.uint64, order="C").ravel()
 
 
-def _trial_cells(thresholds: np.ndarray, raw: np.ndarray, announce: int) -> np.ndarray:
+def _trial_cells(bounds: np.ndarray, raw: np.ndarray, announce: int) -> np.ndarray:
     """Each trial's cell ``16s + 8u + o``, ``u`` 1 for an unannounced trial.
 
-    ``raw`` holds the trials' words, one each; ``announce`` is the announce
-    rate's threshold.  A trial's walk starts at its axis set ``s`` and
-    appends ``u``, 1 iff its draw reaches ``announce``: the first split of
-    the set's tree, the same for every set, so one scalar compare.  Party
-    ``d`` then appends its outcome bit: 1 (minus) iff the draw reaches the
-    split at the walk's position among party ``d``'s.  The walk thus ends
-    at ``16s + 8u + o``, ``o`` the outcome string.
+    ``raw`` holds the trials' words, one each; ``bounds`` are
+    :func:`_cell_bounds`'s and ``announce`` is the announce rate's
+    threshold, the bound between the halves on every set, so one scalar
+    compare gives the trial's tree ``2s + u``.  The tree's eight cells are
+    then halved by A's, B's and C's outcome in turn: at a halving of
+    ``2 * step`` cells, ``step`` being 4, 2 and then 1, node ``n`` spans the
+    cells from ``2 * step * n`` and splits at the bound ``step`` cells on,
+    and the walk appends bit 1 (minus) iff the draw reaches that split.  It
+    thus ends at ``16s + 8u + o``.
     """
     draws = raw >> _DRAW_SHIFT
     cells = (raw & _SET_MASK).view(np.int64)  # 0 to 7, so the same bits as int64
     cells <<= 1
     cells += draws >= announce
-    for depth in range(len(Party)):
-        reached = draws >= np.take(thresholds[16 << depth : 32 << depth], cells)
+    for step in (4, 2, 1):
+        reached = draws >= bounds[step :: 2 * step].take(cells)
         cells <<= 1
         cells += reached
     return cells
@@ -495,7 +460,7 @@ def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
 
 @functools.lru_cache(maxsize=64)
 def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> tuple[int, np.ndarray]:
-    """The run source's ``(ann, splits)`` at this announce rate, built once per key, read-only.
+    """The run source's ``(ann, bounds)`` at this announce rate, built once per key, read-only.
 
     The source is ``w_state()``, or under ``attack`` the closed form's one
     row ``attacked_w_amplitudes([phi], target)[0]``, which
@@ -507,18 +472,18 @@ def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> tuple[
     else:
         dist = outcome_distribution(attacked_w_amplitudes([attack.phi], attack.target)[0])
     announce = _threshold(announce_rate)
-    splits = _walk_thresholds(dist, announce)
-    splits.flags.writeable = False
-    return announce, splits
+    bounds = _cell_bounds(dist, announce)
+    bounds.flags.writeable = False
+    return announce, bounds
 
 
 def _run_chunks(
     config: ProtocolConfig, first: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
-    announce, thresholds = _trees(config.attack, config.announce_rate)
+    announce, bounds = _trees(config.attack, config.announce_rate)
     for start, raw in _chunks(config.seed, first, count):
-        yield first + start, _trial_cells(thresholds, raw, announce)
+        yield first + start, _trial_cells(bounds, raw, announce)
 
 
 def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:

@@ -17,6 +17,8 @@ text for a number: an int field takes an int, a float field an int or
 float, never a bool, and an enum field its scalar.  A float field takes
 no NaN or infinity (JSON's ``NaN`` and ``Infinity``, CSV's ``nan`` and
 ``inf``), which no renderer writes.  Else a ValueError names the field.
+A row must hold every field of its schema and no other key, else a
+ValueError names the missing fields and the unknown keys.
 """
 
 from __future__ import annotations
@@ -97,8 +99,12 @@ def _to_dict(row) -> dict:
 def _from_dict(row_type: type, data: dict, text: bool = False):
     if not isinstance(data, dict):
         raise ValueError(f"{row_type.__name__} must be an object, got {data!r}")
-    if missing := set(_COLUMNS[row_type]) - set(data):
-        raise ValueError(f"{row_type.__name__} is missing fields: {sorted(missing)}")
+    columns = set(_COLUMNS[row_type])
+    missing, unknown = columns - set(data), [key for key in data if key not in columns]
+    if missing or unknown:
+        problems = [f"is missing fields: {sorted(missing)}"] if missing else []
+        problems += [f"has unknown keys: {unknown}"] if unknown else []
+        raise ValueError(f"{row_type.__name__} {' and '.join(problems)}")
     return row_type(**{f.name: _decode(f, data[f.name], text) for f in fields(row_type)})
 
 

@@ -14,8 +14,9 @@ instead of multiplying the engine's weight matrix by its cell counts.
 Former formulations are kept as byte references: the per-party
 reshape-and-assign butterfly of ``outcome_distributions`` and the gather
 plans that replaced it and that the matrix levels replaced in turn; the
-nested per-set walk of ``_walk_thresholds``; and the ``json.JSONEncoder``
-and ``csv.writer`` renderers that the report templates replaced.
+nested per-set walk of the former split points, whose splits
+``_cell_bounds`` holds by cell; and the ``json.JSONEncoder`` and
+``csv.writer`` renderers that the report templates replaced.
 """
 
 from __future__ import annotations
@@ -169,7 +170,11 @@ def writer_csv(columns, rows) -> str:
 
 
 def nested_walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
-    """The former ``_walk_thresholds``: per-set arrays of nodes, regrown at each depth."""
+    """The former split points: per-set arrays of nodes, regrown at each depth.
+
+    Position ``2**d * (16 + 2s + u) + i`` holds the split of party ``d``'s
+    node ``i`` in tree ``2s + u``; positions 0 to 15 hold 0.
+    """
     children = np.empty((8, 14))  # per set: A's 2 children, B's 4, C's 8, plus child first
     children[:, 6:] = dist
     np.add(dist[:, 0::2], dist[:, 1::2], out=children[:, 2:6])
@@ -191,6 +196,24 @@ def nested_walk_thresholds(dist: np.ndarray, announce: int) -> np.ndarray:
             width_next[..., 0::2], width_next[..., 1::2] = plus_width, width - plus_width
             lo, width = lo_next, width_next
     return splits.astype(np.uint64)
+
+
+def nested_cell_bounds(dist: np.ndarray, announce: int) -> np.ndarray:
+    """:func:`nested_walk_thresholds` laid out by cell: each cell's lower bound at ``16s + 8u + o``.
+
+    A tree's first string starts at its half's start, 0 or ``ann``; string
+    ``o > 0`` starts at the split of the deepest node whose minus child it
+    opens: party ``d``'s node ``o >> (3 - d)`` when ``o`` has ``3 - d`` low
+    zero bits.
+    """
+    splits = nested_walk_thresholds(dist, announce).tolist()
+    bounds = []
+    for tree in range(16):
+        bounds.append(announce if tree & 1 else 0)
+        for o in range(1, 8):
+            depth = 3 - (o & -o).bit_length()  # A for 4, B for 2 and 6, C for odd o
+            bounds.append(splits[(1 << depth) * (16 + tree) + (o >> (3 - depth))])
+    return np.array(bounds, dtype=np.uint64)
 
 
 def unit(word) -> float:
@@ -239,30 +262,15 @@ def kernel_intervals(source: StateVector, announce_rate: float) -> np.ndarray:
     """The engine's ``[lo, hi)`` of each (axis set, half, outcome string), shape (8, 2, 8, 2).
 
     Half 0 is the announced half ``[0, ann)``, half 1 the unannounced
-    ``[ann, 2**53)``.  Read by descending, from each set's announcement
-    split, the split points the engine builds for ``source``; each split
-    must lie inside its node.
+    ``[ann, 2**53)``.  A cell's interval runs from its lower bound in the
+    engine's cell bounds for ``source`` to the next cell's, the last cell of
+    each set to ``2**53``.
     """
-    ann = announce_split(announce_rate)
-    splits = protocol._walk_thresholds(
+    bounds = protocol._cell_bounds(
         outcome_distribution(source), protocol._threshold(announce_rate)
-    ).tolist()
-    intervals = np.zeros((8, 2, 8, 2), dtype=np.int64)
-
-    def descend(position: int, lo: int, hi: int) -> None:
-        if position >= 128:
-            set_half, string = divmod(position - 128, 8)
-            intervals[divmod(set_half, 2) + (string,)] = lo, hi
-            return
-        mid = splits[position]
-        assert lo <= mid <= hi
-        descend(2 * position, lo, mid)
-        descend(2 * position + 1, mid, hi)
-
-    for set_index in range(8):
-        descend(16 + 2 * set_index, 0, ann)
-        descend(17 + 2 * set_index, ann, TREE_SPAN)
-    return intervals
+    ).astype(np.int64).reshape(8, 16)
+    upper = np.concatenate((bounds[:, 1:], np.full((8, 1), TREE_SPAN)), axis=1)
+    return np.stack((bounds, upper), axis=-1).reshape(8, 2, 8, 2)
 
 
 def oracle_trial(source: StateVector, word, announce_rate: float):

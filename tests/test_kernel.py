@@ -30,7 +30,7 @@ from helpers import (
     announce_split,
     gather_outcome_distributions,
     kernel_intervals,
-    nested_walk_thresholds,
+    nested_cell_bounds,
     oracle_intervals,
     oracle_table,
     oracle_trial,
@@ -68,8 +68,8 @@ def source_for(phi, target):
 def kernel_cells(source, words, announce_rate):
     """The engine's cell ``16s + 8u + o`` of each raw word, ``u`` 1 if unannounced."""
     announce = protocol._threshold(announce_rate)
-    thresholds = protocol._walk_thresholds(outcome_distribution(source), announce)
-    return protocol._trial_cells(thresholds, np.array(words, dtype=np.uint64), announce).tolist()
+    bounds = protocol._cell_bounds(outcome_distribution(source), announce)
+    return protocol._trial_cells(bounds, np.array(words, dtype=np.uint64), announce).tolist()
 
 
 def kernel_trial(source, word, announce_rate):
@@ -279,15 +279,15 @@ class TestTreeConstruction:
     @pytest.mark.parametrize("target", TARGETS, ids=lambda t: "W" if t is None else t.letter)
     @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.1, 0.3, math.nextafter(1.0, 0.0)])
     def test_trees_are_built_once_per_key_and_read_only(self, rate, target):
-        # Every run with this attack and rate reads these splits; a write would change them all.
+        # Every run with this attack and rate reads these bounds; a write would change them all.
         attack = None if target is None else UnitaryCouplingAttack(0.7, target)
         cached = protocol._trees(attack, rate)
         assert cached is protocol._trees(attack, rate)
-        announce, splits = cached
-        assert not splits.flags.writeable
+        announce, bounds = cached
+        assert not bounds.flags.writeable
         assert announce == protocol._threshold(rate)
-        built = protocol._walk_thresholds(outcome_distribution(source_for(0.7, target)), announce)
-        assert splits.tobytes() == built.tobytes()
+        built = protocol._cell_bounds(outcome_distribution(source_for(0.7, target)), announce)
+        assert bounds.tobytes() == built.tobytes()
 
     def test_interleaved_targets_read_their_own_trees(self):
         # One (phi, rate) on each target and unattacked, in one process and in
@@ -333,7 +333,7 @@ WALK_RATES = (0.0, 1e-300, 0.05, 0.1, 0.2, 0.3, math.nextafter(1.0, 0.0))
 
 
 class TestFlatWalk:
-    """The flat walk gives the former nested walk's bytes (``helpers``)."""
+    """The cell bounds hold the former nested walk's splits, byte for byte (``helpers``)."""
 
     @pytest.mark.parametrize("target", list(Party), ids=lambda party: party.letter)
     def test_attacked_states(self, target):
@@ -341,19 +341,33 @@ class TestFlatWalk:
             dist = outcome_distribution(attacked_w_state(phi, target))
             for rate in WALK_RATES:
                 announce = protocol._threshold(rate)
-                live = protocol._walk_thresholds(dist, announce)
-                assert live.tobytes() == nested_walk_thresholds(dist, announce).tobytes(), phi
+                live = protocol._cell_bounds(dist, announce)
+                assert live.tobytes() == nested_cell_bounds(dist, announce).tobytes(), phi
 
     def test_w_and_ghz(self):
         for state, rate in itertools.product((w_state(), ghz_state()), WALK_RATES):
             dist, announce = outcome_distribution(state), protocol._threshold(rate)
-            live = protocol._walk_thresholds(dist, announce)
-            assert live.tobytes() == nested_walk_thresholds(dist, announce).tobytes()
+            live = protocol._cell_bounds(dist, announce)
+            assert live.tobytes() == nested_cell_bounds(dist, announce).tobytes()
+
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda t: "W" if t is None else t.letter)
+    def test_each_set_ascends_from_zero_through_ann(self, target):
+        # Set s's 16 cells tile [0, 2**53) in order: the announced half's
+        # first cell starts at 0, the unannounced half's at ann, and no
+        # bound falls below the one before or beyond 2**53.
+        for phi in [0.0] if target is None else WALK_PHIS[:6] + WALK_PHIS[6::25]:
+            dist = outcome_distribution(source_for(phi, target))
+            for rate in WALK_RATES:
+                announce = protocol._threshold(rate)
+                bounds = protocol._cell_bounds(dist, announce).reshape(8, 16)
+                assert (bounds[:, 0] == 0).all() and (bounds[:, 8] == announce).all()
+                assert (np.diff(bounds.astype(np.int64)) >= 0).all(), (phi, rate)
+                assert (bounds <= TREE_SPAN).all()
 
     @pytest.mark.parametrize("target", TARGETS, ids=lambda t: "W" if t is None else t.letter)
     def test_tree_misses_match_the_reference_path(self, target):
         # A _trees miss reads its source through outcome_distribution; the
-        # former gather levels and the nested walk give the same splits.
+        # former gather levels and the nested walk give the same bounds.
         build = protocol._trees.__wrapped__  # the miss path, past the cache
         phis = [None] if target is None else WALK_PHIS[:6] + WALK_PHIS[6::25]
         for phi in phis:
@@ -364,14 +378,9 @@ class TestFlatWalk:
                 row = attacked_w_amplitudes([phi], target)[0]
             dist = gather_outcome_distributions([row])[0]
             for rate in WALK_RATES:
-                announce, splits = build(attack, rate)
+                announce, bounds = build(attack, rate)
                 assert announce == protocol._threshold(rate)
-                assert splits.tobytes() == nested_walk_thresholds(dist, announce).tobytes(), phi
-
-    def test_walk_plan_is_read_only(self):
-        # Every tree build reads these; a write would move every split.
-        for array in (protocol._PLUS_MASSES, protocol._NODE_MASSES, protocol._SPLIT_ORDER):
-            assert not array.flags.writeable
+                assert bounds.tobytes() == nested_cell_bounds(dist, announce).tobytes(), phi
 
 
 class TestChunking:

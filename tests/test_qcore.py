@@ -349,9 +349,9 @@ class TestArgumentCoercion:
 class TestStackedMass:
     @pytest.mark.parametrize("num_qubits", [3, 4, 5])
     def test_stacked_rows_match_single_states(self, num_qubits):
-        # outcome_distribution weighs a whole stack of components with one
-        # _masses call: a stacked row's mass must equal, bit for bit, the
-        # same component weighed alone, as measure_qubit weighs it.
+        # _masses weighs a whole stack of components in one call: a stacked
+        # row's mass must equal, bit for bit, the same component weighed
+        # alone, as measure_qubit weighs it.
         # Middle qubits give strided components; x components are computed.
         rng = np.random.default_rng(50 + num_qubits)
         states = [random_state(rng, num_qubits) for _ in range(21)]

@@ -113,6 +113,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             report_from_dict(data)
 
+    def test_unknown_key_rejected(self, plain_report):
+        # The JSON parser refuses a key outside the schema, as the CSV
+        # parser refuses any header but the schema's.
+        data = report_to_dict(plain_report)
+        data["bogus"] = 1
+        message = r"^RunReport has unknown keys: \['bogus'\]$"
+        with pytest.raises(ValueError, match=message):
+            report_from_dict(data)
+        with pytest.raises(ValueError, match=message):
+            parse_report_json(json.dumps(data))
+
+    def test_unknown_key_beside_a_missing_one_rejected(self, plain_report):
+        data = report_to_dict(plain_report)
+        data.pop("seed")
+        data["bogus"] = 1
+        message = r"^RunReport is missing fields: \['seed'\] and has unknown keys: \['bogus'\]$"
+        with pytest.raises(ValueError, match=message):
+            parse_report_json(json.dumps(data))
+
     @pytest.mark.parametrize("rows", [0, 2])
     def test_csv_must_hold_one_report(self, plain_report, rows):
         header, row = render_report_csv(plain_report).splitlines()
