@@ -76,10 +76,9 @@ class AxisSet:
 ALL_AXIS_SETS: tuple[AxisSet, ...] = tuple(
     AxisSet(a, b, c) for a, b, c in product((Axis.Z, Axis.X), repeat=3)
 )
-# zxx, xzx, xxz: set k is decided by Party(k), and is ALL_AXIS_SETS[_QKD_SET_INDEX[k]].
+# zxx, xzx, xxz: set k is decided by Party(k).
 QKD_AXIS_SETS: tuple[AxisSet, ...] = tuple(s for s in ALL_AXIS_SETS if s.decider is not None)
 PQSS_AXIS_SET = AxisSet(Axis.Z, Axis.Z, Axis.Z)
-_QKD_SET_INDEX = np.array([ALL_AXIS_SETS.index(s) for s in QKD_AXIS_SETS])
 
 # Outcome strings of (A, B, C); index 4a + 2b + c with PLUS as bit 0, the
 # same bit order as ALL_AXIS_SETS uses for (z, x).
@@ -101,6 +100,9 @@ def is_event(axes: AxisSet, outcomes: tuple[Outcome, Outcome, Outcome]) -> bool:
 
 # EVENT_CELLS[s, o]: whether axis set s with outcome string o is an event.
 EVENT_CELLS = np.array([[is_event(axes, o) for o in OUTCOME_STRINGS] for axes in ALL_AXIS_SETS])
+# The flat cells 8s + o of each QKD set's two events, by decider: only QKD
+# sets have events, two each, and the sets ascend in decider order.
+_EVENT_FIRST, _EVENT_SECOND = np.flatnonzero(EVENT_CELLS).reshape(3, 2).T
 
 
 @dataclass(frozen=True)
@@ -173,11 +175,12 @@ def event_masses(dist: np.ndarray) -> np.ndarray:
     two measure x and disagree.  It is zero on the unattacked W state, and
     under the ancilla coupling of strength phi it evaluates to sin(phi)^2 /
     6 when Charlie measures z and (1 - cos(phi)) / 3 when Charlie measures
-    x.  Each event covers two cells of its row and every other cell summed
-    is exactly 0.0, so an entry is those two cells' sum whatever else is
-    stacked with ``dist``.
+    x.  Each event covers two cells of its row, and an entry is those two
+    cells' sum, the one rounding, whatever else is stacked with ``dist``.
     """
-    return (_distribution(dist, stack=True) * EVENT_CELLS).sum(axis=-1)[..., _QKD_SET_INDEX]
+    dist = _distribution(dist, stack=True)
+    flat = dist.reshape(dist.shape[:-2] + (64,))
+    return flat[..., _EVENT_FIRST] + flat[..., _EVENT_SECOND]
 
 
 def x_all_equal(dist: np.ndarray) -> float:

@@ -34,8 +34,8 @@ from .protocol import (
     check_epsilon,
     check_sweep_arguments,
     run_protocol,
-    sample_security_frequency,
     security_verdict,
+    sweep_frequencies,
 )
 from .qcore import Party
 from .reporting import REPORT_FORMATS, SweepRow, render_report, render_sweep_csv
@@ -281,7 +281,7 @@ def _cmd_sweep(args: SimpleNamespace) -> int:
 
     with _open_output(args.output) as out:
         rows = []
-        frequencies = sample_security_frequency(grid, trials, seed)
+        frequencies = sweep_frequencies(grid, trials, seed)
         for phi, empirical in zip(grid, frequencies):
             p_bar = averaged_security_probability(phi)
             rows.append(

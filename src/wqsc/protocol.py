@@ -517,6 +517,16 @@ def check_sweep_arguments(
 def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> list[float]:
     """Empirical security-event frequency at each attack strength of ``grid``.
 
+    Every value is checked by :func:`check_sweep_arguments` before any state
+    is built or any draw is made; the checked values go to
+    :func:`sweep_frequencies`.
+    """
+    return sweep_frequencies(*check_sweep_arguments(grid, trials, seed))
+
+
+def sweep_frequencies(grid: list[float], trials: int, seed: int) -> list[float]:
+    """:func:`sample_security_frequency` on the values :func:`check_sweep_arguments` returned.
+
     Each sample stands for one announced QKD-set trial against the attacked
     channel (target Charlie), and draws only whether it is a security
     event: its draw lies below ``p_bar``, the mean over the three QKD axis
@@ -526,11 +536,10 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
     :func:`~wqsc.qcore.outcome_distributions` pass over the grid's
     amplitude stack, :func:`~wqsc.states.attacked_w_amplitudes`.  Point
     ``k`` draws from its own Philox key, ``seed + (k + 1) * 2**64``, so its
-    frequency depends on its index and not on the rest of the grid.  Every
-    value is checked by :func:`check_sweep_arguments` before any state is
-    built or any draw is made.
+    frequency depends on its index and not on the rest of the grid.  The
+    values are not checked again: ``wqsc sweep-phi`` checks them before it
+    opens its output.
     """
-    grid, trials, seed = check_sweep_arguments(grid, trials, seed)
     dists = outcome_distributions(attacked_w_amplitudes(grid))
     return [
         _event_frequency(sum(masses) / len(masses), seed + ((point + 1) << 64), trials)
@@ -541,12 +550,18 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
 def _event_frequency(p_bar: float, key: int, trials: int) -> float:
     """Event frequency over ``trials`` sweep samples, read from word 0 of Philox ``key``.
 
-    Its chunks are released as they are counted, so a sweep holds one at a time.
+    A word ``x`` is an event iff its draw ``x >> 11`` lies below the
+    threshold ``t``, that is iff ``x < t * 2**11``: one compare per word.
+    At ``t = 2**53`` (``p_bar`` 1) every word is.  Its chunks are released
+    as they are counted, so a sweep holds one at a time.
     """
     threshold = _threshold(p_bar)
+    if threshold == 1 << 53:  # t * 2**11 is 2**64, above every word
+        return 1.0
+    bound = np.uint64(threshold << 11)
     events = 0
     for _, raw in _chunks(key, 0, trials):
-        events += int(np.count_nonzero(raw >> _DRAW_SHIFT < threshold))
+        events += int(np.count_nonzero(raw < bound))
     return events / trials
 
 

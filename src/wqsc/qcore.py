@@ -216,6 +216,9 @@ def _state_norms(amps: np.ndarray) -> list[float]:
     :class:`InvalidStateError` unless every norm is finite and within
     ``NORM_ATOL`` of 1.
     """
+    # Each total comes from the complex128 row: np.vdot of the real parts
+    # alone sums in another order, and gave another total on 7500 of 60000
+    # seeded attacked rows, so it would move run bytes.
     norms = [float(np.vdot(row, row).real) for row in ((amps,) if amps.ndim == 1 else amps)]
     for sq_norm in norms:
         # Squares are non-negative, so any inf/nan component makes the norm
@@ -297,13 +300,11 @@ def _masses(components: np.ndarray) -> np.ndarray:
 
     ``re**2 + im**2`` is summed along one contiguous axis, so a stacked
     row's mass is bit-identical to the same component's mass on its own
-    (``np.vdot``'s BLAS summation order is matched by no batched sum).
+    (``np.vdot``'s BLAS summation order is matched by no batched sum).  A
+    component has up to 16 squares, and ``np.sum`` adds 8 or more pairwise,
+    so no left fold has its bytes.
     """
-    return _sum_squares(components.real**2 + components.imag**2)
-
-
-def _sum_squares(squares: np.ndarray) -> np.ndarray:
-    """Each component's sum of ``squares``, a stack ``(..., leading, trailing)``."""
+    squares = components.real**2 + components.imag**2
     return squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1)
 
 
@@ -434,7 +435,10 @@ def _distribution_masses(amps: np.ndarray, qubits: int) -> np.ndarray:
     stack of them; the masses are ``(8, 8)`` per row.  The parts are the
     real parts alone if every imaginary part is zero; else each state has
     two adjacent rows of parts, its real and its imaginary part.  Each party
-    level is one real matrix product (:func:`_level`).
+    level is one real matrix product (:func:`_level`).  Each outcome's
+    squares over the extra qubits, its ``2**(qubits - 3)`` trailing terms
+    (1, 2 or 4), are summed as a left fold, the order in which ``np.sum``
+    adds fewer than 8 terms.
     """
     levels = _LEVELS.get(qubits)
     if levels is None:
@@ -448,7 +452,11 @@ def _distribution_masses(amps: np.ndarray, qubits: int) -> np.ndarray:
     for matrix, scale in levels:
         parts = (parts @ matrix) * scale
     squares = parts**2 if real else parts[0::2] ** 2 + parts[1::2] ** 2
-    return _sum_squares(squares.reshape(amps.shape[:-1] + (8, 8, 1, -1)))
+    squares = squares.reshape(amps.shape[:-1] + (8, 8, -1))
+    masses = squares[..., 0]
+    for extra in range(1, squares.shape[-1]):
+        masses = masses + squares[..., extra]
+    return masses
 
 
 def outcome_distributions(states: Sequence[StateVector] | np.ndarray) -> np.ndarray:

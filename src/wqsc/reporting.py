@@ -18,7 +18,9 @@ float, never a bool, and an enum field its scalar.  A float field takes
 no NaN or infinity (JSON's ``NaN`` and ``Infinity``, CSV's ``nan`` and
 ``inf``), which no renderer writes.  Else a ValueError names the field.
 A row must hold every field of its schema and no other key, else a
-ValueError names the missing fields and the unknown keys.
+ValueError names the missing fields and the unknown keys; a JSON report
+that gives a key twice is refused, naming it, as a CSV header must be the
+schema's exactly.
 """
 
 from __future__ import annotations
@@ -168,8 +170,17 @@ def render_report_json(report: RunReport) -> str:
     return _write(_REPORT_JSON, report)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError naming it."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise ValueError(f"RunReport repeats keys: {repeated}")
+    return dict(pairs)
+
+
 def parse_report_json(text: str) -> RunReport:
-    return report_from_dict(json.loads(text))
+    return report_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 def _read_csv(row_type: type, text: str) -> list:

@@ -13,10 +13,12 @@ instead of multiplying the engine's weight matrix by its cell counts.
 
 Former formulations are kept as byte references: the per-party
 reshape-and-assign butterfly of ``outcome_distributions`` and the gather
-plans that replaced it and that the matrix levels replaced in turn; the
-nested per-set walk of the former split points, whose splits
-``_cell_bounds`` holds by cell; and the ``json.JSONEncoder`` and
-``csv.writer`` renderers that the report templates replaced.
+plans that replaced it and that the matrix levels replaced in turn, with
+``np.sum`` where the live masses fold; the 8-cell weighted sum that
+``event_masses`` replaced by its two cells; the nested per-set walk of
+the former split points, whose splits ``_cell_bounds`` holds by cell; and
+the ``json.JSONEncoder`` and ``csv.writer`` renderers that the report
+templates replaced.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import numpy as np
 
 from wqsc import (
+    ALL_AXIS_SETS,
     Axis,
     AxisSet,
     InconsistentSharesError,
@@ -40,6 +43,7 @@ from wqsc import (
     Party,
     ProtocolConfig,
     ProtocolMode,
+    QKD_AXIS_SETS,
     RunReport,
     StateVector,
     decider_step,
@@ -53,7 +57,7 @@ from wqsc import (
     reconstruct_dealer_bit,
     security_verdict,
 )
-from wqsc import protocol, qcore
+from wqsc import bell, protocol, qcore
 from wqsc.protocol import MODE_SUCCESS_PROBABILITY, QUBITS_PER_TRIAL
 from wqsc.reporting import report_to_dict
 
@@ -133,20 +137,33 @@ def gather_level_plan(qubits: int, party: int) -> tuple[np.ndarray, ...]:
     )
 
 
+def gather_outcome_masses(amps: np.ndarray) -> np.ndarray:
+    """The former masses of a contiguous amplitude stack: a gather plan per party.
+
+    Each outcome's squares over the extra qubits are summed by ``np.sum``
+    (through ``qcore._masses``), not folded.
+    """
+    rows = amps.T
+    for party in Party:
+        i, j, s, r = gather_level_plan(qcore._qubit_count(amps.shape[1]), party)
+        rows = (rows.take(i, 0) + rows.take(j, 0) * s) * r
+    return qcore._masses(rows.T.reshape(len(amps), 8, 8, 1, -1))
+
+
 def gather_outcome_distributions(amps) -> np.ndarray:
     """The former ``outcome_distributions`` of an amplitude stack: a gather plan per party.
 
     Rows are gated, and each total read, as the live code does.
     """
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    qubits = qcore._qubit_count(amps.shape[1])
     totals = qcore._state_norms(amps)
-    rows = amps.T
-    for party in Party:
-        i, j, s, r = gather_level_plan(qubits, party)
-        rows = (rows.take(i, 0) + rows.take(j, 0) * s) * r
-    masses = qcore._masses(rows.T.reshape(len(totals), 8, 8, 1, -1))
-    return masses / np.array(totals).reshape(-1, 1, 1)
+    return gather_outcome_masses(amps) / np.array(totals).reshape(-1, 1, 1)
+
+
+def weighted_event_masses(dist: np.ndarray) -> np.ndarray:
+    """The former ``event_masses``: each QKD set's row weighted by ``EVENT_CELLS``, summed."""
+    qkd_sets = [ALL_AXIS_SETS.index(axes) for axes in QKD_AXIS_SETS]
+    return (np.asarray(dist) * bell.EVENT_CELLS).sum(axis=-1)[..., qkd_sets]
 
 
 def encoder_report_json(report: RunReport) -> str:

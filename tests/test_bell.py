@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import enumerate_event_probability, random_product_state, random_state
+from helpers import (
+    enumerate_event_probability,
+    random_product_state,
+    random_state,
+    weighted_event_masses,
+)
 from wqsc import (
     ALL_AXIS_SETS,
     Axis,
@@ -12,6 +17,7 @@ from wqsc import (
     PQSS_AXIS_SET,
     Party,
     QKD_AXIS_SETS,
+    StateVector,
     UnitaryCouplingAttack,
     apply_attack,
     attacked_w_state,
@@ -28,6 +34,7 @@ from wqsc import (
     x_all_equal,
 )
 from wqsc import bell
+from wqsc.bell import CH_BOUND_ATOL
 
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
 A, B, C = Party.ALICE, Party.BOB, Party.CHARLIE
@@ -65,7 +72,11 @@ class TestAxisSet:
         assert [axis_set.label for axis_set in QKD_AXIS_SETS] == ["zxx", "xzx", "xxz"]
         for k, axis_set in enumerate(QKD_AXIS_SETS):
             assert axis_set.decider is Party(k)
-            assert ALL_AXIS_SETS[bell._QKD_SET_INDEX[k]] == axis_set
+            # Its two event cells, flat at 8s + o, are the ones event_masses adds.
+            s = ALL_AXIS_SETS.index(axis_set)
+            events = [8 * s + o for o, outcomes in enumerate(bell.OUTCOME_STRINGS)
+                      if is_event(axis_set, outcomes)]
+            assert [bell._EVENT_FIRST[k], bell._EVENT_SECOND[k]] == events
 
     def test_decider_and_x_parties(self):
         xxz = AxisSet.from_label("xxz")
@@ -221,6 +232,20 @@ class TestChMiddleTerm:
         flags = [ch_middle_term(dist).violation for dist in stack]
         assert flags == [False, False, False, True]
 
+    # (-sin(pi/8)|000> + cos(pi/8)(|011> + |101>) + sin(pi/8)|110>) / sqrt(2),
+    # where a seeded hill-climb over 3-qubit states stopped: -(1 + sqrt(2))/2
+    # on both readings, so the lower clause is live.
+    BELOW_MINUS_ONE = [-0.2705980500730985, 0.0, 0.0, 0.6532814824381882,
+                       0.0, 0.6532814824381882, 0.2705980500730985, 0.0]
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["any-two", "strict"])
+    def test_a_state_reaches_the_lower_clause(self, strict):
+        dist = outcome_distribution(StateVector(np.array(self.BELOW_MINUS_ONE)))
+        result = ch_middle_term(dist, strict=strict)
+        assert result.value < -1.0 - CH_BOUND_ATOL
+        assert result.value == pytest.approx(-(1.0 + math.sqrt(2.0)) / 2.0, abs=1e-12)
+        assert result.violation
+
     def test_local_states_respect_the_bound(self):
         # Product states admit a local model, so the middle term must stay
         # inside [-1, 0] for every strict-pair evaluation.
@@ -324,7 +349,10 @@ class TestBruteForceOracleAgreement:
         states += [random_state(rng, 4) for _ in range(10)]
         singles = []
         for state in states:
-            masses = event_masses(outcome_distribution(state))
+            dist = outcome_distribution(state)
+            masses = event_masses(dist)
+            # Random states fill every cell; only the two event cells are added.
+            assert masses.tobytes() == weighted_event_masses(dist).tobytes()
             singles.append(masses)
             for axis_set in QKD_AXIS_SETS:
                 decider = axis_set.decider
@@ -337,9 +365,11 @@ class TestBruteForceOracleAgreement:
                 assert masses[decider] == pytest.approx(expected, abs=1e-12)
         # The sweep and verify read a stacked pass: each state's row has the
         # bytes of its own reading.
-        stacked = event_masses(outcome_distributions(states))
+        dists = outcome_distributions(states)
+        stacked = event_masses(dists)
         assert stacked.shape == (len(states), 3)
         assert stacked.tobytes() == np.array(singles).tobytes()
+        assert stacked.tobytes() == weighted_event_masses(dists).tobytes()
 
     def test_ch_components_against_enumeration(self):
         rng = np.random.default_rng(5678)

@@ -17,8 +17,8 @@ import wqsc.bell
 import wqsc.cli
 import wqsc.golden
 import wqsc.protocol
-from wqsc import binomial_sigma
-from wqsc.cli import entrypoint, main, sample_security_frequency
+from wqsc import binomial_sigma, sample_security_frequency
+from wqsc.cli import entrypoint, main
 from wqsc.golden import run_verification
 from wqsc.protocol import MODE_SUCCESS_PROBABILITY, ProtocolMode, check_sweep_arguments
 from wqsc.reporting import parse_report_csv, parse_report_json, parse_sweep_csv
@@ -109,7 +109,7 @@ class TestFailFast:
             raise AssertionError("simulation ran before the output was checked")
 
         monkeypatch.setattr(wqsc.cli, "run_protocol", forbidden)
-        monkeypatch.setattr(wqsc.cli, "sample_security_frequency", forbidden)
+        monkeypatch.setattr(wqsc.cli, "sweep_frequencies", forbidden)
 
     @staticmethod
     def assert_one_line_error(capsys, *fragments):
@@ -753,6 +753,23 @@ class TestSweepCommand:
     def test_sampler_rejects_a_grid_that_is_not_numbers(self, grid, no_state_built):
         with pytest.raises(ValueError, match="phi grid must be a sequence of numbers"):
             sample_security_frequency(grid, 100, 1)
+
+    def test_one_argument_check_per_sweep_call(self, monkeypatch):
+        # sweep-phi checks its values before it opens its output, and its
+        # sampler does not check them again; a direct sampler call checks once.
+        checks = []
+
+        def counting(*args, check=wqsc.protocol.check_sweep_arguments):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(wqsc.cli, "check_sweep_arguments", counting)
+        monkeypatch.setattr(wqsc.protocol, "check_sweep_arguments", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("sweep-phi", "--grid", "0,0.5,1.5", "--trials", "100", "--seed", "3") == 0
+        assert len(checks) == 1
+        sample_security_frequency([0.0, 0.5, 1.5], 100, 3)
+        assert len(checks) == 2
 
     def test_one_stacked_pass_per_sweep(self, monkeypatch):
         stacks = []

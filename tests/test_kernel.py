@@ -559,3 +559,20 @@ class TestStreamContract:
         assert protocol.sample_security_frequency(grid, samples, seed) == expected
         # A point's key depends on its index alone, not on the rest of the grid.
         assert protocol.sample_security_frequency(grid[:2], samples, seed) == expected[:2]
+
+    SEEDED_THRESHOLDS = np.random.default_rng(34).integers(2, 2**53 - 1, 6).tolist()
+
+    @pytest.mark.parametrize("threshold", [0, 1, 2**53 - 1, 2**53] + SEEDED_THRESHOLDS)
+    def test_sweep_counts_each_word_in_one_compare(self, monkeypatch, threshold):
+        # A word is an event iff x >> 11 < t, read as x < t * 2**11; the
+        # words hold both ends of the range and each side of t * 2**11.
+        edges = [0, 1, 2**64 - 1] + [(threshold << 11) + d for d in (-2, -1, 0, 1, 2)]
+        seeded = np.random.PCG64(threshold % 1000).random_raw(500)
+        words = np.concatenate(
+            [np.array([w for w in edges if 0 <= w < 2**64], dtype=np.uint64), seeded]
+        )
+        monkeypatch.setattr(protocol, "_chunks", lambda key, first, count: iter([(0, words)]))
+        p_bar = math.ldexp(threshold, -53)
+        assert protocol._threshold(p_bar) == threshold
+        expected = np.count_nonzero(words >> np.uint64(11) < threshold)
+        assert protocol._event_frequency(p_bar, 0, words.size) == expected / words.size

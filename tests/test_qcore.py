@@ -14,10 +14,12 @@ from helpers import (
     butterfly_outcome_distributions,
     enumerate_event_probability,
     gather_outcome_distributions,
+    gather_outcome_masses,
     partial_trace_oracle,
     permute_qubits,
     random_state,
     residual_tangle_oracle,
+    weighted_event_masses,
 )
 from wqsc import (
     Axis,
@@ -30,6 +32,7 @@ from wqsc import (
     apply_attack,
     attacked_w_state,
     eigenvalues_hermitian,
+    event_masses,
     ghz_state,
     joint_probability,
     make_basis_state,
@@ -572,6 +575,9 @@ def edge_rows(rng: np.random.Generator, num_qubits: int, count: int, kind: str) 
 class TestMatrixLevels:
     """The matrix levels give the former gather plans' bytes (``helpers``).
 
+    The plans' masses are summed by ``np.sum``, so the 3-, 4- and 5-qubit
+    stacks pin the fold over 1, 2 and 4 extra-qubit squares to its order.
+
     Rows with 1e-160 entries also fail here if BLAS flushes subnormals to zero.
     """
 
@@ -583,6 +589,9 @@ class TestMatrixLevels:
         rows = edge_rows(rng, num_qubits, count, kind)
         live = outcome_distributions(rows)
         assert live.tobytes() == gather_outcome_distributions(rows).tobytes()
+        # The left fold over 1, 2 and 4 extra-qubit squares is np.sum's order.
+        masses = qcore._distribution_masses(rows, num_qubits)
+        assert masses.tobytes() == gather_outcome_masses(rows).tobytes()
         for row, dist in zip(rows, live):
             assert outcome_distribution(row).tobytes() == dist.tobytes()
 
@@ -597,8 +606,11 @@ class TestMatrixLevels:
         stack = attacked_w_amplitudes(PLAN_PHIS, target)
         reference = gather_outcome_distributions(stack)
         assert outcome_distributions(stack).tobytes() == reference.tobytes()
+        # event_masses adds each QKD set's two event cells: the 8-cell sum's bytes.
+        assert event_masses(reference).tobytes() == weighted_event_masses(reference).tobytes()
         for row, dist in zip(stack, reference):
             assert outcome_distribution(row).tobytes() == dist.tobytes()
+            assert event_masses(dist).tobytes() == weighted_event_masses(dist).tobytes()
 
     def test_a_row_a_stack_of_one_and_a_state_agree(self):
         rng = np.random.default_rng(3211)

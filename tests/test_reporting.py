@@ -132,6 +132,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=message):
             parse_report_json(json.dumps(data))
 
+    @pytest.mark.parametrize("extra", [{}, {"bogus": 1}], ids=["alone", "beside-an-extra-key"])
+    def test_repeated_key_rejected(self, plain_report, extra):
+        # The last of two values would otherwise win, where the CSV parser
+        # refuses any header but the schema's.
+        text = json.dumps({**report_to_dict(plain_report), **extra})
+        text = text.replace('"trials": ', '"trials": 11, "trials": ', 1)
+        assert text.count('"trials"') == 2
+        with pytest.raises(ValueError, match=r"^RunReport repeats keys: \['trials'\]$"):
+            parse_report_json(text)
+
     @pytest.mark.parametrize("rows", [0, 2])
     def test_csv_must_hold_one_report(self, plain_report, rows):
         header, row = render_report_csv(plain_report).splitlines()
