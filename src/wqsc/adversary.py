@@ -43,7 +43,7 @@ def _apply_two_qubit_unitary(
     order = (*qubits, *(q for q in range(num_qubits) if q not in qubits))
     moved = amps.reshape((2,) * num_qubits).transpose(order)
     updated = (unitary @ moved.reshape(4, -1)).reshape(moved.shape)
-    return updated.transpose(np.argsort(order)).reshape(-1)
+    return updated.transpose([order.index(q) for q in range(num_qubits)]).reshape(-1)
 
 
 def apply_attack(source: StateVector, attack: UnitaryCouplingAttack | None) -> StateVector:

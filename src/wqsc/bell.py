@@ -121,9 +121,13 @@ class ChBellResult:
     a22: float
 
 
+# The parties by index, the order a permutation of roles sorts into.
+_PARTIES = tuple(Party)
+
+
 def _party(name: str, value: object) -> Party:
     """``value`` as a :class:`Party`, by :func:`~wqsc.qcore.integer_argument`."""
-    return Party(integer_argument(name, value, 0, 2))
+    return _PARTIES[integer_argument(name, value, 0, 2)]
 
 
 def _pair(pair: object) -> tuple[Party, Party]:
@@ -148,6 +152,16 @@ def _distribution(dist: np.ndarray, stack: bool = False) -> np.ndarray:
 # number of minus outcomes.
 _BITS = np.array([[(o >> (2 - p)) & 1 for o in range(8)] for p in Party])
 _MINUS_COUNT = _BITS.sum(axis=0)
+_AT_LEAST_TWO_PLUS = _MINUS_COUNT <= 1
+
+
+def _two_z_plus(dist: np.ndarray, pair: tuple[Party, Party] | None) -> float:
+    """:func:`two_z_plus` on a checked ``(8, 8)`` array and a checked pair or None."""
+    zzz = dist[0]
+    if pair is None:
+        return float(zzz[_AT_LEAST_TWO_PLUS].sum())
+    first, second = pair
+    return float(zzz[(_BITS[first] == 0) & (_BITS[second] == 0)].sum())
 
 
 def two_z_plus(dist: np.ndarray, pair: tuple[Party, Party] | None = None) -> float:
@@ -159,11 +173,14 @@ def two_z_plus(dist: np.ndarray, pair: tuple[Party, Party] | None = None) -> flo
     three z outcomes are plus), the reading under which the symmetric W
     state attains probability 1.
     """
-    zzz = _distribution(dist)[0]
-    if pair is None:
-        return float(zzz[_MINUS_COUNT <= 1].sum())
-    first, second = _pair(pair)
-    return float(zzz[(_BITS[first] == 0) & (_BITS[second] == 0)].sum())
+    dist = _distribution(dist)
+    return _two_z_plus(dist, None if pair is None else _pair(pair))
+
+
+def _event_masses(dist: np.ndarray) -> np.ndarray:
+    """:func:`event_masses` on a checked ``(..., 8, 8)`` array."""
+    flat = dist.reshape(dist.shape[:-2] + (64,))
+    return flat[..., _EVENT_FIRST] + flat[..., _EVENT_SECOND]
 
 
 def event_masses(dist: np.ndarray) -> np.ndarray:
@@ -178,9 +195,12 @@ def event_masses(dist: np.ndarray) -> np.ndarray:
     x.  Each event covers two cells of its row, and an entry is those two
     cells' sum, the one rounding, whatever else is stacked with ``dist``.
     """
-    dist = _distribution(dist, stack=True)
-    flat = dist.reshape(dist.shape[:-2] + (64,))
-    return flat[..., _EVENT_FIRST] + flat[..., _EVENT_SECOND]
+    return _event_masses(_distribution(dist, stack=True))
+
+
+def _x_all_equal(dist: np.ndarray) -> float:
+    """:func:`x_all_equal` on a checked ``(8, 8)`` array."""
+    return float(dist[7, 0] + dist[7, 7])
 
 
 def x_all_equal(dist: np.ndarray) -> float:
@@ -188,8 +208,7 @@ def x_all_equal(dist: np.ndarray) -> float:
 
     ``dist`` is one state's :func:`~wqsc.qcore.outcome_distribution`.
     """
-    dist = _distribution(dist)
-    return float(dist[7, 0] + dist[7, 7])
+    return _x_all_equal(_distribution(dist))
 
 
 def ch_middle_term(
@@ -205,15 +224,18 @@ def ch_middle_term(
     :func:`two_z_plus`: for the pair ``(i, j)`` if ``strict``, else for any
     two of the three parties.  Each role is a :class:`Party` or its index,
     read by :func:`~wqsc.qcore.integer_argument`.  All four terms are read
-    from ``dist``, one state's :func:`~wqsc.qcore.outcome_distribution`.
+    from ``dist``, one state's :func:`~wqsc.qcore.outcome_distribution`,
+    which is checked once, after the roles, and read by the three readers'
+    bodies.
     """
     roles = tuple(_party("roles", role) for role in roles)
-    if sorted(roles) != list(Party):
+    if tuple(sorted(roles)) != _PARTIES:
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
     i, j, _k = roles
-    a11 = two_z_plus(dist, (i, j) if strict else None)
-    a12, a21 = event_masses(dist)[[i, j]].tolist()
-    a22 = x_all_equal(dist)
+    dist = _distribution(dist)
+    a11 = _two_z_plus(dist, (i, j) if strict else None)
+    a12, a21 = _event_masses(dist)[[i, j]].tolist()
+    a22 = _x_all_equal(dist)
     value = a11 - a12 - a21 - a22
     violation = value > CH_BOUND_ATOL or value < -1.0 - CH_BOUND_ATOL
     return ChBellResult(value, violation, a11, a12, a21, a22)

@@ -258,10 +258,12 @@ def _cmd_run(args: SimpleNamespace) -> int:
 
 def _cmd_verify() -> int:
     passed, checks = run_verification()
-    statuses = ["PASS" if check.passed else "FAIL" for check in checks]
-    lines = [f"{status} {check.item}: value={check.value!r} expected={check.expected!r}"
-             for status, check in zip(statuses, checks)]
-    lines.append(f"{statuses.count('PASS')}/{len(checks)} golden values verified")
+    lines = []
+    verified = 0
+    for item, value, expected, ok in checks:
+        lines.append(f"{'PASS' if ok else 'FAIL'} {item}: value={value!r} expected={expected!r}")
+        verified += ok
+    lines.append(f"{verified}/{len(checks)} golden values verified")
     print("\n".join(lines))
     return EXIT_OK if passed else EXIT_COMPROMISED
 

@@ -86,7 +86,9 @@ def golden_checks() -> list[GoldenCheck]:
 
     def add(item: str, value: float, expected: float) -> None:
         value, expected = float(value), float(expected)
-        checks.append(GoldenCheck(item, value, expected, abs(value - expected) <= VERIFY_TOL))
+        # tuple.__new__ fills the four fields without the generated __new__'s call.
+        checks.append(tuple.__new__(GoldenCheck, (item, value, expected,
+                                                  abs(value - expected) <= VERIFY_TOL)))
 
     w = w_state()
     ghz = ghz_state()

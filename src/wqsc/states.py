@@ -64,15 +64,12 @@ def coupling_unitary(phi: float) -> np.ndarray:
     phi = validate_attack_angle(phi)
     c = math.cos(phi)
     s = math.sin(phi)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, s, 0.0],
-            [0.0, -s, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=np.complex128,
-    )
+    unitary = np.zeros((4, 4), dtype=np.complex128)
+    unitary[0, 0] = unitary[3, 3] = 1.0
+    unitary[1, 1] = unitary[2, 2] = c
+    unitary[1, 2] = s
+    unitary[2, 1] = -s
+    return unitary
 
 
 def attacked_w_amplitudes(

@@ -18,7 +18,10 @@ plans that replaced it and that the matrix levels replaced in turn, with
 ``event_masses`` replaced by its two cells; the nested per-set walk of
 the former split points, whose splits ``_cell_bounds`` holds by cell; and
 the ``json.JSONEncoder`` and ``csv.writer`` renderers that the report
-templates replaced.
+templates replaced; ``measure_qubit`` with its masses read as numpy
+scalars, the attack circuit's ``np.argsort`` inverse order and its
+nested-list coupling unitary.  The random stream has a numpy-free
+statement too: Philox4x64-10 in Python integers.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import io
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -164,6 +168,93 @@ def weighted_event_masses(dist: np.ndarray) -> np.ndarray:
     """The former ``event_masses``: each QKD set's row weighted by ``EVENT_CELLS``, summed."""
     qkd_sets = [ALL_AXIS_SETS.index(axes) for axes in QKD_AXIS_SETS]
     return (np.asarray(dist) * bell.EVENT_CELLS).sum(axis=-1)[..., qkd_sets]
+
+
+def scalar_measure_qubit(state: StateVector, qubit: int, axis: Axis, u: float):
+    """The former ``measure_qubit`` arithmetic: its masses read as numpy scalars.
+
+    ``p_plus`` is a numpy-scalar quotient, the chosen branch's mass stays a
+    numpy scalar and the post-state is divided by ``np.sqrt`` of it.  The
+    arguments are taken as checked.
+    """
+    components = np.array(
+        qcore._axis_components(qcore._split_on_qubit(state.amplitudes, qubit), axis)
+    )
+    masses = qcore._masses(components)
+    p_plus = float(masses[Outcome.PLUS] / (masses[Outcome.PLUS] + masses[Outcome.MINUS]))
+    if u < p_plus:
+        outcome, probability = Outcome.PLUS, p_plus
+    else:
+        outcome, probability = Outcome.MINUS, 1.0 - p_plus
+    component, mass = components[outcome], masses[outcome]
+    if mass < sys.float_info.min:
+        component = component / np.max(np.abs(component))
+        mass = qcore._masses(component)
+    post = qcore._project(int(axis is Axis.X), outcome, component)
+    post /= np.sqrt(mass)
+    return outcome, StateVector(post.reshape(-1)), probability
+
+
+def nested_coupling_unitary(phi: float) -> np.ndarray:
+    """The former ``coupling_unitary``: nested Python lists converted to complex128."""
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, c, s, 0.0], [0.0, -s, c, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        dtype=np.complex128,
+    )
+
+
+def argsort_apply_attack(source: StateVector, phi: float, target: int) -> np.ndarray:
+    """The former attack circuit's amplitudes: the axis order inverted by ``np.argsort``.
+
+    The ancilla ``|z+>`` is appended as qubit 3 and
+    :func:`nested_coupling_unitary` acts on (target, ancilla).
+    """
+    extended = np.zeros(16, dtype=np.complex128)
+    extended[::2] = source.amplitudes
+    order = (target, 3, *(q for q in range(4) if q not in (target, 3)))
+    moved = extended.reshape((2,) * 4).transpose(order)
+    updated = (nested_coupling_unitary(phi) @ moved.reshape(4, -1)).reshape(moved.shape)
+    return updated.transpose(np.argsort(order)).reshape(-1)
+
+
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = 2**64 - 1
+
+
+def philox_block(counter: int, key: int) -> list[int]:
+    """The four words of Random123's Philox4x64-10 at a 256-bit ``counter`` and 128-bit ``key``.
+
+    The counter's words are its four 64-bit limbs, low first, and the key's
+    its two.  Each of the 10 rounds multiplies words 0 and 2 by the two
+    multipliers into high and low halves and mixes in the key, which grows
+    by the two Weyl constants before every round but the first.
+    """
+    x = [counter >> shift & _WORD for shift in (0, 64, 128, 192)]
+    k0, k1 = key & _WORD, key >> 64 & _WORD
+    for round_ in range(10):
+        if round_:
+            k0, k1 = (k0 + _PHILOX_WEYL[0]) & _WORD, (k1 + _PHILOX_WEYL[1]) & _WORD
+        p0 = _PHILOX_MULTIPLIERS[0] * x[0]
+        p1 = _PHILOX_MULTIPLIERS[1] * x[2]
+        x = [p1 >> 64 ^ x[1] ^ k0, p1 & _WORD, p0 >> 64 ^ x[3] ^ k1, p0 & _WORD]
+    return x
+
+
+def philox_words(key: int, first: int, count: int) -> list[int]:
+    """Words ``first`` to ``first + count - 1`` of the Philox stream of ``key``.
+
+    Word ``i`` is position ``i & 3`` of block ``(i >> 2) + 1`` (the counter
+    is advanced before each block is drawn), the counter wrapping at
+    ``2**256``.
+    """
+    words = []
+    for index in range(first, first + count):
+        if not words or index & 3 == 0:
+            block = philox_block(((index >> 2) + 1) % 2**256, key)
+        words.append(block[index & 3])
+    return words
 
 
 def encoder_report_json(report: RunReport) -> str:

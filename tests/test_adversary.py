@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import permute_qubits, random_state
+from helpers import argsort_apply_attack, permute_qubits, random_state
 from wqsc import (
     Axis,
     Outcome,
@@ -72,6 +72,17 @@ class TestApplyAttack:
             extended[::2] = source.amplitudes
             expected = moveaxis_two_qubit_unitary(extended, coupling_unitary(phi), (target, 3), 4)
             attacked = apply_attack(source, UnitaryCouplingAttack(phi, target))
+            assert attacked.amplitudes.tobytes() == expected.tobytes()
+
+    # The axis order is inverted in Python; the former circuit inverted it
+    # by np.argsort and built its unitary from nested lists.
+    @pytest.mark.parametrize("phi", [0.0, 5e-324, 0.77, HALF_PI])
+    @pytest.mark.parametrize("target", [A, B, C])
+    def test_equals_the_argsort_circuit_byte_for_byte(self, target, phi):
+        rng = np.random.default_rng(3540 + target)
+        for source in [w_state()] + [random_state(rng, 3) for _ in range(5)]:
+            attacked = apply_attack(source, UnitaryCouplingAttack(phi, target))
+            expected = argsort_apply_attack(source, phi, target)
             assert attacked.amplitudes.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("num_qubits", [3, 4, 5])

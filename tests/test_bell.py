@@ -257,6 +257,98 @@ class TestChMiddleTerm:
             assert not result.violation
 
 
+def composed_ch_middle_term(dist, strict, roles):
+    """``(value, a11, a12, a21, a22)`` composed from the public readers, each checking ``dist``."""
+    i, j, _k = (Party(int(role)) for role in roles)
+    a11 = two_z_plus(dist, (i, j) if strict else None)
+    a12, a21 = event_masses(dist)[[i, j]].tolist()
+    a22 = x_all_equal(dist)
+    return a11 - a12 - a21 - a22, a11, a12, a21, a22
+
+
+def literal_ch_terms(dist, strict, roles):
+    """The same five numbers by index arithmetic on ``dist``, without the readers.
+
+    Party ``p``'s bit of outcome string ``o`` is ``o >> (2 - p) & 1``;
+    each event is its two cells' sum and A22 is ``dist[7, 0] + dist[7, 7]``.
+    """
+    i, j, _k = (int(role) for role in roles)
+
+    def plus(p, o):
+        return not o >> (2 - p) & 1
+
+    if strict:
+        cells = [o for o in range(8) if plus(i, o) and plus(j, o)]
+    else:
+        cells = [o for o in range(8) if sum(plus(p, o) for p in range(3)) >= 2]
+    a11 = float(dist[0, cells].sum())
+
+    def event(decider):
+        row = 7 & ~(4 >> decider)  # the decider measures z, the others x
+        first, second = (o for o in range(8) if plus(decider, o)
+                         and sum(plus(p, o) for p in range(3) if p != decider) == 1)
+        return float(dist[row, first] + dist[row, second])
+
+    a12, a21, a22 = event(i), event(j), float(dist[7, 0] + dist[7, 7])
+    return a11 - a12 - a21 - a22, a11, a12, a21, a22
+
+
+def seeded_distributions():
+    """(8, 8) arrays with exact zeros and entries near 1e-160, then ten states' distributions."""
+    rng = np.random.default_rng(3535)
+    dists = []
+    for _ in range(40):
+        dist = rng.random((8, 8))
+        dist[rng.random((8, 8)) < 0.2] = 0.0
+        dist[rng.random((8, 8)) < 0.2] *= 1e-160
+        dists.append(dist)
+    return dists + list(outcome_distributions([random_state(rng, 3) for _ in range(10)]))
+
+
+class TestChMiddleTermBytes:
+    """``ch_middle_term`` checks ``dist`` once and reads each term by the readers' own bodies.
+
+    Every field must have the bytes of the public readers' composition, and
+    of the same sums by index arithmetic, for every role order, as parties
+    and as indices, on both readings.
+    """
+
+    DISTRIBUTIONS = seeded_distributions()
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["any-two", "strict"])
+    @pytest.mark.parametrize("as_index", [False, True], ids=["party", "int"])
+    @pytest.mark.parametrize("roles", ROLE_ASSIGNMENTS)
+    def test_equals_the_composed_readers(self, roles, as_index, strict):
+        if as_index:
+            roles = tuple(int(role) for role in roles)
+        for dist in self.DISTRIBUTIONS:
+            result = ch_middle_term(dist, strict=strict, roles=roles)
+            fields = (result.value, result.a11, result.a12, result.a21, result.a22)
+            expected = composed_ch_middle_term(dist, strict, roles)
+            assert np.array(fields).tobytes() == np.array(expected).tobytes()
+            literal = literal_ch_terms(dist, strict, roles)
+            assert np.array(fields).tobytes() == np.array(literal).tobytes()
+            value = expected[0]
+            assert result.violation == (value > CH_BOUND_ATOL or value < -1.0 - CH_BOUND_ATOL)
+
+    SHORT = np.zeros((8, 7))
+
+    @pytest.mark.parametrize("dist, roles, message", [
+        (SHORT, (A, B, C), r"^outcome distribution must have shape \(8, 8\), got \(8, 7\)$"),
+        (W, (A, A, B), r"^roles must be a permutation of \(ALICE, BOB, CHARLIE\)$"),
+        (W, (True, B, C), r"^roles must be an integer, got True$"),
+        (W, (0, 1, 3), r"^roles must be at most 2, got 3$"),
+        # The roles are read before the distribution.
+        (SHORT, (A, A, B), r"^roles must be a permutation of \(ALICE, BOB, CHARLIE\)$"),
+        (SHORT, (A, B, False), r"^roles must be an integer, got False$"),
+    ], ids=["short-dist", "repeated-role", "bool-role", "role-3", "repeated-role-and-short-dist",
+            "bool-role-and-short-dist"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["any-two", "strict"])
+    def test_refusals(self, dist, roles, message, strict):
+        with pytest.raises(ValueError, match=message):
+            ch_middle_term(dist, strict=strict, roles=roles)
+
+
 class TestSecurityEventProbability:
     def test_charlie_z_case(self):
         masses = event_masses(outcome_distribution(attacked_w_state(math.pi / 4.0)))

@@ -34,6 +34,8 @@ from helpers import (
     oracle_intervals,
     oracle_table,
     oracle_trial,
+    philox_block,
+    philox_words,
     unit,
 )
 from wqsc import (
@@ -424,6 +426,56 @@ class TestChunking:
         records = list(iter_trials(config))
         for index in indices:
             assert run_trial(config, index) == records[index]
+
+
+def chunk_words(key: int, first: int, count: int) -> list[int]:
+    """The raw words ``protocol._chunks`` yields, in order."""
+    return [word for _, raw in protocol._chunks(key, first, count) for word in raw.tolist()]
+
+
+class TestPhiloxInPythonIntegers:
+    """The stream ``_chunks`` reads, against Philox4x64-10 in Python integers (no numpy)."""
+
+    # Random123's published answers for Philox4x64-10: (counter, key,
+    # words), counter and key all zero, and both filled with digits of pi.
+    KNOWN_ANSWERS = [
+        (0, 0, [0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B]),
+        (
+            0x082EFA98EC4E6C89_A4093822299F31D0_13198A2E03707344_243F6A8885A308D3,
+            0xBE5466CF34E90C6C_452821E638D01377,
+            [0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6],
+        ),
+    ]
+
+    @pytest.mark.parametrize("counter, key, words", KNOWN_ANSWERS, ids=["zeros", "pi"])
+    def test_known_answers(self, counter, key, words):
+        assert philox_block(counter, key) == words
+        # Block c holds words 4(c - 1) to 4(c - 1) + 3; block 0 follows the
+        # counter's last value, 2**256 - 1.
+        first = (counter - 1) % 2**256 * 4
+        assert philox_words(key, first, 4) == words
+        assert chunk_words(key, first, 4) == words
+
+    @pytest.mark.parametrize("key, first, count", [
+        (1, 0, 9),
+        (2**64 - 5, 0, 300),
+        (3, 5, 11),  # a first word inside a block
+        (2**64 - 1, 2, 13),
+        (7, (2**64 - 1) * 4 + 1, 10),  # the counter carries into its second word
+        (11, (2**256 - 1) * 4 + 3, 6),  # and wraps at 2**256
+    ], ids=["seed-1", "seed-max-minus-4", "mid-block", "seed-max", "carry", "wrap"])
+    def test_run_keys(self, key, first, count):
+        assert chunk_words(key, first, count) == philox_words(key, first, count)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("point", [0, 1, 6])
+    def test_sweep_keys(self, seed, point):
+        key = seed + (point + 1) * 2**64
+        assert chunk_words(key, 0, 64) == philox_words(key, 0, 64)
+
+    def test_chunks_of_seven(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_CHUNK_TRIALS", 7)
+        assert chunk_words(5, 3, 40) == philox_words(5, 3, 40)
 
 
 class TestStreamContract:

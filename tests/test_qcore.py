@@ -19,6 +19,7 @@ from helpers import (
     permute_qubits,
     random_state,
     residual_tangle_oracle,
+    scalar_measure_qubit,
     weighted_event_masses,
 )
 from wqsc import (
@@ -317,6 +318,49 @@ class TestMeasureQubit:
             assert prob > 0.0
             assert state.squared_norm() == pytest.approx(1.0, abs=1e-12)
         assert prob < sys.float_info.min
+
+
+class TestMeasureQubitBytes:
+    """``measure_qubit`` reads its masses as Python floats, with the former numpy-scalar bytes.
+
+    The reference is ``helpers.scalar_measure_qubit``: the outcome, the
+    probability and the post-state's amplitudes must match it byte for byte.
+    """
+
+    @staticmethod
+    def assert_matches_scalar_reads(state, qubit, axis, u):
+        outcome, post, probability = measure_qubit(state, qubit, axis, u)
+        ref_outcome, ref_post, ref_probability = scalar_measure_qubit(state, qubit, axis, u)
+        assert outcome is ref_outcome
+        assert np.float64(probability).tobytes() == np.float64(ref_probability).tobytes()
+        assert post.amplitudes.tobytes() == ref_post.amplitudes.tobytes()
+        return outcome, post, probability
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5])
+    def test_draws_at_and_beside_the_plus_share(self, num_qubits):
+        # u = p_plus draws MINUS and the float below it PLUS; the float
+        # above it draws MINUS too.
+        rng = np.random.default_rng(3500 + num_qubits)
+        for _ in range(6):
+            state = random_state(rng, num_qubits)
+            for qubit, axis in itertools.product(range(num_qubits), Axis):
+                p_plus = scalar_measure_qubit(state, qubit, axis, 0.0)[2]
+                below, above = math.nextafter(p_plus, 0.0), math.nextafter(p_plus, 1.0)
+                for u, expected in ((below, PLUS), (p_plus, MINUS), (above, MINUS)):
+                    outcome = self.assert_matches_scalar_reads(state, qubit, axis, u)[0]
+                    assert outcome is expected
+
+    def test_branch_of_subnormal_mass(self):
+        # phi = 8.4e-161 on A, then A, B and C along z with u = 0.0: C's
+        # plus branch has subnormal mass and is rescaled before it is
+        # renormalized.
+        state = attacked_w_state(8.4e-161, A)
+        for qubit in (A, B, C):
+            outcome, state, probability = self.assert_matches_scalar_reads(
+                state, qubit, Axis.Z, 0.0
+            )
+            assert outcome is PLUS
+        assert probability < sys.float_info.min
 
 
 class TestArgumentCoercion:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import permute_qubits
+from helpers import nested_coupling_unitary, permute_qubits
 from wqsc import (
     Axis,
     Outcome,
@@ -83,6 +83,11 @@ class TestCouplingUnitary:
         image = u[:, 2]
         assert image[1] == pytest.approx(1.0, abs=1e-12)
         assert abs(image[0]) + abs(image[2]) + abs(image[3]) < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.0, 5e-324, 0.77, HALF_PI])
+    def test_equals_the_nested_list_unitary_byte_for_byte(self, phi):
+        # Every entry, -sin(phi) too: at phi = 0 it is -0.0.
+        assert coupling_unitary(phi).tobytes() == nested_coupling_unitary(phi).tobytes()
 
     def test_zero_strength_is_identity(self):
         assert np.array_equal(coupling_unitary(0.0), np.eye(4, dtype=complex))
