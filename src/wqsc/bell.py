@@ -155,15 +155,6 @@ _MINUS_COUNT = _BITS.sum(axis=0)
 _AT_LEAST_TWO_PLUS = _MINUS_COUNT <= 1
 
 
-def _two_z_plus(dist: np.ndarray, pair: tuple[Party, Party] | None) -> float:
-    """:func:`two_z_plus` on a checked ``(8, 8)`` array and a checked pair or None."""
-    zzz = dist[0]
-    if pair is None:
-        return float(zzz[_AT_LEAST_TWO_PLUS].sum())
-    first, second = pair
-    return float(zzz[(_BITS[first] == 0) & (_BITS[second] == 0)].sum())
-
-
 def two_z_plus(dist: np.ndarray, pair: tuple[Party, Party] | None = None) -> float:
     """Probability of the two-plus z event, for a fixed pair or for any two.
 
@@ -173,14 +164,11 @@ def two_z_plus(dist: np.ndarray, pair: tuple[Party, Party] | None = None) -> flo
     three z outcomes are plus), the reading under which the symmetric W
     state attains probability 1.
     """
-    dist = _distribution(dist)
-    return _two_z_plus(dist, None if pair is None else _pair(pair))
-
-
-def _event_masses(dist: np.ndarray) -> np.ndarray:
-    """:func:`event_masses` on a checked ``(..., 8, 8)`` array."""
-    flat = dist.reshape(dist.shape[:-2] + (64,))
-    return flat[..., _EVENT_FIRST] + flat[..., _EVENT_SECOND]
+    zzz = _distribution(dist)[0]
+    if pair is None:
+        return float(zzz[_AT_LEAST_TWO_PLUS].sum())
+    first, second = _pair(pair)
+    return float(zzz[(_BITS[first] == 0) & (_BITS[second] == 0)].sum())
 
 
 def event_masses(dist: np.ndarray) -> np.ndarray:
@@ -195,12 +183,9 @@ def event_masses(dist: np.ndarray) -> np.ndarray:
     x.  Each event covers two cells of its row, and an entry is those two
     cells' sum, the one rounding, whatever else is stacked with ``dist``.
     """
-    return _event_masses(_distribution(dist, stack=True))
-
-
-def _x_all_equal(dist: np.ndarray) -> float:
-    """:func:`x_all_equal` on a checked ``(8, 8)`` array."""
-    return float(dist[7, 0] + dist[7, 7])
+    dist = _distribution(dist, stack=True)
+    flat = dist.reshape(dist.shape[:-2] + (64,))
+    return flat[..., _EVENT_FIRST] + flat[..., _EVENT_SECOND]
 
 
 def x_all_equal(dist: np.ndarray) -> float:
@@ -208,7 +193,8 @@ def x_all_equal(dist: np.ndarray) -> float:
 
     ``dist`` is one state's :func:`~wqsc.qcore.outcome_distribution`.
     """
-    return _x_all_equal(_distribution(dist))
+    dist = _distribution(dist)
+    return float(dist[7, 0] + dist[7, 7])
 
 
 def ch_middle_term(
@@ -224,18 +210,16 @@ def ch_middle_term(
     :func:`two_z_plus`: for the pair ``(i, j)`` if ``strict``, else for any
     two of the three parties.  Each role is a :class:`Party` or its index,
     read by :func:`~wqsc.qcore.integer_argument`.  All four terms are read
-    from ``dist``, one state's :func:`~wqsc.qcore.outcome_distribution`,
-    which is checked once, after the roles, and read by the three readers'
-    bodies.
+    from ``dist``, one state's :func:`~wqsc.qcore.outcome_distribution`, by
+    the three readers, after the roles are read.
     """
     roles = tuple(_party("roles", role) for role in roles)
     if tuple(sorted(roles)) != _PARTIES:
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
     i, j, _k = roles
-    dist = _distribution(dist)
-    a11 = _two_z_plus(dist, (i, j) if strict else None)
-    a12, a21 = _event_masses(dist)[[i, j]].tolist()
-    a22 = _x_all_equal(dist)
+    a11 = two_z_plus(dist, (i, j) if strict else None)
+    a12, a21 = event_masses(dist)[[i, j]].tolist()
+    a22 = x_all_equal(dist)
     value = a11 - a12 - a21 - a22
     violation = value > CH_BOUND_ATOL or value < -1.0 - CH_BOUND_ATOL
     return ChBellResult(value, violation, a11, a12, a21, a22)

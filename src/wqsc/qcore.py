@@ -219,10 +219,7 @@ def _state_norms(amps: np.ndarray) -> list[float]:
     # Each total comes from the complex128 row: np.vdot of the real parts
     # alone sums in another order, and gave another total on 7500 of 60000
     # seeded attacked rows, so it would move run bytes.
-    if amps.ndim == 1:
-        norms = [float(np.vdot(amps, amps).real)]
-    else:
-        norms = [float(np.vdot(row, row).real) for row in amps]
+    norms = [float(np.vdot(row, row).real) for row in ((amps,) if amps.ndim == 1 else amps)]
     for sq_norm in norms:
         # Squares are non-negative, so any inf/nan component makes the norm
         # non-finite; one scalar check covers finiteness and normalization.
@@ -233,10 +230,10 @@ def _state_norms(amps: np.ndarray) -> list[float]:
     return norms
 
 
-def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
-    """The adjoint of ``m``, a matrix or a stack of them, if ``m`` is finite and Hermitian.
+def _hermitian_eigenvalues(m: np.ndarray, name: str) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``m`` (or of each matrix of a stack).
 
-    Raises ``ValueError`` otherwise.
+    Raises ``ValueError`` naming ``name`` unless ``m`` is finite and Hermitian.
     """
     # Checked first: every tolerance comparison with NaN is False.
     if not np.isfinite(m).all():
@@ -244,14 +241,6 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     adjoint = m.conj().swapaxes(-1, -2)
     if np.abs(m - adjoint).max() > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    return adjoint
-
-
-def _hermitian_eigenvalues(m: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``m`` (or of each matrix of a stack).
-
-    ``adjoint`` is the adjoint of ``m`` that :func:`_check_hermitian` returned.
-    """
     return np.linalg.eigvalsh((m + adjoint) / 2.0)
 
 
@@ -261,11 +250,11 @@ def _check_densities(m: np.ndarray) -> None:
     Raises ``ValueError`` unless every matrix is finite, Hermitian, of unit
     trace and positive, each within its tolerance.
     """
-    adjoint = _check_hermitian(m, "density matrix")
+    eigenvalues = _hermitian_eigenvalues(m, "density matrix")
     for trace in m.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
         if abs(trace - 1.0) > HERMITICITY_ATOL:
             raise ValueError(f"density matrix trace {trace!r} deviates from 1")
-    if _hermitian_eigenvalues(m, adjoint)[..., 0].min() < -PSD_ATOL:
+    if eigenvalues[..., 0].min() < -PSD_ATOL:
         raise ValueError("density matrix has an eigenvalue below the positivity tolerance")
 
 
@@ -354,7 +343,7 @@ def measure_qubit(
     u = real_argument("u", u)
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
-    axis = axis if type(axis) is Axis else Axis(axis)
+    axis = Axis(axis)
     qubit = integer_argument("qubit", qubit, 0, state.num_qubits - 1)
     components = np.array(_axis_components(_split_on_qubit(state.amplitudes, qubit), axis))
     masses = _masses(components).tolist()
@@ -385,13 +374,8 @@ def joint_probability(
     the scale is undone on the quotient.
     """
     last = state.num_qubits - 1
-    # Members pass as they are; any other value is coerced by its enum.
     constraints = [
-        (
-            integer_argument("qubit", q, 0, last),
-            axis if type(axis) is Axis else Axis(axis),
-            outcome if type(outcome) is Outcome else Outcome(outcome),
-        )
+        (integer_argument("qubit", q, 0, last), Axis(axis), Outcome(outcome))
         for q, axis, outcome in constraints
     ]
     seen: set[int] = set()
@@ -639,7 +623,7 @@ def eigenvalues_hermitian(matrix: np.ndarray) -> list[float] | list[list[float]]
         raise ValueError(f"supported dimensions are 2 and 4, got {dim}")
     if not a.size:
         raise ValueError("an input stack must hold at least one matrix")
-    return _hermitian_eigenvalues(a, _check_hermitian(a, "input matrix")).tolist()
+    return _hermitian_eigenvalues(a, "input matrix").tolist()
 
 
 def three_tangle(state: StateVector) -> float:

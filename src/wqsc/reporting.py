@@ -89,15 +89,6 @@ def _decode(field, value: object, text: bool) -> object:
     raise ValueError(f"{field.name} cannot be {value!r}")
 
 
-def _to_dict(row) -> dict:
-    # A frozen dataclass's __dict__ holds its fields in field order.  An exact
-    # type test: isinstance() against an enum class takes about 0.1 us.
-    return {
-        name: _scalar(value) if type(value) in _ENUMS else value
-        for name, value in vars(row).items()
-    }
-
-
 def _from_dict(row_type: type, data: dict, text: bool = False):
     if not isinstance(data, dict):
         raise ValueError(f"{row_type.__name__} must be an object, got {data!r}")
@@ -112,7 +103,10 @@ def _from_dict(row_type: type, data: dict, text: bool = False):
 
 def report_to_dict(report: RunReport) -> dict:
     """Flatten a report to plain scalars in schema order."""
-    return _to_dict(report)
+    # A frozen dataclass's __dict__ holds its fields in field order.  An exact
+    # type test: isinstance() against an enum class takes about 0.1 us.
+    return {name: _scalar(value) if type(value) in _ENUMS else value
+            for name, value in vars(report).items()}
 
 
 def report_from_dict(data: dict) -> RunReport:

@@ -306,7 +306,7 @@ def seeded_distributions():
 
 
 class TestChMiddleTermBytes:
-    """``ch_middle_term`` checks ``dist`` once and reads each term by the readers' own bodies.
+    """``ch_middle_term`` reads each term by the public readers.
 
     Every field must have the bytes of the public readers' composition, and
     of the same sums by index arithmetic, for every role order, as parties

@@ -482,18 +482,19 @@ class TestStreamContract:
     """The documented key and word layout, replayed through the oracles."""
 
     def test_run_trial_words(self):
-        # Trial i reads raw word i of key seed, which is position i & 3 of
-        # the block at counter i >> 2.
+        # Trial i reads word i of key seed, which is position i & 3 of
+        # Random123's block at counter (i >> 2) + 1: numpy advances the
+        # counter before it draws a block.  The words come from the
+        # pure-Python Philox, not from numpy's.
         config = ProtocolConfig(
             ProtocolMode.SYNTH, trials=300, seed=2**64 - 5, announce_rate=0.3,
             attack=UnitaryCouplingAttack(1.1, Party.ALICE),
         )
         source = source_for(1.1, Party.ALICE)
-        stream = np.random.Philox(key=config.seed).random_raw(config.trials)
+        stream = philox_words(config.seed, 0, config.trials)
         for record in iter_trials(config):
             i = record.index
-            block = np.random.Philox(key=config.seed, counter=i >> 2).random_raw(4)
-            assert int(block[i & 3]) == int(stream[i])
+            assert philox_block((i >> 2) + 1, config.seed)[i & 3] == stream[i]
             expected = oracle_trial(source, stream[i], config.announce_rate)
             assert (record.axes, record.outcomes, record.announced) == expected
 
@@ -526,8 +527,8 @@ class TestStreamContract:
     @pytest.mark.parametrize("index", [6, 2**66 + 5, 2**130 + 3, 2**194 + 2, 2**258 - 1])
     def test_run_trial_reads_its_counter_in_every_word(self, monkeypatch, index, idle):
         # The counter i >> 2 fills one more of its four 64-bit words at each
-        # index; a built and a re-keyed instance both read the word that a
-        # fresh Philox(key=seed, counter=i >> 2) gives at position i & 3.
+        # index; a built and a re-keyed instance both read word i of the
+        # pure-Python Philox stream of key seed.
         spent = np.random.Philox(key=1, counter=2**200)
         spent.random_raw(3)  # mid-block, so a stale buffer would show
         monkeypatch.setattr(protocol, "_IDLE_STREAMS", [spent] if idle else [])
@@ -535,7 +536,7 @@ class TestStreamContract:
             ProtocolMode.SYNTH, trials=1, seed=2**64 - 3, announce_rate=0.3,
             attack=UnitaryCouplingAttack(0.9, Party.BOB),
         )
-        word = np.random.Philox(key=config.seed, counter=index >> 2).random_raw(4)[index & 3]
+        (word,) = philox_words(config.seed, index, 1)
         record = run_trial(config, index)
         expected = oracle_trial(source_for(0.9, Party.BOB), word, config.announce_rate)
         assert (record.axes, record.outcomes, record.announced) == expected
@@ -606,7 +607,7 @@ class TestStreamContract:
         expected = []
         for point, phi in enumerate(grid):
             p_bar = sum(event_masses(outcome_distribution(attacked_w_state(phi))).tolist()) / 3
-            words = np.random.Philox(key=seed + ((point + 1) << 64)).random_raw(samples)
+            words = philox_words(seed + ((point + 1) << 64), 0, samples)
             expected.append(sum(unit(w) < p_bar for w in words) / samples)
         assert protocol.sample_security_frequency(grid, samples, seed) == expected
         # A point's key depends on its index alone, not on the rest of the grid.

@@ -84,11 +84,18 @@ def test_step_passes(step, shim_path, tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_summary_reports_the_import_self_times(shim_path, tmp_path):
+def test_summary_reports_the_code_lines_and_import_self_times(shim_path, tmp_path):
     step = next(step for step in STEPS if step_name(step) == "Source size and toolchain versions")
     result, summary = replay(step, shim_path, tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = summary.read_text(encoding="utf-8").splitlines()
+    # Code lines leave out docstrings, comments and blank lines, so the
+    # count lies below the count of lines that are neither blank nor a comment.
+    (line,) = [line for line in lines if line.endswith(" code lines")]
+    code = int(line.removeprefix("src/wqsc: ").removesuffix(" code lines"))
+    source = [text.strip() for path in (ROOT / "src" / "wqsc").glob("*.py")
+              for text in path.read_text(encoding="utf-8").splitlines()]
+    assert 0 < code < sum(1 for text in source if text and not text.startswith("#"))
     for module in ("wqsc", "wqsc.qcore", "wqsc.protocol", "wqsc.cli"):
         assert any(line.startswith(f"import {module}: ") and line.endswith(" us self")
                    for line in lines), (module, lines)
