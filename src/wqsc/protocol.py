@@ -36,14 +36,15 @@ announce rate) key, and for ``sweep-phi`` one stacked
   word's low 3 bits, which the shift drops, choose the axes of A, B and C,
   A the highest (0 selects z), each exactly 1/2 and independent of the
   draw.  A draw below ``ann = ceil(r * 2**53)``, ``r`` the announce rate,
-  announces; it then walks its axis set's interval tree over its half,
-  ``[0, ann)`` or ``[ann, 2**53)``, through A, B and C, and the leaf it
-  lands in is the outcome string.  A node ``[lo, hi)`` splits at ``lo +
-  ceil(p * (hi - lo))``, ``p`` being the node's plus mass over its total in
-  the set's distribution row.  So P(announced) is exact on every set, and
-  an outcome's mass is resolved to one unit of its half: ``1 / (r *
-  2**53)`` if announced, ``1 / ((1 - r) * 2**53)`` if not.  The 16 trees
-  are held as the lower bounds of the run's 128 cells (:func:`_cell_bounds`).
+  announces.  Each half of a set, ``[0, ann)`` and ``[ann, 2**53)``, is an
+  interval tree through A, B and C whose leaves are the outcome strings: a
+  node ``[lo, hi)`` splits at ``lo + ceil(p * (hi - lo))``, ``p`` being the
+  node's plus mass over its total in the set's distribution row.  So
+  P(announced) is exact on every set, and an outcome's mass is resolved to
+  one unit of its half: ``1 / (r * 2**53)`` if announced, ``1 / ((1 - r) *
+  2**53)`` if not.  The 16 trees are held as the ascending lower bounds of
+  the run's 128 cells (:func:`_cell_bounds`); a trial lands in the last
+  cell of its set whose bound its draw reaches.
   The source is ``w_state()``, or under an attack the closed form
   ``attacked_w_state(phi, target)``, read as its one amplitude row
   ``attacked_w_amplitudes([phi], target)[0]``; the attack circuit
@@ -60,9 +61,12 @@ announce rate) key, and for ``sweep-phi`` one stacked
 A draw ``k`` lies below a probability ``p`` iff ``k < ceil(p * 2**53)``,
 exact because ``p * 2**53`` is; a cell of mass 0 gets an interval of width
 0 and is never drawn.  Trials are sampled in chunks and counted per (axis
-set, outcome string, announced) cell; :func:`run_protocol` reads a report
-from those counts through a weight matrix filled from the per-trial rules,
-so a report equals the fold of its trial records one by one.
+set, outcome string, announced) cell: a chunk's trial keys, each its axis
+set above its draw, are sorted and the 129 cell keys searched into them
+(:func:`_cell_counts`).  :func:`run_protocol` reads a report from those
+counts through a weight matrix filled from the per-trial rules, so a
+report equals the fold of its trial records, each found by searching its
+own key into the cell keys.
 """
 
 from __future__ import annotations
@@ -316,14 +320,13 @@ def _kept_bits(
     return None
 
 
-# Trials per chunk: one random_raw call and one pass of array sampling.  It
-# bounds memory; counts add across chunks, so it never changes a report.  Of
-# 8192, 16384 and 32768 this read fastest on a 2-core Xeon: a chunk's arrays,
-# under 1 MB, fit its 2 MB L2 cache, and a 10000-trial run is one chunk.
+# Trials per chunk: one random_raw call, one key pass and one sort.  It
+# bounds memory; counts add across chunks, so it never changes a report.  A
+# chunk's words and keys, 256 kB, fit a 2 MB L2 cache, and a 10000-trial
+# run is one chunk.
 _CHUNK_TRIALS = 16384
 
-_DRAW_SHIFT = np.uint64(11)  # word x draws k = x >> 11, the uniform k * 2**-53
-_SET_MASK = np.uint64(7)  # run: the word's axis-set bits
+_CELLS = len(ALL_AXIS_SETS) * 2 * len(OUTCOME_STRINGS)  # index 16s + 8u + o, u = unannounced
 
 
 def _threshold(p: float) -> int:
@@ -374,28 +377,34 @@ def _cell_bounds(dist: np.ndarray, announce: int) -> np.ndarray:
     return edges[:8].T.astype(np.uint64, order="C").ravel()
 
 
-def _trial_cells(bounds: np.ndarray, raw: np.ndarray, announce: int) -> np.ndarray:
-    """Each trial's cell ``16s + 8u + o``, ``u`` 1 for an unannounced trial.
+def _cell_keys(bounds: np.ndarray) -> np.ndarray:
+    """Cell ``16s + 8u + o``'s key ``(s << 60) + (lb << 7)``, ``lb`` its bound, then ``2**63``.
 
-    ``raw`` holds the trials' words, one each; ``bounds`` are
-    :func:`_cell_bounds`'s and ``announce`` is the announce rate's
-    threshold, the bound between the halves on every set, so one scalar
-    compare gives the trial's tree ``2s + u``.  The tree's eight cells are
-    then halved by A's, B's and C's outcome in turn: at a halving of
-    ``2 * step`` cells, ``step`` being 4, 2 and then 1, node ``n`` spans the
-    cells from ``2 * step * n`` and splits at the bound ``step`` cells on,
-    and the walk appends bit 1 (minus) iff the draw reaches that split.  It
-    thus ends at ``16s + 8u + o``.
+    A bound of ``2**53`` carries into the next set's first key, so the keys
+    ascend; the sentinel ``2**63`` lies above every trial key.
     """
-    draws = raw >> _DRAW_SHIFT
-    cells = (raw & _SET_MASK).view(np.int64)  # 0 to 7, so the same bits as int64
-    cells <<= 1
-    cells += draws >= announce
-    for step in (4, 2, 1):
-        reached = draws >= bounds[step :: 2 * step].take(cells)
-        cells <<= 1
-        cells += reached
-    return cells
+    sets = np.arange(_CELLS, dtype=np.uint64) >> np.uint64(4)
+    return np.append((sets << np.uint64(60)) + (bounds << np.uint64(7)), np.uint64(1 << 63))
+
+
+def _trial_keys(raw: np.ndarray) -> np.ndarray:
+    """Word ``x``'s key ``(x << 61) >> 1 | x >> 4``: its set in bits 60 to 62 above its draw.
+
+    Bits 0 to 6 hold word bits 4 to 10 and bit 63 stays clear; ``raw`` is overwritten.
+    """
+    keys = raw >> np.uint64(4)
+    raw <<= np.uint64(61)
+    raw >>= np.uint64(1)
+    keys |= raw
+    return keys
+
+
+def _trial_cells(cell_keys: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Each word's cell ``16s + 8u + o``, the last whose key its key reaches; overwrites ``raw``.
+
+    Of tied keys, cells of width 0, that is the later.
+    """
+    return cell_keys.searchsorted(_trial_keys(raw), side="right") - 1
 
 
 # Philox instances no stream holds.  A stream takes one, or builds one when
@@ -448,19 +457,20 @@ def _record(mode: ProtocolMode, index: int, cell: int) -> TrialRecord:
 def run_trial(config: ProtocolConfig, index: int) -> TrialRecord:
     """Replay one trial from its counter alone; deterministic in (config.seed, index).
 
-    Trial ``index`` reads its one Philox word, whose draw walks the run's
-    interval trees: the announcement split, then each party's outcome on
-    the axis set its low bits chose.  Announced trials carry no key bits.
-    ``index`` runs from 0 to ``2**258 - 1``, the stream's last word.
+    Trial ``index`` reads its one Philox word, whose key is searched into
+    the run's cell keys: the cell fixes the announcement and each party's
+    outcome on the axis set the word's low bits chose.  Announced trials
+    carry no key bits.  ``index`` runs from 0 to ``2**258 - 1``, the last word.
     """
     index = integer_argument("trial index", index, 0, 2**258 - 1)
-    _, cells = next(_run_chunks(config, index, 1))
+    _, raw = next(_chunks(config.seed, index, 1))
+    cells = _trial_cells(_trees(config.attack, config.announce_rate), raw)
     return _record(config.mode, index, int(cells[0]))
 
 
 @functools.lru_cache(maxsize=64)
-def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> tuple[int, np.ndarray]:
-    """The run source's ``(ann, bounds)`` at this announce rate, built once per key, read-only.
+def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> np.ndarray:
+    """The run source's :func:`_cell_keys` at this announce rate, built once per key, read-only.
 
     The source is ``w_state()``, or under ``attack`` the closed form's one
     row ``attacked_w_amplitudes([phi], target)[0]``, which
@@ -471,25 +481,16 @@ def _trees(attack: UnitaryCouplingAttack | None, announce_rate: float) -> tuple[
         dist = outcome_distribution(w_state())
     else:
         dist = outcome_distribution(attacked_w_amplitudes([attack.phi], attack.target)[0])
-    announce = _threshold(announce_rate)
-    bounds = _cell_bounds(dist, announce)
-    bounds.flags.writeable = False
-    return announce, bounds
-
-
-def _run_chunks(
-    config: ProtocolConfig, first: int, count: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first index, cells)`` per chunk of ``count`` trials from ``first``; one tree."""
-    announce, bounds = _trees(config.attack, config.announce_rate)
-    for start, raw in _chunks(config.seed, first, count):
-        yield first + start, _trial_cells(bounds, raw, announce)
+    cell_keys = _cell_keys(_cell_bounds(dist, _threshold(announce_rate)))
+    cell_keys.flags.writeable = False
+    return cell_keys
 
 
 def iter_trials(config: ProtocolConfig) -> Iterator[TrialRecord]:
-    """Yield the run's trials in index order, building the interval trees once."""
-    for start, cells in _run_chunks(config, 0, config.trials):
-        for index, cell in enumerate(cells.tolist(), start):
+    """Yield the run's trials in index order, building the cell keys once."""
+    cell_keys = _trees(config.attack, config.announce_rate)
+    for start, raw in _chunks(config.seed, 0, config.trials):
+        for index, cell in enumerate(_trial_cells(cell_keys, raw).tolist(), start):
             yield _record(config.mode, index, cell)
 
 
@@ -603,8 +604,6 @@ _COUNT_FIELDS = (
     "pqss_reconstruction_failures", "announced_qkd_trials", "security_events",
 )
 
-_CELLS = len(ALL_AXIS_SETS) * 2 * len(OUTCOME_STRINGS)  # index 16s + 8u + o, u = unannounced
-
 
 def _cell_fields(
     mode: ProtocolMode,
@@ -673,6 +672,21 @@ def _weights(mode: ProtocolMode, dealer: Party) -> np.ndarray:
     return weights
 
 
+def _cell_counts(config: ProtocolConfig) -> np.ndarray:
+    """The run's 128 cell counts, from each chunk's trial keys sorted in place.
+
+    Cell ``j`` counts the keys below cell key ``j + 1`` less those below cell key ``j``.
+    """
+    cell_keys = _trees(config.attack, config.announce_rate)
+    counts = np.zeros(_CELLS, dtype=np.int64)
+    for _, raw in _chunks(config.seed, 0, config.trials):
+        keys = _trial_keys(raw)
+        keys.sort()
+        below = keys.searchsorted(cell_keys)
+        counts += below[1:] - below[:-1]
+    return counts
+
+
 def run_protocol(config: ProtocolConfig) -> RunReport:
     """Execute all trials and aggregate; identical configs give identical reports.
 
@@ -681,9 +695,7 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
     count columns are the (mode, dealer) weight matrix times the 128 cell
     counts, and its rates and verdict follow from those counts.
     """
-    counts = np.zeros(_CELLS, dtype=np.int64)
-    for _, cells in _run_chunks(config, 0, config.trials):
-        counts += np.bincount(cells, minlength=_CELLS)
+    counts = _cell_counts(config)
     columns = dict(zip(_COUNT_FIELDS, (_weights(config.mode, config.dealer) @ counts).tolist()))
     trials = config.trials
     total_key_bits = columns["total_key_bits"]

@@ -56,6 +56,7 @@ HERMITICITY_ATOL = 1e-9
 PSD_ATOL = 1e-9
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_HALF_MAX = sys.float_info.max / 2.0  # the largest entry modulus a Hermitian part admits
 
 MIN_QUBITS = 1
 MAX_QUBITS = 5
@@ -233,11 +234,13 @@ def _state_norms(amps: np.ndarray) -> list[float]:
 def _hermitian_eigenvalues(m: np.ndarray, name: str) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``m`` (or of each matrix of a stack).
 
-    Raises ``ValueError`` naming ``name`` unless ``m`` is finite and Hermitian.
+    Raises ``ValueError`` naming ``name`` unless ``m`` is Hermitian and its
+    entries finite, of modulus at most half the largest float.
     """
-    # Checked first: every tolerance comparison with NaN is False.
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} entries must be finite")
+    # Checked first: every tolerance comparison with NaN is False, and no
+    # entry of modulus at most half the largest float overflows a sum of two.
+    if not np.abs(m).max() <= _HALF_MAX:
+        raise ValueError(f"{name} entries must be finite, of modulus at most {_HALF_MAX!r}")
     adjoint = m.conj().swapaxes(-1, -2)
     if np.abs(m - adjoint).max() > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within tolerance")
@@ -611,7 +614,8 @@ def eigenvalues_hermitian(matrix: np.ndarray) -> list[float] | list[list[float]]
     ``matrix`` is ``(d, d)`` or a stack ``(k, d, d)`` of at least one, with
     ``d`` 2 or 4, which covers every reduced state and partial transpose in
     this package; a stack gives one list per matrix.  Every matrix must be
-    finite and Hermitian within tolerance.  The Hermitian parts are
+    Hermitian within tolerance, its entries finite and of modulus at most
+    half the largest float, so its Hermitian part cannot overflow.  The Hermitian parts are
     diagonalized by one LAPACK call (``numpy.linalg.eigvalsh``), and a
     stack's rows have the bytes of one call per matrix.
     """

@@ -381,6 +381,45 @@ def kernel_intervals(source: StateVector, announce_rate: float) -> np.ndarray:
     return np.stack((bounds, upper), axis=-1).reshape(8, 2, 8, 2)
 
 
+def upper_gamma_q(a: float, x: float) -> float:
+    """The regularized upper incomplete gamma ``Q(a, x)``, for ``a > 0`` and ``x >= 0``.
+
+    Below ``x = a + 1`` it is one minus the series of ``P(a, x)``, above it
+    the continued fraction of ``Q`` by Lentz's method; each is scaled by
+    ``x**a e**-x / Gamma(a)``, read through ``math.lgamma``.
+    """
+    if x == 0.0:
+        return 1.0
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, 10_000):
+            term *= x / (a + n)
+            total += term
+            if term < total * 1e-17:
+                break
+        return 1.0 - total * scale
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    fraction = d
+    for n in range(1, 10_000):
+        a_n, b = -n * (n - a), b + 2.0
+        d = a_n * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + a_n / c
+        c = c if abs(c) > tiny else tiny
+        fraction *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return fraction * scale
+
+
+def chi_square_tail(df: int, statistic: float) -> float:
+    """P(a chi-square variable of ``df`` degrees of freedom exceeds ``statistic``): Q(df/2, x/2)."""
+    return upper_gamma_q(df / 2.0, statistic / 2.0)
+
+
 def oracle_trial(source: StateVector, word, announce_rate: float):
     """One run trial from its raw Philox word, by :func:`oracle_intervals`.
 

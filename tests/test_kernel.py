@@ -32,6 +32,7 @@ from helpers import (
     kernel_intervals,
     nested_cell_bounds,
     oracle_intervals,
+    oracle_report,
     oracle_table,
     oracle_trial,
     philox_block,
@@ -69,9 +70,9 @@ def source_for(phi, target):
 
 def kernel_cells(source, words, announce_rate):
     """The engine's cell ``16s + 8u + o`` of each raw word, ``u`` 1 if unannounced."""
-    announce = protocol._threshold(announce_rate)
-    bounds = protocol._cell_bounds(outcome_distribution(source), announce)
-    return protocol._trial_cells(bounds, np.array(words, dtype=np.uint64), announce).tolist()
+    bounds = protocol._cell_bounds(outcome_distribution(source), protocol._threshold(announce_rate))
+    raw = np.array(words, dtype=np.uint64)
+    return protocol._trial_cells(protocol._cell_keys(bounds), raw).tolist()
 
 
 def kernel_trial(source, word, announce_rate):
@@ -285,11 +286,10 @@ class TestTreeConstruction:
         attack = None if target is None else UnitaryCouplingAttack(0.7, target)
         cached = protocol._trees(attack, rate)
         assert cached is protocol._trees(attack, rate)
-        announce, bounds = cached
-        assert not bounds.flags.writeable
-        assert announce == protocol._threshold(rate)
-        built = protocol._cell_bounds(outcome_distribution(source_for(0.7, target)), announce)
-        assert bounds.tobytes() == built.tobytes()
+        assert not cached.flags.writeable
+        dist = outcome_distribution(source_for(0.7, target))
+        built = protocol._cell_keys(protocol._cell_bounds(dist, protocol._threshold(rate)))
+        assert cached.tobytes() == built.tobytes()
 
     def test_interleaved_targets_read_their_own_trees(self):
         # One (phi, rate) on each target and unattacked, in one process and in
@@ -380,9 +380,8 @@ class TestFlatWalk:
                 row = attacked_w_amplitudes([phi], target)[0]
             dist = gather_outcome_distributions([row])[0]
             for rate in WALK_RATES:
-                announce, bounds = build(attack, rate)
-                assert announce == protocol._threshold(rate)
-                assert bounds.tobytes() == nested_cell_bounds(dist, announce).tobytes(), phi
+                reference = protocol._cell_keys(nested_cell_bounds(dist, protocol._threshold(rate)))
+                assert build(attack, rate).tobytes() == reference.tobytes(), phi
 
 
 class TestChunking:
@@ -629,3 +628,40 @@ class TestStreamContract:
         assert protocol._threshold(p_bar) == threshold
         expected = np.count_nonzero(words >> np.uint64(11) < threshold)
         assert protocol._event_frequency(p_bar, 0, words.size) == expected / words.size
+
+
+class TestCountingPaths:
+    """The sorted-key count and the per-trial search agree on words at every cell bound."""
+
+    @staticmethod
+    def boundary_words(source, rate):
+        # Per set, draws lb and lb - 1 at each of its 16 lower bounds, with
+        # the word's bits 3 to 10 clear and set; then words 0 and 2**64 - 1.
+        bounds = protocol._cell_bounds(outcome_distribution(source), protocol._threshold(rate))
+        words = [0, 2**64 - 1]
+        for cell, lb in enumerate(bounds.tolist()):
+            for draw in (lb, lb - 1):
+                if 0 <= draw < TREE_SPAN:
+                    words += [draw << 11 | cell >> 4, draw << 11 | 0x7F8 | cell >> 4]
+        return np.array(words, dtype=np.uint64)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("target", [None, Party.BOB], ids=["W", "B"])
+    def test_report_and_records_count_each_boundary_word_alike(self, monkeypatch, target, rate):
+        attack = None if target is None else UnitaryCouplingAttack(HALF_PI, target)
+        words = self.boundary_words(source_for(HALF_PI, target), rate)
+        # Both paths overwrite the words they read, so each call gets a copy.
+        monkeypatch.setattr(
+            protocol, "_chunks", lambda key, first, count: iter([(0, words.copy())])
+        )
+        for mode in ProtocolMode:
+            config = ProtocolConfig(mode, trials=words.size, seed=0, announce_rate=rate,
+                                    attack=attack)
+            assert run_protocol(config) == oracle_report(config)
+        cells = [
+            16 * bell.ALL_AXIS_SETS.index(r.axes) + 8 * (not r.announced)
+            + bell.OUTCOME_STRINGS.index(r.outcomes)
+            for r in iter_trials(config)
+        ]
+        counts = protocol._cell_counts(config)
+        assert counts.tolist() == np.bincount(cells, minlength=128).tolist()

@@ -183,6 +183,16 @@ class TestAmplitudeStackGate:
         assert outcome_distributions(strided).tobytes() == outcome_distributions(stack).tobytes()
 
 
+# Finite matrices whose Hermitian part overflows: its sum, or the
+# difference the Hermiticity check reads.
+OVERFLOWING_MATRICES = [
+    np.array([[0.5, 1e308], [1e308, 0.5]]),
+    np.array([[0.5, 1e308], [-1e308, 0.5]]),
+    np.array([[0.5, 1e308j], [-1e308j, 0.5]]),
+]
+OVERFLOW_IDS = ["sum", "difference", "imaginary-sum"]
+
+
 class TestDensityMatrix:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, value):
@@ -192,6 +202,13 @@ class TestDensityMatrix:
         entries = np.eye(4, dtype=complex) / 4.0
         entries[1, 2] = entries[2, 1] = value
         with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(entries)
+
+    @pytest.mark.parametrize("entries", OVERFLOWING_MATRICES, ids=OVERFLOW_IDS)
+    def test_refuses_a_matrix_whose_hermitian_part_overflows(self, entries):
+        # (m + m^dagger) / 2 or m - m^dagger overflows to inf and eigvalsh to
+        # NaN, which passes the positivity compare; only a warning was raised.
+        with pytest.raises(ValueError, match="density matrix entries must be finite, of modulus"):
             DensityMatrix(entries)
 
     @pytest.mark.parametrize(
@@ -950,6 +967,16 @@ class TestEigenvaluesHermitian:
     def test_rejects_non_finite_entries(self, value):
         with pytest.raises(ValueError, match="finite"):
             eigenvalues_hermitian(np.full((2, 2), value))
+
+    @pytest.mark.parametrize("matrix", OVERFLOWING_MATRICES, ids=OVERFLOW_IDS)
+    def test_refuses_a_matrix_whose_hermitian_part_overflows(self, matrix):
+        with pytest.raises(ValueError, match="input matrix entries must be finite, of modulus"):
+            eigenvalues_hermitian(matrix)
+
+    def test_admits_entries_of_half_the_largest_float(self):
+        half = sys.float_info.max / 2.0
+        values = eigenvalues_hermitian(np.array([[0.0, half], [half, 0.0]]))
+        assert values == pytest.approx([-half, half], rel=1e-15)
 
 
 def hermitian_stack(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

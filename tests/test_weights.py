@@ -6,6 +6,8 @@ cell counts.  These tests check each cell's column against the per-trial
 rules, check the matrix against ``oracle_report``, which folds the run's
 trial records one at a time, and check that the same matrix times the
 probabilities of the cells the engine samples gives the closed-form means.
+A chi-square test checks the 128 sampled counts against those
+probabilities jointly.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TREE_SPAN, kernel_intervals, oracle_report
+from helpers import TREE_SPAN, chi_square_tail, kernel_intervals, oracle_report
 from wqsc import (
     ALL_AXIS_SETS,
     Party,
@@ -154,3 +156,41 @@ class TestExactMeans:
         for mode in ProtocolMode:
             means = protocol._weights(mode, Party.ALICE) @ cells
             assert means[row("security_events")] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# Fixed before the first run: the seeds, 200000 trials, cells of expected
+# count below 5 pooled into one bin, and a false-alarm rate of 1e-4 per
+# configuration.  If a row trips, investigate the engine; do not re-seed.
+FIT_TRIALS = 200_000
+FIT_ALPHA = 1e-4
+FIT_SOURCES = [(None, 0.0)] + [(target, phi) for target in Party for phi in (HALF_PI, 0.3)]
+FIT_RATES = (0.1, 0.5)
+
+
+class TestGoodnessOfFit:
+    """Pearson's chi-square of a run's 128 cell counts against the cells' exact probabilities."""
+
+    @pytest.mark.parametrize("statistic", [0.0, 0.5, 1.0, 3.0, 3.999, 4.0, 10.0, 40.0, 100.0])
+    def test_two_degrees_of_freedom_are_an_exponential_tail(self, statistic):
+        assert chi_square_tail(2, statistic) == pytest.approx(math.exp(-statistic / 2), rel=1e-12)
+
+    def test_one_degree_of_freedom_at_its_five_percent_point(self):
+        assert chi_square_tail(1, 3.841458820694124) == pytest.approx(0.05, abs=1e-9)
+
+    @pytest.mark.parametrize("rate", FIT_RATES)
+    @pytest.mark.parametrize("target, phi", FIT_SOURCES, ids=[
+        "W" if t is None else f"{t.letter}-{phi:.2f}" for t, phi in FIT_SOURCES
+    ])
+    def test_cell_counts_follow_their_probabilities(self, target, phi, rate):
+        # The mode only picks the weight matrix, so one mode covers all three.
+        seed = 3800 + 2 * FIT_SOURCES.index((target, phi)) + FIT_RATES.index(rate)
+        config = make_config(ProtocolMode.SYNTH, Party.ALICE, target, phi, rate, FIT_TRIALS, seed)
+        counts = protocol._cell_counts(config).tolist()
+        expected = cell_probabilities(apply_attack(w_state(), config.attack), rate) * FIT_TRIALS
+        assert all(n == 0 for n, e in zip(counts, expected.tolist()) if e == 0.0)
+        bins = [(n, e) for n, e in zip(counts, expected.tolist()) if e >= 5.0]
+        pooled = [(n, e) for n, e in zip(counts, expected.tolist()) if 0.0 < e < 5.0]
+        if pooled:
+            bins.append((sum(n for n, _ in pooled), sum(e for _, e in pooled)))
+        statistic = sum((n - e) ** 2 / e for n, e in bins)
+        assert chi_square_tail(len(bins) - 1, statistic) > FIT_ALPHA, (statistic, len(bins))
