@@ -31,12 +31,15 @@ from .protocol import (
     SecurityVerdict,
     TrialRecord,
     binomial_sigma,
+    cell_counts,
+    cell_probabilities,
     decider_step,
     iter_trials,
     key_accounting,
     partial_inference,
     pqss_step,
     reconstruct_dealer_bit,
+    report_from_counts,
     run_protocol,
     run_trial,
     sample_security_frequency,

@@ -60,13 +60,14 @@ announce rate) key, and for ``sweep-phi`` one stacked
 
 A draw ``k`` lies below a probability ``p`` iff ``k < ceil(p * 2**53)``,
 exact because ``p * 2**53`` is; a cell of mass 0 gets an interval of width
-0 and is never drawn.  Trials are sampled in chunks and counted per (axis
-set, outcome string, announced) cell: a chunk's trial keys, each its axis
-set above its draw, are sorted and the 129 cell keys searched into them
-(:func:`_cell_counts`).  :func:`run_protocol` reads a report from those
-counts through a weight matrix filled from the per-trial rules, so a
-report equals the fold of its trial records, each found by searching its
-own key into the cell keys.
+0 and is never drawn.  A run is its 128 (axis set, announced, outcome
+string) cells, the public layer: :func:`cell_counts` samples them in chunks,
+a chunk's trial keys, each its axis set above its draw, sorted and the 129
+cell keys searched into them; :func:`cell_probabilities` is the exact law
+those draws follow; :func:`report_from_counts` reads a report from counts
+through a weight matrix filled from the per-trial rules.  :func:`run_protocol`
+is the two composed, so a report equals the fold of its trial records, each
+found by searching its own key into the cell keys.
 """
 
 from __future__ import annotations
@@ -672,10 +673,11 @@ def _weights(mode: ProtocolMode, dealer: Party) -> np.ndarray:
     return weights
 
 
-def _cell_counts(config: ProtocolConfig) -> np.ndarray:
-    """The run's 128 cell counts, from each chunk's trial keys sorted in place.
+def cell_counts(config: ProtocolConfig) -> np.ndarray:
+    """The run's fresh ``(128,)`` int64 counts at cell ``16s + 8u + o``; no record is built.
 
-    Cell ``j`` counts the keys below cell key ``j + 1`` less those below cell key ``j``.
+    Each chunk's trial keys are sorted in place: cell ``j`` counts the keys
+    below cell key ``j + 1`` less those below cell key ``j``.
     """
     cell_keys = _trees(config.attack, config.announce_rate)
     counts = np.zeros(_CELLS, dtype=np.int64)
@@ -687,15 +689,26 @@ def _cell_counts(config: ProtocolConfig) -> np.ndarray:
     return counts
 
 
-def run_protocol(config: ProtocolConfig) -> RunReport:
-    """Execute all trials and aggregate; identical configs give identical reports.
+def cell_probabilities(config: ProtocolConfig) -> np.ndarray:
+    """The exact law :func:`cell_counts` draws from: a fresh ``(128,)`` float array, same order.
 
-    Trials are sampled chunk by chunk and counted per (axis set, outcome
-    string, announced) cell; no per-trial record is built.  The report's
-    count columns are the (mode, dealer) weight matrix times the 128 cell
-    counts, and its rates and verdict follow from those counts.
+    A cell's probability is its width, the gap to the next cell key shifted
+    back by 7 (a set's last cell ends at ``2**53``), times ``2**-56``, exact.
     """
-    counts = _cell_counts(config)
+    return (np.diff(_trees(config.attack, config.announce_rate)) >> np.uint64(7)) * 2.0**-56
+
+
+def report_from_counts(config: ProtocolConfig, counts: np.ndarray) -> RunReport:
+    """The report of a run of ``config`` whose cells hold ``counts``, else ValueError.
+
+    ``counts`` must be a ``(128,)`` int64 array of entries >= 0 summing to
+    ``config.trials``.  The count columns are the (mode, dealer) weight
+    matrix times ``counts``, and the rates and verdict follow from them.
+    """
+    # As uint64 a negative entry is >= 2**63, so one max keeps every entry in [0, trials].
+    if not (isinstance(counts, np.ndarray) and counts.shape == (128,) and counts.dtype == np.int64
+            and counts.view(np.uint64).max() <= config.trials and counts.sum() == config.trials):
+        raise ValueError("counts must be a (128,) int64 array of entries >= 0 summing to trials")
     columns = dict(zip(_COUNT_FIELDS, (_weights(config.mode, config.dealer) @ counts).tolist()))
     trials = config.trials
     total_key_bits = columns["total_key_bits"]
@@ -720,6 +733,11 @@ def run_protocol(config: ProtocolConfig) -> RunReport:
         security_verdict=security_verdict(frequency, config.epsilon),
         **columns,
     )
+
+
+def run_protocol(config: ProtocolConfig) -> RunReport:
+    """Execute all trials and aggregate; identical configs give identical reports."""
+    return report_from_counts(config, cell_counts(config))
 
 
 def binomial_sigma(p: float, n: int) -> float:

@@ -234,8 +234,9 @@ def _state_norms(amps: np.ndarray) -> list[float]:
 def _hermitian_eigenvalues(m: np.ndarray, name: str) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``m`` (or of each matrix of a stack).
 
-    Raises ``ValueError`` naming ``name`` unless ``m`` is Hermitian and its
-    entries finite, of modulus at most half the largest float.
+    Raises ``ValueError`` naming ``name`` unless ``m`` is Hermitian, its
+    entries finite, of modulus at most half the largest float, and its
+    eigenvalues finite.
     """
     # Checked first: every tolerance comparison with NaN is False, and no
     # entry of modulus at most half the largest float overflows a sum of two.
@@ -244,7 +245,10 @@ def _hermitian_eigenvalues(m: np.ndarray, name: str) -> np.ndarray:
     adjoint = m.conj().swapaxes(-1, -2)
     if np.abs(m - adjoint).max() > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    return np.linalg.eigvalsh((m + adjoint) / 2.0)
+    eigenvalues = np.linalg.eigvalsh((m + adjoint) / 2.0)
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError(f"{name} has an eigenvalue that is not finite")
+    return eigenvalues
 
 
 def _check_densities(m: np.ndarray) -> None:

@@ -476,7 +476,8 @@ def oracle_table(source: StateVector) -> np.ndarray:
     return table
 
 
-_MODE_STEPS = {
+# The steps each mode tries, the first that keeps a trial deciding it.
+MODE_STEPS = {
     ProtocolMode.QKD: (decider_step,),
     ProtocolMode.PQSS: (pqss_step,),
     ProtocolMode.SYNTH: (decider_step, pqss_step),
@@ -496,7 +497,7 @@ def oracle_report(config: ProtocolConfig) -> RunReport:
     n = collections.Counter()
     for record in iter_trials(config):
         axes, outcomes = record.axes, record.outcomes
-        decisions = ((step, step(axes, outcomes)) for step in _MODE_STEPS[config.mode])
+        decisions = ((step, step(axes, outcomes)) for step in MODE_STEPS[config.mode])
         step, kept = next(((s, bits) for s, bits in decisions if bits is not None), (None, None))
         assert record.key_bits == (None if record.announced else kept)
         n["qkd_axis"] += axes.decider is not None

@@ -663,5 +663,5 @@ class TestCountingPaths:
             + bell.OUTCOME_STRINGS.index(r.outcomes)
             for r in iter_trials(config)
         ]
-        counts = protocol._cell_counts(config)
+        counts = protocol.cell_counts(config)
         assert counts.tolist() == np.bincount(cells, minlength=128).tolist()

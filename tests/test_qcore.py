@@ -211,6 +211,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="density matrix entries must be finite, of modulus"):
             DensityMatrix(entries)
 
+    def test_refuses_a_matrix_whose_eigenvalue_overflows(self):
+        # Entries pass the half-the-largest-float gate, but the top eigenvalue
+        # is twice the largest float: eigvalsh returned inf, and the trace
+        # overflowed with a RuntimeWarning before its ValueError.
+        with pytest.raises(ValueError, match="density matrix has an eigenvalue that is not finite"):
+            DensityMatrix(np.full((4, 4), sys.float_info.max / 2.0))
+
     @pytest.mark.parametrize(
         "entries, message",
         [
@@ -977,6 +984,15 @@ class TestEigenvaluesHermitian:
         half = sys.float_info.max / 2.0
         values = eigenvalues_hermitian(np.array([[0.0, half], [half, 0.0]]))
         assert values == pytest.approx([-half, half], rel=1e-15)
+
+    def test_refuses_an_eigenvalue_that_overflows(self):
+        # Exact eigenvalues [0, 0, 0, 2 * max]: eigvalsh returned inf for the last.
+        with pytest.raises(ValueError, match="input matrix has an eigenvalue that is not finite"):
+            eigenvalues_hermitian(np.full((4, 4), sys.float_info.max / 2.0))
+
+    def test_admits_an_eigenvalue_of_the_largest_float(self):
+        values = eigenvalues_hermitian(np.full((2, 2), sys.float_info.max / 2.0))
+        assert values == pytest.approx([0.0, sys.float_info.max], rel=1e-15)
 
 
 def hermitian_stack(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
