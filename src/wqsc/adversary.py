@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Axis, Outcome, Party, StateVector, integer_argument, joint_probability
+from .qcore import Axis, Outcome, Party, StateVector, joint_probability, party_argument
 from .states import coupling_unitary, validate_attack_angle
 
 
@@ -33,7 +33,7 @@ class UnitaryCouplingAttack:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", validate_attack_angle(self.phi))
-        object.__setattr__(self, "target", Party(integer_argument("target", self.target, 0, 2)))
+        object.__setattr__(self, "target", party_argument("target", self.target))
 
 
 def _apply_two_qubit_unitary(
@@ -51,10 +51,12 @@ def apply_attack(source: StateVector, attack: UnitaryCouplingAttack | None) -> S
 
     With no attack the source is returned unchanged.  Otherwise the ancilla
     ``|z+>`` is appended as the last qubit and the coupling unitary acts on
-    (target, ancilla).
+    (target, ancilla).  An ``attack`` of any other type raises ValueError.
     """
     if attack is None:
         return source
+    if not isinstance(attack, UnitaryCouplingAttack):
+        raise ValueError(f"attack must be None or a UnitaryCouplingAttack, got {attack!r}")
     if source.num_qubits != 3:
         raise ValueError("the attack model couples to a three-qubit source state")
     n = source.num_qubits

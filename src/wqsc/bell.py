@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .qcore import Axis, Outcome, Party, integer_argument
+from .qcore import Axis, Outcome, Party, party_argument
 from .states import validate_attack_angle
 
 # Tolerance used when flagging a CH bound violation, so floating-point dust
@@ -121,21 +121,12 @@ class ChBellResult:
     a22: float
 
 
-# The parties by index, the order a permutation of roles sorts into.
-_PARTIES = tuple(Party)
-
-
-def _party(name: str, value: object) -> Party:
-    """``value`` as a :class:`Party`, by :func:`~wqsc.qcore.integer_argument`."""
-    return _PARTIES[integer_argument(name, value, 0, 2)]
-
-
 def _pair(pair: object) -> tuple[Party, Party]:
     """``pair``, a tuple or list of two distinct parties, as two :class:`Party`, else ValueError."""
-    parties = tuple(_party("pair", p) for p in pair) if isinstance(pair, (tuple, list)) else ()
+    parties = [party_argument("pair", p) for p in pair] if isinstance(pair, (tuple, list)) else []
     if len(parties) != 2 or parties[0] == parties[1]:
         raise ValueError(f"pair must name two distinct parties, got {pair!r}")
-    return parties  # type: ignore[return-value]
+    return tuple(parties)  # type: ignore[return-value]
 
 
 def _distribution(dist: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -209,12 +200,12 @@ def ch_middle_term(
     A21 = P(z_j=+, x_i != x_k), A22 = P(x_i = x_j = x_k), and A11 is
     :func:`two_z_plus`: for the pair ``(i, j)`` if ``strict``, else for any
     two of the three parties.  Each role is a :class:`Party` or its index,
-    read by :func:`~wqsc.qcore.integer_argument`.  All four terms are read
+    read by :func:`~wqsc.qcore.party_argument`.  All four terms are read
     from ``dist``, one state's :func:`~wqsc.qcore.outcome_distribution`, by
     the three readers, after the roles are read.
     """
-    roles = tuple(_party("roles", role) for role in roles)
-    if tuple(sorted(roles)) != _PARTIES:
+    roles = tuple(party_argument("roles", role) for role in roles)
+    if sorted(roles) != [0, 1, 2]:  # the parties' indices
         raise ValueError("roles must be a permutation of (ALICE, BOB, CHARLIE)")
     i, j, _k = roles
     a11 = two_z_plus(dist, (i, j) if strict else None)

@@ -22,7 +22,6 @@ from types import SimpleNamespace
 from typing import ContextManager, Mapping, Sequence, TextIO
 
 from .adversary import UnitaryCouplingAttack
-from .bell import averaged_security_probability
 from .golden import run_verification
 from .protocol import (
     DEFAULT_ANNOUNCE_RATE,
@@ -30,15 +29,13 @@ from .protocol import (
     ProtocolConfig,
     ProtocolMode,
     SecurityVerdict,
-    binomial_sigma,
     check_epsilon,
     check_sweep_arguments,
     run_protocol,
-    security_verdict,
-    sweep_frequencies,
+    sweep_rows,
 )
 from .qcore import Party
-from .reporting import REPORT_FORMATS, SweepRow, render_report, render_sweep_csv
+from .reporting import REPORT_FORMATS, render_report, render_sweep_csv
 
 ENV_PREFIX = "WQSC_"
 
@@ -53,8 +50,20 @@ _VERDICT_EXIT = {
     SecurityVerdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
-class _UsageError(Exception):
-    pass
+
+def _grid(text: str) -> tuple[float, ...]:
+    """``--grid``'s comma-separated text as a tuple of its angles, else ValueError.
+
+    A blank text is the empty grid, which the sweep's check names; a blank
+    item among values would silently shorten the sweep.
+    """
+    items = [item.strip() for item in text.split(",")]
+    if any(items) and not all(items):
+        raise ValueError(f"bad phi grid {text!r}: item {items.index('') + 1} is empty")
+    try:
+        return tuple(float(item) for item in items if item)
+    except ValueError as exc:
+        raise ValueError(f"bad phi grid: {exc}") from None
 
 
 _SEED = ("--seed", dict(required=True, type=int, help="root RNG seed"))
@@ -82,7 +91,8 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
     )),
     "verify": ("check every analytic golden value", ()),
     "sweep-phi": ("empirical vs analytic detection sweep", (
-        ("--grid", dict(required=True, help="comma-separated attack strengths in radians")),
+        ("--grid", dict(required=True, type=_grid,
+                        help="comma-separated attack strengths in radians")),
         ("--trials", dict(type=int, default=10000,
                           help="announced-equivalent samples per grid point")),
         _SEED,
@@ -105,16 +115,16 @@ _NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 def _value(flag: str, kwargs: dict, text: str) -> object:
     """``text`` as ``flag``'s value: through its ``type``, then checked against its ``choices``."""
     if text == "--":
-        raise _UsageError(f"argument {flag}: expected one argument")
+        raise ValueError(f"argument {flag}: expected one argument")
     kind = kwargs.get("type", str)
     try:
         text = kind(text)
     except ValueError as exc:
         reason = f"invalid {kind.__name__} value: {text!r}" if kind in (int, float) else exc
-        raise _UsageError(f"argument {flag}: {reason}") from None
+        raise ValueError(f"argument {flag}: {reason}") from None
     if "choices" in kwargs and text not in kwargs["choices"]:
         choices = ", ".join(map(repr, kwargs["choices"]))
-        raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+        raise ValueError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
     return text
 
 
@@ -135,7 +145,7 @@ def _option(flags: dict, word: str) -> tuple[str, str | None] | None:
     else:
         matches, explicit = ["-h"] if word[:2] == "-h" else [], word[2:] or None
     if len(matches) > 1:
-        raise _UsageError(f"ambiguous option: {word} could match {', '.join(matches)}")
+        raise ValueError(f"ambiguous option: {word} could match {', '.join(matches)}")
     if matches:
         return matches[0], explicit
     return None if word == "-" or _NUMBER.match(word) or " " in word else (word, None)
@@ -146,7 +156,7 @@ def _help(command: str | None, option: str, explicit: str | None) -> None:
     if option == "-h" and explicit:
         explicit = explicit.lstrip("h") or None  # "-hh" is "-h -h"
     if explicit is not None:
-        raise _UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+        raise ValueError(f"argument -h/--help: ignored explicit argument {explicit!r}")
     if command is None:
         usage, text = f"[-h] {{{','.join(_COMMANDS)}}} ...", __doc__
         rows = [(name, summary) for name, (summary, _) in _COMMANDS.items()]
@@ -177,8 +187,8 @@ def _read(command: str, words: Sequence[str], environ: Mapping[str, str]) -> Sim
         if name in environ:
             try:
                 given[dest] = _value(flag, kwargs, environ[name])
-            except _UsageError as exc:
-                raise _UsageError(f"{name}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
     end = words.index("--") if "--" in words else len(words)
     # A word is an exact flag, a value, or (rarely) what _option reads it as.
     options = [(word, None) if word in flags else None if word[:1] != "-" else _option(flags, word)
@@ -190,7 +200,7 @@ def _read(command: str, words: Sequence[str], environ: Mapping[str, str]) -> Sim
             if text is None:
                 index = next(positions, end)
                 if index == end or options[index] is not None:
-                    raise _UsageError(f"argument {flag}: expected one argument")
+                    raise ValueError(f"argument {flag}: expected one argument")
                 text = words[index]
             dest, _, kwargs = flags[flag]
             given[dest] = _value(flag, kwargs, text)
@@ -200,9 +210,9 @@ def _read(command: str, words: Sequence[str], environ: Mapping[str, str]) -> Sim
             extras.append(words[index])
     if missing := [flag for flag, (dest, _, kwargs) in flags.items()
                    if kwargs.get("required") and dest not in given]:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     if extras or end < len(words):
-        raise _UsageError(f"unrecognized arguments: {' '.join([*extras, *words[end:]])}")
+        raise ValueError(f"unrecognized arguments: {' '.join([*extras, *words[end:]])}")
     return SimpleNamespace(**{**_DEFAULTS[command], **given})
 
 
@@ -215,7 +225,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
     if argv and argv[0] in _COMMANDS:
         return _read(argv[0], argv[1:], os.environ)
     if argv and argv[0].startswith("-") and argv[0] not in ("-", "--"):
-        with contextlib.suppress(_UsageError):
+        with contextlib.suppress(ValueError):
             for index, word in enumerate(argv):
                 option = _option({}, word) if word[:1] == "-" and word != "--" else None
                 if option is None:
@@ -224,12 +234,12 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
                     break
                 if option[0] in _HELP:
                     _help(None, *option)
-        raise _UsageError(f"flag {argv[0]} comes before the command word; flags go after "
-                          "the command word, as in 'wqsc run --seed 1'")
+        raise ValueError(f"flag {argv[0]} comes before the command word; flags go after "
+                         "the command word, as in 'wqsc run --seed 1'")
     if list(argv) in ([], ["--"]):
-        raise _UsageError("the following arguments are required: command")
+        raise ValueError("the following arguments are required: command")
     choices = ", ".join(map(repr, _COMMANDS))
-    raise _UsageError(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    raise ValueError(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
 
 
 def _open_output(path: str) -> ContextManager[TextIO]:
@@ -258,44 +268,18 @@ def _cmd_run(args: SimpleNamespace) -> int:
 
 def _cmd_verify() -> int:
     passed, checks = run_verification()
-    lines = []
-    verified = 0
-    for item, value, expected, ok in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {item}: value={value!r} expected={expected!r}")
-        verified += ok
-    lines.append(f"{verified}/{len(checks)} golden values verified")
-    print("\n".join(lines))
+    lines = [f"{'PASS' if ok else 'FAIL'} {item}: value={value!r} expected={expected!r}"
+             for item, value, expected, ok in checks]
+    verified = sum(check.passed for check in checks)
+    print("\n".join([*lines, f"{verified}/{len(checks)} golden values verified"]))
     return EXIT_OK if passed else EXIT_COMPROMISED
 
 
 def _cmd_sweep(args: SimpleNamespace) -> int:
-    # A blank grid is the empty grid, which the sampler's check names; a
-    # blank item among values would silently shorten the sweep.
-    items = [item.strip() for item in args.grid.split(",")]
-    if any(items) and not all(items):
-        raise _UsageError(f"bad phi grid {args.grid!r}: item {items.index('') + 1} is empty")
-    try:
-        grid = [float(item) for item in items if item]
-    except ValueError as exc:
-        raise _UsageError(f"bad phi grid: {exc}") from exc
-    grid, trials, seed = check_sweep_arguments(grid, args.trials, args.seed)
+    grid, trials, seed = check_sweep_arguments(args.grid, args.trials, args.seed)
     epsilon = check_epsilon(args.epsilon)
-
     with _open_output(args.output) as out:
-        rows = []
-        frequencies = sweep_frequencies(grid, trials, seed)
-        for phi, empirical in zip(grid, frequencies):
-            p_bar = averaged_security_probability(phi)
-            rows.append(
-                SweepRow(
-                    phi=phi,
-                    p_bar=p_bar,
-                    empirical=empirical,
-                    sigma=binomial_sigma(p_bar, trials),
-                    verdict=security_verdict(empirical, epsilon),
-                )
-            )
-        out.write(render_sweep_csv(rows))
+        out.write(render_sweep_csv(sweep_rows(grid, trials, seed, epsilon)))
     return EXIT_OK
 
 
@@ -308,7 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify()
         return _cmd_sweep(args)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -82,13 +82,15 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .adversary import UnitaryCouplingAttack
-from .bell import ALL_AXIS_SETS, OUTCOME_STRINGS, PQSS_AXIS_SET, AxisSet, event_masses, is_event
+from .bell import (ALL_AXIS_SETS, OUTCOME_STRINGS, PQSS_AXIS_SET, AxisSet,
+                   averaged_security_probability, event_masses, is_event)
 from .qcore import (
     Outcome,
     Party,
     integer_argument,
     outcome_distribution,
     outcome_distributions,
+    party_argument,
     real_argument,
 )
 from .states import attacked_w_amplitudes, validate_attack_angle, w_state
@@ -139,8 +141,9 @@ class ProtocolConfig:
     """Run parameters; a config plus the trial index determines a trial exactly.
 
     ``mode`` is coerced to its enum; ``dealer`` (a :class:`Party` or its
-    index), ``trials`` and ``seed`` follow :func:`~wqsc.qcore.integer_argument`,
-    and ``announce_rate`` and ``epsilon`` :func:`~wqsc.qcore.real_argument`;
+    index) follows :func:`~wqsc.qcore.party_argument`, ``trials`` and ``seed``
+    :func:`~wqsc.qcore.integer_argument`, and ``announce_rate`` and
+    ``epsilon`` :func:`~wqsc.qcore.real_argument`;
     ``attack`` must be None or a :class:`UnitaryCouplingAttack`.  A bad
     value raises ValueError here, before any draw.
     """
@@ -155,7 +158,7 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ProtocolMode(self.mode))
-        object.__setattr__(self, "dealer", Party(integer_argument("dealer", self.dealer, 0, 2)))
+        object.__setattr__(self, "dealer", party_argument("dealer", self.dealer))
         object.__setattr__(self, "trials", integer_argument("trials", self.trials, 1))
         object.__setattr__(self, "seed", integer_argument("seed", self.seed, 0, MAX_SEED))
         announce_rate = real_argument("announce_rate", self.announce_rate)
@@ -220,6 +223,17 @@ class RunReport:
     formula_qubits: float
     qubits_per_key_bit: float | None
     security_verdict: SecurityVerdict
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One point of a coupling-strength sweep, written by ``wqsc sweep-phi``."""
+
+    phi: float
+    p_bar: float
+    empirical: float
+    sigma: float
+    verdict: SecurityVerdict
 
 
 def decider_step(
@@ -327,7 +341,10 @@ def _kept_bits(
 # run is one chunk.
 _CHUNK_TRIALS = 16384
 
-_CELLS = len(ALL_AXIS_SETS) * 2 * len(OUTCOME_STRINGS)  # index 16s + 8u + o, u = unannounced
+# Each run cell's (axis set, outcome string, announced) at index 16s + 8u + o, u = unannounced.
+_CELL_TABLE = tuple((axes, outcomes, announced) for axes in ALL_AXIS_SETS
+                    for announced in (True, False) for outcomes in OUTCOME_STRINGS)
+_CELLS = len(_CELL_TABLE)
 
 
 def _threshold(p: float) -> int:
@@ -448,9 +465,7 @@ def _chunks(key: int, first: int, count: int) -> Iterator[tuple[int, np.ndarray]
 
 
 def _record(mode: ProtocolMode, index: int, cell: int) -> TrialRecord:
-    axes = ALL_AXIS_SETS[cell >> 4]
-    outcomes = OUTCOME_STRINGS[cell & 7]
-    announced = not cell & 8
+    axes, outcomes, announced = _CELL_TABLE[cell]
     key_bits = None if announced else _kept_bits(mode, axes, outcomes)
     return TrialRecord(index, axes, outcomes, announced, key_bits)
 
@@ -520,33 +535,40 @@ def sample_security_frequency(grid: Sequence[float], trials: int, seed: int) -> 
     """Empirical security-event frequency at each attack strength of ``grid``.
 
     Every value is checked by :func:`check_sweep_arguments` before any state
-    is built or any draw is made; the checked values go to
-    :func:`sweep_frequencies`.
+    is built or any draw is made; the frequencies are the ``empirical``
+    column of the checked values' :func:`sweep_rows`.
     """
-    return sweep_frequencies(*check_sweep_arguments(grid, trials, seed))
+    rows = sweep_rows(*check_sweep_arguments(grid, trials, seed), DEFAULT_EPSILON)
+    return [row.empirical for row in rows]
 
 
-def sweep_frequencies(grid: list[float], trials: int, seed: int) -> list[float]:
-    """:func:`sample_security_frequency` on the values :func:`check_sweep_arguments` returned.
+def sweep_rows(grid: list[float], trials: int, seed: int, epsilon: float) -> list[SweepRow]:
+    """The sweep's rows, one per point, on values :func:`check_sweep_arguments` returned.
 
     Each sample stands for one announced QKD-set trial against the attacked
     channel (target Charlie), and draws only whether it is a security
-    event: its draw lies below ``p_bar``, the mean over the three QKD axis
-    sets of the event mass in the point's
-    :func:`~wqsc.states.attacked_w_state`.  All points' masses are read by
-    one :func:`~wqsc.bell.event_masses` call from one
-    :func:`~wqsc.qcore.outcome_distributions` pass over the grid's
-    amplitude stack, :func:`~wqsc.states.attacked_w_amplitudes`.  Point
-    ``k`` draws from its own Philox key, ``seed + (k + 1) * 2**64``, so its
-    frequency depends on its index and not on the rest of the grid.  The
-    values are not checked again: ``wqsc sweep-phi`` checks them before it
-    opens its output.
+    event: its draw lies below the mean over the three QKD axis sets of the
+    event mass in the point's :func:`~wqsc.states.attacked_w_state`.  All
+    points' masses are read by one :func:`~wqsc.bell.event_masses` call
+    from one :func:`~wqsc.qcore.outcome_distributions` pass over the
+    grid's amplitude stack, :func:`~wqsc.states.attacked_w_amplitudes`.
+    Point ``k`` draws from its own Philox key, ``seed + (k + 1) * 2**64``,
+    so its frequency depends on its index and not on the rest of the grid.
+    A row's ``p_bar`` is the closed form
+    :func:`~wqsc.bell.averaged_security_probability`, ``sigma`` the
+    :func:`binomial_sigma` of ``trials`` samples at it, and ``verdict`` the
+    :func:`security_verdict` of ``empirical`` at ``epsilon``, a value
+    :func:`check_epsilon` returned.  The values are not checked again:
+    ``wqsc sweep-phi`` checks them before it opens its output.
     """
     dists = outcome_distributions(attacked_w_amplitudes(grid))
-    return [
-        _event_frequency(sum(masses) / len(masses), seed + ((point + 1) << 64), trials)
-        for point, masses in enumerate(event_masses(dists).tolist())
-    ]
+    rows = []
+    for point, (phi, masses) in enumerate(zip(grid, event_masses(dists).tolist())):
+        empirical = _event_frequency(sum(masses) / len(masses), seed + ((point + 1) << 64), trials)
+        p_bar = averaged_security_probability(phi)
+        verdict = security_verdict(empirical, epsilon)
+        rows.append(SweepRow(phi, p_bar, empirical, binomial_sigma(p_bar, trials), verdict))
+    return rows
 
 
 def _event_frequency(p_bar: float, key: int, trials: int) -> float:
@@ -638,7 +660,7 @@ def _cell_fields(
         x1, x2 = bits
         yield f"key_bits_{x1.letter}{x2.letter}".lower()
         yield "total_key_bits"
-        if bits[x1] is not bits[x2]:
+        if is_event(axes, outcomes):  # a kept trial's decider saw plus
             yield "qkd_disagreements"
     else:
         yield "pqss_secret_bits"
@@ -663,12 +685,9 @@ def _weights(mode: ProtocolMode, dealer: Party) -> np.ndarray:
     """
     rows = {name: row for row, name in enumerate(_COUNT_FIELDS)}
     weights = np.zeros((len(_COUNT_FIELDS), _CELLS), dtype=np.int64)
-    for set_index, axes in enumerate(ALL_AXIS_SETS):
-        for outcome_index, outcomes in enumerate(OUTCOME_STRINGS):
-            for unannounced in (0, 1):
-                cell = 16 * set_index + 8 * unannounced + outcome_index
-                for name in _cell_fields(mode, dealer, axes, outcomes, not unannounced):
-                    weights[rows[name], cell] = 1
+    for cell, (axes, outcomes, announced) in enumerate(_CELL_TABLE):
+        for name in _cell_fields(mode, dealer, axes, outcomes, announced):
+            weights[rows[name], cell] = 1
     weights.flags.writeable = False
     return weights
 

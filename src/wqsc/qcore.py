@@ -140,12 +140,17 @@ class Party(IntEnum):
     def from_letter(cls, text: str) -> "Party":
         try:
             return _PARTY_KEYS[text.strip().upper()]
-        except KeyError:
+        except (AttributeError, KeyError):  # AttributeError: ``text`` is not a string
             raise ValueError(f"unknown party {text!r}; expected one of A, B, C") from None
 
 
-# Each party by its letter and by its name.
-_PARTY_KEYS = {key: party for party in Party for key in (party.letter, party.name)}
+# Each party by its letter, its name and its index.
+_PARTY_KEYS = {key: party for party in Party for key in (party.letter, party.name, party.value)}
+
+
+def party_argument(name: str, value: object) -> Party:
+    """``value``, a :class:`Party` or its index by :func:`integer_argument`, as its member."""
+    return _PARTY_KEYS[integer_argument(name, value, 0, 2)]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Machine-readable run reports and sweep rows: JSON and CSV renderers plus parsers.
 
 Each row type's fields are its schema: the fields of ``RunReport`` and
-``SweepRow``, in order, are its keys and columns (``REPORT_COLUMNS``,
-``SWEEP_COLUMNS``) and change only with a schema version bump.  A party is
-written as its letter, any other enum as its value, and the same rows always
-render to the same bytes.  CSV is UTF-8, comma delimited, '.' decimal point,
-one header row and rows as wide as it; a missing value is an empty cell or null.
-The writers fill a template built from the schema at import straight from a
-row's fields, with the bytes ``json`` (``indent=2``) and ``csv`` would
-write; ``json`` and ``csv`` parse.
+``SweepRow`` (both defined in :mod:`wqsc.protocol`), in order, are its keys
+and columns (``REPORT_COLUMNS``, ``SWEEP_COLUMNS``) and change only with a
+schema version bump.  A party is written as its letter, any other enum as
+its value, and the same rows always render to the same bytes.  CSV is
+UTF-8, comma delimited, '.' decimal point, one header row and rows as wide
+as it; a missing value is an empty cell or null.  The writers fill a
+template built from the schema at import straight from a row's fields,
+with the bytes ``json`` (``indent=2``) and ``csv`` would write; ``json``
+and ``csv`` parse.
 
 Decoding follows the field's annotation: only a ``| None`` field may be
 null (JSON) or an empty cell (CSV).  A CSV cell is text, read with
@@ -29,23 +30,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 
-from .protocol import ProtocolMode, RunReport, SecurityVerdict
+from .protocol import ProtocolMode, RunReport, SecurityVerdict, SweepRow
 from .qcore import Party
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One row of a coupling-strength sweep."""
-
-    phi: float
-    p_bar: float
-    empirical: float
-    sigma: float
-    verdict: SecurityVerdict
-
 
 REPORT_COLUMNS = tuple(field.name for field in fields(RunReport))
 SWEEP_COLUMNS = tuple(field.name for field in fields(SweepRow))

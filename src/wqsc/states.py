@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .qcore import Party, StateVector, integer_argument, real_argument
+from .qcore import Party, StateVector, party_argument, real_argument
 
 ATTACK_ANGLE_MAX = math.pi / 2.0
 
@@ -81,12 +81,12 @@ def attacked_w_amplitudes(
     ``phis[i]``: the target's single-minus amplitude is ``cos(phi) /
     sqrt(3)``, ``|+++->`` is ``sin(phi) / sqrt(3)`` and the other two stay
     ``1/sqrt(3)``.  Every angle is checked by :func:`validate_attack_angle`
-    and ``target`` by :func:`~wqsc.qcore.integer_argument` before anything
+    and ``target`` by :func:`~wqsc.qcore.party_argument` before anything
     is built.  The rows are not checked as states here: an amplitude stack
     passed to :func:`~wqsc.qcore.outcome_distributions` is, row by row.
     """
     phis = [validate_attack_angle(phi) for phi in phis]
-    target = integer_argument("target", target, 0, 2)
+    target = party_argument("target", target)
     amps = np.zeros((len(phis), 16), dtype=np.complex128)
     amps[:, 0b1000] = amps[:, 0b0100] = amps[:, 0b0010] = _INV_SQRT3
     amps[:, 0b1000 >> target] = [_INV_SQRT3 * math.cos(phi) for phi in phis]
@@ -108,7 +108,7 @@ def attacked_w_state(phi: float, target: Party | int = Party.CHARLIE) -> StateVe
     :func:`~wqsc.adversary.apply_attack`, the circuit, is its check (the
     tests pin the two equal byte for byte for every target).  ``target``
     is a :class:`Party` or its qubit index and follows
-    :func:`~wqsc.qcore.integer_argument`.  At phi = 0 the channel is
+    :func:`~wqsc.qcore.party_argument`.  At phi = 0 the channel is
     untouched and the state factorizes as W tensor |z+>.  It is the stack
     of one of :func:`attacked_w_amplitudes`.
     """

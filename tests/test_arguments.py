@@ -18,6 +18,8 @@ from wqsc import (
     ProtocolConfig,
     ProtocolMode,
     UnitaryCouplingAttack,
+    apply_attack,
+    attacked_w_amplitudes,
     attacked_w_state,
     averaged_security_probability,
     binomial_sigma,
@@ -32,7 +34,7 @@ from wqsc import (
     two_z_plus,
     w_state,
 )
-from wqsc.qcore import integer_argument, real_argument
+from wqsc.qcore import integer_argument, party_argument, real_argument
 
 PLUS = Outcome.PLUS
 W = w_state()
@@ -150,3 +152,48 @@ def test_intenum_out_of_range_keeps_its_message(value, low, high, bound):
     with pytest.raises(ValueError) as info:
         integer_argument("n", value, low, high)
     assert str(info.value) == f"n must be {bound}, got {value}"
+
+
+@pytest.mark.parametrize("party", list(Party))
+@pytest.mark.parametrize("spelling", [Party, int, np.int64, np.uint8],
+                         ids=["Party", "int", "int64", "uint8"])
+def test_party_argument_gives_the_member_itself(party, spelling):
+    assert party_argument("dealer", spelling(party)) is party
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "dealer must be an integer, got True"),
+        (3, "dealer must be at most 2, got 3"),
+        (-1, "dealer must be at least 0, got -1"),
+        ("B", "dealer must be an integer, got 'B'"),
+        (1.0, "dealer must be an integer, got 1.0"),
+    ],
+    ids=["bool", "above", "below", "letter", "float"],
+)
+def test_party_argument_refuses_naming_the_argument(value, message):
+    with pytest.raises(ValueError) as info:
+        party_argument("dealer", value)
+    assert str(info.value) == message
+
+
+def test_attacked_amplitudes_read_a_party_as_its_index():
+    assert (attacked_w_amplitudes([0.5], Party.BOB).tobytes()
+            == attacked_w_amplitudes([0.5], 1).tobytes())
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (Party.from_letter, (1,), "unknown party 1; expected one of A, B, C"),
+        (Party.from_letter, (None,), "unknown party None; expected one of A, B, C"),
+        (apply_attack, (W, 0.5), "attack must be None or a UnitaryCouplingAttack, got 0.5"),
+        (apply_attack, (W, "C"), "attack must be None or a UnitaryCouplingAttack, got 'C'"),
+    ],
+    ids=["letter-int", "letter-None", "attack-float", "attack-str"],
+)
+def test_a_value_of_the_wrong_type_raises_value_error_naming_it(function, args, message):
+    with pytest.raises(ValueError) as info:
+        function(*args)
+    assert str(info.value) == message

@@ -21,7 +21,7 @@ from wqsc import binomial_sigma, sample_security_frequency
 from wqsc.cli import entrypoint, main
 from wqsc.golden import run_verification
 from wqsc.protocol import MODE_SUCCESS_PROBABILITY, ProtocolMode, check_sweep_arguments
-from wqsc.reporting import parse_report_csv, parse_report_json, parse_sweep_csv
+from wqsc.reporting import parse_report_csv, parse_report_json, parse_sweep_csv, render_sweep_csv
 
 HALF_PI_TEXT = "1.5707963267948966"
 
@@ -109,7 +109,7 @@ class TestFailFast:
             raise AssertionError("simulation ran before the output was checked")
 
         monkeypatch.setattr(wqsc.cli, "run_protocol", forbidden)
-        monkeypatch.setattr(wqsc.cli, "sweep_frequencies", forbidden)
+        monkeypatch.setattr(wqsc.cli, "sweep_rows", forbidden)
 
     @staticmethod
     def assert_one_line_error(capsys, *fragments):
@@ -165,14 +165,22 @@ class TestFailFast:
         # An empty item among values would otherwise run a shorter sweep.
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep-phi", "--grid", grid, "--seed", "1", "--output", str(out)) == 1
-        assert capsys.readouterr().err == f"error: bad phi grid {grid!r}: item {item} is empty\n"
+        assert capsys.readouterr().err == (
+            f"error: argument --grid: bad phi grid {grid!r}: item {item} is empty\n")
         assert not out.exists()
+
+    def test_grid_variable_error_names_it_before_a_missing_seed(self, capsys, monkeypatch):
+        # The grid's text is its flag's value, so it is read, and refused, first.
+        monkeypatch.setenv("WQSC_GRID", "0,,1")
+        assert run_cli("sweep-phi") == 1
+        assert capsys.readouterr().err == (
+            "error: WQSC_GRID: argument --grid: bad phi grid '0,,1': item 2 is empty\n")
 
     def test_grid_item_that_is_not_a_number_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep-phi", "--grid", "0.5,abc", "--seed", "1", "--output", str(out)) == 1
         assert capsys.readouterr().err == (
-            "error: bad phi grid: could not convert string to float: 'abc'\n")
+            "error: argument --grid: bad phi grid: could not convert string to float: 'abc'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,grid,samples,seed,named", [
@@ -492,7 +500,7 @@ def outcome(read, argv):
             namespace = read(argv)
     except SystemExit as exit_info:
         return "exit", exit_info.code
-    except (wqsc.cli._UsageError, ArgparseError) as exc:
+    except (ValueError, ArgparseError) as exc:
         return "error", str(exc)
     # repr tells a float from an int and makes nan equal to itself.
     return "namespace", sorted((name, repr(value)) for name, value in vars(namespace).items())
@@ -545,6 +553,7 @@ class TestArgvReader:
     @example(case=("run", ["--mode", "qkd", "--trials", "x", "--seed", "1", "--t=B"]))
     @example(case=("run", ["--announce-rate", "--t", "10"]))
     @example(case=("sweep-phi", ["--seed", "1", "--grid", "--output=x y"]))
+    @example(case=("sweep-phi", ["--announce-rate", "0.2", "--grid", ""]))  # the empty grid
     @example(case=("run", ["--mode", "nope", "--he"]))
     @example(case=("run", ["--he", "--mode", "nope"]))
     @example(case=("sweep-phi", ["--grid", "0.5", "--seed", "1", "--output=--", "--output", "x"]))
@@ -586,7 +595,7 @@ class TestArgvReader:
                 "for argv in (['run', '--tri', 'x'], ['--help'], ['run', '-h']):\n"
                 "    try:\n"
                 "        wqsc.cli._parse(argv)\n"
-                "    except (wqsc.cli._UsageError, SystemExit):\n"
+                "    except (ValueError, SystemExit):\n"
                 "        pass\n"
                 "assert 'argparse' not in sys.modules, 'argparse imported'\n")
         environ = dict(os.environ, PYTHONPATH=str(SRC))
@@ -825,6 +834,16 @@ class TestSweepCommand:
         b = sample_security_frequency([0.2, 0.9], 2000, seed=4)
         assert a == b
 
+    @pytest.mark.parametrize("epsilon", [1e-9, 0.1])
+    def test_sweep_rows_are_the_command_output(self, epsilon, capsys):
+        # The rows protocol builds, rendered, are every byte sweep-phi writes.
+        grid = [0.0, 0.3, 0.9, math.pi / 2]
+        rows = wqsc.protocol.sweep_rows(grid, 700, 5, epsilon)
+        assert run_cli("sweep-phi", "--grid", ",".join(map(repr, grid)), "--trials", "700",
+                       "--seed", "5", "--epsilon", repr(epsilon)) == 0
+        assert capsys.readouterr().out == render_sweep_csv(rows)
+        assert [row.empirical for row in rows] == sample_security_frequency(grid, 700, 5)
+
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ENTRYPOINT = "from wqsc.cli import entrypoint; entrypoint()"
@@ -842,6 +861,18 @@ WORKFLOW_BAD_INPUTS = {
         {"WQSC_GRID": "0,2.0"},
         ["sweep-phi", "--seed", "1", "--output", "bad.csv"],
         "error: attack angle must lie in [0, pi/2], got 2.0",
+    ),
+    # A grid's text is its flag's type, so its error names the variable.
+    "grid-empty-item": (
+        {"WQSC_GRID": "0,,1"},
+        ["sweep-phi", "--seed", "1", "--output", "bad.csv"],
+        "error: WQSC_GRID: argument --grid: bad phi grid '0,,1': item 2 is empty",
+    ),
+    "grid-not-a-number": (
+        {"WQSC_GRID": "abc"},
+        ["sweep-phi", "--seed", "1", "--output", "bad.csv"],
+        "error: WQSC_GRID: argument --grid: bad phi grid: could not convert string to float: "
+        "'abc'",
     ),
     "target": (
         {"WQSC_TARGET": "D"},
